@@ -15,16 +15,15 @@ iteration orders are fixed by node index, so outputs are deterministic.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .energy import QuadraticForm, tail, tree_sum
+from .energy import QuadraticForm, check_budget, tail, tree_sum
 from .errors import ConfigurationError, DataError, DomainError
-from .grid import (Ball, Field, l2_mean_over_ball, nodes_in_ball,
+from .grid import (Ball, Field, csv_text, l2_mean_over_ball, nodes_in_ball,
                    region_interior_indices, sup_over_ball)
 from .kernel import eval_kernel, rescale_kernel
 from .solver import ProblemSpec, harmonic_lifting
@@ -55,34 +54,20 @@ def free_boundary(field: Field, xi: float) -> FreeBoundary:
     reported node set; all straddling edges are reported as pairs.
     """
     grid = field.grid
-    u = field.values
-    on = u > xi
-    pairs = []
-    for axis in range(grid.dim):
-        step = np.zeros(grid.dim, dtype=np.int64)
-        step[axis] = 1
-        for i in range(grid.n_nodes):
-            j = grid.index_of_lattice(grid.lattice[i] + step)
-            if j < 0:
-                continue
-            if on[i] == on[j]:
-                continue
-            if not (grid.interior[i] or grid.interior[j]):
-                continue
-            off_i, on_i = (j, i) if on[i] else (i, j)
-            pairs.append((int(off_i), int(on_i)))
-    pairs.sort()
-    off_interior = sorted({i for i, _ in pairs if grid.interior[i]})
-    if pairs:
-        mids = np.array([(grid.positions[i] + grid.positions[j]) / 2.0 for i, j in pairs])
-    else:
-        mids = np.zeros((0, grid.dim))
-    return FreeBoundary(np.array(off_interior, dtype=np.int64), pairs, mids)
-
-
-def _distance_to_set(points, x):
-    diff = points - x
-    return float(np.min(np.sqrt(np.einsum("nd,nd->n", diff, diff))))
+    on = field.values > xi
+    # node i and its +1 neighbour j along each axis, where j exists
+    i = np.repeat(np.arange(grid.n_nodes), grid.dim)
+    j = grid.indices_of_lattice(np.repeat(grid.lattice, grid.dim, axis=0)
+                                + np.tile(np.eye(grid.dim, dtype=np.int64), (grid.n_nodes, 1)))
+    i, j = i[j >= 0], j[j >= 0]
+    crossing = (on[i] != on[j]) & (grid.interior[i] | grid.interior[j])
+    off_idx = np.where(on[i], j, i)[crossing]
+    on_idx = np.where(on[i], i, j)[crossing]
+    order = np.lexsort((on_idx, off_idx))
+    off_idx, on_idx = off_idx[order], on_idx[order]
+    pairs = list(zip(off_idx.tolist(), on_idx.tolist()))
+    mids = (grid.positions[off_idx] + grid.positions[on_idx]) / 2.0
+    return FreeBoundary(np.unique(off_idx[grid.interior[off_idx]]), pairs, mids)
 
 
 def select_analysis_points(fb: FreeBoundary, limit=5) -> list:
@@ -97,16 +82,12 @@ def select_analysis_points(fb: FreeBoundary, limit=5) -> list:
     mids = fb.midpoints
     order = np.lexsort(tuple(mids[:, k] for k in reversed(range(mids.shape[1]))))
     chosen = [int(order[0])]
+    gap = np.full(mids.shape[0], np.inf)     # distance to the chosen set
     while len(chosen) < min(limit, mids.shape[0]):
-        best_idx, best_dist = -1, -1.0
-        for cand in order:
-            c = int(cand)
-            if c in chosen:
-                continue
-            dist = _distance_to_set(mids[chosen], mids[c])
-            if dist > best_dist:
-                best_idx, best_dist = c, dist
-        chosen.append(best_idx)
+        diff = mids - mids[chosen[-1]]
+        gap = np.minimum(gap, np.sqrt(np.einsum("nd,nd->n", diff, diff)))
+        gap[chosen] = -1.0
+        chosen.append(int(order[np.argmax(gap[order])]))
     return [mids[c].copy() for c in chosen]
 
 
@@ -172,20 +153,16 @@ def nondegeneracy(field: Field, s: float, xi: float = 0.0) -> dict:
     if fb.is_empty:
         raise DataError("free boundary is empty; nondegeneracy is undefined")
     candidates = np.nonzero(grid.interior & (field.values > xi))[0]
-    c_min = math.inf
-    argmin = -1
-    window = NONDEG_WINDOW_CELLS * grid.h
-    for i in candidates:
-        dist = _distance_to_set(fb.midpoints, grid.positions[i])
-        if dist < window:
-            continue
-        ratio = float(field.values[i]) / dist ** s
-        if ratio < c_min:
-            c_min = ratio
-            argmin = int(i)
-    if argmin < 0:
+    diff = grid.positions[candidates, None, :] - fb.midpoints[None, :, :]
+    dist = np.sqrt(np.einsum("cmd,cmd->cm", diff, diff)).min(axis=1)
+    far = dist >= NONDEG_WINDOW_CELLS * grid.h
+    if not far.any():
         raise DataError("no positive nodes at least 2h away from the free boundary")
-    return {"c_min": float(c_min), "node": argmin}
+    # scalar pow: numpy's vectorized power may round differently
+    ratios = [v / d ** s for v, d in zip(field.values[candidates[far]].tolist(),
+                                         dist[far].tolist())]
+    k = int(np.argmin(ratios))
+    return {"c_min": ratios[k], "node": int(candidates[far][k])}
 
 
 def density(field: Field, x0, radii, xi: float = 0.0) -> list:
@@ -219,19 +196,13 @@ def subsolution_residual(form: QuadraticForm, field: Field) -> dict:
     Minimizers satisfy P_i <= 0 up to solver tolerance; a large positive value
     certifies non-minimality.
     """
-    grid = form.grid
-    u = field.values
-    best = -math.inf
-    argmax = -1
-    for i in np.nonzero(grid.interior)[0]:
-        row = form.weight_row(i)
-        pairing = form.row_sums[i] * u[i] - float(np.dot(row, u))
-        if pairing > best:
-            best = pairing
-            argmax = int(i)
-    if argmax < 0:
+    idx = form.interior_idx
+    if idx.size == 0:
         raise DataError("grid has no interior nodes")
-    return {"max_pairing": float(best), "node": argmax}
+    u = field.values
+    pairings = form.row_sums[idx] * u[idx] - form.row_dots(u, range(idx.size))
+    k = int(np.argmax(pairings))     # the first maximum, as a scan by node index
+    return {"max_pairing": float(pairings[k]), "node": int(idx[k])}
 
 
 def residual_scale(form: QuadraticForm, field: Field) -> float:
@@ -285,7 +256,9 @@ def scaling_discrepancy(problem: ProblemSpec, field: Field, x0, r: float,
     u = field.values
     diff = p - x0
     inner = np.sqrt(np.einsum("nd,nd->n", diff, diff)) < r
-    iu, ju = np.triu_indices(grid.n_nodes, 1)
+    n = grid.n_nodes
+    check_budget(8 * n * (n - 1), "the all-pairs index arrays")
+    iu, ju = np.triu_indices(n, 1)
     keep = inner[iu] | inner[ju]
     ii, jj = iu[keep], ju[keep]
 
@@ -416,21 +389,20 @@ def report_json(report: FreeBoundaryReport) -> str:
     return json.dumps(report.to_dict(), sort_keys=True, indent=2)
 
 
-def write_report_csv(report: FreeBoundaryReport, path_for_point) -> list:
-    """One per-radius CSV per analysis point: r, sup, zero_ratio, pos_ratio.
+def point_csv_text(report: FreeBoundaryReport, k: int) -> str:
+    """Per-radius CSV of analysis point k: r, sup, zero_ratio, pos_ratio."""
+    by_r = {row["r"]: row for row in report.density[k]["rows"]}
+    return csv_text(["r", "sup", "zero_ratio", "pos_ratio"],
+                    [(float(r), float(sup), by_r[r]["zero_ratio"], by_r[r]["pos_ratio"])
+                     for r, sup in zip(report.growth[k]["radii"], report.growth[k]["sups"])])
 
-    path_for_point(k) names the file for point k; written paths are returned.
-    """
+
+def write_report_csv(report: FreeBoundaryReport, path_for_point) -> list:
+    """Write point_csv_text of point k to path_for_point(k); returns the paths."""
     written = []
-    for k, (g_row, d_row) in enumerate(zip(report.growth, report.density)):
+    for k in range(len(report.growth)):
         path = path_for_point(k)
-        ratio_by_r = {row["r"]: row for row in d_row["rows"]}
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["r", "sup", "zero_ratio", "pos_ratio"])
-            for r, sup in zip(g_row["radii"], g_row["sups"]):
-                row = ratio_by_r[r]
-                writer.writerow([repr(float(r)), repr(float(sup)),
-                                 repr(float(row["zero_ratio"])), repr(float(row["pos_ratio"]))])
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(point_csv_text(report, k))
         written.append(path)
     return written

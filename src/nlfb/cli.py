@@ -25,13 +25,12 @@ import numpy as np
 
 from . import __version__
 from .analysis import (build_report, density, dyadic_radii, free_boundary,
-                       lifting_distance, nondegeneracy, report_json,
+                       lifting_distance, nondegeneracy, point_csv_text, report_json,
                        select_analysis_points)
 from .config import ExperimentConfig, build_problem, parse_config, parse_points
-from .energy import assemble_form
 from .errors import (CapacityError, ConfigurationError, DataError, DomainError,
                      NlfbError, SolverError)
-from .grid import Ball, field_csv_text
+from .grid import Ball, csv_text, field_csv_text
 from .solver import (MinimizeResult, ProblemSpec, minimize, oracle_minimize,
                      rho_sweep_minimize)
 
@@ -68,13 +67,6 @@ class _Writer:
 
 def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _csv_text(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
 
 
 def _analysis_defaults(cfg: ExperimentConfig, grid):
@@ -131,14 +123,13 @@ def _cmd_rho_sweep(cfg, writer, seed, timing):
                               n_restarts=cfg.values["solver.restarts"], seed=seed,
                               max_sweeps=cfg.values["solver.max_sweeps"])
     timing["solve_s"] = time.perf_counter() - t0
-    form = assemble_form(problem.kernel, problem.grid)
     rows = []
     for rho, result in path:
-        dist = lifting_distance(form, result.field, region)
+        dist = lifting_distance(result.form, result.field, region)
         rows.append((float(rho), float(result.energy.total), float(dist)))
     if "csv" in cfg.values["output.formats"]:
         writer.stage("rho_sweep.csv",
-                     _csv_text(["rho", "energy", "lifting_distance"], rows))
+                     csv_text(["rho", "energy", "lifting_distance"], rows))
     usable = [(r, d) for r, d, in ((row[0], row[2]) for row in rows) if d > 0.0]
     slope = None
     if len(usable) >= 2:
@@ -258,7 +249,7 @@ def _cmd_oracle_compare(cfg, writer, seed, timing):
                  int(r["agree"])) for r in rows]
     if "csv" in cfg.values["output.formats"]:
         writer.stage("oracle_compare.csv",
-                     _csv_text(["instance", "minimize_energy", "oracle_energy", "agree"],
+                     csv_text(["instance", "minimize_energy", "oracle_energy", "agree"],
                                csv_rows))
     n_agree = sum(1 for r in rows if r["agree"])
     return {
@@ -276,24 +267,18 @@ def _cmd_analyze(cfg, writer, seed, timing):
     timing["solve_s"] = time.perf_counter() - t0
     _result_artifacts(writer, cfg, result)
 
-    form = assemble_form(problem.kernel, problem.grid)
     r_min, r_max, n_dyadic, region = _analysis_defaults(cfg, problem.grid)
     points = _analysis_points(cfg, problem, result.field)
     t0 = time.perf_counter()
-    report = build_report(problem, form, result.field, points, r_min, r_max,
+    report = build_report(problem, result.form, result.field, points, r_min, r_max,
                           n_dyadic, region)
     timing["analysis_s"] = time.perf_counter() - t0
     if "json" in cfg.values["output.formats"]:
         writer.stage("report.json", report_json(report) + "\n")
     if "csv" in cfg.values["output.formats"]:
         # render per-point CSVs through the shared writer for atomicity
-        for k, (g_row, d_row) in enumerate(zip(report.growth, report.density)):
-            ratio_by_r = {row["r"]: row for row in d_row["rows"]}
-            rows = [(float(r), float(sup),
-                     ratio_by_r[r]["zero_ratio"], ratio_by_r[r]["pos_ratio"])
-                    for r, sup in zip(g_row["radii"], g_row["sups"])]
-            writer.stage(f"point_{k}.csv",
-                         _csv_text(["r", "sup", "zero_ratio", "pos_ratio"], rows))
+        for k in range(len(report.growth)):
+            writer.stage(f"point_{k}.csv", point_csv_text(report, k))
     return {
         "fb_nodes": len(report.fb_nodes),
         "nondeg_constant": report.nondeg_constant,

@@ -13,58 +13,74 @@ lost that way is estimated by truncation_error_bound.
 The penalized total adds rho * measure of the strict super-level set
 {u > xi} restricted to interior nodes.
 
-Weights are stored densely up to a node-count threshold fixed at build time;
-above it they are recomputed row by row on demand. Both paths evaluate rows
-with the same code on the same inputs, so energies agree bit for bit. All
-reductions are fixed-block-size pairwise tree sums, independent of thread
-count.
+Every stored pair has an interior end, so the form keeps only the interior
+rows W[I, :] as one (n_int, N) array, plus the row sums of all N nodes; an
+exterior row is read from the block's column (the kernel is symmetric bit for
+bit). Assembly refuses with CapacityError, before allocating, when the block
+would exceed MEMORY_BUDGET_BYTES. All reductions are fixed-block-size
+pairwise tree sums, independent of thread count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import CapacityError, ConfigurationError, DomainError
 from .grid import Field, Grid
 from .kernel import KernelSpec, eval_kernel
 
-DENSE_NODE_THRESHOLD = 3000
 _TREE_BLOCK = 64
+# Largest allocation, in bytes, of the interior weight block or all-pairs arrays.
+MEMORY_BUDGET_BYTES = 256 * 2 ** 20
 
 # Volume of the unit ball.
 UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi}
 
 
-def tree_sum(values) -> float:
+def tree_sum(values):
     """Deterministic pairwise tree reduction with a fixed block size.
 
     The summation order depends only on the length of the input, never on
-    thread count or chunking, so repeated runs produce identical bits.
+    thread count or chunking, so repeated runs produce identical bits. A 1-D
+    input gives a float; a 2-D input gives each row's sum, with the same bits.
     """
-    arr = np.asarray(values, dtype=np.float64).reshape(-1)
-    n = arr.shape[0]
-    if n == 0:
-        return 0.0
-    sums = [float(np.add.reduce(arr[k:k + _TREE_BLOCK])) for k in range(0, n, _TREE_BLOCK)]
+    arr = np.asarray(values, dtype=np.float64)
+    rows = arr if arr.ndim == 2 else arr.reshape(1, -1)
+    sums = [np.add.reduce(rows[:, k:k + _TREE_BLOCK], axis=1)
+            for k in range(0, rows.shape[1], _TREE_BLOCK)] or [np.zeros(rows.shape[0])]
     while len(sums) > 1:
         nxt = [sums[i] + sums[i + 1] for i in range(0, len(sums) - 1, 2)]
         if len(sums) % 2 == 1:
             nxt.append(sums[-1])
         sums = nxt
-    return sums[0]
+    return sums[0] if arr.ndim == 2 else float(sums[0][0])
+
+
+def check_budget(nbytes: int, what: str) -> None:
+    """Raise CapacityError before an allocation larger than MEMORY_BUDGET_BYTES."""
+    if nbytes > MEMORY_BUDGET_BYTES:
+        raise CapacityError(
+            f"{what} needs {nbytes} bytes, above the {MEMORY_BUDGET_BYTES}-byte budget")
 
 
 @dataclass
 class QuadraticForm:
-    """Pairwise weights of the Dirichlet energy on a grid."""
+    """Pairwise weights of the Dirichlet energy on a grid, kept as interior rows."""
 
     grid: Grid
     kernel: KernelSpec
-    dense: np.ndarray | None      # (N, N) symmetric weight matrix, or None
-    row_sums: np.ndarray          # a_i = sum_j w_ij
+    dense: np.ndarray             # (n_int, N): row k is w_{interior_idx[k], .}
+    row_sums: np.ndarray          # a_i = sum_j w_ij for all N nodes
+    interior_idx: np.ndarray = dataclass_field(init=False)
+    row_of: np.ndarray = dataclass_field(init=False)    # stored row per node, -1 if exterior
+
+    def __post_init__(self):
+        self.interior_idx = np.nonzero(self.grid.interior)[0]
+        self.row_of = np.full(self.grid.n_nodes, -1, dtype=np.int64)
+        self.row_of[self.interior_idx] = np.arange(self.interior_idx.shape[0])
 
     @property
     def n_nodes(self) -> int:
@@ -72,9 +88,16 @@ class QuadraticForm:
 
     def weight_row(self, i) -> np.ndarray:
         """Full weight row w_{i, .} with zeros at i and at excluded pairs."""
-        if self.dense is not None:
-            return self.dense[i]
-        return _compute_row(self.grid, self.kernel, i)
+        k = self.row_of[i]
+        if k >= 0:
+            return self.dense[k]
+        row = np.zeros(self.n_nodes)
+        row[self.interior_idx] = self.dense[:, i]
+        return row
+
+    def row_dots(self, u, rows) -> np.ndarray:
+        """sum_j w_ij u_j for stored rows, one np.dot each: the sweep's rounding, not gemv's."""
+        return np.array([np.dot(self.dense[k], u) for k in rows], dtype=np.float64)
 
     def stored_pair_count(self) -> int:
         """Number of unordered pairs the form keeps (no self, no ext-ext)."""
@@ -95,39 +118,35 @@ def _compute_row(grid: Grid, kernel: KernelSpec, i) -> np.ndarray:
     return row
 
 
-def assemble_form(kernel: KernelSpec, grid: Grid, dense_threshold=None) -> QuadraticForm:
-    """Assemble pair weights w_ij = 2 K(x_i, x_j) m_i m_j.
+def assemble_form(kernel: KernelSpec, grid: Grid) -> QuadraticForm:
+    """Assemble the interior rows of the pair weights w_ij = 2 K(x_i, x_j) m_i m_j.
 
-    dense_threshold overrides the default node-count cutoff for dense storage
-    (useful to force the matrix-free path in tests).
+    Raises CapacityError, before allocating, when the (n_int, N) block exceeds
+    MEMORY_BUDGET_BYTES.
     """
     if kernel.dim != grid.dim:
         raise ConfigurationError(
             f"kernel dimension {kernel.dim} does not match grid dimension {grid.dim}")
-    threshold = DENSE_NODE_THRESHOLD if dense_threshold is None else dense_threshold
-    n = grid.n_nodes
-    if n <= threshold:
-        dense = np.empty((n, n))
-        for i in range(n):
-            dense[i] = _compute_row(grid, kernel, i)
-        row_sums = np.array([tree_sum(dense[i]) for i in range(n)])
-        return QuadraticForm(grid, kernel, dense, row_sums)
-    row_sums = np.array([tree_sum(_compute_row(grid, kernel, i)) for i in range(n)])
-    return QuadraticForm(grid, kernel, None, row_sums)
+    interior_idx = np.nonzero(grid.interior)[0]
+    check_budget(8 * interior_idx.shape[0] * grid.n_nodes, "the interior weight block")
+    block = np.empty((interior_idx.shape[0], grid.n_nodes))
+    for k, i in enumerate(interior_idx):
+        block[k] = _compute_row(grid, kernel, i)
+    row_sums = np.empty(grid.n_nodes)
+    row_sums[grid.interior] = tree_sum(block)
+    row_sums[~grid.interior] = tree_sum(block[:, ~grid.interior].T)   # nonzero at interior j only
+    return QuadraticForm(grid, kernel, block, row_sums)
 
 
 def dirichlet_energy(form: QuadraticForm, field: Field) -> float:
-    """E(u) = sum_{i<j} w_ij (u_i - u_j)^2, a deterministic tree reduction."""
+    """E(u) = sum_{i<j} w_ij (u_i - u_j)^2, a deterministic tree reduction over
+    stored rows; interior j weigh 1/2, since both rows see an interior pair."""
     if field.grid is not form.grid and field.grid.n_nodes != form.grid.n_nodes:
         raise ConfigurationError("field and form live on different grids")
     u = field.values
-    n = form.n_nodes
-    partial = np.zeros(n)
-    for i in range(n - 1):
-        row_tail = form.weight_row(i)[i + 1:]
-        diff = u[i] - u[i + 1:]
-        partial[i] = np.dot(row_tail, diff * diff)
-    return tree_sum(partial)
+    half = np.where(form.grid.interior, 0.5, 1.0)
+    return tree_sum([np.dot(row, (u[i] - u) ** 2 * half)
+                     for i, row in zip(form.interior_idx.tolist(), form.dense)])
 
 
 @dataclass

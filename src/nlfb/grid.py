@@ -30,7 +30,7 @@ class Grid:
     positions: np.ndarray      # (N, dim) float64, lexicographically sorted
     lattice: np.ndarray        # (N, dim) int64, position = (lattice + 1/2) * h
     interior: np.ndarray       # (N,) bool
-    _index_map: dict = field(default_factory=dict, repr=False)
+    _lookup: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -54,12 +54,21 @@ class Grid:
     def cell_measure(self) -> float:
         return self.h ** self.dim
 
+    def indices_of_lattice(self, ks) -> np.ndarray:
+        """Node indices of (m, dim) integer lattice points, -1 where absent (one table lookup)."""
+        if self._lookup is None:
+            lo = self.lattice.min(axis=0)
+            table = np.full(tuple(self.lattice.max(axis=0) - lo + 1), -1, dtype=np.int64)
+            table[tuple((self.lattice - lo).T)] = np.arange(self.n_nodes)
+            self._lookup = (lo, table)
+        lo, table = self._lookup
+        ks = np.asarray(ks, dtype=np.int64).reshape(-1, self.dim) - lo
+        inside = np.all((ks >= 0) & (ks < table.shape), axis=1)
+        return np.where(inside, table[tuple(np.where(inside[:, None], ks, 0).T)], -1)
+
     def index_of_lattice(self, k) -> int:
         """Node index for an integer lattice tuple, or -1 if absent."""
-        if not self._index_map:
-            self._index_map.update(
-                {tuple(row): i for i, row in enumerate(self.lattice.tolist())})
-        return self._index_map.get(tuple(k), -1)
+        return int(self.indices_of_lattice(k)[0])
 
 
 def build_grid(dim, h, R_inf, omega_radius=1.0) -> Grid:
@@ -218,17 +227,22 @@ def l2_mean_over_ball(field: Field, x0, r) -> float:
 # ---------------------------------------------------------------------------
 # Field serialization: CSV with a grid signature line.
 
+def csv_text(header, rows) -> str:
+    """Comma-separated lines, each ending in a newline: floats as exact reprs, others via str."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
 def field_csv_text(field: Field) -> str:
     """Render `# d h omega R_inf` then `index,x1[,x2],role,value` rows."""
     grid = field.grid
     cols = ["index"] + [f"x{d + 1}" for d in range(grid.dim)] + ["role", "value"]
-    lines = [f"# {grid.dim} {grid.h!r} {grid.omega_radius!r} {grid.R_inf!r}",
-             ",".join(cols)]
-    for i in range(grid.n_nodes):
-        coords = ",".join(repr(float(c)) for c in grid.positions[i])
-        role = "interior" if grid.interior[i] else "exterior"
-        lines.append(f"{i},{coords},{role},{float(field.values[i])!r}")
-    return "\n".join(lines) + "\n"
+    roles = np.where(grid.interior, "interior", "exterior").tolist()
+    rows = ((i, *grid.positions[i].tolist(), roles[i], v)
+            for i, v in enumerate(field.values.tolist()))
+    return f"# {grid.dim} {grid.h!r} {grid.omega_radius!r} {grid.R_inf!r}\n" + csv_text(cols, rows)
 
 
 def save_field_csv(field: Field, path):

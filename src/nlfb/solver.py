@@ -11,8 +11,8 @@ with a = sum_j w_ij and b = sum_j w_ij u_j, so the on-candidate is the
 quadratic vertex b / a and the off-candidate is the vertex clamped into the
 off region (t <= xi, intersected with t >= 0 in one_phase). Ties resolve to
 off. Sweeps visit interior nodes in a seed-shuffled order refreshed every
-sweep and stop when a sweep changes the energy by less than
-1e-13 * (1 + |energy|).
+sweep; the exact energy changes of the visits are summed into a tracked
+energy, and a sweep moving it by less than 1e-13 * (1 + |energy|) stops.
 
 Plain sweeps alone stall at coarse accuracy on ill-conditioned quadratics, so
 between batches of sweeps the solver polishes: it solves the quadratic exactly
@@ -20,12 +20,14 @@ between batches of sweeps the solver polishes: it solves the quadratic exactly
 held fixed, and accepts the candidate only if the true objective strictly
 decreases. This preserves every contract of the sweep loop (monotone energy,
 same stopping rule) while reaching linear-solver accuracy on the final
-support, which the stationarity diagnostics require.
+support, which the stationarity diagnostics require. The pairwise energy is
+recomputed only at the start, at polish boundaries and at exit, where the
+tracked energy must match it to 1e-9 * (1 + |energy|).
 
 Restarts run coordinate descent from deterministic initializations and reduce
 by the lexicographic key (energy, restart seed); NLFB_THREADS caps how many
 run concurrently, with no effect on results. A brute-force oracle enumerates
-all interior supports (capacity-capped) for ground-truth comparison.
+all interior supports (capacity-capped, xi = 0 only) for ground truth.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .kernel import KernelSpec
 PHASES = ("one_phase", "two_phase")
 
 EPS_STOP_FACTOR = 1e-13
+ENERGY_CHECK_RTOL = 1e-9      # monotonicity and tracked-vs-recomputed tolerance
 DEFAULT_MAX_SWEEPS = 2000
 POLISH_PERIOD = 25
 CG_TOL = 1e-12
@@ -110,6 +113,7 @@ class MinimizeResult:
     converged: bool
     best_restart_seed: int
     tied_supports: list | None = None
+    form: QuadraticForm | None = None    # the form the result was computed with
 
     def to_dict(self) -> dict:
         return {
@@ -169,17 +173,12 @@ def _subsystem(form: QuadraticForm, free_idx, u):
     w_ij u_j. SPD holds because every interior node couples to at least one
     node outside any proper free set (exterior couplings are always stored).
     """
-    n_free = free_idx.shape[0]
-    A = np.empty((n_free, n_free))
-    b = np.empty(n_free)
+    rows = form.row_of[free_idx]
+    A = -form.dense[rows[:, None], free_idx]
+    A.flat[::free_idx.shape[0] + 1] = form.row_sums[free_idx]
     u_pinned = u.copy()
     u_pinned[free_idx] = 0.0
-    for k, i in enumerate(free_idx):
-        row = form.weight_row(i)
-        A[k] = -row[free_idx]
-        A[k, k] = form.row_sums[i]
-        b[k] = float(np.dot(row, u_pinned))
-    return A, b
+    return A, form.row_dots(u_pinned, rows)
 
 
 def harmonic_lifting(form: QuadraticForm, field: Field, region: Ball, rtol=CG_TOL) -> Field:
@@ -230,13 +229,33 @@ def _visit(a, b, rho_cell, xi, one_phase):
     return best[2]
 
 
-def _sweep(form: QuadraticForm, u, order, rho_cell, xi, one_phase):
-    """One full coordinate sweep, in place."""
-    row_sums = form.row_sums
-    for i in order:
-        row = form.weight_row(i)
-        b = float(np.dot(row, u))
-        u[i] = _visit(row_sums[i], b, rho_cell, xi, one_phase)
+def _sweep(form: QuadraticForm, u, order, rho_cell, xi, one_phase) -> float:
+    """One full coordinate sweep, in place; returns the summed energy change,
+    exactly 0 when no value changes."""
+    rows, row_sums = form.dense, form.row_sums
+    change = 0.0
+    for i, k in zip(order.tolist(), form.row_of[order].tolist()):
+        a, b, t_old = row_sums[i], float(np.dot(rows[k], u)), float(u[i])
+        t = _visit(a, b, rho_cell, xi, one_phase)
+        if t != t_old:
+            change += (a * (t * t - t_old * t_old) - 2.0 * b * (t - t_old)
+                       + rho_cell * (int(t > xi) - int(t_old > xi)))
+            u[i] = t
+    return change
+
+
+def _solve_free(form: QuadraticForm, free_idx, values, one_phase, solve):
+    """Solve A x = b (solve(A, b, x0)) over free_idx into values, in place; in one_phase,
+    pin nonpositive solutions to 0 and re-solve the rest until sign-feasible."""
+    while free_idx.shape[0] > 0:
+        A, b = _subsystem(form, free_idx, values)
+        x = solve(A, b, values[free_idx])
+        values[free_idx] = x
+        if not (one_phase and np.any(x < 0.0)):
+            break
+        values[free_idx[x <= 0.0]] = 0.0
+        free_idx = free_idx[x > 0.0]
+    return values
 
 
 def _polish(problem: ProblemSpec, form: QuadraticForm, u):
@@ -254,19 +273,8 @@ def _polish(problem: ProblemSpec, form: QuadraticForm, u):
     free_idx = np.nonzero(free)[0]
     if free_idx.shape[0] == 0:
         return None
-    values = u.copy()
-    while free_idx.shape[0] > 0:
-        A, b = _subsystem(form, free_idx, values)
-        x, _, _ = _pcg(A, b, values[free_idx])
-        if problem.phase == "one_phase" and np.any(x < 0.0):
-            keep = x > 0.0
-            values[free_idx[~keep]] = 0.0
-            values[free_idx[keep]] = x[keep]
-            free_idx = free_idx[keep]
-            continue
-        values[free_idx] = x
-        return values
-    return values
+    return _solve_free(form, free_idx, u.copy(), problem.phase == "one_phase",
+                       lambda A, b, x0: _pcg(A, b, x0)[0])
 
 
 def _finalize(problem: ProblemSpec, form: QuadraticForm, u, sweeps, converged,
@@ -277,7 +285,8 @@ def _finalize(problem: ProblemSpec, form: QuadraticForm, u, sweeps, converged,
         problem.grid, problem.kernel.s, problem.kernel.Lam,
         float(np.max(np.abs(u))) if u.size else 0.0)
     support = np.nonzero(problem.grid.interior & (u > problem.xi))[0]
-    return MinimizeResult(field, breakdown, support, sweeps, restarts_used, converged, seed)
+    return MinimizeResult(field, breakdown, support, sweeps, restarts_used, converged, seed,
+                          form=form)
 
 
 def coordinate_descent(problem: ProblemSpec, init: Field, seed=0,
@@ -286,8 +295,10 @@ def coordinate_descent(problem: ProblemSpec, init: Field, seed=0,
     """Descend from init with seed-shuffled sweeps; energy never increases.
 
     The initialization must agree with the exterior data and satisfy the phase
-    constraint. Stops once a sweep moves the energy by less than
-    1e-13 * (1 + |energy|) and a polish step can no longer improve it.
+    constraint. Stops once a sweep moves the tracked energy by less than
+    1e-13 * (1 + |energy|) and a polish step can no longer improve it. Raises
+    SolverError when the energy rises, or the tracked energy drifts from the
+    recomputed one, by more than 1e-9 * (1 + |energy|).
     """
     if form is None:
         form = assemble_form(problem.kernel, problem.grid)
@@ -306,7 +317,11 @@ def coordinate_descent(problem: ProblemSpec, init: Field, seed=0,
     def energy_of(vals):
         return total_energy(form, Field(grid, vals), problem.rho, problem.xi).total
 
-    e_cur = energy_of(u)
+    def tol(e):
+        return ENERGY_CHECK_RTOL * (1.0 + abs(e))
+
+    e_cur = energy_of(u)      # tracked from the sweeps' changes
+    e_checked = e_cur         # recomputed at the last polish boundary
     sweeps = 0
     converged = False
     while sweeps < max_sweeps:
@@ -315,17 +330,21 @@ def coordinate_descent(problem: ProblemSpec, init: Field, seed=0,
             if sweeps >= max_sweeps:
                 break
             order = rng.permutation(interior_idx)
-            _sweep(form, u, order, rho_cell, problem.xi, one_phase)
+            change = _sweep(form, u, order, rho_cell, problem.xi, one_phase)
             sweeps += 1
-            e_new = energy_of(u)
-            if e_new > e_cur + 1e-9 * (1.0 + abs(e_cur)):
+            if change > tol(e_cur):
                 raise SolverError(
-                    f"energy increased during a sweep ({e_cur} -> {e_new})")
-            delta = e_cur - e_new
-            e_cur = e_new
-            if delta < EPS_STOP_FACTOR * (1.0 + abs(e_new)):
+                    f"energy increased during a sweep ({e_cur} -> {e_cur + change})")
+            e_cur += change
+            if -change < EPS_STOP_FACTOR * (1.0 + abs(e_cur)):
                 reached_stop = True
                 break
+        e_now = energy_of(u)
+        if abs(e_now - e_cur) > tol(e_now):
+            raise SolverError(f"tracked energy {e_cur} drifted from the recomputed {e_now}")
+        if e_now > e_checked + tol(e_checked):
+            raise SolverError(f"energy rose between polish boundaries ({e_checked} -> {e_now})")
+        e_cur = e_now
         polished = _polish(problem, form, u)
         improved = False
         if polished is not None:
@@ -334,6 +353,7 @@ def coordinate_descent(problem: ProblemSpec, init: Field, seed=0,
                 u = polished
                 e_cur = e_pol
                 improved = True
+        e_checked = e_cur
         if reached_stop and not improved:
             converged = True
             break
@@ -352,18 +372,21 @@ def lifting_initialization(problem: ProblemSpec, form: QuadraticForm) -> Field:
     return lifted
 
 
-def minimize(problem: ProblemSpec, n_restarts=4, seed=0,
-             max_sweeps=DEFAULT_MAX_SWEEPS) -> MinimizeResult:
+def minimize(problem: ProblemSpec, n_restarts=4, seed=0, max_sweeps=DEFAULT_MAX_SWEEPS,
+             form: QuadraticForm | None = None) -> MinimizeResult:
     """Best of n_restarts coordinate descents from deterministic inits.
 
     Initializations: (a) the harmonic lifting of the exterior data, (b) the
     zero extension, (c) n_restarts - 2 random interior supports carrying the
     lifting values. Selection is by the lexicographic key (energy, restart
     seed), so the result is independent of execution order and thread count.
+    The form is assembled unless given, and is returned on the result; assembly
+    raises CapacityError when the interior weight block exceeds the memory budget.
     """
     if n_restarts < 1:
         raise ConfigurationError(f"n_restarts must be at least 1, got {n_restarts}")
-    form = assemble_form(problem.kernel, problem.grid)
+    if form is None:
+        form = assemble_form(problem.kernel, problem.grid)
     grid = problem.grid
     lifted = lifting_initialization(problem, form)
     inits = [lifted]
@@ -404,9 +427,13 @@ def oracle_minimize(problem: ProblemSpec) -> MinimizeResult:
     the reduced system re-solved until sign-feasible); the true objective is
     evaluated on each candidate. The minimizer's own support is one of the
     enumerated subsets and solves its subsystem, so the smallest candidate
-    energy is the global minimum (exact for xi = 0, where pinned-off nodes
-    sit at 0). Supports tied within 1e-10 relative energy are all reported.
+    energy is the global minimum, exactly for xi = 0 only (pinned-off nodes
+    sit at their clamp value), so other xi raise ConfigurationError. Supports
+    tied within 1e-10 relative energy are all reported.
     """
+    if problem.xi != 0.0:
+        raise ConfigurationError(f"the oracle pins off-support nodes at 0 and is exact "
+                                 f"only for xi = 0, got xi = {problem.xi}")
     grid = problem.grid
     interior_idx = np.nonzero(grid.interior)[0]
     m = interior_idx.shape[0]
@@ -415,47 +442,30 @@ def oracle_minimize(problem: ProblemSpec) -> MinimizeResult:
             f"oracle enumeration supports at most {ORACLE_MAX_INTERIOR} interior nodes, "
             f"got {m}")
     form = assemble_form(problem.kernel, problem.grid)
-    n = grid.n_nodes
-    W = np.empty((n, n))
-    for i in range(n):
-        W[i] = form.weight_row(i)
-    row_sums = form.row_sums
+    W_I, W_II, row_sums = form.dense, form.dense[:, interior_idx], form.row_sums
     rho_cell = problem.rho * grid.cell_measure
     g = problem.exterior_data
 
     def quick_energy(values):
-        # sum_{i<j} w_ij (u_i - u_j)^2 = u . (a * u) - u . (W u); cheap per subset
-        dir_part = float(values @ (row_sums * values) - values @ (W @ values))
-        on = int(np.count_nonzero((values > problem.xi) & grid.interior))
-        return dir_part + rho_cell * on, on
+        # sum_{i<j} w_ij (u_i - u_j)^2 = u . (a * u) - u . (W u), cheap per subset,
+        # with u . (W u) = 2 u_I . (W_I u) - u_I . (W_II u_I)
+        u_I = values[interior_idx]
+        dir_part = float(values @ (row_sums * values) - 2.0 * (u_I @ (W_I @ values))
+                         + u_I @ (W_II @ u_I))
+        support = np.nonzero(grid.interior & (values > problem.xi))[0]
+        return dir_part + rho_cell * support.shape[0], tuple(support.tolist())
 
-    best_energy = math.inf
-    best_values = None
-    ties: list[tuple] = []
+    best_energy, best_values, ties = math.inf, None, []
     for mask in range(1 << m):
         subset = interior_idx[[(mask >> k) & 1 == 1 for k in range(m)]]
-        values = g.copy()
-        sub = subset
-        while sub.shape[0] > 0:
-            A, b = _subsystem(form, sub, values)
-            x = np.linalg.solve(A, b)
-            if problem.phase == "one_phase" and np.any(x < 0.0):
-                keep = x > 0.0
-                values[sub[~keep]] = 0.0
-                sub = sub[keep]
-                continue
-            values[sub] = x
-            break
-        energy, _ = quick_energy(values)
+        values = _solve_free(form, subset, g.copy(), problem.phase == "one_phase",
+                             lambda A, b, x0: np.linalg.solve(A, b))
+        energy, support = quick_energy(values)
         tol = ORACLE_TIE_RTOL * (1.0 + abs(best_energy)) if best_values is not None else 0.0
         if best_values is None or energy < best_energy - tol:
-            best_energy = energy
-            best_values = values
-            ties = [tuple(np.nonzero(grid.interior & (values > problem.xi))[0].tolist())]
-        elif energy <= best_energy + tol:
-            support = tuple(np.nonzero(grid.interior & (values > problem.xi))[0].tolist())
-            if support not in ties:
-                ties.append(support)
+            best_energy, best_values, ties = energy, values, [support]
+        elif energy <= best_energy + tol and support not in ties:
+            ties.append(support)
 
     result = _finalize(problem, form, best_values, sweeps=0, converged=True,
                        seed=-1, restarts_used=0)
@@ -474,8 +484,8 @@ def rho_sweep_minimize(problem: ProblemSpec, rhos, n_restarts=4, seed=0,
         raise ConfigurationError("rho sweep requires at least one rho value")
     out = []
     current = replace(problem, rho=rhos[0])
-    form = assemble_form(problem.kernel, problem.grid)
     result = minimize(current, n_restarts=n_restarts, seed=seed, max_sweeps=max_sweeps)
+    form = result.form
     out.append((rhos[0], result))
     for k, rho in enumerate(rhos[1:], start=1):
         current = replace(current, rho=rho)

@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+import nlfb.energy
 from nlfb import (
     Ball,
+    CapacityError,
     ConfigurationError,
     DataError,
     DomainError,
@@ -32,7 +34,7 @@ from nlfb import (
     select_analysis_points,
     subsolution_residual,
 )
-from nlfb.analysis import report_json, write_report_csv
+from nlfb.analysis import point_csv_text, report_json, write_report_csv
 
 from conftest import random_field_values
 
@@ -301,6 +303,31 @@ def test_subsolution_pairing_of_a_spike_is_its_row_sum(grid_1d_small):
     assert sub["node"] == i
 
 
+def test_vectorized_scans_match_node_loops():
+    # reference: the per-node scans by node index, first extremum wins
+    grid = build_grid(2, 0.2, 2.0)
+    form = assemble_form(fractional_kernel(0.5, dim=2), grid)
+    rng = np.random.default_rng(131)
+    for _ in range(3):
+        u = grid.positions[:, 0] - 0.1 + 0.05 * rng.standard_normal(grid.n_nodes)
+        f = Field(grid, u)
+        best, node = -math.inf, -1
+        for i in np.nonzero(grid.interior)[0]:
+            pairing = form.row_sums[i] * u[i] - float(np.dot(form.weight_row(i), u))
+            if pairing > best:
+                best, node = pairing, int(i)
+        assert subsolution_residual(form, f) == {"max_pairing": best, "node": node}
+
+        mids = free_boundary(f, 0.0).midpoints
+        c_min, node = math.inf, -1
+        for i in np.nonzero(grid.interior & (u > 0.0))[0]:
+            diff = mids - grid.positions[i]
+            dist = float(np.min(np.sqrt(np.einsum("nd,nd->n", diff, diff))))
+            if dist >= 2 * grid.h and float(u[i]) / dist ** 0.5 < c_min:
+                c_min, node = float(u[i]) / dist ** 0.5, int(i)
+        assert nondegeneracy(f, 0.5) == {"c_min": c_min, "node": node}
+
+
 def test_residual_scale_is_row_sum_times_oscillation(grid_1d_small):
     form = assemble_form(fractional_kernel(0.5), grid_1d_small)
     f = Field(grid_1d_small, np.where(grid_1d_small.interior, 1.0, -1.0))
@@ -382,6 +409,16 @@ def test_scaling_discrepancy_handles_threshold_shift_and_checkerboard():
     assert scaling_discrepancy(problem, field, [0.2], 0.7, 2.0, 0.25) <= 1e-12
 
 
+def test_scaling_discrepancy_refuses_pair_arrays_above_the_memory_budget(monkeypatch):
+    problem, field = scaling_problem()
+    n = problem.grid.n_nodes
+    monkeypatch.setattr(nlfb.energy, "MEMORY_BUDGET_BYTES", 8 * n * (n - 1) - 1)
+    with pytest.raises(CapacityError):
+        scaling_discrepancy(problem, field, [0.0], 0.5, 1.0, 0.0)
+    monkeypatch.setattr(nlfb.energy, "MEMORY_BUDGET_BYTES", 8 * n * (n - 1))
+    assert scaling_discrepancy(problem, field, [0.0], 0.5, 1.0, 0.0) <= 1e-12
+
+
 def test_scaling_discrepancy_validation():
     problem, field = scaling_problem()
     with pytest.raises(ConfigurationError):
@@ -437,7 +474,8 @@ def test_build_report_and_serializations(tmp_path):
 
     paths = write_report_csv(report, lambda k: tmp_path / f"point_{k}.csv")
     assert len(paths) == len(points)
-    for path in paths:
+    for k, path in enumerate(paths):
+        assert path.read_bytes() == point_csv_text(report, k).encode()   # "\n" line ends
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "r,sup,zero_ratio,pos_ratio"
         assert len(lines) == 1 + len(report.growth[0]["radii"])

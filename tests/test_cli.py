@@ -582,6 +582,22 @@ class TestOracleCompareCommand:
                      "--out", str(tmp_path / "out")]) == 5
         assert "interior nodes" in capsys.readouterr().err
 
+    def test_nonzero_threshold_exit_code(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path, """\
+            kernel.s = 0.5
+            grid.h = 0.1
+            grid.omega_radius = 0.5
+            grid.R_inf = 1.0
+            problem.g_amplitude = 0.35
+            problem.rho = 0.02
+            problem.xi = 0.05
+            oracle.instances = 1
+            oracle.restarts = 2
+            """)
+        assert main(["oracle-compare", "--config", cfg_path,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "xi = 0.05" in capsys.readouterr().err
+
 
 class TestAnalyzeCommand:
     def test_auto_fb_report_artifacts(self, tmp_path):
@@ -643,6 +659,13 @@ class TestErrorContract:
                      "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_capacity_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(nlfb.energy, "MEMORY_BUDGET_BYTES", 1024)
+        cfg_path = write_cfg(tmp_path, SOLVE_CFG)
+        assert main(["solve", "--config", cfg_path,
+                     "--out", str(tmp_path / "out")]) == 5
+        assert "budget" in capsys.readouterr().err
+
     def test_data_error_exit_code(self, tmp_path, capsys):
         (tmp_path / "bad.csv").write_text("not,a,field\n1,2,3\n")
         cfg_path = write_cfg(tmp_path, """\
@@ -654,3 +677,18 @@ class TestErrorContract:
         assert main(["solve", "--config", cfg_path,
                      "--out", str(tmp_path / "out")]) == 3
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand,cfg", [
+    ("analyze", ANALYZE_CFG),
+    ("rho-sweep", SOLVE_CFG + "sweep.rhos = 0.04, 0.16, 0.08\n"),
+])
+def test_one_assembly_per_run(tmp_path, monkeypatch, subcommand, cfg):
+    calls = []
+    real = nlfb.energy.assemble_form
+    for module in (nlfb.energy, nlfb.solver, nlfb.analysis, nlfb.cli):
+        if hasattr(module, "assemble_form"):
+            monkeypatch.setattr(module, "assemble_form",
+                                lambda *args: calls.append(args) or real(*args))
+    assert run(write_cfg(tmp_path, cfg), subcommand, out_dir=str(tmp_path / "out")) == 0
+    assert len(calls) == 1

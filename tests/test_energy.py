@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import nlfb.energy
 from nlfb import (
+    CapacityError,
     ConfigurationError,
     DomainError,
     Field,
+    KernelSpec,
     assemble_form,
     build_grid,
     checkerboard_kernel,
@@ -23,7 +27,7 @@ from nlfb import (
     total_energy,
     truncation_error_bound,
 )
-from nlfb.energy import tree_sum
+from nlfb.energy import _compute_row, tree_sum
 
 from conftest import random_field_values
 
@@ -97,6 +101,24 @@ def test_dirichlet_matches_brute_force(kernel, grid_1d_small):
     assert got == pytest.approx(want, rel=1e-12)
 
 
+FAMILY_KERNELS = [
+    fractional_kernel(0.5),
+    modulated_kernel(0.3, 1.0, 2.0, amplitude=1.0 / 3.0, frequency=2.0, multiplier=1.5),
+    checkerboard_kernel(0.7, 1.0, 1.5, block_size=0.5, multipliers=(1.0, 1.5)),
+    KernelSpec("custom_table", 0.5, 1.0, 2.0, 1,
+               {"block_size": 0.5, "table": {(0, 0): 1.5, (-1, 1): 2.0, (1, 2): 1.25}}),
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(family=st.sampled_from(range(len(FAMILY_KERNELS))), seed=st.integers(0, 2 ** 32 - 1))
+def test_interior_row_energy_matches_brute_force(family, seed, grid_1d_small):
+    kernel = FAMILY_KERNELS[family]
+    values = random_field_values(grid_1d_small, np.random.default_rng(seed))
+    got = dirichlet_energy(assemble_form(kernel, grid_1d_small), Field(grid_1d_small, values))
+    assert got == pytest.approx(brute_force_dirichlet(kernel, grid_1d_small, values), rel=1e-12)
+
+
 def test_dirichlet_matches_brute_force_2d():
     grid = build_grid(2, 0.2, 2.0)
     kernel = fractional_kernel(0.5, dim=2)
@@ -115,6 +137,15 @@ def test_exterior_pairs_carry_zero_weight(grid_1d_small):
         assert row[i] == 0.0
         # interior partners still interact
         assert np.all(row[grid_1d_small.interior] > 0.0)
+
+
+def test_assembly_refuses_blocks_above_the_memory_budget(monkeypatch, grid_1d_small):
+    block_bytes = 8 * int(grid_1d_small.interior.sum()) * grid_1d_small.n_nodes
+    monkeypatch.setattr(nlfb.energy, "MEMORY_BUDGET_BYTES", block_bytes - 1)
+    with pytest.raises(CapacityError):
+        assemble_form(fractional_kernel(0.5), grid_1d_small)
+    monkeypatch.setattr(nlfb.energy, "MEMORY_BUDGET_BYTES", block_bytes)
+    assert assemble_form(fractional_kernel(0.5), grid_1d_small).dense.nbytes == block_bytes
 
 
 def test_kernel_grid_dimension_mismatch_rejected(grid_1d_small):
@@ -150,17 +181,19 @@ def test_energy_is_nonnegative_and_quadratic(grid_1d_small):
         assert e2 == pytest.approx(4.0 * eu, rel=1e-13)
 
 
-def test_dense_and_matrix_free_paths_agree_bitwise(grid_1d_small):
-    kernel = checkerboard_kernel(0.5, 1.0, 1.5, block_size=0.5, multipliers=(1.0, 1.5))
-    dense = assemble_form(kernel, grid_1d_small)
-    free = assemble_form(kernel, grid_1d_small, dense_threshold=0)
-    assert dense.dense is not None and free.dense is None
-    assert np.array_equal(dense.row_sums, free.row_sums)
-    for i in range(grid_1d_small.n_nodes):
-        assert np.array_equal(dense.weight_row(i), free.weight_row(i))
-    rng = np.random.default_rng(29)
-    f = Field(grid_1d_small, random_field_values(grid_1d_small, rng))
-    assert dirichlet_energy(dense, f) == dirichlet_energy(free, f)
+def test_weight_row_matches_kernel_row_bitwise(grid_1d_small):
+    # interior rows are stored; exterior rows are read from the block's column
+    cases = [
+        (checkerboard_kernel(0.5, 1.0, 1.5, block_size=0.5, multipliers=(1.0, 1.5)),
+         grid_1d_small),
+        (modulated_kernel(0.5, 1.0, 2.0, amplitude=1.0 / 3.0, frequency=2.0,
+                          multiplier=1.5, dim=2), build_grid(2, 0.2, 2.0)),
+    ]
+    for kernel, grid in cases:
+        form = assemble_form(kernel, grid)
+        assert form.dense.shape == (int(grid.interior.sum()), grid.n_nodes)
+        for i in range(grid.n_nodes):
+            assert np.array_equal(form.weight_row(i), _compute_row(grid, kernel, i))
 
 
 def test_smooth_field_energy_converges_under_refinement():

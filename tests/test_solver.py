@@ -1,10 +1,13 @@
 """Coordinate-descent minimizer, restarts, brute-force oracle, rho continuation."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import nlfb.solver
 from nlfb import (
     Ball,
     CapacityError,
@@ -21,9 +24,10 @@ from nlfb import (
     minimize,
     oracle_minimize,
     rho_sweep_minimize,
+    SolverError,
     total_energy,
 )
-from nlfb.solver import _pcg, thread_count
+from nlfb.solver import PHASES, _pcg, _sweep, _visit, thread_count
 
 from conftest import random_field_values
 
@@ -107,6 +111,60 @@ def test_lifting_initialization_respects_one_phase_sign():
 
 
 # ------------------------------------------------------------ coordinate descent
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.floats(0.5, 5.0), b=st.floats(-5.0, 5.0), rho_cell=st.floats(0.0, 3.0),
+       xi=st.floats(-1.0, 1.0), one_phase=st.booleans())
+def test_visit_matches_dense_grid_search(a, b, rho_cell, xi, one_phase):
+    t = _visit(a, b, rho_cell, xi, one_phase)
+    assert t >= 0.0 or not one_phase
+    # |b / a| <= 10, so the grid brackets every candidate
+    grid = np.concatenate([np.linspace(0.0 if one_phase else -12.0, 12.0, 200001),
+                           [xi] if xi >= 0.0 or not one_phase else []])
+    q = a * grid * grid - 2.0 * b * grid + np.where(grid > xi, rho_cell, 0.0)
+    best = float(q.min())
+    q_t = a * t * t - 2.0 * b * t + (rho_cell if t > xi else 0.0)
+    assert q_t <= best + 1e-12 * (1.0 + abs(best))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), phase=st.sampled_from(PHASES),
+       xi=st.floats(-0.2, 0.3), rho=st.floats(0.0, 1.0))
+def test_sweep_change_matches_energy_difference(seed, phase, xi, rho, grid_1d_small):
+    rng = np.random.default_rng(seed)
+    lo = 0.0 if phase == "one_phase" else -1.0
+    data = np.where(grid_1d_small.interior, 0.0, rng.uniform(lo, 1.0, grid_1d_small.n_nodes))
+    problem = ProblemSpec(fractional_kernel(0.5), grid_1d_small, data, rho=rho, xi=xi,
+                          phase=phase)
+    form = assemble_form(problem.kernel, grid_1d_small)
+    u = data + np.where(grid_1d_small.interior, rng.uniform(lo, 1.0, data.shape[0]), 0.0)
+    e0 = total_energy(form, Field(grid_1d_small, u), rho, xi).total
+    order = rng.permutation(np.nonzero(grid_1d_small.interior)[0])
+    change = _sweep(form, u, order, rho * grid_1d_small.cell_measure, xi,
+                    phase == "one_phase")
+    e1 = total_energy(form, Field(grid_1d_small, u), rho, xi).total
+    assert abs(change - (e1 - e0)) <= 1e-12 * (1.0 + abs(e0))
+
+
+def test_sweep_without_changes_sums_to_exactly_zero(grid_1d_small):
+    form = assemble_form(fractional_kernel(0.5), grid_1d_small)
+    u = np.zeros(grid_1d_small.n_nodes)
+    order = np.nonzero(grid_1d_small.interior)[0]
+    assert _sweep(form, u, order, 0.1, 0.0, True) == 0.0
+    assert not u.any()
+
+
+@pytest.mark.parametrize("offset,message", [(-1e-3, "drifted"), (1e-3, "increased")])
+def test_tracked_energy_is_checked(monkeypatch, offset, message):
+    # a sweep misreporting its change trips the per-sweep monotonicity check
+    # (too high) or the drift check at the next polish boundary (too low)
+    rng = np.random.default_rng(113)
+    problem = four_interior_problem(rng)
+    real_sweep = nlfb.solver._sweep
+    monkeypatch.setattr(nlfb.solver, "_sweep", lambda *args: real_sweep(*args) + offset)
+    with pytest.raises(SolverError, match=message):
+        coordinate_descent(problem, problem.exterior_field())
+
 
 def test_rho_zero_two_phase_recovers_harmonic_values(grid_1d_small):
     kernel = fractional_kernel(0.5)
@@ -200,6 +258,25 @@ def test_oracle_rejects_large_interior_sets():
         oracle_minimize(problem)
 
 
+def test_oracle_refuses_nonzero_threshold():
+    # One-phase, 10 interior nodes, xi = 0.05, rho = 0.02. Pinning off-support
+    # nodes at 0 is not exact here: the minimizer's off nodes sit at xi, not
+    # at 0, and its energy (0.02238) is below the best pinned enumeration
+    # candidate (0.03455).
+    grid = build_grid(1, 0.1, 1.0, 0.5)
+    rng = np.random.default_rng([0, 22])
+    data = 0.35 * np.where(grid.interior, 0.0, rng.random(grid.n_nodes))
+    problem = ProblemSpec(fractional_kernel(0.5), grid, data, rho=0.02, xi=0.05,
+                          phase="one_phase")
+    with pytest.raises(ConfigurationError, match="xi"):
+        oracle_minimize(problem)
+    res = minimize(problem, n_restarts=20, seed=22)
+    assert res.energy.total < 0.0345
+    off = res.field.values[grid.interior & (res.field.values <= problem.xi)]
+    assert off.size > 0 and np.all(off > 0.0)
+    assert oracle_minimize(replace(problem, xi=0.0)).energy.total > 0.0
+
+
 def test_oracle_zero_data_has_unique_empty_support():
     grid = enumerate_lattice(1, 0.25, 1.5, 0.5)
     problem = ProblemSpec(fractional_kernel(0.5), grid, np.zeros(grid.n_nodes),
@@ -235,6 +312,10 @@ def test_single_restart_equals_descent_from_lifting():
     via_minimize = minimize(problem, n_restarts=1, seed=5)
     assert np.array_equal(direct.field.values, via_minimize.field.values)
     assert direct.energy.total == via_minimize.energy.total
+    # a given form is used and returned, not assembled again
+    with_form = minimize(problem, n_restarts=1, seed=5, form=form)
+    assert with_form.form is form and via_minimize.form is not form
+    assert np.array_equal(with_form.field.values, via_minimize.field.values)
 
 
 def test_minimize_not_worse_than_any_initialization():
@@ -302,8 +383,8 @@ def test_rho_sweep_is_descending_and_consistent_with_oracle():
     assert all(a >= b - 1e-12 for a, b in zip(totals, totals[1:]))
     supports = [res.support.size for _, res in out]
     assert all(a <= b for a, b in zip(supports, supports[1:]))
+    assert all(res.form is out[0][1].form for _, res in out)
     for rho, res in out:
-        from dataclasses import replace
         want = oracle_minimize(replace(problem, rho=rho))
         scale = 1.0 + abs(want.energy.total)
         assert abs(res.energy.total - want.energy.total) <= 1e-10 * scale
