@@ -28,6 +28,7 @@ from .analysis import (build_report, density, dyadic_radii, free_boundary,
                        lifting_distance, nondegeneracy, point_csv_text, report_json,
                        select_analysis_points)
 from .config import ExperimentConfig, build_problem, parse_config, parse_points
+from .energy import assemble_form
 from .errors import (CapacityError, ConfigurationError, DataError, DomainError,
                      NlfbError, SolverError)
 from .grid import Ball, csv_text, field_csv_text
@@ -216,8 +217,12 @@ def random_exterior(problem: ProblemSpec, rng) -> np.ndarray:
 
 
 def oracle_compare_instances(cfg: ExperimentConfig, seed: int):
-    """Shared by the CLI and tests: per-instance minimize-vs-oracle rows."""
+    """Shared by the CLI and tests: per-instance minimize-vs-oracle rows.
+
+    Kernel and grid are fixed across instances, so the form is assembled once.
+    """
     base = build_problem(cfg)
+    form = assemble_form(base.kernel, base.grid)
     rows = []
     for k in range(cfg.values["oracle.instances"]):
         rng = np.random.default_rng([seed, k])
@@ -226,8 +231,8 @@ def oracle_compare_instances(cfg: ExperimentConfig, seed: int):
                               xi=base.xi, phase=base.phase)
         result = minimize(problem, n_restarts=cfg.values["oracle.restarts"],
                           seed=seed + 100000 * (k + 1),
-                          max_sweeps=cfg.values["solver.max_sweeps"])
-        oracle = oracle_minimize(problem)
+                          max_sweeps=cfg.values["solver.max_sweeps"], form=form)
+        oracle = oracle_minimize(problem, form=form)
         tol = ORACLE_AGREE_RTOL * (1.0 + abs(oracle.energy.total))
         gap = result.energy.total - oracle.energy.total
         rows.append({

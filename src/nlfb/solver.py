@@ -27,7 +27,8 @@ tracked energy must match it to 1e-9 * (1 + |energy|).
 Restarts run coordinate descent from deterministic initializations and reduce
 by the lexicographic key (energy, restart seed); NLFB_THREADS caps how many
 run concurrently, with no effect on results. A brute-force oracle enumerates
-all interior supports (capacity-capped, xi = 0 only) for ground truth.
+all interior supports (capacity-capped, xi = 0 only) for ground truth, with
+one stacked linear solve per support size.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .energy import (EnergyBreakdown, QuadraticForm, assemble_form, total_energy,
-                     truncation_error_bound)
+from .energy import (EnergyBreakdown, QuadraticForm, assemble_form, check_budget,
+                     total_energy, truncation_error_bound)
 from .errors import CapacityError, ConfigurationError, DataError, SolverError
 from .grid import Ball, Field, Grid, region_interior_indices
 from .kernel import KernelSpec
@@ -419,7 +420,57 @@ def minimize(problem: ProblemSpec, n_restarts=4, seed=0, max_sweeps=DEFAULT_MAX_
 # ---------------------------------------------------------------------------
 # Brute-force ground truth by support enumeration.
 
-def oracle_minimize(problem: ProblemSpec) -> MinimizeResult:
+def _direct_solve(A, b):
+    """LU solve of one system (A (k, k), b (k,)) or a stack of them (A (c, k, k), b (c, k))."""
+    return np.linalg.solve(A, b[..., None])[..., 0]
+
+
+def _oracle_candidates(problem: ProblemSpec, form: QuadraticForm):
+    """Every support's candidate field and its energy, in mask order.
+
+    Bit k of a mask selects interior node k. Returns the (2^m, N) candidate
+    matrix, whose rows hold the pinned solve of each subset (projected in
+    one_phase), and the energies by sum_{i<j} w_ij (u_i - u_j)^2 =
+    u . (a * u) - 2 u_I . (W_I u) + u_I . (W_II u_I) plus the volume term.
+    Every first solve pins the same values (the exterior data), so the
+    right-hand sides are one set of interior row dots, and the subsets of one
+    size take one stacked solve; a one_phase solution with a negative entry is
+    re-solved through the projection of _solve_free.
+    """
+    interior_idx = form.interior_idx
+    m = interior_idx.shape[0]
+    one_phase = problem.phase == "one_phase"
+    g = problem.exterior_data
+    W_II, row_sums = form.dense[:, interior_idx], form.row_sums
+    a_I = row_sums[interior_idx]
+    b_I = form.row_dots(g, range(m))
+
+    in_subset = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1 == 1
+    sizes = np.count_nonzero(in_subset, axis=1)
+    X = np.zeros(in_subset.shape)
+    for k in range(1, m + 1):
+        group = np.nonzero(sizes == k)[0]
+        S = np.nonzero(in_subset[group])[1].reshape(-1, k)     # ascending node order
+        A = -W_II[S[:, :, None], S[:, None, :]]
+        A[:, np.arange(k), np.arange(k)] = a_I[S]
+        x = _direct_solve(A, b_I[S])
+        X[group[:, None], S] = x
+        if one_phase:
+            for c in np.nonzero(np.any(x < 0.0, axis=1))[0]:
+                values = _solve_free(form, interior_idx[S[c]], g.copy(), True,
+                                     lambda A, b, x0: _direct_solve(A, b))
+                X[group[c]] = values[interior_idx]
+
+    V = np.broadcast_to(g, (X.shape[0], g.shape[0])).copy()
+    V[:, interior_idx] = X
+    dirichlet = (np.einsum("cj,j,cj->c", V, row_sums, V)
+                 - 2.0 * np.einsum("ci,ci->c", X, V @ form.dense.T)
+                 + np.einsum("ci,ci->c", X, X @ W_II.T))
+    count = np.count_nonzero(X > problem.xi, axis=1)
+    return V, dirichlet + problem.rho * problem.grid.cell_measure * count
+
+
+def oracle_minimize(problem: ProblemSpec, form: QuadraticForm | None = None) -> MinimizeResult:
     """Global discrete minimum by enumerating every interior support.
 
     For each subset S, off-support nodes are pinned at 0 and the quadratic is
@@ -429,45 +480,37 @@ def oracle_minimize(problem: ProblemSpec) -> MinimizeResult:
     enumerated subsets and solves its subsystem, so the smallest candidate
     energy is the global minimum, exactly for xi = 0 only (pinned-off nodes
     sit at their clamp value), so other xi raise ConfigurationError. Supports
-    tied within 1e-10 relative energy are all reported.
+    tied within 1e-10 relative energy are all reported. The (2^m, N)
+    candidate matrix must fit the memory budget (CapacityError otherwise).
+    The form is assembled unless given, and is returned on the result.
     """
     if problem.xi != 0.0:
         raise ConfigurationError(f"the oracle pins off-support nodes at 0 and is exact "
                                  f"only for xi = 0, got xi = {problem.xi}")
     grid = problem.grid
-    interior_idx = np.nonzero(grid.interior)[0]
-    m = interior_idx.shape[0]
+    m = int(np.count_nonzero(grid.interior))
     if m > ORACLE_MAX_INTERIOR:
         raise CapacityError(
             f"oracle enumeration supports at most {ORACLE_MAX_INTERIOR} interior nodes, "
             f"got {m}")
-    form = assemble_form(problem.kernel, problem.grid)
-    W_I, W_II, row_sums = form.dense, form.dense[:, interior_idx], form.row_sums
-    rho_cell = problem.rho * grid.cell_measure
-    g = problem.exterior_data
+    check_budget(8 * (1 << m) * grid.n_nodes, "the oracle's candidate matrix")
+    if form is None:
+        form = assemble_form(problem.kernel, grid)
+    V, energies = _oracle_candidates(problem, form)
+    on = V[:, form.interior_idx] > problem.xi
 
-    def quick_energy(values):
-        # sum_{i<j} w_ij (u_i - u_j)^2 = u . (a * u) - u . (W u), cheap per subset,
-        # with u . (W u) = 2 u_I . (W_I u) - u_I . (W_II u_I)
-        u_I = values[interior_idx]
-        dir_part = float(values @ (row_sums * values) - 2.0 * (u_I @ (W_I @ values))
-                         + u_I @ (W_II @ u_I))
-        support = np.nonzero(grid.interior & (values > problem.xi))[0]
-        return dir_part + rho_cell * support.shape[0], tuple(support.tolist())
+    def support(mask):
+        return tuple(form.interior_idx[on[mask]].tolist())
 
-    best_energy, best_values, ties = math.inf, None, []
-    for mask in range(1 << m):
-        subset = interior_idx[[(mask >> k) & 1 == 1 for k in range(m)]]
-        values = _solve_free(form, subset, g.copy(), problem.phase == "one_phase",
-                             lambda A, b, x0: np.linalg.solve(A, b))
-        energy, support = quick_energy(values)
-        tol = ORACLE_TIE_RTOL * (1.0 + abs(best_energy)) if best_values is not None else 0.0
-        if best_values is None or energy < best_energy - tol:
-            best_energy, best_values, ties = energy, values, [support]
-        elif energy <= best_energy + tol and support not in ties:
-            ties.append(support)
+    best_energy, best, ties = math.inf, None, []
+    for mask, energy in enumerate(energies.tolist()):
+        tol = ORACLE_TIE_RTOL * (1.0 + abs(best_energy)) if best is not None else 0.0
+        if best is None or energy < best_energy - tol:
+            best_energy, best, ties = energy, mask, [support(mask)]
+        elif energy <= best_energy + tol and support(mask) not in ties:
+            ties.append(support(mask))
 
-    result = _finalize(problem, form, best_values, sweeps=0, converged=True,
+    result = _finalize(problem, form, V[best], sweeps=0, converged=True,
                        seed=-1, restarts_used=0)
     if len(ties) > 1:
         result.tied_supports = sorted(ties)

@@ -53,6 +53,16 @@ problem.rho = 0.08
 solver.restarts = 2
 """
 
+# Twelve interior nodes: small enough for the exhaustive oracle.
+ORACLE_CFG = """\
+kernel.s = 0.5
+grid.h = 0.1
+grid.omega_radius = 0.6
+grid.R_inf = 1.2
+problem.g_amplitude = 0.35
+problem.rho = 0.1
+"""
+
 
 class TestConfigParsing:
     def test_defaults_fill_unspecified_keys(self, tmp_path):
@@ -547,16 +557,8 @@ class TestRefineCommand:
 
 class TestOracleCompareCommand:
     def test_small_instances_all_agree(self, tmp_path):
-        cfg_path = write_cfg(tmp_path, """\
-            kernel.s = 0.5
-            grid.h = 0.1
-            grid.omega_radius = 0.6
-            grid.R_inf = 1.2
-            problem.g_amplitude = 0.35
-            problem.rho = 0.1
-            oracle.instances = 6
-            oracle.restarts = 5
-            """)
+        cfg_path = write_cfg(tmp_path, ORACLE_CFG + "oracle.instances = 6\n"
+                                                    "oracle.restarts = 5\n")
         out = str(tmp_path / "out")
         assert run(cfg_path, "oracle-compare", out_dir=out) == 0
         with open(os.path.join(out, "manifest.json")) as fh:
@@ -581,6 +583,16 @@ class TestOracleCompareCommand:
         assert main(["oracle-compare", "--config", cfg_path,
                      "--out", str(tmp_path / "out")]) == 5
         assert "interior nodes" in capsys.readouterr().err
+
+    def test_candidate_matrix_budget_exit_code(self, tmp_path, capsys, monkeypatch):
+        # 12 interior nodes, 24 in all: the weight block fits, the 2^12 x 24
+        # candidate matrix does not
+        monkeypatch.setattr(nlfb.energy, "MEMORY_BUDGET_BYTES", 8 * 2 ** 12 * 24 - 1)
+        cfg_path = write_cfg(tmp_path, ORACLE_CFG + "oracle.instances = 1\n"
+                                                    "oracle.restarts = 2\n")
+        assert main(["oracle-compare", "--config", cfg_path,
+                     "--out", str(tmp_path / "out")]) == 5
+        assert "candidate matrix" in capsys.readouterr().err
 
     def test_nonzero_threshold_exit_code(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, """\
@@ -682,6 +694,7 @@ class TestErrorContract:
 @pytest.mark.parametrize("subcommand,cfg", [
     ("analyze", ANALYZE_CFG),
     ("rho-sweep", SOLVE_CFG + "sweep.rhos = 0.04, 0.16, 0.08\n"),
+    ("oracle-compare", ORACLE_CFG + "oracle.instances = 3\noracle.restarts = 2\n"),
 ])
 def test_one_assembly_per_run(tmp_path, monkeypatch, subcommand, cfg):
     calls = []

@@ -1,12 +1,14 @@
 """Coordinate-descent minimizer, restarts, brute-force oracle, rho continuation."""
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nlfb.energy
 import nlfb.solver
 from nlfb import (
     Ball,
@@ -16,6 +18,7 @@ from nlfb import (
     ProblemSpec,
     assemble_form,
     build_grid,
+    checkerboard_kernel,
     coordinate_descent,
     enumerate_lattice,
     fractional_kernel,
@@ -27,7 +30,8 @@ from nlfb import (
     SolverError,
     total_energy,
 )
-from nlfb.solver import PHASES, _pcg, _sweep, _visit, thread_count
+from nlfb.solver import (ORACLE_TIE_RTOL, PHASES, _finalize, _oracle_candidates, _pcg, _solve_free,
+                         _subsystem, _sweep, _visit, thread_count)
 
 from conftest import random_field_values
 
@@ -299,6 +303,150 @@ def test_oracle_reports_exact_break_even_tie():
     tie_problem = ProblemSpec(kernel, grid, data, rho=e_off, phase="one_phase")
     res = oracle_minimize(tie_problem)
     assert res.tied_supports == [(), (2, 3)]
+
+
+# The per-subset enumeration the batched oracle replaced: one _solve_free and
+# one quick energy per support, scanned in mask order.
+def reference_candidates(problem, form, solve=lambda A, b: np.linalg.solve(A, b)):
+    interior_idx = np.nonzero(problem.grid.interior)[0]
+    for mask in range(1 << interior_idx.shape[0]):
+        subset = interior_idx[[(mask >> k) & 1 == 1 for k in range(interior_idx.shape[0])]]
+        yield _solve_free(form, subset, problem.exterior_data.copy(),
+                          problem.phase == "one_phase", lambda A, b, x0: solve(A, b))
+
+
+def reference_oracle(problem, form, solve=lambda A, b: np.linalg.solve(A, b)):
+    grid = problem.grid
+    interior_idx = np.nonzero(grid.interior)[0]
+    W_I, W_II, row_sums = form.dense, form.dense[:, interior_idx], form.row_sums
+    best_energy, best_values, ties = math.inf, None, []
+    for values in reference_candidates(problem, form, solve):
+        u_I = values[interior_idx]
+        support = tuple(np.nonzero(grid.interior & (values > problem.xi))[0].tolist())
+        energy = (float(values @ (row_sums * values) - 2.0 * (u_I @ (W_I @ values))
+                        + u_I @ (W_II @ u_I))
+                  + problem.rho * grid.cell_measure * len(support))
+        tol = ORACLE_TIE_RTOL * (1.0 + abs(best_energy)) if best_values is not None else 0.0
+        if best_values is None or energy < best_energy - tol:
+            best_energy, best_values, ties = energy, values, [support]
+        elif energy <= best_energy + tol and support not in ties:
+            ties.append(support)
+    result = _finalize(problem, form, best_values, sweeps=0, converged=True,
+                       seed=-1, restarts_used=0)
+    if len(ties) > 1:
+        result.tied_supports = sorted(ties)
+    return result
+
+
+def assert_same_result(got, want):
+    assert got.field.values.tobytes() == want.field.values.tobytes()
+    assert got.energy.to_dict() == want.energy.to_dict()
+    assert np.array_equal(got.support, want.support)
+    assert got.tied_supports == want.tied_supports
+
+
+def random_oracle_problem(rng, grid, kernel, phase):
+    lo = 0.0 if phase == "one_phase" else -1.0
+    data = np.where(grid.interior, 0.0, rng.uniform(lo, 1.0, grid.n_nodes))
+    rho = float(10.0 ** rng.uniform(-3.0, 0.0))
+    return ProblemSpec(kernel, grid, data, rho=rho, xi=0.0, phase=phase)
+
+
+@pytest.mark.parametrize("phase", PHASES)
+@pytest.mark.parametrize("grid,kernel,trials", [
+    (enumerate_lattice(1, 0.25, 1.5, 0.5), fractional_kernel(0.5), 6),    # 4 interior
+    (build_grid(1, 0.1, 1.0, 0.5), fractional_kernel(0.3), 4),             # 10 interior
+    (build_grid(1, 0.1, 1.0, 0.5),
+     checkerboard_kernel(0.5, 1.0, 1.5, block_size=0.2, multipliers=(1.0, 1.5)), 2),
+    (build_grid(1, 0.1, 1.4, 0.7), fractional_kernel(0.5), 1),             # 14 interior
+], ids=["4-interior", "10-interior", "10-interior-checkerboard", "14-interior"])
+def test_batched_oracle_matches_per_subset_reference(phase, grid, kernel, trials):
+    rng = np.random.default_rng([97, grid.n_nodes, PHASES.index(phase)])
+    form = assemble_form(kernel, grid)
+    for _ in range(trials):
+        problem = random_oracle_problem(rng, grid, kernel, phase)
+        assert_same_result(oracle_minimize(problem, form=form), reference_oracle(problem, form))
+
+
+@pytest.mark.parametrize("phase", PHASES)
+def test_oracle_candidates_match_per_subset_solves(phase, grid_1d_small):
+    problem = random_oracle_problem(np.random.default_rng(101), grid_1d_small,
+                                    fractional_kernel(0.5), phase)
+    form = assemble_form(problem.kernel, problem.grid)
+    V, _ = _oracle_candidates(problem, form)
+    want = np.array(list(reference_candidates(problem, form)))
+    assert V.tobytes() == want.tobytes()
+
+
+def test_oracle_one_phase_negative_entry_takes_projection_path(monkeypatch):
+    # Positive data and weights make every pinned system an M-matrix, so true
+    # negative entries cannot occur; a solve that negates the first entry of
+    # every 3-node solution forces the projection path.
+    real = nlfb.solver._direct_solve
+    stacked, single = [], []
+
+    def negating(A, b):
+        x = real(A, b)
+        if A.shape[-1] == 3:
+            (stacked if A.ndim == 3 else single).append(A.shape)
+            x[..., 0] = -x[..., 0]
+        return x
+
+    monkeypatch.setattr(nlfb.solver, "_direct_solve", negating)
+    grid = build_grid(1, 0.1, 1.0, 0.5)
+    rng = np.random.default_rng(103)
+    data = np.where(grid.interior, 0.0, rng.uniform(0.1, 1.0, grid.n_nodes))
+    problem = ProblemSpec(fractional_kernel(0.5), grid, data, rho=0.002, phase="one_phase")
+    form = assemble_form(problem.kernel, grid)
+    V, _ = _oracle_candidates(problem, form)
+    assert stacked == [(120, 3, 3)] and len(single) == 120
+    want = np.array(list(reference_candidates(problem, form, negating)))
+    assert V.tobytes() == want.tobytes()
+    interior_idx = np.nonzero(grid.interior)[0]
+    for mask in range(1 << 10):
+        subset = [k for k in range(10) if (mask >> k) & 1]
+        if len(subset) == 3:   # the negated node is projected to 0, the rest solved
+            assert V[mask, interior_idx[subset[0]]] == 0.0
+            assert np.all(V[mask, interior_idx[subset[1:]]] > 0.0)
+    assert_same_result(oracle_minimize(problem, form=form),
+                       reference_oracle(problem, form, negating))
+
+
+def test_oracle_candidate_matrix_budget(monkeypatch, grid_1d_small):
+    problem = ProblemSpec(fractional_kernel(0.5), grid_1d_small,
+                          np.zeros(grid_1d_small.n_nodes), rho=0.1, phase="one_phase")
+    form = assemble_form(problem.kernel, problem.grid)
+    candidate_bytes = 8 * 2 ** 10 * grid_1d_small.n_nodes
+    monkeypatch.setattr(nlfb.energy, "MEMORY_BUDGET_BYTES", candidate_bytes - 1)
+    with pytest.raises(CapacityError, match="candidate matrix"):
+        oracle_minimize(problem, form=form)
+    monkeypatch.setattr(nlfb.energy, "MEMORY_BUDGET_BYTES", candidate_bytes)
+    assert oracle_minimize(problem, form=form).form is form
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), h=st.sampled_from([0.25, 0.16, 0.125]),
+       phase=st.sampled_from(PHASES), log_rho=st.floats(-3.0, 0.5))
+def test_minimize_never_below_oracle_and_oracle_solves_its_support(seed, h, phase, log_rho):
+    grid = enumerate_lattice(1, h, 1.5, 0.5)     # 4, 6 or 8 interior nodes
+    rng = np.random.default_rng(seed)
+    lo = 0.0 if phase == "one_phase" else -1.0
+    data = np.where(grid.interior, 0.0, rng.uniform(lo, 1.0, grid.n_nodes))
+    problem = ProblemSpec(fractional_kernel(0.5), grid, data, rho=10.0 ** log_rho,
+                          phase=phase)
+    oracle = oracle_minimize(problem)
+    got = minimize(problem, n_restarts=4, seed=seed % 1000, form=oracle.form)
+    e = oracle.energy.total
+    assert got.energy.total >= e - 1e-10 * (1.0 + abs(e))
+    # the field solves the subsystem of its nonzero interior nodes, the rest
+    # pinned at 0; in one_phase those nodes are exactly the support
+    u = oracle.field.values
+    free = np.nonzero(grid.interior & (u != 0.0))[0]
+    if phase == "one_phase":
+        assert np.array_equal(free, oracle.support)
+    if free.size:
+        A, b = _subsystem(oracle.form, free, u)
+        assert np.max(np.abs(A @ u[free] - b)) <= 1e-12 * (1.0 + np.max(np.abs(b)))
 
 
 # ------------------------------------------------------- restarts and determinism
