@@ -8,7 +8,9 @@ directory that already holds a manifest.json is refused outright.
 
 All artifact JSON/CSV is deterministic for a fixed config and seed. Wall-clock
 measurements are confined to the manifest's "timing" section so the rest of
-the manifest is reproducible byte for byte.
+the manifest is reproducible byte for byte. The manifest's "warnings" list
+(empty when there is nothing to report) names every reported minimization
+that stopped at solver.max_sweeps before converging.
 """
 
 from __future__ import annotations
@@ -88,6 +90,13 @@ def _analysis_points(cfg: ExperimentConfig, problem: ProblemSpec, field) -> list
     return [np.asarray(p) for p in parse_points(spec_text, problem.grid.dim)]
 
 
+def _warn_unconverged(warnings: list, result: MinimizeResult, **where) -> None:
+    """Record a manifest warning for a reported result that stopped at max_sweeps."""
+    if not result.converged:
+        warnings.append({**where, "warning": f"stopped at max_sweeps after {result.sweeps} "
+                                             f"sweeps without converging"})
+
+
 def _result_artifacts(writer: _Writer, cfg: ExperimentConfig, result: MinimizeResult,
                       prefix: str = "") -> None:
     fmts = cfg.values["output.formats"]
@@ -97,12 +106,13 @@ def _result_artifacts(writer: _Writer, cfg: ExperimentConfig, result: MinimizeRe
         writer.stage(f"{prefix}field.csv", field_csv_text(result.field))
 
 
-def _cmd_solve(cfg, writer, seed, timing):
+def _cmd_solve(cfg, writer, seed, timing, warnings):
     problem = build_problem(cfg)
     t0 = time.perf_counter()
     result = minimize(problem, n_restarts=cfg.values["solver.restarts"], seed=seed,
                       max_sweeps=cfg.values["solver.max_sweeps"])
     timing["solve_s"] = time.perf_counter() - t0
+    _warn_unconverged(warnings, result)
     _result_artifacts(writer, cfg, result)
     return {
         "energy": result.energy.to_dict(),
@@ -113,7 +123,7 @@ def _cmd_solve(cfg, writer, seed, timing):
     }
 
 
-def _cmd_rho_sweep(cfg, writer, seed, timing):
+def _cmd_rho_sweep(cfg, writer, seed, timing, warnings):
     rhos = cfg.values["sweep.rhos"]
     if not rhos:
         raise ConfigurationError("rho-sweep requires sweep.rhos in the config")
@@ -126,6 +136,7 @@ def _cmd_rho_sweep(cfg, writer, seed, timing):
     timing["solve_s"] = time.perf_counter() - t0
     rows = []
     for rho, result in path:
+        _warn_unconverged(warnings, result, rho=float(rho))
         dist = lifting_distance(result.form, result.field, region)
         rows.append((float(rho), float(result.energy.total), float(dist)))
     if "csv" in cfg.values["output.formats"]:
@@ -178,7 +189,7 @@ def _level_diagnostics(cfg, problem, result):
     return entry
 
 
-def _cmd_refine(cfg, writer, seed, timing):
+def _cmd_refine(cfg, writer, seed, timing, warnings):
     if cfg.values["problem.g"].startswith("file:"):
         raise ConfigurationError("refine requires a named g profile, not a file reference")
     factor = cfg.values["refine.factor"]
@@ -190,6 +201,7 @@ def _cmd_refine(cfg, writer, seed, timing):
         problem = build_problem(cfg, h=h)
         result = minimize(problem, n_restarts=cfg.values["solver.restarts"], seed=seed,
                           max_sweeps=cfg.values["solver.max_sweeps"])
+        _warn_unconverged(warnings, result, level=level)
         levels.append(_level_diagnostics(cfg, problem, result))
         _result_artifacts(writer, cfg, result, prefix=f"level{level}_")
     timing["solve_s"] = time.perf_counter() - t0
@@ -246,10 +258,12 @@ def oracle_compare_instances(cfg: ExperimentConfig, seed: int):
     return rows
 
 
-def _cmd_oracle_compare(cfg, writer, seed, timing):
+def _cmd_oracle_compare(cfg, writer, seed, timing, warnings):
     t0 = time.perf_counter()
     rows = oracle_compare_instances(cfg, seed)
     timing["solve_s"] = time.perf_counter() - t0
+    for r in rows:
+        _warn_unconverged(warnings, r["result"], instance=r["instance"])
     csv_rows = [(r["instance"], r["minimize_energy"], r["oracle_energy"],
                  int(r["agree"])) for r in rows]
     if "csv" in cfg.values["output.formats"]:
@@ -264,12 +278,13 @@ def _cmd_oracle_compare(cfg, writer, seed, timing):
     }
 
 
-def _cmd_analyze(cfg, writer, seed, timing):
+def _cmd_analyze(cfg, writer, seed, timing, warnings):
     problem = build_problem(cfg)
     t0 = time.perf_counter()
     result = minimize(problem, n_restarts=cfg.values["solver.restarts"], seed=seed,
                       max_sweeps=cfg.values["solver.max_sweeps"])
     timing["solve_s"] = time.perf_counter() - t0
+    _warn_unconverged(warnings, result)
     _result_artifacts(writer, cfg, result)
 
     r_min, r_max, n_dyadic, region = _analysis_defaults(cfg, problem.grid)
@@ -324,8 +339,9 @@ def run(config_path: str, subcommand: str, out_dir: str | None = None,
 
     writer = _Writer(out_dir)
     timing = {}
+    warnings = []
     t_start = time.perf_counter()
-    results = _COMMANDS[subcommand](cfg, writer, seed, timing)
+    results = _COMMANDS[subcommand](cfg, writer, seed, timing, warnings)
     timing["total_s"] = time.perf_counter() - t_start
 
     artifacts = writer.finalize()
@@ -341,6 +357,7 @@ def run(config_path: str, subcommand: str, out_dir: str | None = None,
         "artifacts": sorted(artifacts),
         "results": results,
         "timing": timing,
+        "warnings": warnings,
     }
     partial = manifest_path + ".partial"
     with open(partial, "w") as fh:

@@ -18,7 +18,9 @@ rows W[I, :] as one (n_int, N) array, plus the row sums of all N nodes; an
 exterior row is read from the block's column (the kernel is symmetric bit for
 bit). Assembly refuses with CapacityError, before allocating, when the block
 would exceed MEMORY_BUDGET_BYTES. All reductions are fixed-block-size
-pairwise tree sums, independent of thread count.
+pairwise tree sums, independent of thread count. Row dots run np.vecdot over
+blocks of at most _ROW_BLOCK rows, which rounds exactly like one np.dot per
+row (not like gemv or einsum) while bounding the temporaries to one block.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .grid import Field, Grid
 from .kernel import KernelSpec, eval_kernel
 
 _TREE_BLOCK = 64
+_ROW_BLOCK = 64
 # Largest allocation, in bytes, of the interior weight block or all-pairs arrays.
 MEMORY_BUDGET_BYTES = 256 * 2 ** 20
 
@@ -76,11 +79,19 @@ class QuadraticForm:
     row_sums: np.ndarray          # a_i = sum_j w_ij for all N nodes
     interior_idx: np.ndarray = dataclass_field(init=False)
     row_of: np.ndarray = dataclass_field(init=False)    # stored row per node, -1 if exterior
+    # per-node views of the stored rows (None if exterior) and the row sums as
+    # Python floats: the coordinate sweep reads them once per visit
+    node_rows: list = dataclass_field(init=False, repr=False)
+    row_sums_list: list = dataclass_field(init=False, repr=False)
 
     def __post_init__(self):
         self.interior_idx = np.nonzero(self.grid.interior)[0]
         self.row_of = np.full(self.grid.n_nodes, -1, dtype=np.int64)
         self.row_of[self.interior_idx] = np.arange(self.interior_idx.shape[0])
+        self.node_rows = [None] * self.grid.n_nodes
+        for i, row in zip(self.interior_idx.tolist(), self.dense):
+            self.node_rows[i] = row
+        self.row_sums_list = self.row_sums.tolist()
 
     @property
     def n_nodes(self) -> int:
@@ -96,8 +107,12 @@ class QuadraticForm:
         return row
 
     def row_dots(self, u, rows) -> np.ndarray:
-        """sum_j w_ij u_j for stored rows, one np.dot each: the sweep's rounding, not gemv's."""
-        return np.array([np.dot(self.dense[k], u) for k in rows], dtype=np.float64)
+        """sum_j w_ij u_j for stored rows, with the rounding of one np.dot per row
+        (the sweep's), not gemv's; rows are gathered at most _ROW_BLOCK at a time."""
+        rows = np.asarray(rows, dtype=np.int64)
+        return np.concatenate([np.vecdot(self.dense[rows[k:k + _ROW_BLOCK]], u)
+                               for k in range(0, rows.shape[0], _ROW_BLOCK)]
+                              or [np.zeros(0)])
 
     def stored_pair_count(self) -> int:
         """Number of unordered pairs the form keeps (no self, no ext-ext)."""
@@ -145,8 +160,17 @@ def dirichlet_energy(form: QuadraticForm, field: Field) -> float:
         raise ConfigurationError("field and form live on different grids")
     u = field.values
     half = np.where(form.grid.interior, 0.5, 1.0)
-    return tree_sum([np.dot(row, (u[i] - u) ** 2 * half)
-                     for i, row in zip(form.interior_idx.tolist(), form.dense)])
+    idx = form.interior_idx
+    block = np.empty((min(_ROW_BLOCK, idx.shape[0]), u.shape[0]))   # reused per row block
+    dots = []
+    for k in range(0, idx.shape[0], _ROW_BLOCK):
+        rows = form.dense[k:k + _ROW_BLOCK]
+        diff = block[:rows.shape[0]]
+        np.subtract(u[idx[k:k + _ROW_BLOCK], None], u, out=diff)
+        np.square(diff, out=diff)
+        diff *= half
+        dots.append(np.vecdot(rows, diff))
+    return tree_sum(np.concatenate(dots or [np.zeros(0)]))
 
 
 @dataclass

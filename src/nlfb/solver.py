@@ -21,8 +21,9 @@ held fixed, and accepts the candidate only if the true objective strictly
 decreases. This preserves every contract of the sweep loop (monotone energy,
 same stopping rule) while reaching linear-solver accuracy on the final
 support, which the stationarity diagnostics require. The pairwise energy is
-recomputed only at the start, at polish boundaries and at exit, where the
-tracked energy must match it to 1e-9 * (1 + |energy|).
+recomputed only at the start and at polish boundaries, where the tracked
+energy must match it to 1e-9 * (1 + |energy|); the last of these
+evaluations is the reported energy.
 
 Restarts run coordinate descent from deterministic initializations and reduce
 by the lexicographic key (energy, restart seed); NLFB_THREADS caps how many
@@ -206,37 +207,32 @@ def _visit(a, b, rho_cell, xi, one_phase):
 
     Returns the chosen value. The off region is t <= xi (intersected with
     t >= 0 in one_phase); the on region is its complement in the feasible set.
-    Ties prefer off (the smaller support).
+    Ties prefer off (the smaller support). This runs once per visit, so the
+    clamps are plain branches that return what max(v, 0.0) and min(x, xi)
+    would, signed zeros included.
     """
     v = b / a
-    best = None           # (energy, on_flag, value)
     if one_phase:
-        if xi >= 0.0:
-            t_off = min(max(v, 0.0), xi)
-            best = (a * t_off * t_off - 2.0 * b * t_off, 0, t_off)
-        t_on = max(v, 0.0)
-        if t_on > xi:
-            e_on = a * t_on * t_on - 2.0 * b * t_on + rho_cell
-            cand = (e_on, 1, t_on)
-            if best is None or cand < best:
-                best = cand
+        t_on = 0.0 if 0.0 > v else v
+        if xi < 0.0:          # the off region is empty
+            return t_on
     else:
-        t_off = min(v, xi)
-        best = (a * t_off * t_off - 2.0 * b * t_off, 0, t_off)
-        if v > xi:
-            cand = (a * v * v - 2.0 * b * v + rho_cell, 1, v)
-            if cand < best:
-                best = cand
-    return best[2]
+        t_on = v
+    t_off = xi if xi < t_on else t_on
+    if t_on > xi:
+        e_on = a * t_on * t_on - 2.0 * b * t_on + rho_cell
+        if e_on < a * t_off * t_off - 2.0 * b * t_off:
+            return t_on
+    return t_off
 
 
 def _sweep(form: QuadraticForm, u, order, rho_cell, xi, one_phase) -> float:
     """One full coordinate sweep, in place; returns the summed energy change,
     exactly 0 when no value changes."""
-    rows, row_sums = form.dense, form.row_sums
+    rows, row_sums = form.node_rows, form.row_sums_list
     change = 0.0
-    for i, k in zip(order.tolist(), form.row_of[order].tolist()):
-        a, b, t_old = row_sums[i], float(np.dot(rows[k], u)), float(u[i])
+    for i in order.tolist():
+        a, b, t_old = row_sums[i], float(rows[i].dot(u)), u.item(i)
         t = _visit(a, b, rho_cell, xi, one_phase)
         if t != t_old:
             change += (a * (t * t - t_old * t_old) - 2.0 * b * (t - t_old)
@@ -279,9 +275,13 @@ def _polish(problem: ProblemSpec, form: QuadraticForm, u):
 
 
 def _finalize(problem: ProblemSpec, form: QuadraticForm, u, sweeps, converged,
-              seed, restarts_used=1) -> MinimizeResult:
+              seed, restarts_used=1, breakdown: EnergyBreakdown | None = None
+              ) -> MinimizeResult:
+    """The result for the final state u; breakdown, when given, must be u's
+    total_energy and saves evaluating it again."""
     field = Field(problem.grid, u.copy())
-    breakdown = total_energy(form, field, problem.rho, problem.xi)
+    if breakdown is None:
+        breakdown = total_energy(form, field, problem.rho, problem.xi)
     breakdown.truncation_bound = truncation_error_bound(
         problem.grid, problem.kernel.s, problem.kernel.Lam,
         float(np.max(np.abs(u))) if u.size else 0.0)
@@ -316,13 +316,13 @@ def coordinate_descent(problem: ProblemSpec, init: Field, seed=0,
     rho_cell = problem.rho * grid.cell_measure
 
     def energy_of(vals):
-        return total_energy(form, Field(grid, vals), problem.rho, problem.xi).total
+        return total_energy(form, Field(grid, vals), problem.rho, problem.xi)
 
     def tol(e):
         return ENERGY_CHECK_RTOL * (1.0 + abs(e))
 
-    e_cur = energy_of(u)      # tracked from the sweeps' changes
-    e_checked = e_cur         # recomputed at the last polish boundary
+    checked = energy_of(u)    # u's energy, recomputed at the last polish boundary
+    e_cur = checked.total     # tracked from the sweeps' changes
     sweeps = 0
     converged = False
     while sweeps < max_sweeps:
@@ -340,25 +340,25 @@ def coordinate_descent(problem: ProblemSpec, init: Field, seed=0,
             if -change < EPS_STOP_FACTOR * (1.0 + abs(e_cur)):
                 reached_stop = True
                 break
-        e_now = energy_of(u)
-        if abs(e_now - e_cur) > tol(e_now):
-            raise SolverError(f"tracked energy {e_cur} drifted from the recomputed {e_now}")
-        if e_now > e_checked + tol(e_checked):
-            raise SolverError(f"energy rose between polish boundaries ({e_checked} -> {e_now})")
-        e_cur = e_now
+        now = energy_of(u)
+        if abs(now.total - e_cur) > tol(now.total):
+            raise SolverError(f"tracked energy {e_cur} drifted from the recomputed {now.total}")
+        if now.total > checked.total + tol(checked.total):
+            raise SolverError(f"energy rose between polish boundaries "
+                              f"({checked.total} -> {now.total})")
+        checked = now
         polished = _polish(problem, form, u)
         improved = False
         if polished is not None:
-            e_pol = energy_of(polished)
-            if e_pol < e_cur:
-                u = polished
-                e_cur = e_pol
+            polished_energy = energy_of(polished)
+            if polished_energy.total < checked.total:
+                u, checked = polished, polished_energy
                 improved = True
-        e_checked = e_cur
+        e_cur = checked.total
         if reached_stop and not improved:
             converged = True
             break
-    return _finalize(problem, form, u, sweeps, converged, seed)
+    return _finalize(problem, form, u, sweeps, converged, seed, breakdown=checked)
 
 
 def lifting_initialization(problem: ProblemSpec, form: QuadraticForm) -> Field:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import nlfb
-from nlfb.cli import EXIT_CODES, ORACLE_AGREE_RTOL, main, run
+from nlfb.cli import EXIT_CODES, ORACLE_AGREE_RTOL, main, oracle_compare_instances, run
 from nlfb.config import build_problem, parse_config, parse_points
 from nlfb.errors import (CapacityError, ConfigurationError, DataError,
                          DomainError, SolverError)
@@ -361,6 +361,7 @@ class TestSolveCommand:
         assert man["versions"]["numpy"] == np.__version__
         assert man["versions"]["python"] == platform.python_version()
         assert set(man["timing"]) == {"solve_s", "total_s"}
+        assert man["warnings"] == []
 
         res = man["results"]
         # frozen for this config and seed; cross-checked by the solver suite
@@ -705,3 +706,36 @@ def test_one_assembly_per_run(tmp_path, monkeypatch, subcommand, cfg):
                                 lambda *args: calls.append(args) or real(*args))
     assert run(write_cfg(tmp_path, cfg), subcommand, out_dir=str(tmp_path / "out")) == 0
     assert len(calls) == 1
+
+
+class TestManifestWarnings:
+    """One warning per reported result that stopped at solver.max_sweeps."""
+
+    def run_manifest(self, tmp_path, subcommand, cfg):
+        cfg_path, out = write_cfg(tmp_path, cfg + "solver.max_sweeps = 1\n"), str(tmp_path / "out")
+        assert run(cfg_path, subcommand, out_dir=out) == 0
+        with open(os.path.join(out, "manifest.json")) as fh:
+            return json.load(fh), cfg_path, out
+
+    def test_solve_stopped_at_max_sweeps(self, tmp_path):
+        man, _, out = self.run_manifest(tmp_path, "solve", SOLVE_CFG)
+        assert man["results"]["converged"] is False
+        assert man["warnings"] == [
+            {"warning": "stopped at max_sweeps after 1 sweeps without converging"}]
+        with open(os.path.join(out, "result.json")) as fh:
+            assert json.load(fh)["converged"] is False
+
+    def test_oracle_compare_names_each_instance(self, tmp_path):
+        cfg = ORACLE_CFG + "oracle.instances = 4\noracle.restarts = 2\n"
+        man, cfg_path, _ = self.run_manifest(tmp_path, "oracle-compare", cfg)
+        rows = oracle_compare_instances(parse_config(cfg_path), 0)
+        unconverged = [r["instance"] for r in rows if not r["result"].converged]
+        assert unconverged
+        assert [w["instance"] for w in man["warnings"]] == unconverged
+        assert all(set(w) == {"instance", "warning"} for w in man["warnings"])
+
+    def test_rho_sweep_names_each_rho(self, tmp_path):
+        man, _, _ = self.run_manifest(tmp_path, "rho-sweep",
+                                   SOLVE_CFG + "sweep.rhos = 0.04, 0.16\n")
+        assert man["warnings"]
+        assert {w["rho"] for w in man["warnings"]} <= {0.04, 0.16}

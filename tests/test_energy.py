@@ -1,6 +1,7 @@
 """Pair-sum energy assembly, penalized total, tail functional, truncation bound."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,6 +195,52 @@ def test_weight_row_matches_kernel_row_bitwise(grid_1d_small):
         assert form.dense.shape == (int(grid.interior.sum()), grid.n_nodes)
         for i in range(grid.n_nodes):
             assert np.array_equal(form.weight_row(i), _compute_row(grid, kernel, i))
+
+
+# One np.dot per stored row: the rounding the row-blocked np.vecdot must keep.
+def reference_row_dots(form, u, rows):
+    return np.array([np.dot(form.dense[k], u) for k in rows], dtype=np.float64)
+
+
+def reference_dirichlet(form, u):
+    half = np.where(form.grid.interior, 0.5, 1.0)
+    return tree_sum([np.dot(row, (u[i] - u) ** 2 * half)
+                     for i, row in zip(form.interior_idx.tolist(), form.dense)])
+
+
+@pytest.mark.parametrize("h,n_int", [(0.05, 40), (1.0 / 32.0, 64), (0.02, 100), (0.01, 200)])
+def test_row_dots_and_energy_match_per_row_dots_bitwise(h, n_int):
+    # row blocks of 64: fewer rows than one block, exactly one, and crossings
+    grid = build_grid(1, h, 2.0)
+    form = assemble_form(fractional_kernel(0.4), grid)
+    assert form.dense.shape[0] == n_int
+    rng = np.random.default_rng(n_int)
+    for _ in range(3):
+        u = random_field_values(grid, rng)
+        rows = rng.permutation(n_int)[:rng.integers(1, n_int + 1)]
+        for r in (range(n_int), rows, rows[:0]):
+            got, want = form.row_dots(u, r), reference_row_dots(form, u, r)
+            assert got.tobytes() == want.tobytes()
+        got = dirichlet_energy(form, Field(grid, u))
+        assert np.float64(got).tobytes() == np.float64(reference_dirichlet(form, u)).tobytes()
+
+
+def test_row_dots_and_energy_allocate_at_most_a_row_block():
+    # the row blocks bound the temporaries; gathering every stored row at once
+    # would allocate the size of form.dense
+    grid = build_grid(2, 0.08, 2.0)
+    form = assemble_form(fractional_kernel(0.5, dim=2), grid)
+    u = random_field_values(grid, np.random.default_rng(3))
+    field = Field(grid, u)
+    n_int = form.dense.shape[0]
+    for call in (lambda: dirichlet_energy(form, field), lambda: form.row_dots(u, range(n_int))):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < form.dense.nbytes / 4
 
 
 def test_smooth_field_energy_converges_under_refinement():

@@ -30,8 +30,9 @@ from nlfb import (
     SolverError,
     total_energy,
 )
-from nlfb.solver import (ORACLE_TIE_RTOL, PHASES, _finalize, _oracle_candidates, _pcg, _solve_free,
-                         _subsystem, _sweep, _visit, thread_count)
+from nlfb.solver import (DEFAULT_MAX_SWEEPS, ORACLE_TIE_RTOL, PHASES, _finalize,
+                         _oracle_candidates, _pcg, _solve_free, _subsystem, _sweep, _visit,
+                         thread_count)
 
 from conftest import random_field_values
 
@@ -156,6 +157,118 @@ def test_sweep_without_changes_sums_to_exactly_zero(grid_1d_small):
     order = np.nonzero(grid_1d_small.interior)[0]
     assert _sweep(form, u, order, 0.1, 0.0, True) == 0.0
     assert not u.any()
+
+
+# The tuple-based visit and the per-row sweep over numpy-scalar row sums that
+# the branch-only visit and the cached-row sweep replaced: bitwise references.
+def reference_visit(a, b, rho_cell, xi, one_phase):
+    v = b / a
+    best = None           # (energy, on_flag, value)
+    if one_phase:
+        if xi >= 0.0:
+            t_off = min(max(v, 0.0), xi)
+            best = (a * t_off * t_off - 2.0 * b * t_off, 0, t_off)
+        t_on = max(v, 0.0)
+        if t_on > xi:
+            cand = (a * t_on * t_on - 2.0 * b * t_on + rho_cell, 1, t_on)
+            if best is None or cand < best:
+                best = cand
+    else:
+        t_off = min(v, xi)
+        best = (a * t_off * t_off - 2.0 * b * t_off, 0, t_off)
+        if v > xi:
+            cand = (a * v * v - 2.0 * b * v + rho_cell, 1, v)
+            if cand < best:
+                best = cand
+    return best[2]
+
+
+def reference_sweep(form, u, order, rho_cell, xi, one_phase):
+    rows, row_sums = form.dense, form.row_sums
+    change = 0.0
+    for i, k in zip(order.tolist(), form.row_of[order].tolist()):
+        a, b, t_old = row_sums[i], float(np.dot(rows[k], u)), float(u[i])
+        t = reference_visit(a, b, rho_cell, xi, one_phase)
+        if t != t_old:
+            change += (a * (t * t - t_old * t_old) - 2.0 * b * (t - t_old)
+                       + rho_cell * (int(t > xi) - int(t_old > xi)))
+            u[i] = t
+    return change
+
+
+def assert_same_bits(got, want):
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert np.signbit(got) == np.signbit(want)
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=st.floats(0.01, 100.0),
+       b=st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0])),
+       rho_cell=st.floats(0.0, 3.0),
+       xi=st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0])),
+       one_phase=st.booleans())
+def test_visit_equals_reference_bitwise(a, b, rho_cell, xi, one_phase):
+    assert_same_bits(_visit(a, b, rho_cell, xi, one_phase),
+                     reference_visit(np.float64(a), b, rho_cell, xi, one_phase))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.floats(0.01, 100.0), b=st.floats(1e-3, 10.0), xi=st.sampled_from([0.0, -0.0]),
+       one_phase=st.booleans())
+def test_visit_exact_tie_goes_off(a, b, xi, one_phase):
+    # at xi = 0 the off value is 0 with energy 0, and rho_cell = -q makes the
+    # on energy q + rho_cell exactly 0 too
+    v = b / a
+    rho_cell = -(a * v * v - 2.0 * b * v)
+    assert a * v * v - 2.0 * b * v + rho_cell == 0.0
+    t = _visit(a, b, rho_cell, xi, one_phase)
+    assert_same_bits(t, reference_visit(np.float64(a), b, rho_cell, xi, one_phase))
+    assert t == 0.0
+
+
+@pytest.mark.parametrize("one_phase", [True, False])
+@pytest.mark.parametrize("xi", [0.0, -0.0, 0.5, -0.5])
+def test_visit_keeps_the_sign_of_a_negative_zero_vertex(one_phase, xi):
+    for rho_cell in (0.0, 1.0):
+        t = _visit(2.0, -0.0, rho_cell, xi, one_phase)
+        assert_same_bits(t, reference_visit(np.float64(2.0), -0.0, rho_cell, xi, one_phase))
+
+
+@pytest.mark.parametrize("phase", PHASES)
+@pytest.mark.parametrize("dim,h", [(1, 0.1), (2, 0.2)])
+def test_sweep_equals_reference_bitwise(phase, dim, h):
+    grid = build_grid(dim, h, 2.0)
+    kernel = fractional_kernel(0.4, dim=dim)
+    form = assemble_form(kernel, grid)
+    rng = np.random.default_rng([131, dim, PHASES.index(phase)])
+    lo = 0.0 if phase == "one_phase" else -1.0
+    interior_idx = np.nonzero(grid.interior)[0]
+    for _ in range(4):
+        xi = float(rng.choice([0.0, rng.uniform(-0.2, 0.3)]))
+        rho_cell = float(10.0 ** rng.uniform(-3.0, 0.0)) * grid.cell_measure
+        u = rng.uniform(lo, 1.0, grid.n_nodes)
+        u_ref = u.copy()
+        for _ in range(3):
+            order = rng.permutation(interior_idx)
+            change = _sweep(form, u, order, rho_cell, xi, phase == "one_phase")
+            want = reference_sweep(form, u_ref, order, rho_cell, xi, phase == "one_phase")
+            assert_same_bits(change, want)
+            assert u.tobytes() == u_ref.tobytes()
+
+
+def test_descent_reports_the_energy_of_its_final_field():
+    # the reported breakdown comes from the last polish boundary, not a fresh
+    # evaluation at exit; it must equal one bit for bit
+    rng = np.random.default_rng(137)
+    for phase in PHASES:
+        problem = four_interior_problem(rng, phase=phase)
+        form = assemble_form(problem.kernel, problem.grid)
+        for max_sweeps in (0, 1, 30, DEFAULT_MAX_SWEEPS):
+            res = coordinate_descent(problem, lifting_initialization(problem, form),
+                                     seed=5, max_sweeps=max_sweeps, form=form)
+            fresh = total_energy(form, res.field, problem.rho, problem.xi)
+            fresh.truncation_bound = res.energy.truncation_bound
+            assert res.energy.to_dict() == fresh.to_dict()
 
 
 @pytest.mark.parametrize("offset,message", [(-1e-3, "drifted"), (1e-3, "increased")])
