@@ -21,8 +21,7 @@ from .errors import (CapacityError, ConfigurationError, DataError, DomainError,
                      NlfbError, SolverError)
 from .grid import (Ball, Field, Grid, build_grid, enumerate_lattice, field_csv_text,
                    l2_mean_over_ball, load_field_csv, nodes_in_ball,
-                   region_interior_indices, sample_field, save_field_csv,
-                   sup_over_ball)
+                   region_interior_indices, sample_field, sup_over_ball)
 from .kernel import (EllipticityReport, KernelSpec, check_ellipticity,
                      checkerboard_kernel, eval_kernel, fractional_kernel,
                      load_custom_table, modulated_kernel, rescale_kernel)
@@ -44,7 +43,7 @@ __all__ = [
     "lifting_distance", "lifting_initialization", "load_custom_table", "load_field_csv", "minimize",
     "modulated_kernel", "nodes_in_ball", "nondegeneracy", "oracle_minimize",
     "region_interior_indices", "rescale_kernel", "residual_scale",
-    "rho_sweep_minimize", "sample_field", "save_field_csv",
+    "rho_sweep_minimize", "sample_field",
     "scaling_discrepancy", "select_analysis_points", "subsolution_residual",
     "sup_over_ball", "support_mask", "tail", "thread_count", "total_energy",
     "tree_sum", "truncation_error_bound",

@@ -200,19 +200,17 @@ def subsolution_residual(form: QuadraticForm, field: Field) -> dict:
     if idx.size == 0:
         raise DataError("grid has no interior nodes")
     u = field.values
-    pairings = form.row_sums[idx] * u[idx] - form.row_dots(u, range(idx.size))
+    pairings = form.row_sums * u[idx] - form.row_dots(u, range(idx.size))
     k = int(np.argmax(pairings))     # the first maximum, as a scan by node index
     return {"max_pairing": float(pairings[k]), "node": int(idx[k])}
 
 
 def residual_scale(form: QuadraticForm, field: Field) -> float:
     """Natural size of a pairing: max interior row sum times the field oscillation."""
-    grid = form.grid
-    interior_rows = form.row_sums[grid.interior]
-    if interior_rows.size == 0:
+    if form.row_sums.size == 0:
         raise DataError("grid has no interior nodes")
     osc = float(np.max(field.values) - np.min(field.values))
-    return float(np.max(interior_rows)) * osc
+    return float(np.max(form.row_sums)) * osc
 
 
 def lifting_distance(form: QuadraticForm, field: Field, region: Ball) -> float:
@@ -395,14 +393,3 @@ def point_csv_text(report: FreeBoundaryReport, k: int) -> str:
     return csv_text(["r", "sup", "zero_ratio", "pos_ratio"],
                     [(float(r), float(sup), by_r[r]["zero_ratio"], by_r[r]["pos_ratio"])
                      for r, sup in zip(report.growth[k]["radii"], report.growth[k]["sups"])])
-
-
-def write_report_csv(report: FreeBoundaryReport, path_for_point) -> list:
-    """Write point_csv_text of point k to path_for_point(k); returns the paths."""
-    written = []
-    for k in range(len(report.growth)):
-        path = path_for_point(k)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(point_csv_text(report, k))
-        written.append(path)
-    return written

@@ -14,13 +14,16 @@ The penalized total adds rho * measure of the strict super-level set
 {u > xi} restricted to interior nodes.
 
 Every stored pair has an interior end, so the form keeps only the interior
-rows W[I, :] as one (n_int, N) array, plus the row sums of all N nodes; an
-exterior row is read from the block's column (the kernel is symmetric bit for
-bit). Assembly refuses with CapacityError, before allocating, when the block
-would exceed MEMORY_BUDGET_BYTES. All reductions are fixed-block-size
-pairwise tree sums, independent of thread count. Row dots run np.vecdot over
-blocks of at most _ROW_BLOCK rows, which rounds exactly like one np.dot per
-row (not like gemv or einsum) while bounding the temporaries to one block.
+rows W[I, :] as one (n_int, N) array and their row sums a_I; an exterior row
+is read from the block's column (the kernel is symmetric bit for bit). With
+the exterior values g as data, the energy of the interior values x is the
+reduced quadratic x . (a_I x) - x . (W_II x) - 2 x . (W_IE g) + c, where
+c = sum over interior i and exterior e of w_ie g_e^2. Assembly refuses with
+CapacityError, before allocating, when the block would exceed
+MEMORY_BUDGET_BYTES. All reductions are fixed-block-size pairwise tree sums,
+independent of thread count. Row dots run np.vecdot over blocks of at most
+_ROW_BLOCK rows, which rounds exactly like one np.dot per row (not like gemv
+or einsum) while bounding the temporaries to one block.
 """
 
 from __future__ import annotations
@@ -76,11 +79,11 @@ class QuadraticForm:
     grid: Grid
     kernel: KernelSpec
     dense: np.ndarray             # (n_int, N): row k is w_{interior_idx[k], .}
-    row_sums: np.ndarray          # a_i = sum_j w_ij for all N nodes
+    row_sums: np.ndarray          # (n_int,): a_i = sum_j w_ij, aligned with dense
     interior_idx: np.ndarray = dataclass_field(init=False)
     row_of: np.ndarray = dataclass_field(init=False)    # stored row per node, -1 if exterior
-    # per-node views of the stored rows (None if exterior) and the row sums as
-    # Python floats: the coordinate sweep reads them once per visit
+    # per-node views of the stored rows and their row sums as Python floats
+    # (None at exterior nodes): the coordinate sweep reads them once per visit
     node_rows: list = dataclass_field(init=False, repr=False)
     row_sums_list: list = dataclass_field(init=False, repr=False)
 
@@ -89,9 +92,10 @@ class QuadraticForm:
         self.row_of = np.full(self.grid.n_nodes, -1, dtype=np.int64)
         self.row_of[self.interior_idx] = np.arange(self.interior_idx.shape[0])
         self.node_rows = [None] * self.grid.n_nodes
-        for i, row in zip(self.interior_idx.tolist(), self.dense):
+        self.row_sums_list = [None] * self.grid.n_nodes
+        for i, row, a in zip(self.interior_idx.tolist(), self.dense, self.row_sums.tolist()):
             self.node_rows[i] = row
-        self.row_sums_list = self.row_sums.tolist()
+            self.row_sums_list[i] = a
 
     @property
     def n_nodes(self) -> int:
@@ -113,12 +117,6 @@ class QuadraticForm:
         return np.concatenate([np.vecdot(self.dense[rows[k:k + _ROW_BLOCK]], u)
                                for k in range(0, rows.shape[0], _ROW_BLOCK)]
                               or [np.zeros(0)])
-
-    def stored_pair_count(self) -> int:
-        """Number of unordered pairs the form keeps (no self, no ext-ext)."""
-        n = self.grid.n_nodes
-        n_ext = int(np.count_nonzero(~self.grid.interior))
-        return n * (n - 1) // 2 - n_ext * (n_ext - 1) // 2
 
 
 def _compute_row(grid: Grid, kernel: KernelSpec, i) -> np.ndarray:
@@ -147,10 +145,7 @@ def assemble_form(kernel: KernelSpec, grid: Grid) -> QuadraticForm:
     block = np.empty((interior_idx.shape[0], grid.n_nodes))
     for k, i in enumerate(interior_idx):
         block[k] = _compute_row(grid, kernel, i)
-    row_sums = np.empty(grid.n_nodes)
-    row_sums[grid.interior] = tree_sum(block)
-    row_sums[~grid.interior] = tree_sum(block[:, ~grid.interior].T)   # nonzero at interior j only
-    return QuadraticForm(grid, kernel, block, row_sums)
+    return QuadraticForm(grid, kernel, block, tree_sum(block))
 
 
 def dirichlet_energy(form: QuadraticForm, field: Field) -> float:

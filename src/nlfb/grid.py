@@ -66,10 +66,6 @@ class Grid:
         inside = np.all((ks >= 0) & (ks < table.shape), axis=1)
         return np.where(inside, table[tuple(np.where(inside[:, None], ks, 0).T)], -1)
 
-    def index_of_lattice(self, k) -> int:
-        """Node index for an integer lattice tuple, or -1 if absent."""
-        return int(self.indices_of_lattice(k)[0])
-
 
 def build_grid(dim, h, R_inf, omega_radius=1.0) -> Grid:
     """Build the cell-centered lattice covering the ball of radius R_inf.
@@ -245,14 +241,8 @@ def field_csv_text(field: Field) -> str:
     return f"# {grid.dim} {grid.h!r} {grid.omega_radius!r} {grid.R_inf!r}\n" + csv_text(cols, rows)
 
 
-def save_field_csv(field: Field, path):
-    """Write `# d h omega R_inf` then `index,x1[,x2],role,value` rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(field_csv_text(field))
-
-
 def load_field_csv(grid: Grid, path) -> Field:
-    """Load a field written by save_field_csv, validating the grid signature."""
+    """Load a file holding field_csv_text, validating the grid signature."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()

@@ -29,7 +29,8 @@ Restarts run coordinate descent from deterministic initializations and reduce
 by the lexicographic key (energy, restart seed); NLFB_THREADS caps how many
 run concurrently, with no effect on results. A brute-force oracle enumerates
 all interior supports (capacity-capped, xi = 0 only) for ground truth, with
-one stacked linear solve per support size.
+one stacked linear solve per support size, and scores them on the reduced
+quadratic form over interior values.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .energy import (EnergyBreakdown, QuadraticForm, assemble_form, check_budget,
-                     total_energy, truncation_error_bound)
+from .energy import (EnergyBreakdown, QuadraticForm, assemble_form, total_energy,
+                     tree_sum, truncation_error_bound)
 from .errors import CapacityError, ConfigurationError, DataError, SolverError
 from .grid import Ball, Field, Grid, region_interior_indices
 from .kernel import KernelSpec
@@ -177,26 +178,10 @@ def _subsystem(form: QuadraticForm, free_idx, u):
     """
     rows = form.row_of[free_idx]
     A = -form.dense[rows[:, None], free_idx]
-    A.flat[::free_idx.shape[0] + 1] = form.row_sums[free_idx]
+    A.flat[::free_idx.shape[0] + 1] = form.row_sums[rows]
     u_pinned = u.copy()
     u_pinned[free_idx] = 0.0
     return A, form.row_dots(u_pinned, rows)
-
-
-def harmonic_lifting(form: QuadraticForm, field: Field, region: Ball, rtol=CG_TOL) -> Field:
-    """Replace the field inside a ball region by its energy-minimizing values.
-
-    The region must lie inside the domain ball. The lifted values solve the
-    SPD stationarity system sum_j w_ij (h_i - h_j) = 0 for region nodes, with
-    all other values (including the implicit zeros beyond truncation) fixed.
-    """
-    grid = form.grid
-    region_idx = region_interior_indices(grid, region)
-    A, b = _subsystem(form, region_idx, field.values)
-    x, _, _ = _pcg(A, b, field.values[region_idx], rtol=rtol)
-    values = field.values.copy()
-    values[region_idx] = x
-    return Field(grid, values)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +240,18 @@ def _solve_free(form: QuadraticForm, free_idx, values, one_phase, solve):
     return values
 
 
+def harmonic_lifting(form: QuadraticForm, field: Field, region: Ball) -> Field:
+    """Replace the field inside a ball region by its energy-minimizing values.
+
+    The region must lie inside the domain ball. The lifted values solve the
+    SPD stationarity system sum_j w_ij (h_i - h_j) = 0 for region nodes, with
+    all other values (including the implicit zeros beyond truncation) fixed.
+    """
+    region_idx = region_interior_indices(form.grid, region)
+    return Field(form.grid, _solve_free(form, region_idx, field.values.copy(), False,
+                                        lambda A, b, x0: _pcg(A, b, x0)[0]))
+
+
 def _polish(problem: ProblemSpec, form: QuadraticForm, u):
     """Joint exact solve over the unpinned interior nodes; None if there are none.
 
@@ -270,6 +267,12 @@ def _polish(problem: ProblemSpec, form: QuadraticForm, u):
     free_idx = np.nonzero(free)[0]
     if free_idx.shape[0] == 0:
         return None
+    # Convergence relies on polishing being idempotent: on a state it already
+    # solved (or one a sweep moved by ulps), the warm-started CG starts below
+    # CG_TOL and returns it unchanged bit for bit, so the strict-decrease test
+    # rejects it and the descent can stop. A fresh direct re-solve (e.g. LU)
+    # moves such a state by ulps and can "improve" its energy after every
+    # batch of sweeps, so coordinate_descent may never converge.
     return _solve_free(form, free_idx, u.copy(), problem.phase == "one_phase",
                        lambda A, b, x0: _pcg(A, b, x0)[0])
 
@@ -426,23 +429,23 @@ def _direct_solve(A, b):
 
 
 def _oracle_candidates(problem: ProblemSpec, form: QuadraticForm):
-    """Every support's candidate field and its energy, in mask order.
+    """Every support's interior values and its energy, in mask order.
 
-    Bit k of a mask selects interior node k. Returns the (2^m, N) candidate
-    matrix, whose rows hold the pinned solve of each subset (projected in
-    one_phase), and the energies by sum_{i<j} w_ij (u_i - u_j)^2 =
-    u . (a * u) - 2 u_I . (W_I u) + u_I . (W_II u_I) plus the volume term.
-    Every first solve pins the same values (the exterior data), so the
-    right-hand sides are one set of interior row dots, and the subsets of one
-    size take one stacked solve; a one_phase solution with a negative entry is
-    re-solved through the projection of _solve_free.
+    Bit k of a mask selects interior node k. Returns the (2^m, m) block X,
+    whose rows hold the interior values of each subset's pinned solve
+    (projected in one_phase), and the energies by the reduced form
+    x . (a_I x - W_II x) - 2 x . b_I + c plus the volume term, where
+    b_I = W_IE g and c = sum_{i interior, e exterior} w_ie g_e^2 (see
+    nlfb.energy). Every first solve pins the same values (the exterior data),
+    so the right-hand sides are b_I, and the subsets of one size take one
+    stacked solve; a one_phase solution with a negative entry is re-solved
+    through the projection of _solve_free.
     """
     interior_idx = form.interior_idx
     m = interior_idx.shape[0]
     one_phase = problem.phase == "one_phase"
     g = problem.exterior_data
-    W_II, row_sums = form.dense[:, interior_idx], form.row_sums
-    a_I = row_sums[interior_idx]
+    W_II, a_I = form.dense[:, interior_idx], form.row_sums
     b_I = form.row_dots(g, range(m))
 
     in_subset = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1 == 1
@@ -461,13 +464,11 @@ def _oracle_candidates(problem: ProblemSpec, form: QuadraticForm):
                                      lambda A, b, x0: _direct_solve(A, b))
                 X[group[c]] = values[interior_idx]
 
-    V = np.broadcast_to(g, (X.shape[0], g.shape[0])).copy()
-    V[:, interior_idx] = X
-    dirichlet = (np.einsum("cj,j,cj->c", V, row_sums, V)
-                 - 2.0 * np.einsum("ci,ci->c", X, V @ form.dense.T)
-                 + np.einsum("ci,ci->c", X, X @ W_II.T))
+    exterior_constant = tree_sum(form.row_dots(g * g, range(m)))
+    dirichlet = (np.einsum("ci,ci->c", X, X * a_I - X @ W_II.T) - 2.0 * (X @ b_I)
+                 + exterior_constant)
     count = np.count_nonzero(X > problem.xi, axis=1)
-    return V, dirichlet + problem.rho * problem.grid.cell_measure * count
+    return X, dirichlet + problem.rho * problem.grid.cell_measure * count
 
 
 def oracle_minimize(problem: ProblemSpec, form: QuadraticForm | None = None) -> MinimizeResult:
@@ -475,14 +476,15 @@ def oracle_minimize(problem: ProblemSpec, form: QuadraticForm | None = None) -> 
 
     For each subset S, off-support nodes are pinned at 0 and the quadratic is
     solved exactly on S (in one_phase, negative entries are projected out and
-    the reduced system re-solved until sign-feasible); the true objective is
-    evaluated on each candidate. The minimizer's own support is one of the
-    enumerated subsets and solves its subsystem, so the smallest candidate
-    energy is the global minimum, exactly for xi = 0 only (pinned-off nodes
-    sit at their clamp value), so other xi raise ConfigurationError. Supports
-    tied within 1e-10 relative energy are all reported. The (2^m, N)
-    candidate matrix must fit the memory budget (CapacityError otherwise).
-    The form is assembled unless given, and is returned on the result.
+    the reduced system re-solved until sign-feasible); the reduced form
+    scores each candidate's interior values, and only the winner becomes a
+    full field, whose reported energy is the pairwise one. The minimizer's
+    own support is one of the enumerated subsets and solves its subsystem, so
+    the smallest candidate energy is the global minimum, exactly for xi = 0
+    only (pinned-off nodes sit at their clamp value), so other xi raise
+    ConfigurationError. Supports tied within 1e-10 relative energy are all
+    reported. The form is assembled unless given, and is returned on the
+    result.
     """
     if problem.xi != 0.0:
         raise ConfigurationError(f"the oracle pins off-support nodes at 0 and is exact "
@@ -493,11 +495,10 @@ def oracle_minimize(problem: ProblemSpec, form: QuadraticForm | None = None) -> 
         raise CapacityError(
             f"oracle enumeration supports at most {ORACLE_MAX_INTERIOR} interior nodes, "
             f"got {m}")
-    check_budget(8 * (1 << m) * grid.n_nodes, "the oracle's candidate matrix")
     if form is None:
         form = assemble_form(problem.kernel, grid)
-    V, energies = _oracle_candidates(problem, form)
-    on = V[:, form.interior_idx] > problem.xi
+    X, energies = _oracle_candidates(problem, form)
+    on = X > problem.xi
 
     def support(mask):
         return tuple(form.interior_idx[on[mask]].tolist())
@@ -510,7 +511,9 @@ def oracle_minimize(problem: ProblemSpec, form: QuadraticForm | None = None) -> 
         elif energy <= best_energy + tol and support(mask) not in ties:
             ties.append(support(mask))
 
-    result = _finalize(problem, form, V[best], sweeps=0, converged=True,
+    values = problem.exterior_data.copy()
+    values[form.interior_idx] = X[best]
+    result = _finalize(problem, form, values, sweeps=0, converged=True,
                        seed=-1, restarts_used=0)
     if len(ties) > 1:
         result.tied_supports = sorted(ties)

@@ -585,16 +585,6 @@ class TestOracleCompareCommand:
                      "--out", str(tmp_path / "out")]) == 5
         assert "interior nodes" in capsys.readouterr().err
 
-    def test_candidate_matrix_budget_exit_code(self, tmp_path, capsys, monkeypatch):
-        # 12 interior nodes, 24 in all: the weight block fits, the 2^12 x 24
-        # candidate matrix does not
-        monkeypatch.setattr(nlfb.energy, "MEMORY_BUDGET_BYTES", 8 * 2 ** 12 * 24 - 1)
-        cfg_path = write_cfg(tmp_path, ORACLE_CFG + "oracle.instances = 1\n"
-                                                    "oracle.restarts = 2\n")
-        assert main(["oracle-compare", "--config", cfg_path,
-                     "--out", str(tmp_path / "out")]) == 5
-        assert "candidate matrix" in capsys.readouterr().err
-
     def test_nonzero_threshold_exit_code(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, """\
             kernel.s = 0.5

@@ -60,11 +60,13 @@ def test_hand_case_weights_and_pair_count():
     form, grid = hand_form()
     assert np.array_equal(grid.positions[:, 0], [-0.75, -0.25, 0.25, 0.75])
     assert np.array_equal(grid.interior, [False, True, True, False])
-    # 6 unordered pairs minus the one exterior-exterior pair
-    assert form.stored_pair_count() == 5
+    # 6 unordered pairs minus the one exterior-exterior pair; an interior
+    # pair appears in both stored rows
+    assert (np.count_nonzero(form.dense[:, grid.interior]) // 2
+            + np.count_nonzero(form.dense[:, ~grid.interior])) == 5
     assert np.array_equal(form.weight_row(0), [0.0, 1.0, 0.25, 0.0])
     assert np.array_equal(form.weight_row(1), [1.0, 0.0, 1.0, 0.25])
-    assert np.array_equal(form.row_sums, [1.25, 2.25, 2.25, 1.25])
+    assert np.array_equal(form.row_sums, [2.25, 2.25])     # interior rows only
 
 
 def test_hand_case_energy_value():
@@ -77,7 +79,7 @@ def test_single_site_indicator_energy_is_row_sum():
     form, grid = hand_form()
     e1 = np.zeros(4)
     e1[1] = 1.0
-    assert dirichlet_energy(form, Field(grid, e1)) == form.row_sums[1] == 2.25
+    assert dirichlet_energy(form, Field(grid, e1)) == form.row_sums[form.row_of[1]] == 2.25
 
 
 def test_constant_fields_have_zero_energy():

@@ -18,7 +18,6 @@ from nlfb import (
     nodes_in_ball,
     region_interior_indices,
     sample_field,
-    save_field_csv,
     sup_over_ball,
 )
 from nlfb.grid import field_csv_text
@@ -91,11 +90,14 @@ def test_build_is_deterministic():
     assert np.array_equal(a.interior, b.interior)
 
 
-def test_index_of_lattice_round_trip():
+def test_indices_of_lattice_round_trip():
     g = build_grid(2, 0.2, 2.0)
-    for i in range(0, g.n_nodes, 7):
-        assert g.index_of_lattice(g.lattice[i]) == i
-    assert g.index_of_lattice((999, 999)) == -1
+    picked = np.arange(0, g.n_nodes, 7)
+    assert np.array_equal(g.indices_of_lattice(g.lattice[picked]), picked)
+    for i in picked[:5].tolist():
+        assert g.indices_of_lattice(g.lattice[i]).tolist() == [i]
+    assert g.indices_of_lattice((999, 999)).tolist() == [-1]
+    assert g.indices_of_lattice([[999, 0], g.lattice[3], [0, -999]]).tolist() == [-1, 3, -1]
 
 
 def test_build_grid_preconditions():
@@ -226,7 +228,7 @@ def test_field_csv_round_trip_is_bitwise(tmp_path, grid_1d_small):
     rng = np.random.default_rng(5)
     f = Field(grid_1d_small, random_field_values(grid_1d_small, rng))
     path = tmp_path / "field.csv"
-    save_field_csv(f, path)
+    path.write_text(field_csv_text(f))
     g = load_field_csv(grid_1d_small, path)
     assert np.array_equal(f.values, g.values)
 
@@ -236,7 +238,7 @@ def test_field_csv_round_trip_2d(tmp_path):
     rng = np.random.default_rng(6)
     f = Field(grid, rng.standard_normal(grid.n_nodes))
     path = tmp_path / "field.csv"
-    save_field_csv(f, path)
+    path.write_text(field_csv_text(f))
     assert np.array_equal(load_field_csv(grid, path).values, f.values)
 
 
@@ -254,7 +256,7 @@ def test_field_csv_header_and_roles(grid_1d_small):
 def test_field_csv_rejects_wrong_grid(tmp_path, grid_1d_small):
     f = sample_field(grid_1d_small, lambda P: P[:, 0])
     path = tmp_path / "field.csv"
-    save_field_csv(f, path)
+    path.write_text(field_csv_text(f))
     other = build_grid(1, 0.1, 2.0)
     with pytest.raises(DataError):
         load_field_csv(other, path)
@@ -264,7 +266,7 @@ def test_field_csv_rejects_corruption(tmp_path, grid_1d_small):
     f = sample_field(grid_1d_small, lambda P: P[:, 0])
     path = tmp_path / "field.csv"
 
-    save_field_csv(f, path)
+    path.write_text(field_csv_text(f))
     text = path.read_text()
 
     # drop a row

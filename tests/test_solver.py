@@ -31,8 +31,8 @@ from nlfb import (
     total_energy,
 )
 from nlfb.solver import (DEFAULT_MAX_SWEEPS, ORACLE_TIE_RTOL, PHASES, _finalize,
-                         _oracle_candidates, _pcg, _solve_free, _subsystem, _sweep, _visit,
-                         thread_count)
+                         _oracle_candidates, _pcg, _polish, _solve_free, _subsystem, _sweep,
+                         _visit, thread_count)
 
 from conftest import random_field_values
 
@@ -187,7 +187,7 @@ def reference_sweep(form, u, order, rho_cell, xi, one_phase):
     rows, row_sums = form.dense, form.row_sums
     change = 0.0
     for i, k in zip(order.tolist(), form.row_of[order].tolist()):
-        a, b, t_old = row_sums[i], float(np.dot(rows[k], u)), float(u[i])
+        a, b, t_old = row_sums[k], float(np.dot(rows[k], u)), float(u[i])
         t = reference_visit(a, b, rho_cell, xi, one_phase)
         if t != t_old:
             change += (a * (t * t - t_old * t_old) - 2.0 * b * (t - t_old)
@@ -269,6 +269,31 @@ def test_descent_reports_the_energy_of_its_final_field():
             fresh = total_energy(form, res.field, problem.rho, problem.xi)
             fresh.truncation_bound = res.energy.truncation_bound
             assert res.energy.to_dict() == fresh.to_dict()
+
+
+@pytest.mark.parametrize("phase", PHASES)
+@pytest.mark.parametrize("dim,h", [(1, 0.1), (2, 0.2)])
+def test_polish_returns_polished_states_unchanged(phase, dim, h):
+    # Convergence needs "reached_stop and not improved": polishing a state that
+    # is already solved must give it back bit for bit, so that its energy is
+    # not "improved" by ulps. Warm-started CG does this; a direct re-solve does
+    # not return the descent's exit state, which a sweep has moved by ulps.
+    grid = build_grid(dim, h, 2.0)
+    kernel = fractional_kernel(0.5, dim=dim)
+    form = assemble_form(kernel, grid)
+    rng = np.random.default_rng([71, dim, PHASES.index(phase)])
+    lo = 0.0 if phase == "one_phase" else -1.0
+    for trial in range(2):
+        data = np.where(grid.interior, 0.0, rng.uniform(lo, 1.0, grid.n_nodes))
+        problem = ProblemSpec(kernel, grid, data, rho=float(10.0 ** rng.uniform(-3.0, -0.5)),
+                              phase=phase)
+        init = lifting_initialization(problem, form)
+        polished = _polish(problem, form, init.values)
+        assert _polish(problem, form, polished).tobytes() == polished.tobytes()
+        res = coordinate_descent(problem, init, seed=trial, form=form)
+        assert res.converged
+        u = res.field.values
+        assert _polish(problem, form, u).tobytes() == u.tobytes()
 
 
 @pytest.mark.parametrize("offset,message", [(-1e-3, "drifted"), (1e-3, "increased")])
@@ -419,7 +444,8 @@ def test_oracle_reports_exact_break_even_tie():
 
 
 # The per-subset enumeration the batched oracle replaced: one _solve_free and
-# one quick energy per support, scanned in mask order.
+# one quick energy per support (from row sums of all N nodes, the exterior
+# ones read off the interior rows' columns), scanned in mask order.
 def reference_candidates(problem, form, solve=lambda A, b: np.linalg.solve(A, b)):
     interior_idx = np.nonzero(problem.grid.interior)[0]
     for mask in range(1 << interior_idx.shape[0]):
@@ -431,7 +457,10 @@ def reference_candidates(problem, form, solve=lambda A, b: np.linalg.solve(A, b)
 def reference_oracle(problem, form, solve=lambda A, b: np.linalg.solve(A, b)):
     grid = problem.grid
     interior_idx = np.nonzero(grid.interior)[0]
-    W_I, W_II, row_sums = form.dense, form.dense[:, interior_idx], form.row_sums
+    W_I, W_II = form.dense, form.dense[:, interior_idx]
+    row_sums = np.empty(grid.n_nodes)
+    row_sums[interior_idx] = nlfb.energy.tree_sum(W_I)
+    row_sums[~grid.interior] = nlfb.energy.tree_sum(W_I[:, ~grid.interior].T)
     best_energy, best_values, ties = math.inf, None, []
     for values in reference_candidates(problem, form, solve):
         u_I = values[interior_idx]
@@ -486,9 +515,27 @@ def test_oracle_candidates_match_per_subset_solves(phase, grid_1d_small):
     problem = random_oracle_problem(np.random.default_rng(101), grid_1d_small,
                                     fractional_kernel(0.5), phase)
     form = assemble_form(problem.kernel, problem.grid)
-    V, _ = _oracle_candidates(problem, form)
+    X, _ = _oracle_candidates(problem, form)
     want = np.array(list(reference_candidates(problem, form)))
-    assert V.tobytes() == want.tobytes()
+    assert X.shape == (2 ** form.interior_idx.size, form.interior_idx.size)
+    assert X.tobytes() == want[:, form.interior_idx].tobytes()
+
+
+@pytest.mark.parametrize("phase", PHASES)
+def test_oracle_reduced_form_energies_equal_pairwise_energies(phase, grid_1d_small):
+    # the reduced form x.(a_I x - W_II x) - 2 x.b_I + c scores every candidate
+    # with the pairwise energy of its full field, up to rounding
+    rng = np.random.default_rng(107)
+    form = assemble_form(fractional_kernel(0.5), grid_1d_small)
+    for _ in range(3):
+        problem = random_oracle_problem(rng, grid_1d_small, form.kernel, phase)
+        X, energies = _oracle_candidates(problem, form)
+        for x, energy in zip(X, energies.tolist()):
+            values = problem.exterior_data.copy()
+            values[form.interior_idx] = x
+            want = total_energy(form, Field(grid_1d_small, values), problem.rho,
+                                problem.xi).total
+            assert abs(energy - want) <= 1e-12 * (1.0 + abs(want))
 
 
 def test_oracle_one_phase_negative_entry_takes_projection_path(monkeypatch):
@@ -511,30 +558,17 @@ def test_oracle_one_phase_negative_entry_takes_projection_path(monkeypatch):
     data = np.where(grid.interior, 0.0, rng.uniform(0.1, 1.0, grid.n_nodes))
     problem = ProblemSpec(fractional_kernel(0.5), grid, data, rho=0.002, phase="one_phase")
     form = assemble_form(problem.kernel, grid)
-    V, _ = _oracle_candidates(problem, form)
+    X, _ = _oracle_candidates(problem, form)
     assert stacked == [(120, 3, 3)] and len(single) == 120
     want = np.array(list(reference_candidates(problem, form, negating)))
-    assert V.tobytes() == want.tobytes()
-    interior_idx = np.nonzero(grid.interior)[0]
+    assert X.tobytes() == want[:, form.interior_idx].tobytes()
     for mask in range(1 << 10):
         subset = [k for k in range(10) if (mask >> k) & 1]
         if len(subset) == 3:   # the negated node is projected to 0, the rest solved
-            assert V[mask, interior_idx[subset[0]]] == 0.0
-            assert np.all(V[mask, interior_idx[subset[1:]]] > 0.0)
+            assert X[mask, subset[0]] == 0.0
+            assert np.all(X[mask, subset[1:]] > 0.0)
     assert_same_result(oracle_minimize(problem, form=form),
                        reference_oracle(problem, form, negating))
-
-
-def test_oracle_candidate_matrix_budget(monkeypatch, grid_1d_small):
-    problem = ProblemSpec(fractional_kernel(0.5), grid_1d_small,
-                          np.zeros(grid_1d_small.n_nodes), rho=0.1, phase="one_phase")
-    form = assemble_form(problem.kernel, problem.grid)
-    candidate_bytes = 8 * 2 ** 10 * grid_1d_small.n_nodes
-    monkeypatch.setattr(nlfb.energy, "MEMORY_BUDGET_BYTES", candidate_bytes - 1)
-    with pytest.raises(CapacityError, match="candidate matrix"):
-        oracle_minimize(problem, form=form)
-    monkeypatch.setattr(nlfb.energy, "MEMORY_BUDGET_BYTES", candidate_bytes)
-    assert oracle_minimize(problem, form=form).form is form
 
 
 @settings(max_examples=60, deadline=None)
