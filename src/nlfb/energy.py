@@ -18,8 +18,9 @@ rows W[I, :] as one (n_int, N) array and their row sums a_I; an exterior row
 is read from the block's column (the kernel is symmetric bit for bit). With
 the exterior values g as data, the energy of the interior values x is the
 reduced quadratic x . (a_I x) - x . (W_II x) - 2 x . (W_IE g) + c, where
-c = sum over interior i and exterior e of w_ie g_e^2. Assembly refuses with
-CapacityError, before allocating, when the block would exceed
+c = sum over interior i and exterior e of w_ie g_e^2. Assembly runs the
+kernel's pair formula (eval_kernel's bits) on _ROW_BLOCK rows at a time, and
+refuses with CapacityError, before allocating, when the block would exceed
 MEMORY_BUDGET_BYTES. All reductions are fixed-block-size pairwise tree sums,
 independent of thread count. Row dots run np.vecdot over blocks of at most
 _ROW_BLOCK rows, which rounds exactly like one np.dot per row (not like gemv
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import CapacityError, ConfigurationError, DomainError
 from .grid import Field, Grid
-from .kernel import KernelSpec, eval_kernel
+from .kernel import KernelSpec, pair_kernel
 
 _TREE_BLOCK = 64
 _ROW_BLOCK = 64
@@ -101,15 +102,6 @@ class QuadraticForm:
     def n_nodes(self) -> int:
         return self.grid.n_nodes
 
-    def weight_row(self, i) -> np.ndarray:
-        """Full weight row w_{i, .} with zeros at i and at excluded pairs."""
-        k = self.row_of[i]
-        if k >= 0:
-            return self.dense[k]
-        row = np.zeros(self.n_nodes)
-        row[self.interior_idx] = self.dense[:, i]
-        return row
-
     def row_dots(self, u, rows) -> np.ndarray:
         """sum_j w_ij u_j for stored rows, with the rounding of one np.dot per row
         (the sweep's), not gemv's; rows are gathered at most _ROW_BLOCK at a time."""
@@ -117,18 +109,6 @@ class QuadraticForm:
         return np.concatenate([np.vecdot(self.dense[rows[k:k + _ROW_BLOCK]], u)
                                for k in range(0, rows.shape[0], _ROW_BLOCK)]
                               or [np.zeros(0)])
-
-
-def _compute_row(grid: Grid, kernel: KernelSpec, i) -> np.ndarray:
-    n = grid.n_nodes
-    row = np.zeros(n)
-    others = np.arange(n) != i
-    values = eval_kernel(kernel, grid.positions[i], grid.positions[others])
-    m2 = grid.cell_measure * grid.cell_measure
-    row[others] = 2.0 * values * m2
-    if not grid.interior[i]:
-        row[~grid.interior] = 0.0
-    return row
 
 
 def assemble_form(kernel: KernelSpec, grid: Grid) -> QuadraticForm:
@@ -143,8 +123,15 @@ def assemble_form(kernel: KernelSpec, grid: Grid) -> QuadraticForm:
     interior_idx = np.nonzero(grid.interior)[0]
     check_budget(8 * interior_idx.shape[0] * grid.n_nodes, "the interior weight block")
     block = np.empty((interior_idx.shape[0], grid.n_nodes))
-    for k, i in enumerate(interior_idx):
-        block[k] = _compute_row(grid, kernel, i)
+    cols = [np.ascontiguousarray(grid.positions[:, a]) for a in range(grid.dim)]
+    m2 = grid.cell_measure * grid.cell_measure
+    for k in range(0, interior_idx.shape[0], _ROW_BLOCK):
+        nodes = interior_idx[k:k + _ROW_BLOCK]
+        rows = pair_kernel(kernel, [c[nodes, None] for c in cols], cols,
+                           out=block[k:k + _ROW_BLOCK],
+                           exclude=(np.arange(nodes.shape[0]), nodes))
+        rows *= 2.0
+        rows *= m2
     return QuadraticForm(grid, kernel, block, tree_sum(block))
 
 

@@ -14,6 +14,9 @@ Rescaling K~(x, y) = r^(d+2s) * K(x0 + r x, x0 + r y) is represented exactly by
 an affine position transform stored on the KernelSpec: the r^(d+2s) prefactor cancels
 the |.|^(-d-2s) homogeneity, so only the multiplier lookup positions move and
 the ellipticity constants are preserved bit for bit.
+
+pair_kernel is the one pair formula, over broadcastable per-axis coordinates;
+eval_kernel and assembly both run it, so a pair has the same bits either way.
 """
 
 from __future__ import annotations
@@ -191,29 +194,62 @@ def _as_points(dim, x):
     raise DomainError(f"cannot interpret position of shape {arr.shape} in dimension {dim}")
 
 
-def _multiplier(spec: KernelSpec, X, Y):
-    """Envelope multiplier m(x, y) at already-transformed positions, shape (n,)."""
-    if spec.family == "fractional_laplacian":
-        return np.full(X.shape[0], spec.lam)
-    if spec.family == "modulated":
-        p = spec.params
-        phase = np.sin(p["frequency"] * (X[:, 0] + Y[:, 0]))
-        return p["multiplier"] * (1.0 + p["amplitude"] * phase)
-    if spec.family == "checkerboard":
-        p = spec.params
-        cx = np.floor(X / p["block_size"]).astype(np.int64).sum(axis=1) % 2
-        cy = np.floor(Y / p["block_size"]).astype(np.int64).sum(axis=1) % 2
-        mults = np.asarray(p["multipliers"], dtype=np.float64)
-        return mults[(cx + cy) % len(mults)]
-    # custom_table: start from the default multiplier 1 and overwrite listed pairs
+def _multiplier(spec: KernelSpec, Xt, Yt):
+    """(1 - s) * m(x, y) at per-axis transformed coordinates, from per-node parities or
+    block ids combined per pair: a scalar (fractional) or a fresh pair-shaped array."""
     p = spec.params
-    bi = np.floor(X[:, 0] / p["block_size"]).astype(np.int64)
-    bj = np.floor(Y[:, 0] / p["block_size"]).astype(np.int64)
-    out = np.ones(X.shape[0])
+    if spec.family == "fractional_laplacian":
+        return (1.0 - spec.s) * spec.lam
+    if spec.family == "modulated":
+        m = np.add(Xt[0], Yt[0])
+        m *= p["frequency"]
+        np.sin(m, out=m)
+        m *= p["amplitude"]
+        m += 1.0
+        m *= p["multiplier"]
+        m *= 1.0 - spec.s
+        return m
+    if spec.family == "checkerboard":
+        cx, cy = (sum(np.floor(c / p["block_size"]).astype(np.int64) for c in P) % 2
+                  for P in (Xt, Yt))
+        mults = np.asarray(p["multipliers"], dtype=np.float64)
+        # a pair's color sum is 0, 1 or 2: look it up with one-byte indices
+        by_sum = (1.0 - spec.s) * mults[np.arange(3) % len(mults)]
+        return by_sum[np.add(cx, cy, dtype=np.int8)]
+    # custom_table: start from the default multiplier 1 and overwrite listed pairs
+    bi, bj = (np.floor(P[0] / p["block_size"]).astype(np.int64) for P in (Xt, Yt))
+    out = np.full(np.broadcast_shapes(bi.shape, bj.shape), 1.0 - spec.s)
     for (i, j), mult in p["table"].items():
         hit = ((bi == i) & (bj == j)) | ((bi == j) & (bj == i))
-        out[hit] = mult
+        out[hit] = (1.0 - spec.s) * mult
     return out
+
+
+def pair_kernel(spec: KernelSpec, X, Y, out=None, exclude=None):
+    """K(x, y) at every pair of the broadcast per-axis coordinates X = (x_1, .., x_d), Y.
+
+    The operation order fixes the bits: d2 = sum_a (x_a - y_a)^2 axis by axis (as
+    einsum sums), K = ((1 - s) * m) * sqrt(d2) ** -(d + 2s), computed in out when
+    given. Coincident pairs raise DomainError, except those at the index tuple
+    `exclude` (a block's self-pairs), which get 0.
+    """
+    d2 = np.subtract(X[0], Y[0], out=out)
+    np.square(d2, out=d2)
+    for a in range(1, spec.dim):
+        diff = np.subtract(X[a], Y[a])
+        d2 += np.square(diff, out=diff)
+        del diff      # at most one temporary of the pair shape at a time
+    if exclude is not None:
+        d2[exclude] = 1.0
+    if np.any(d2 == 0.0):
+        raise DomainError("kernel evaluated at coincident points")
+    np.sqrt(d2, out=d2)
+    np.power(d2, -(spec.dim + 2.0 * spec.s), out=d2)
+    Xt, Yt = ([o + spec.scale * c for o, c in zip(spec.origin, P)] for P in (X, Y))
+    d2 *= _multiplier(spec, Xt, Yt)
+    if exclude is not None:
+        d2[exclude] = 0.0
+    return d2
 
 
 def eval_kernel(spec: KernelSpec, x, y):
@@ -223,23 +259,9 @@ def eval_kernel(spec: KernelSpec, x, y):
     """
     X, x_single = _as_points(spec.dim, x)
     Y, y_single = _as_points(spec.dim, y)
-    if X.shape[0] == 1 and Y.shape[0] > 1:
-        X = np.broadcast_to(X, Y.shape)
-    elif Y.shape[0] == 1 and X.shape[0] > 1:
-        Y = np.broadcast_to(Y, X.shape)
-    elif X.shape != Y.shape:
+    if X.shape[0] != Y.shape[0] and 1 not in (X.shape[0], Y.shape[0]):
         raise DomainError(f"mismatched position batches {X.shape} vs {Y.shape}")
-
-    diff = X - Y
-    dist = np.sqrt(np.einsum("nd,nd->n", diff, diff))
-    if np.any(dist == 0.0):
-        raise DomainError("kernel evaluated at coincident points")
-
-    origin = np.asarray(spec.origin, dtype=np.float64)
-    Xt = origin + spec.scale * X
-    Yt = origin + spec.scale * Y
-    mult = _multiplier(spec, Xt, Yt)
-    value = (1.0 - spec.s) * mult * dist ** (-(spec.dim + 2.0 * spec.s))
+    value = pair_kernel(spec, X.T, Y.T)
     if x_single and y_single:
         return float(value[0])
     return value
@@ -275,7 +297,8 @@ class EllipticityReport:
 
 
 def check_ellipticity(spec: KernelSpec, n_samples=10000, seed=0, box_halfwidth=2.0) -> EllipticityReport:
-    """Sample the envelope ratio K * |x-y|^(d+2s) / (1-s) at random point pairs.
+    """Sample the envelope ratio K(x, y) / ((1-s) |x-y|^(-d-2s)) at random point pairs;
+    the denominator is the fractional kernel with lam = 1.
 
     Pairs are drawn uniformly from the box [-box_halfwidth, box_halfwidth]^d.
     passed requires the empirical ratio range to stay inside [lam, Lam] up to a
@@ -292,10 +315,7 @@ def check_ellipticity(spec: KernelSpec, n_samples=10000, seed=0, box_halfwidth=2
                                     size=(int(coincident.sum()), spec.dim))
         coincident = np.all(X == Y, axis=1)
 
-    values = eval_kernel(spec, X, Y)
-    diff = X - Y
-    dist = np.sqrt(np.einsum("nd,nd->n", diff, diff))
-    ratio = values * dist ** (spec.dim + 2.0 * spec.s) / (1.0 - spec.s)
+    ratio = eval_kernel(spec, X, Y) / eval_kernel(fractional_kernel(spec.s, dim=spec.dim), X, Y)
     lo = float(ratio.min())
     hi = float(ratio.max())
     passed = bool(lo >= spec.lam * (1.0 - ENVELOPE_TOL) and hi <= spec.Lam * (1.0 + ENVELOPE_TOL))

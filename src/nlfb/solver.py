@@ -177,7 +177,8 @@ def _subsystem(form: QuadraticForm, free_idx, u):
     node outside any proper free set (exterior couplings are always stored).
     """
     rows = form.row_of[free_idx]
-    A = -form.dense[rows[:, None], free_idx]
+    A = form.dense[rows[:, None], free_idx]
+    np.negative(A, out=A)
     A.flat[::free_idx.shape[0] + 1] = form.row_sums[rows]
     u_pinned = u.copy()
     u_pinned[free_idx] = 0.0
@@ -352,7 +353,8 @@ def coordinate_descent(problem: ProblemSpec, init: Field, seed=0,
         checked = now
         polished = _polish(problem, form, u)
         improved = False
-        if polished is not None:
+        # an unchanged polish has u's energy bits, which the strict test rejects
+        if polished is not None and not np.array_equal(polished, u):
             polished_energy = energy_of(polished)
             if polished_energy.total < checked.total:
                 u, checked = polished, polished_energy

@@ -314,7 +314,7 @@ def test_vectorized_scans_match_node_loops():
         best, node = -math.inf, -1
         for i in np.nonzero(grid.interior)[0]:
             pairing = (form.row_sums[form.row_of[i]] * u[i]
-                       - float(np.dot(form.weight_row(i), u)))
+                       - float(np.dot(form.dense[form.row_of[i]], u)))
             if pairing > best:
                 best, node = pairing, int(i)
         assert subsolution_residual(form, f) == {"max_pairing": best, "node": node}

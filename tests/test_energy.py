@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import nlfb.energy
 from nlfb import (
@@ -13,6 +13,7 @@ from nlfb import (
     ConfigurationError,
     DomainError,
     Field,
+    Grid,
     KernelSpec,
     assemble_form,
     build_grid,
@@ -22,13 +23,14 @@ from nlfb import (
     eval_kernel,
     fractional_kernel,
     modulated_kernel,
+    rescale_kernel,
     sample_field,
     support_mask,
     tail,
     total_energy,
     truncation_error_bound,
 )
-from nlfb.energy import _compute_row, tree_sum
+from nlfb.energy import _ROW_BLOCK, tree_sum
 
 from conftest import random_field_values
 
@@ -45,6 +47,20 @@ def brute_force_dirichlet(kernel, grid, values):
             w = 2.0 * float(k_ij.reshape(-1)[0]) * m2
             terms.append(w * (values[i] - values[j]) ** 2)
     return math.fsum(terms)
+
+
+def reference_row(grid, kernel, i):
+    """Weight row w_{i, .} from one eval_kernel call per row: 0 at i and, for an
+    exterior i, at the exterior pairs (which are never stored)."""
+    n = grid.n_nodes
+    row = np.zeros(n)
+    others = np.arange(n) != i
+    values = eval_kernel(kernel, grid.positions[i], grid.positions[others])
+    m2 = grid.cell_measure * grid.cell_measure
+    row[others] = 2.0 * values * m2
+    if not grid.interior[i]:
+        row[~grid.interior] = 0.0
+    return row
 
 
 # -------------------------------------------------------------- hand-sized case
@@ -64,8 +80,8 @@ def test_hand_case_weights_and_pair_count():
     # pair appears in both stored rows
     assert (np.count_nonzero(form.dense[:, grid.interior]) // 2
             + np.count_nonzero(form.dense[:, ~grid.interior])) == 5
-    assert np.array_equal(form.weight_row(0), [0.0, 1.0, 0.25, 0.0])
-    assert np.array_equal(form.weight_row(1), [1.0, 0.0, 1.0, 0.25])
+    # the rows of nodes 1 and 2; column 0 is exterior node 0's row at interior columns
+    assert np.array_equal(form.dense, [[1.0, 0.0, 1.0, 0.25], [0.25, 1.0, 0.0, 1.0]])
     assert np.array_equal(form.row_sums, [2.25, 2.25])     # interior rows only
 
 
@@ -132,14 +148,18 @@ def test_dirichlet_matches_brute_force_2d():
 
 
 def test_exterior_pairs_carry_zero_weight(grid_1d_small):
+    # only interior rows are stored, so no exterior-exterior pair has a weight;
+    # self-pairs are 0 and every other stored pair interacts
     form = assemble_form(fractional_kernel(0.5), grid_1d_small)
-    ext = np.nonzero(~grid_1d_small.interior)[0]
-    for i in ext[:4]:
-        row = form.weight_row(i)
-        assert np.all(row[ext] == 0.0)
-        assert row[i] == 0.0
-        # interior partners still interact
-        assert np.all(row[grid_1d_small.interior] > 0.0)
+    n_int = int(grid_1d_small.interior.sum())
+    assert form.dense.shape == (n_int, grid_1d_small.n_nodes)
+    self_pairs = (np.arange(n_int), form.interior_idx)
+    assert np.all(form.dense[self_pairs] == 0.0)
+    others = np.ones(form.dense.shape, dtype=bool)
+    others[self_pairs] = False
+    assert np.all(form.dense[others] > 0.0)
+    # exterior partners of interior nodes still interact
+    assert np.all(form.dense[:, ~grid_1d_small.interior] > 0.0)
 
 
 def test_assembly_refuses_blocks_above_the_memory_budget(monkeypatch, grid_1d_small):
@@ -184,8 +204,9 @@ def test_energy_is_nonnegative_and_quadratic(grid_1d_small):
         assert e2 == pytest.approx(4.0 * eu, rel=1e-13)
 
 
-def test_weight_row_matches_kernel_row_bitwise(grid_1d_small):
-    # interior rows are stored; exterior rows are read from the block's column
+def test_block_matches_reference_rows_bitwise(grid_1d_small):
+    # interior rows are stored; an exterior row is the block's column (the
+    # kernel is symmetric bit for bit)
     cases = [
         (checkerboard_kernel(0.5, 1.0, 1.5, block_size=0.5, multipliers=(1.0, 1.5)),
          grid_1d_small),
@@ -196,7 +217,77 @@ def test_weight_row_matches_kernel_row_bitwise(grid_1d_small):
         form = assemble_form(kernel, grid)
         assert form.dense.shape == (int(grid.interior.sum()), grid.n_nodes)
         for i in range(grid.n_nodes):
-            assert np.array_equal(form.weight_row(i), _compute_row(grid, kernel, i))
+            want = reference_row(grid, kernel, i)
+            k = form.row_of[i]
+            if k >= 0:
+                assert form.dense[k].tobytes() == want.tobytes()
+            else:
+                assert form.dense[:, i].tobytes() == want[form.interior_idx].tobytes()
+
+
+def family_kernel(family, dim, s, block):
+    if family == "fractional_laplacian":
+        return fractional_kernel(s, lam=1.5, dim=dim)
+    if family == "modulated":
+        return modulated_kernel(s, 1.0, 2.0, amplitude=1.0 / 3.0, frequency=1.0 / block,
+                                multiplier=1.5, dim=dim)
+    if family == "checkerboard":
+        return checkerboard_kernel(s, 1.0, 3.0, block_size=block,
+                                   multipliers=(1.0, 1.5, 3.0), dim=dim)
+    return KernelSpec("custom_table", s, 1.0, 2.0, dim,
+                      {"block_size": block, "table": {(0, 0): 1.5, (-1, 1): 2.0, (1, 2): 1.25}})
+
+
+# Row blocks of _ROW_BLOCK rows: the pinned examples assemble more than one.
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(("fractional_laplacian", "modulated", "checkerboard",
+                               "custom_table")),
+       dim=st.sampled_from((1, 2)), s=st.floats(0.05, 0.95), block=st.floats(0.1, 1.0),
+       omega=st.floats(0.5, 1.5), cells=st.floats(4.2, 7.0), reach=st.floats(2.0, 3.0),
+       x0=st.floats(-1.0, 1.0), r=st.none() | st.floats(0.25, 4.0))
+@example(family="checkerboard", dim=1, s=0.7, block=0.3, omega=1.0, cells=40.0, reach=2.5,
+         x0=0.3, r=0.7)
+@example(family="modulated", dim=2, s=0.5, block=0.4, omega=1.0, cells=6.0, reach=2.0,
+         x0=-0.6, r=1.5)
+def test_assembly_equals_reference_rows_bitwise(family, dim, s, block, omega, cells, reach,
+                                                x0, r):
+    if dim == 1:
+        cells *= 6.0     # 1D: 50 to 84 interior rows, 2D: 55 to 154
+    grid = build_grid(dim, omega / cells, reach * omega, omega)
+    kernel = family_kernel(family, dim, s, block)
+    if r is not None:
+        kernel = rescale_kernel(kernel, [x0] * dim, r)
+    form = assemble_form(kernel, grid)
+    want = np.array([reference_row(grid, kernel, i) for i in form.interior_idx])
+    assert form.dense.tobytes() == want.tobytes()
+    assert form.row_sums.tobytes() == tree_sum(want).tobytes()
+
+
+def test_assembly_refuses_coincident_distinct_nodes():
+    grid = build_grid(2, 0.2, 2.0)
+    positions = grid.positions.copy()
+    i, j = np.nonzero(grid.interior)[0][:2]
+    positions[j] = positions[i]
+    twin = Grid(2, grid.h, grid.omega_radius, grid.R_inf, positions, grid.lattice,
+                grid.interior)
+    with pytest.raises(DomainError):
+        assemble_form(fractional_kernel(0.5, dim=2), twin)
+
+
+@pytest.mark.parametrize("family", ["fractional_laplacian", "modulated", "checkerboard",
+                                    "custom_table"])
+def test_assembly_allocates_at_most_two_row_blocks_beside_the_form(family):
+    # rows are assembled _ROW_BLOCK at a time, in place; a whole-block
+    # temporary would double the peak
+    grid = build_grid(2, 0.08, 2.0)
+    kernel = family_kernel(family, 2, 0.5, 0.5)
+    tracemalloc.start()
+    try:
+        form = assemble_form(kernel, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < form.dense.nbytes + 2 * 8 * _ROW_BLOCK * grid.n_nodes
 
 
 # One np.dot per stored row: the rounding the row-blocked np.vecdot must keep.

@@ -80,6 +80,59 @@ def test_batch_eval_matches_scalar_eval():
             assert eval_kernel(spec, xi, yi) == batch[i]
 
 
+def reference_eval(spec, X, Y):
+    """K on (n, d) batches as computed before the per-axis pair formula: einsum
+    distances and (n, d) transformed positions, one multiplier per pair."""
+    diff = X - Y
+    dist = np.sqrt(np.einsum("nd,nd->n", diff, diff))
+    origin = np.asarray(spec.origin, dtype=np.float64)
+    Xt, Yt = origin + spec.scale * X, origin + spec.scale * Y
+    p = spec.params
+    if spec.family == "fractional_laplacian":
+        mult = np.full(X.shape[0], spec.lam)
+    elif spec.family == "modulated":
+        phase = np.sin(p["frequency"] * (Xt[:, 0] + Yt[:, 0]))
+        mult = p["multiplier"] * (1.0 + p["amplitude"] * phase)
+    elif spec.family == "checkerboard":
+        cx = np.floor(Xt / p["block_size"]).astype(np.int64).sum(axis=1) % 2
+        cy = np.floor(Yt / p["block_size"]).astype(np.int64).sum(axis=1) % 2
+        mults = np.asarray(p["multipliers"], dtype=np.float64)
+        mult = mults[(cx + cy) % len(mults)]
+    else:
+        bi = np.floor(Xt[:, 0] / p["block_size"]).astype(np.int64)
+        bj = np.floor(Yt[:, 0] / p["block_size"]).astype(np.int64)
+        mult = np.ones(X.shape[0])
+        for (i, j), m in p["table"].items():
+            mult[((bi == i) & (bj == j)) | ((bi == j) & (bj == i))] = m
+    return (1.0 - spec.s) * mult * dist ** (-(spec.dim + 2.0 * spec.s))
+
+
+TABLE = {"block_size": 0.5, "table": {(0, 0): 1.5, (-1, 1): 2.0, (1, 2): 1.25}}
+REFERENCE_SPECS = ALL_VALID_SPECS + [
+    fractional_kernel(0.3, lam=1.7, dim=1),
+    checkerboard_kernel(0.4, 1.0, 3.0, block_size=0.3, multipliers=(1.0, 1.5, 3.0), dim=2),
+    KernelSpec("custom_table", 0.3, 1.0, 2.0, 1, TABLE),
+    KernelSpec("custom_table", 0.6, 1.0, 2.0, 2, TABLE),
+]
+
+
+def test_eval_kernel_equals_einsum_reference_bitwise():
+    # the axis-by-axis distance and the per-node multipliers keep the bits of
+    # the einsum evaluation they replaced, for every family, rescaled or not
+    rng = np.random.default_rng(29)
+    for spec in REFERENCE_SPECS:
+        x0 = rng.uniform(-1.0, 1.0, spec.dim)
+        for kernel in (spec, rescale_kernel(spec, x0, 0.7)):
+            for scale in (1e-3, 1.0, 1e3):
+                X = rng.uniform(-2.0, 2.0, size=(1000, spec.dim)) * scale
+                Y = rng.uniform(-2.0, 2.0, size=(1000, spec.dim)) * scale
+                want = reference_eval(kernel, X, Y)
+                assert eval_kernel(kernel, X, Y).tobytes() == want.tobytes()
+                single = np.broadcast_to(X[:1], Y.shape)
+                assert (eval_kernel(kernel, X[0] if spec.dim == 2 else X[0, 0], Y).tobytes()
+                        == reference_eval(kernel, single, Y).tobytes())
+
+
 def test_eval_rejects_coincident_points():
     k = fractional_kernel(0.5)
     with pytest.raises(DomainError):

@@ -272,6 +272,42 @@ def test_descent_reports_the_energy_of_its_final_field():
 
 
 @pytest.mark.parametrize("phase", PHASES)
+def test_unchanged_polish_skips_its_energy_evaluation(monkeypatch, phase):
+    # a polish that returns the state unchanged has its energy bit for bit, so
+    # the descent evaluates total_energy once at the start, once per polish
+    # boundary and once per polish that changed the state
+    grid = build_grid(1, 0.1, 2.0)
+    kernel = fractional_kernel(0.5)
+    form = assemble_form(kernel, grid)
+    rng = np.random.default_rng([89, PHASES.index(phase)])
+    lo = 0.0 if phase == "one_phase" else -1.0
+    data = np.where(grid.interior, 0.0, rng.uniform(lo, 1.0, grid.n_nodes))
+    problem = ProblemSpec(kernel, grid, data, rho=0.05, phase=phase)
+    init = lifting_initialization(problem, form)
+    real_polish, real_energy = nlfb.solver._polish, nlfb.solver.total_energy
+    polishes, evaluations = [], []
+
+    def polish(problem, form, u):
+        out = real_polish(problem, form, u)
+        polishes.append("none" if out is None
+                        else "unchanged" if np.array_equal(out, u) else "changed")
+        return out
+
+    def energy(*args):
+        evaluations.append(args)
+        return real_energy(*args)
+
+    monkeypatch.setattr(nlfb.solver, "_polish", polish)
+    monkeypatch.setattr(nlfb.solver, "total_energy", energy)
+    res = coordinate_descent(problem, init, seed=3, form=form)
+    assert res.converged and "unchanged" in polishes
+    assert len(evaluations) == 1 + len(polishes) + polishes.count("changed")
+    fresh = real_energy(form, res.field, problem.rho, problem.xi)
+    fresh.truncation_bound = res.energy.truncation_bound
+    assert res.energy.to_dict() == fresh.to_dict()
+
+
+@pytest.mark.parametrize("phase", PHASES)
 @pytest.mark.parametrize("dim,h", [(1, 0.1), (2, 0.2)])
 def test_polish_returns_polished_states_unchanged(phase, dim, h):
     # Convergence needs "reached_stop and not improved": polishing a state that
