@@ -109,9 +109,6 @@ class ExperimentConfig:
     path: str
     values: dict
 
-    def __getitem__(self, key):
-        return self.values[key]
-
     def resolve(self, relative_path: str) -> str:
         """Paths inside the config resolve relative to the config file."""
         if os.path.isabs(relative_path):

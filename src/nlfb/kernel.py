@@ -77,8 +77,9 @@ def _validate_params(spec: KernelSpec):
         for key in ("amplitude", "frequency"):
             if key not in p:
                 raise ConfigurationError(f"modulated kernel requires params[{key!r}]")
-        if p["amplitude"] < 0.0:
-            raise ConfigurationError("modulation amplitude must be nonnegative")
+        if not 0.0 <= p["amplitude"] < 1.0:
+            raise ConfigurationError(f"modulation amplitude must lie in [0, 1), where the "
+                                     f"multiplier stays positive; got {p['amplitude']}")
         if p.get("multiplier", 1.0) <= 0.0:
             raise ConfigurationError("modulated base multiplier must be positive")
     elif spec.family == "checkerboard":
@@ -103,7 +104,8 @@ def modulated_kernel(s, lam, Lam, amplitude, frequency, multiplier=None, dim=1) 
     """Smoothly modulated multiplier m = c * (1 + a * sin(w * (x1 + y1))).
 
     The caller chooses c and a so that m stays inside [lam, Lam]; violations are
-    not rejected here, they are what check_ellipticity exists to detect.
+    not rejected here, they are what check_ellipticity exists to detect. A
+    nonpositive multiplier (a >= 1) is refused: it makes weights negative.
     """
     c = 0.5 * (lam + Lam) if multiplier is None else multiplier
     params = {"amplitude": amplitude, "frequency": frequency, "multiplier": c}

@@ -173,8 +173,11 @@ def _subsystem(form: QuadraticForm, free_idx, u):
     """Dense SPD subsystem over free nodes with the complement held at u.
 
     A = diag(a_i) - W restricted to free nodes; b_i = sum over pinned j of
-    w_ij u_j. SPD holds because every interior node couples to at least one
-    node outside any proper free set (exterior couplings are always stored).
+    w_ij u_j. W >= 0 and every interior node couples to every exterior node
+    (exterior couplings are always stored), so A is a nonsingular M-matrix:
+    SPD, with A^-1 >= 0 entrywise. Every one_phase pin is nonnegative (0, xi
+    where u sits at it, or exterior data), so b >= 0 and the exact solve is
+    nonnegative; one_phase solves are checked against this by _nonnegative.
     """
     rows = form.row_of[free_idx]
     A = form.dense[rows[:, None], free_idx]
@@ -183,6 +186,14 @@ def _subsystem(form: QuadraticForm, free_idx, u):
     u_pinned = u.copy()
     u_pinned[free_idx] = 0.0
     return A, form.row_dots(u_pinned, rows)
+
+
+def _nonnegative(x):
+    """x, once checked to have no entry below 0; a one_phase exact solve that
+    does breaks _subsystem's M-matrix invariant and raises SolverError."""
+    if np.any(x < 0.0):
+        raise SolverError(f"one_phase exact solve has a negative entry ({float(np.min(x))!r})")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -227,17 +238,11 @@ def _sweep(form: QuadraticForm, u, order, rho_cell, xi, one_phase) -> float:
     return change
 
 
-def _solve_free(form: QuadraticForm, free_idx, values, one_phase, solve):
-    """Solve A x = b (solve(A, b, x0)) over free_idx into values, in place; in one_phase,
-    pin nonpositive solutions to 0 and re-solve the rest until sign-feasible."""
-    while free_idx.shape[0] > 0:
-        A, b = _subsystem(form, free_idx, values)
-        x = solve(A, b, values[free_idx])
-        values[free_idx] = x
-        if not (one_phase and np.any(x < 0.0)):
-            break
-        values[free_idx[x <= 0.0]] = 0.0
-        free_idx = free_idx[x > 0.0]
+def _solve_free(form: QuadraticForm, free_idx, values):
+    """Solve the subsystem over free_idx by PCG, warm-started from values, into
+    values, in place."""
+    A, b = _subsystem(form, free_idx, values)
+    values[free_idx] = _pcg(A, b, values[free_idx])[0]
     return values
 
 
@@ -249,8 +254,7 @@ def harmonic_lifting(form: QuadraticForm, field: Field, region: Ball) -> Field:
     all other values (including the implicit zeros beyond truncation) fixed.
     """
     region_idx = region_interior_indices(form.grid, region)
-    return Field(form.grid, _solve_free(form, region_idx, field.values.copy(), False,
-                                        lambda A, b, x0: _pcg(A, b, x0)[0]))
+    return Field(form.grid, _solve_free(form, region_idx, field.values.copy()))
 
 
 def _polish(problem: ProblemSpec, form: QuadraticForm, u):
@@ -258,9 +262,8 @@ def _polish(problem: ProblemSpec, form: QuadraticForm, u):
 
     A node is pinned when it sits exactly at a clamp value (xi, or 0 in
     one_phase); every other interior node is stationary for the current
-    region assignment and is solved for jointly. In one_phase, negative
-    solutions are pinned to 0 and the reduced system is re-solved until the
-    result is sign-feasible.
+    region assignment and is solved for jointly; in one_phase the solve is
+    checked to be nonnegative.
     """
     free = problem.grid.interior & (u != problem.xi)
     if problem.phase == "one_phase":
@@ -274,8 +277,8 @@ def _polish(problem: ProblemSpec, form: QuadraticForm, u):
     # rejects it and the descent can stop. A fresh direct re-solve (e.g. LU)
     # moves such a state by ulps and can "improve" its energy after every
     # batch of sweeps, so coordinate_descent may never converge.
-    return _solve_free(form, free_idx, u.copy(), problem.phase == "one_phase",
-                       lambda A, b, x0: _pcg(A, b, x0)[0])
+    polished = _solve_free(form, free_idx, u.copy())
+    return _nonnegative(polished) if problem.phase == "one_phase" else polished
 
 
 def _finalize(problem: ProblemSpec, form: QuadraticForm, u, sweeps, converged,
@@ -368,13 +371,12 @@ def coordinate_descent(problem: ProblemSpec, init: Field, seed=0,
 
 def lifting_initialization(problem: ProblemSpec, form: QuadraticForm) -> Field:
     """Harmonic lifting of the exterior data over the whole domain ball,
-    clamped to be nonnegative in one_phase."""
+    checked to be nonnegative in one_phase."""
     base = problem.exterior_field()
     lifted = harmonic_lifting(form, base, Ball((0.0,) * problem.grid.dim,
                                                problem.grid.omega_radius))
     if problem.phase == "one_phase":
-        values = np.maximum(lifted.values, 0.0)
-        return Field(problem.grid, values)
+        _nonnegative(lifted.values)
     return lifted
 
 
@@ -434,18 +436,15 @@ def _oracle_candidates(problem: ProblemSpec, form: QuadraticForm):
     """Every support's interior values and its energy, in mask order.
 
     Bit k of a mask selects interior node k. Returns the (2^m, m) block X,
-    whose rows hold the interior values of each subset's pinned solve
-    (projected in one_phase), and the energies by the reduced form
-    x . (a_I x - W_II x) - 2 x . b_I + c plus the volume term, where
-    b_I = W_IE g and c = sum_{i interior, e exterior} w_ie g_e^2 (see
-    nlfb.energy). Every first solve pins the same values (the exterior data),
-    so the right-hand sides are b_I, and the subsets of one size take one
-    stacked solve; a one_phase solution with a negative entry is re-solved
-    through the projection of _solve_free.
+    whose rows hold the interior values of each subset's pinned solve, and
+    the energies by the reduced form x . (a_I x - W_II x) - 2 x . b_I + c plus
+    the volume term, where b_I = W_IE g and c = sum_{i interior, e exterior}
+    w_ie g_e^2 (see nlfb.energy). Every solve pins the same values (the
+    exterior data), so the right-hand sides are b_I, and the subsets of one
+    size take one stacked solve, checked to be nonnegative in one_phase.
     """
     interior_idx = form.interior_idx
     m = interior_idx.shape[0]
-    one_phase = problem.phase == "one_phase"
     g = problem.exterior_data
     W_II, a_I = form.dense[:, interior_idx], form.row_sums
     b_I = form.row_dots(g, range(m))
@@ -459,12 +458,7 @@ def _oracle_candidates(problem: ProblemSpec, form: QuadraticForm):
         A = -W_II[S[:, :, None], S[:, None, :]]
         A[:, np.arange(k), np.arange(k)] = a_I[S]
         x = _direct_solve(A, b_I[S])
-        X[group[:, None], S] = x
-        if one_phase:
-            for c in np.nonzero(np.any(x < 0.0, axis=1))[0]:
-                values = _solve_free(form, interior_idx[S[c]], g.copy(), True,
-                                     lambda A, b, x0: _direct_solve(A, b))
-                X[group[c]] = values[interior_idx]
+        X[group[:, None], S] = _nonnegative(x) if problem.phase == "one_phase" else x
 
     exterior_constant = tree_sum(form.row_dots(g * g, range(m)))
     dirichlet = (np.einsum("ci,ci->c", X, X * a_I - X @ W_II.T) - 2.0 * (X @ b_I)
@@ -477,16 +471,14 @@ def oracle_minimize(problem: ProblemSpec, form: QuadraticForm | None = None) -> 
     """Global discrete minimum by enumerating every interior support.
 
     For each subset S, off-support nodes are pinned at 0 and the quadratic is
-    solved exactly on S (in one_phase, negative entries are projected out and
-    the reduced system re-solved until sign-feasible); the reduced form
-    scores each candidate's interior values, and only the winner becomes a
-    full field, whose reported energy is the pairwise one. The minimizer's
-    own support is one of the enumerated subsets and solves its subsystem, so
-    the smallest candidate energy is the global minimum, exactly for xi = 0
-    only (pinned-off nodes sit at their clamp value), so other xi raise
-    ConfigurationError. Supports tied within 1e-10 relative energy are all
-    reported. The form is assembled unless given, and is returned on the
-    result.
+    solved exactly on S; the reduced form scores each candidate's interior
+    values, and only the winner becomes a full field, whose reported energy is
+    the pairwise one. The minimizer's own support is one of the enumerated
+    subsets and solves its subsystem, so the smallest candidate energy is the
+    global minimum, exactly for xi = 0 only (pinned-off nodes sit at their
+    clamp value), so other xi raise ConfigurationError. Supports tied within
+    1e-10 relative energy are all reported. The form is assembled unless
+    given, and is returned on the result.
     """
     if problem.xi != 0.0:
         raise ConfigurationError(f"the oracle pins off-support nodes at 0 and is exact "

@@ -661,6 +661,12 @@ class TestErrorContract:
         assert main(["solve", "--config", cfg_path,
                      "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error:")
+        # a modulation amplitude >= 1 makes some weights negative
+        cfg_path = write_cfg(tmp_path, SOLVE_CFG + "kernel.family = modulated\n"
+                             "kernel.amplitude = 1.5\nkernel.frequency = 2.0\n")
+        assert main(["solve", "--config", cfg_path,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "amplitude" in capsys.readouterr().err
 
     def test_capacity_error_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(nlfb.energy, "MEMORY_BUDGET_BYTES", 1024)

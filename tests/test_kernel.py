@@ -288,8 +288,9 @@ def test_unknown_family_rejected():
 def test_modulated_missing_params_rejected():
     with pytest.raises(ConfigurationError):
         KernelSpec("modulated", 0.5, 1.0, 2.0, params={"amplitude": 0.5})
-    with pytest.raises(ConfigurationError):
-        modulated_kernel(0.5, 1.0, 2.0, amplitude=-0.1, frequency=1.0)
+    for amplitude in (-0.1, 1.0, 1.5):
+        with pytest.raises(ConfigurationError):
+            modulated_kernel(0.5, 1.0, 2.0, amplitude=amplitude, frequency=1.0)
 
 
 def test_checkerboard_bad_params_rejected():

@@ -15,6 +15,7 @@ from nlfb import (
     CapacityError,
     ConfigurationError,
     Field,
+    KernelSpec,
     ProblemSpec,
     assemble_form,
     build_grid,
@@ -25,6 +26,7 @@ from nlfb import (
     harmonic_lifting,
     lifting_initialization,
     minimize,
+    modulated_kernel,
     oracle_minimize,
     rho_sweep_minimize,
     SolverError,
@@ -479,18 +481,21 @@ def test_oracle_reports_exact_break_even_tie():
     assert res.tied_supports == [(), (2, 3)]
 
 
-# The per-subset enumeration the batched oracle replaced: one _solve_free and
-# one quick energy per support (from row sums of all N nodes, the exterior
-# ones read off the interior rows' columns), scanned in mask order.
-def reference_candidates(problem, form, solve=lambda A, b: np.linalg.solve(A, b)):
+# The per-subset enumeration the batched oracle replaced: one _subsystem solved
+# by np.linalg.solve and one quick energy per support (from row sums of all N
+# nodes, the exterior ones read off the interior rows' columns), scanned in
+# mask order.
+def reference_candidates(problem, form):
     interior_idx = np.nonzero(problem.grid.interior)[0]
     for mask in range(1 << interior_idx.shape[0]):
         subset = interior_idx[[(mask >> k) & 1 == 1 for k in range(interior_idx.shape[0])]]
-        yield _solve_free(form, subset, problem.exterior_data.copy(),
-                          problem.phase == "one_phase", lambda A, b, x0: solve(A, b))
+        values = problem.exterior_data.copy()
+        A, b = _subsystem(form, subset, values)
+        values[subset] = np.linalg.solve(A, b)
+        yield values
 
 
-def reference_oracle(problem, form, solve=lambda A, b: np.linalg.solve(A, b)):
+def reference_oracle(problem, form):
     grid = problem.grid
     interior_idx = np.nonzero(grid.interior)[0]
     W_I, W_II = form.dense, form.dense[:, interior_idx]
@@ -498,7 +503,7 @@ def reference_oracle(problem, form, solve=lambda A, b: np.linalg.solve(A, b)):
     row_sums[interior_idx] = nlfb.energy.tree_sum(W_I)
     row_sums[~grid.interior] = nlfb.energy.tree_sum(W_I[:, ~grid.interior].T)
     best_energy, best_values, ties = math.inf, None, []
-    for values in reference_candidates(problem, form, solve):
+    for values in reference_candidates(problem, form):
         u_I = values[interior_idx]
         support = tuple(np.nonzero(grid.interior & (values > problem.xi))[0].tolist())
         energy = (float(values @ (row_sums * values) - 2.0 * (u_I @ (W_I @ values))
@@ -574,17 +579,15 @@ def test_oracle_reduced_form_energies_equal_pairwise_energies(phase, grid_1d_sma
             assert abs(energy - want) <= 1e-12 * (1.0 + abs(want))
 
 
-def test_oracle_one_phase_negative_entry_takes_projection_path(monkeypatch):
+def test_oracle_one_phase_negative_solve_raises(monkeypatch):
     # Positive data and weights make every pinned system an M-matrix, so true
     # negative entries cannot occur; a solve that negates the first entry of
-    # every 3-node solution forces the projection path.
+    # every 3-node solution must trip the sign check.
     real = nlfb.solver._direct_solve
-    stacked, single = [], []
 
     def negating(A, b):
         x = real(A, b)
         if A.shape[-1] == 3:
-            (stacked if A.ndim == 3 else single).append(A.shape)
             x[..., 0] = -x[..., 0]
         return x
 
@@ -594,17 +597,73 @@ def test_oracle_one_phase_negative_entry_takes_projection_path(monkeypatch):
     data = np.where(grid.interior, 0.0, rng.uniform(0.1, 1.0, grid.n_nodes))
     problem = ProblemSpec(fractional_kernel(0.5), grid, data, rho=0.002, phase="one_phase")
     form = assemble_form(problem.kernel, grid)
+    with pytest.raises(SolverError, match="negative entry"):
+        _oracle_candidates(problem, form)
+    with pytest.raises(SolverError, match="negative entry"):
+        oracle_minimize(problem, form=form)
+    # two_phase has no sign invariant: the negated entries pass through
+    X, _ = _oracle_candidates(replace(problem, phase="two_phase"), form)
+    assert np.count_nonzero(X < 0.0) == 120
+
+
+def test_one_phase_negative_pcg_solve_raises(monkeypatch):
+    # the polish and the lifting check their PCG solves like the oracle does
+    problem = four_interior_problem(np.random.default_rng(109), rho=1e-3)
+    real = nlfb.solver._pcg
+
+    def negating(A, b, x0):
+        x, rel_res, iters = real(A, b, x0)
+        x[0] = -x[0]
+        return x, rel_res, iters
+
+    monkeypatch.setattr(nlfb.solver, "_pcg", negating)
+    with pytest.raises(SolverError, match="negative entry"):
+        coordinate_descent(problem, problem.exterior_field())
+    form = assemble_form(problem.kernel, problem.grid)
+    with pytest.raises(SolverError, match="negative entry"):
+        lifting_initialization(problem, form)
+
+
+def one_phase_kernel(family, s, block, amplitude):
+    if family == "fractional_laplacian":
+        return fractional_kernel(s)
+    if family == "modulated":
+        return modulated_kernel(s, 1.0, 2.0, amplitude=amplitude, frequency=1.0 / block)
+    if family == "checkerboard":
+        return checkerboard_kernel(s, 1.0, 3.0, block_size=block, multipliers=(1.0, 3.0))
+    return KernelSpec("custom_table", s, 1.0, 2.0, 1,
+                      {"block_size": block, "table": {(0, 0): 1.5, (-1, 1): 2.0}})
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(("fractional_laplacian", "modulated", "checkerboard",
+                               "custom_table")),
+       s=st.floats(0.05, 0.95), block=st.floats(0.1, 1.0), amplitude=st.floats(0.0, 0.99),
+       h=st.sampled_from([0.25, 0.16, 0.125, 0.1]), xi=st.just(0.0) | st.floats(0.0, 0.5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_one_phase_exact_solves_are_nonnegative(family, s, block, amplitude, h, xi, seed):
+    # the M-matrix argument of _subsystem: nonnegative pins give nonnegative
+    # solves, for every kernel family, free set and pinned value in {0, xi}
+    grid = enumerate_lattice(1, h, 1.5, 0.5)     # 4, 6, 8 or 10 interior nodes
+    rng = np.random.default_rng(seed)
+    data = np.where(grid.interior | (rng.random(grid.n_nodes) < 0.3), 0.0,
+                    rng.uniform(0.0, 1.0, grid.n_nodes))
+    problem = ProblemSpec(one_phase_kernel(family, s, block, amplitude), grid, data,
+                          rho=0.1, xi=xi, phase="one_phase")
+    form = assemble_form(problem.kernel, grid)
+    interior_idx = form.interior_idx
+    for _ in range(5):
+        free = rng.random(interior_idx.shape[0]) < 0.5
+        free[rng.integers(interior_idx.shape[0])] = True
+        values = data.copy()
+        values[interior_idx[~free]] = np.where(rng.random(np.count_nonzero(~free)) < 0.5,
+                                               0.0, xi)
+        values[interior_idx[free]] = rng.uniform(0.0, 1.0, np.count_nonzero(free))
+        solved = _solve_free(form, interior_idx[free], values)
+        assert np.all(solved >= 0.0)
     X, _ = _oracle_candidates(problem, form)
-    assert stacked == [(120, 3, 3)] and len(single) == 120
-    want = np.array(list(reference_candidates(problem, form, negating)))
-    assert X.tobytes() == want[:, form.interior_idx].tobytes()
-    for mask in range(1 << 10):
-        subset = [k for k in range(10) if (mask >> k) & 1]
-        if len(subset) == 3:   # the negated node is projected to 0, the rest solved
-            assert X[mask, subset[0]] == 0.0
-            assert np.all(X[mask, subset[1:]] > 0.0)
-    assert_same_result(oracle_minimize(problem, form=form),
-                       reference_oracle(problem, form, negating))
+    assert np.all(X >= 0.0)
+    assert np.all(lifting_initialization(problem, form).values >= 0.0)
 
 
 @settings(max_examples=60, deadline=None)
