@@ -18,7 +18,8 @@ rows W[I, :] as one (n_int, N) array and their row sums a_I; an exterior row
 is read from the block's column (the kernel is symmetric bit for bit). With
 the exterior values g as data, the energy of the interior values x is the
 reduced quadratic x . (a_I x) - x . (W_II x) - 2 x . (W_IE g) + c, where
-c = sum over interior i and exterior e of w_ie g_e^2. Assembly runs the
+c = sum over interior i and exterior e of w_ie g_e^2; exterior_terms computes
+b_I = W_IE g and c, and reduced_energy evaluates the form. Assembly runs the
 kernel's pair formula (eval_kernel's bits) on _ROW_BLOCK rows at a time, and
 refuses with CapacityError, before allocating, when the block would exceed
 MEMORY_BUDGET_BYTES. All reductions are fixed-block-size pairwise tree sums,
@@ -188,6 +189,30 @@ def total_energy(form: QuadraticForm, field: Field, rho, xi) -> EnergyBreakdown:
     count = int(np.count_nonzero(support_mask(form.grid, field, xi)))
     volume = rho * form.grid.cell_measure * count
     return EnergyBreakdown(dirichlet, volume, dirichlet + volume, count)
+
+
+def exterior_terms(form: QuadraticForm, g):
+    """(b_I, c) of the reduced form for exterior values g (zero over the interior):
+    b_I = W_IE g, one row dot per stored row, and c = sum over interior i and
+    exterior e of w_ie g_e^2, a tree sum."""
+    rows = range(form.interior_idx.shape[0])
+    return form.row_dots(g, rows), tree_sum(form.row_dots(g * g, rows))
+
+
+def reduced_energy(form: QuadraticForm, u, rho, xi, terms) -> float:
+    """total_energy(form, u, rho, xi).total, to rounding, from the reduced form.
+
+    With x = u's interior values and terms = exterior_terms(form, g) for u's
+    exterior values g, the Dirichlet part is x . (a_I x - W u - b_I) + c, since
+    W u = W_II x + W_IE g: one row dot per stored row and one tree sum, in
+    place of total_energy's pairwise sum. The bits do not depend on thread count.
+    """
+    b_I, c = terms
+    x = u[form.interior_idx]
+    factor = form.row_sums * x - form.row_dots(u, range(x.shape[0])) - b_I
+    dirichlet = tree_sum(x * factor) + c
+    count = int(np.count_nonzero(form.grid.interior & (u > xi)))
+    return dirichlet + rho * form.grid.cell_measure * count
 
 
 def tail(field: Field, x0, R, s) -> float:

@@ -16,14 +16,17 @@ energy, and a sweep moving it by less than 1e-13 * (1 + |energy|) stops.
 
 Plain sweeps alone stall at coarse accuracy on ill-conditioned quadratics, so
 between batches of sweeps the solver polishes: it solves the quadratic exactly
-(preconditioned CG) over the currently unpinned nodes with the pinned values
-held fixed, and accepts the candidate only if the true objective strictly
-decreases. This preserves every contract of the sweep loop (monotone energy,
-same stopping rule) while reaching linear-solver accuracy on the final
-support, which the stationarity diagnostics require. The pairwise energy is
-recomputed only at the start and at polish boundaries, where the tracked
-energy must match it to 1e-9 * (1 + |energy|); the last of these
-evaluations is the reported energy.
+(preconditioned CG) over the free nodes, those off every clamp value, with
+the pinned values held fixed, and accepts the candidate only if the objective
+strictly decreases. Sweeps choose the free set and the polish solves on it,
+so a batch ends as soon as a sweep leaves the free set unchanged (or stalls),
+and after at most POLISH_PERIOD sweeps. This preserves every contract of the
+sweep loop (monotone energy, same stopping rule) while reaching linear-solver
+accuracy on the final support, which the stationarity diagnostics require.
+The energy is recomputed only at the start and at polish boundaries, on the
+reduced form over interior values (nlfb.energy.reduced_energy), where the
+tracked energy must match it to 1e-9 * (1 + |energy|). The reported energy is
+the exit state's pairwise total_energy, evaluated once.
 
 Restarts run coordinate descent from deterministic initializations and reduce
 by the lexicographic key (energy, restart seed); NLFB_THREADS caps how many
@@ -42,8 +45,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .energy import (EnergyBreakdown, QuadraticForm, assemble_form, total_energy,
-                     tree_sum, truncation_error_bound)
+from .energy import (EnergyBreakdown, QuadraticForm, assemble_form, exterior_terms,
+                     reduced_energy, total_energy, truncation_error_bound)
 from .errors import CapacityError, ConfigurationError, DataError, SolverError
 from .grid import Ball, Field, Grid, region_interior_indices
 from .kernel import KernelSpec
@@ -257,18 +260,24 @@ def harmonic_lifting(form: QuadraticForm, field: Field, region: Ball) -> Field:
     return Field(form.grid, _solve_free(form, region_idx, field.values.copy()))
 
 
+def _free_mask(problem: ProblemSpec, u):
+    """The interior nodes off every clamp value (xi, and 0 in one_phase): the
+    nodes _polish solves for jointly."""
+    free = problem.grid.interior & (u != problem.xi)
+    if problem.phase == "one_phase":
+        free &= u != 0.0
+    return free
+
+
 def _polish(problem: ProblemSpec, form: QuadraticForm, u):
-    """Joint exact solve over the unpinned interior nodes; None if there are none.
+    """Joint exact solve over the free nodes (_free_mask); None if there are none.
 
     A node is pinned when it sits exactly at a clamp value (xi, or 0 in
     one_phase); every other interior node is stationary for the current
     region assignment and is solved for jointly; in one_phase the solve is
     checked to be nonnegative.
     """
-    free = problem.grid.interior & (u != problem.xi)
-    if problem.phase == "one_phase":
-        free = free & (u != 0.0)
-    free_idx = np.nonzero(free)[0]
+    free_idx = np.nonzero(_free_mask(problem, u))[0]
     if free_idx.shape[0] == 0:
         return None
     # Convergence relies on polishing being idempotent: on a state it already
@@ -282,13 +291,10 @@ def _polish(problem: ProblemSpec, form: QuadraticForm, u):
 
 
 def _finalize(problem: ProblemSpec, form: QuadraticForm, u, sweeps, converged,
-              seed, restarts_used=1, breakdown: EnergyBreakdown | None = None
-              ) -> MinimizeResult:
-    """The result for the final state u; breakdown, when given, must be u's
-    total_energy and saves evaluating it again."""
+              seed, restarts_used=1) -> MinimizeResult:
+    """The result for the final state u, whose energy is its pairwise total_energy."""
     field = Field(problem.grid, u.copy())
-    if breakdown is None:
-        breakdown = total_energy(form, field, problem.rho, problem.xi)
+    breakdown = total_energy(form, field, problem.rho, problem.xi)
     breakdown.truncation_bound = truncation_error_bound(
         problem.grid, problem.kernel.s, problem.kernel.Lam,
         float(np.max(np.abs(u))) if u.size else 0.0)
@@ -303,10 +309,15 @@ def coordinate_descent(problem: ProblemSpec, init: Field, seed=0,
     """Descend from init with seed-shuffled sweeps; energy never increases.
 
     The initialization must agree with the exterior data and satisfy the phase
-    constraint. Stops once a sweep moves the tracked energy by less than
-    1e-13 * (1 + |energy|) and a polish step can no longer improve it. Raises
-    SolverError when the energy rises, or the tracked energy drifts from the
-    recomputed one, by more than 1e-9 * (1 + |energy|).
+    constraint. A batch of sweeps ends at a polish boundary as soon as a sweep
+    leaves the free set (_free_mask) unchanged or stalls, and after at most
+    POLISH_PERIOD sweeps. A sweep stalls when it moves the tracked energy by
+    less than 1e-13 * (1 + |energy|); the descent stops once a sweep stalls
+    and the polish after it does not improve. The boundaries evaluate the
+    energy on the reduced form (reduced_energy) and raise SolverError when the
+    energy rises, or the tracked energy drifts from the recomputed one, by more
+    than 1e-9 * (1 + |energy|). The reported energy is the exit state's
+    pairwise total_energy.
     """
     if form is None:
         form = assemble_form(problem.kernel, problem.grid)
@@ -321,19 +332,21 @@ def coordinate_descent(problem: ProblemSpec, init: Field, seed=0,
     rng = np.random.default_rng(seed)
     interior_idx = np.nonzero(grid.interior)[0]
     rho_cell = problem.rho * grid.cell_measure
+    terms = exterior_terms(form, problem.exterior_data)
 
     def energy_of(vals):
-        return total_energy(form, Field(grid, vals), problem.rho, problem.xi)
+        return reduced_energy(form, vals, problem.rho, problem.xi, terms)
 
     def tol(e):
         return ENERGY_CHECK_RTOL * (1.0 + abs(e))
 
     checked = energy_of(u)    # u's energy, recomputed at the last polish boundary
-    e_cur = checked.total     # tracked from the sweeps' changes
+    e_cur = checked           # tracked from the sweeps' changes
     sweeps = 0
     converged = False
     while sweeps < max_sweeps:
         reached_stop = False
+        free = _free_mask(problem, u)
         for _ in range(POLISH_PERIOD):
             if sweeps >= max_sweeps:
                 break
@@ -347,26 +360,29 @@ def coordinate_descent(problem: ProblemSpec, init: Field, seed=0,
             if -change < EPS_STOP_FACTOR * (1.0 + abs(e_cur)):
                 reached_stop = True
                 break
+            # the sweeps chose the free set; the exact solve on it is the polish
+            was, free = free, _free_mask(problem, u)
+            if np.array_equal(was, free):
+                break
         now = energy_of(u)
-        if abs(now.total - e_cur) > tol(now.total):
-            raise SolverError(f"tracked energy {e_cur} drifted from the recomputed {now.total}")
-        if now.total > checked.total + tol(checked.total):
-            raise SolverError(f"energy rose between polish boundaries "
-                              f"({checked.total} -> {now.total})")
+        if abs(now - e_cur) > tol(now):
+            raise SolverError(f"tracked energy {e_cur} drifted from the recomputed {now}")
+        if now > checked + tol(checked):
+            raise SolverError(f"energy rose between polish boundaries ({checked} -> {now})")
         checked = now
         polished = _polish(problem, form, u)
         improved = False
         # an unchanged polish has u's energy bits, which the strict test rejects
         if polished is not None and not np.array_equal(polished, u):
             polished_energy = energy_of(polished)
-            if polished_energy.total < checked.total:
+            if polished_energy < checked:
                 u, checked = polished, polished_energy
                 improved = True
-        e_cur = checked.total
+        e_cur = checked
         if reached_stop and not improved:
             converged = True
             break
-    return _finalize(problem, form, u, sweeps, converged, seed, breakdown=checked)
+    return _finalize(problem, form, u, sweeps, converged, seed)
 
 
 def lifting_initialization(problem: ProblemSpec, form: QuadraticForm) -> Field:
@@ -438,16 +454,15 @@ def _oracle_candidates(problem: ProblemSpec, form: QuadraticForm):
     Bit k of a mask selects interior node k. Returns the (2^m, m) block X,
     whose rows hold the interior values of each subset's pinned solve, and
     the energies by the reduced form x . (a_I x - W_II x) - 2 x . b_I + c plus
-    the volume term, where b_I = W_IE g and c = sum_{i interior, e exterior}
-    w_ie g_e^2 (see nlfb.energy). Every solve pins the same values (the
-    exterior data), so the right-hand sides are b_I, and the subsets of one
-    size take one stacked solve, checked to be nonnegative in one_phase.
+    the volume term, with b_I and c from exterior_terms (see nlfb.energy).
+    Every solve pins the same values (the exterior data), so the right-hand
+    sides are b_I, and the subsets of one size take one stacked solve, checked
+    to be nonnegative in one_phase.
     """
     interior_idx = form.interior_idx
     m = interior_idx.shape[0]
-    g = problem.exterior_data
     W_II, a_I = form.dense[:, interior_idx], form.row_sums
-    b_I = form.row_dots(g, range(m))
+    b_I, exterior_constant = exterior_terms(form, problem.exterior_data)
 
     in_subset = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1 == 1
     sizes = np.count_nonzero(in_subset, axis=1)
@@ -460,7 +475,6 @@ def _oracle_candidates(problem: ProblemSpec, form: QuadraticForm):
         x = _direct_solve(A, b_I[S])
         X[group[:, None], S] = _nonnegative(x) if problem.phase == "one_phase" else x
 
-    exterior_constant = tree_sum(form.row_dots(g * g, range(m)))
     dirichlet = (np.einsum("ci,ci->c", X, X * a_I - X @ W_II.T) - 2.0 * (X @ b_I)
                  + exterior_constant)
     count = np.count_nonzero(X > problem.xi, axis=1)

@@ -81,6 +81,8 @@ def growth_instances():
             for h in (SOLVE_H, FINE_H):
                 problem = make_growth_problem(family, s, h)
                 result = minimize(problem, n_restarts=2, seed=0)
+                assert result.converged, (
+                    f"{family} s={s} h={h}: stopped unconverged after {result.sweeps} sweeps")
                 x0 = fb_point(problem, result)
                 assert x0 is not None and abs(x0) <= 0.8, (
                     f"{family} s={s} h={h}: no interior free boundary (x0={x0})")

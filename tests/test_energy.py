@@ -290,6 +290,32 @@ def test_assembly_allocates_at_most_two_row_blocks_beside_the_form(family):
     assert peak < form.dense.nbytes + 2 * 8 * _ROW_BLOCK * grid.n_nodes
 
 
+# The descent's polish boundaries evaluate the energy on the reduced form.
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(("fractional_laplacian", "modulated", "checkerboard",
+                               "custom_table")),
+       dim=st.sampled_from((1, 2)), phase=st.sampled_from(("one_phase", "two_phase")),
+       s=st.floats(0.05, 0.95), block=st.floats(0.1, 1.0), cells=st.floats(4.2, 6.0),
+       xi=st.floats(-0.5, 0.5), scale=st.floats(1e-2, 1e2), rho=st.floats(0.0, 2.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_reduced_energy_matches_total_energy(family, dim, phase, s, block, cells, xi, scale,
+                                             rho, seed):
+    if dim == 1:
+        cells *= 6.0     # 1D: 50 to 72 interior nodes, 2D: 52 to 112
+    grid = build_grid(dim, 1.0 / cells, 2.0)
+    form = assemble_form(family_kernel(family, dim, s, block), grid)
+    rng = np.random.default_rng(seed)
+    lo = 0.0 if phase == "one_phase" else -1.0
+    u = scale * rng.uniform(lo, 1.0, grid.n_nodes)
+    pick = rng.random(grid.n_nodes)
+    u[grid.interior & (pick < 0.2)] = 0.0      # off at 0, and at the clamp value xi
+    u[grid.interior & (pick > 0.8)] = xi if phase == "two_phase" or xi >= 0.0 else 0.0
+    g = np.where(grid.interior, 0.0, u)
+    want = total_energy(form, Field(grid, u), rho, xi).total
+    got = nlfb.energy.reduced_energy(form, u, rho, xi, nlfb.energy.exterior_terms(form, g))
+    assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
+
+
 # One np.dot per stored row: the rounding the row-blocked np.vecdot must keep.
 def reference_row_dots(form, u, rows):
     return np.array([np.dot(form.dense[k], u) for k in rows], dtype=np.float64)

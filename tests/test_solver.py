@@ -32,9 +32,9 @@ from nlfb import (
     SolverError,
     total_energy,
 )
-from nlfb.solver import (DEFAULT_MAX_SWEEPS, ORACLE_TIE_RTOL, PHASES, _finalize,
-                         _oracle_candidates, _pcg, _polish, _solve_free, _subsystem, _sweep,
-                         _visit, thread_count)
+from nlfb.solver import (DEFAULT_MAX_SWEEPS, EPS_STOP_FACTOR, ORACLE_TIE_RTOL, PHASES,
+                         POLISH_PERIOD, _finalize, _free_mask, _oracle_candidates, _pcg,
+                         _polish, _solve_free, _subsystem, _sweep, _visit, thread_count)
 
 from conftest import random_field_values
 
@@ -259,8 +259,8 @@ def test_sweep_equals_reference_bitwise(phase, dim, h):
 
 
 def test_descent_reports_the_energy_of_its_final_field():
-    # the reported breakdown comes from the last polish boundary, not a fresh
-    # evaluation at exit; it must equal one bit for bit
+    # the polish boundaries evaluate the reduced form; the reported breakdown
+    # is the exit state's pairwise total_energy, bit for bit, at any sweep cap
     rng = np.random.default_rng(137)
     for phase in PHASES:
         problem = four_interior_problem(rng, phase=phase)
@@ -276,8 +276,9 @@ def test_descent_reports_the_energy_of_its_final_field():
 @pytest.mark.parametrize("phase", PHASES)
 def test_unchanged_polish_skips_its_energy_evaluation(monkeypatch, phase):
     # a polish that returns the state unchanged has its energy bit for bit, so
-    # the descent evaluates total_energy once at the start, once per polish
-    # boundary and once per polish that changed the state
+    # the descent evaluates the reduced form once at the start, once per polish
+    # boundary and once per polish that changed the state; the pairwise
+    # total_energy runs once, for the exit state
     grid = build_grid(1, 0.1, 2.0)
     kernel = fractional_kernel(0.5)
     form = assemble_form(kernel, grid)
@@ -287,7 +288,8 @@ def test_unchanged_polish_skips_its_energy_evaluation(monkeypatch, phase):
     problem = ProblemSpec(kernel, grid, data, rho=0.05, phase=phase)
     init = lifting_initialization(problem, form)
     real_polish, real_energy = nlfb.solver._polish, nlfb.solver.total_energy
-    polishes, evaluations = [], []
+    real_reduced = nlfb.solver.reduced_energy
+    polishes, evaluations, boundary_evaluations = [], [], []
 
     def polish(problem, form, u):
         out = real_polish(problem, form, u)
@@ -299,11 +301,17 @@ def test_unchanged_polish_skips_its_energy_evaluation(monkeypatch, phase):
         evaluations.append(args)
         return real_energy(*args)
 
+    def reduced(*args):
+        boundary_evaluations.append(args)
+        return real_reduced(*args)
+
     monkeypatch.setattr(nlfb.solver, "_polish", polish)
     monkeypatch.setattr(nlfb.solver, "total_energy", energy)
+    monkeypatch.setattr(nlfb.solver, "reduced_energy", reduced)
     res = coordinate_descent(problem, init, seed=3, form=form)
     assert res.converged and "unchanged" in polishes
-    assert len(evaluations) == 1 + len(polishes) + polishes.count("changed")
+    assert len(boundary_evaluations) == 1 + len(polishes) + polishes.count("changed")
+    assert len(evaluations) == 1
     fresh = real_energy(form, res.field, problem.rho, problem.xi)
     fresh.truncation_bound = res.energy.truncation_bound
     assert res.energy.to_dict() == fresh.to_dict()
@@ -334,16 +342,86 @@ def test_polish_returns_polished_states_unchanged(phase, dim, h):
         assert _polish(problem, form, u).tobytes() == u.tobytes()
 
 
+@pytest.mark.parametrize("phase", PHASES)
+def test_descent_polishes_as_soon_as_a_sweep_keeps_the_free_set(monkeypatch, phase):
+    # a polish follows every sweep that left the free set unchanged, and
+    # otherwise only the POLISH_PERIOD-th sweep of a batch
+    grid = build_grid(1, 0.05, 2.0)
+    kernel = fractional_kernel(0.5)
+    rng = np.random.default_rng([131, PHASES.index(phase)])
+    lo = 0.0 if phase == "one_phase" else -1.0
+    data = np.where(grid.interior, 0.0, rng.uniform(lo, 1.0, grid.n_nodes))
+    problem = ProblemSpec(kernel, grid, data, rho=0.05, phase=phase)
+    form = assemble_form(kernel, grid)
+    real_sweep, real_polish = nlfb.solver._sweep, nlfb.solver._polish
+    events = []
+
+    def sweep(form, u, *args):
+        before = _free_mask(problem, u)
+        change = real_sweep(form, u, *args)
+        events.append("kept" if np.array_equal(before, _free_mask(problem, u)) else "moved")
+        return change
+
+    def polish(problem, form, u):
+        events.append("polish")
+        return real_polish(problem, form, u)
+
+    monkeypatch.setattr(nlfb.solver, "_sweep", sweep)
+    monkeypatch.setattr(nlfb.solver, "_polish", polish)
+    res = coordinate_descent(problem, problem.exterior_field(), seed=7, form=form)
+    assert res.converged and events[-1] == "polish"
+    batch = 0
+    for event, nxt in zip(events, events[1:]):
+        if event == "polish":
+            batch = 0
+            continue
+        batch += 1
+        assert (nxt == "polish") == (event == "kept" or batch == POLISH_PERIOD)
+    # the free set settles before the descent stops: some batches end early
+    assert events.count("polish") > 1 and "moved" in events
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(("fractional_laplacian", "modulated", "checkerboard",
+                               "custom_table")),
+       phase=st.sampled_from(PHASES), h=st.sampled_from([0.2, 0.1, 0.05]),
+       xi=st.just(0.0) | st.floats(-0.2, 0.3), log_rho=st.floats(-3.0, 0.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_converged_minimize_is_coordinatewise_optimal(family, phase, h, xi, log_rho, seed):
+    # at exit no sweep in any order can lower the energy by more than the
+    # stopping threshold, and the reported breakdown is a fresh total_energy
+    grid = build_grid(1, h, 2.0)                  # 10, 20 or 40 interior nodes
+    rng = np.random.default_rng(seed)
+    lo = 0.0 if phase == "one_phase" else -1.0
+    data = np.where(grid.interior, 0.0, rng.uniform(lo, 1.0, grid.n_nodes))
+    problem = ProblemSpec(one_phase_kernel(family, 0.5, 0.3, 0.5), grid, data,
+                          rho=10.0 ** log_rho, xi=xi, phase=phase)
+    res = minimize(problem, n_restarts=2, seed=seed % 1000)
+    assert res.converged
+    e = res.energy.total
+    fresh = total_energy(res.form, res.field, problem.rho, problem.xi)
+    fresh.truncation_bound = res.energy.truncation_bound
+    assert res.energy.to_dict() == fresh.to_dict()
+    u = res.field.values.copy()
+    for _ in range(2):
+        change = _sweep(res.form, u, rng.permutation(res.form.interior_idx),
+                        problem.rho * grid.cell_measure, problem.xi, phase == "one_phase")
+        assert abs(change) < EPS_STOP_FACTOR * (1.0 + abs(e))
+
+
 @pytest.mark.parametrize("offset,message", [(-1e-3, "drifted"), (1e-3, "increased")])
 def test_tracked_energy_is_checked(monkeypatch, offset, message):
     # a sweep misreporting its change trips the per-sweep monotonicity check
-    # (too high) or the drift check at the next polish boundary (too low)
+    # (too high) or the drift check at the next polish boundary (too low); the
+    # descent starts converged, so the real change of its first sweep is ~0
     rng = np.random.default_rng(113)
     problem = four_interior_problem(rng)
+    start = coordinate_descent(problem, problem.exterior_field())
+    assert start.converged
     real_sweep = nlfb.solver._sweep
     monkeypatch.setattr(nlfb.solver, "_sweep", lambda *args: real_sweep(*args) + offset)
     with pytest.raises(SolverError, match=message):
-        coordinate_descent(problem, problem.exterior_field())
+        coordinate_descent(problem, start.field)
 
 
 def test_rho_zero_two_phase_recovers_harmonic_values(grid_1d_small):
