@@ -14,18 +14,24 @@ The penalized total adds rho * measure of the strict super-level set
 {u > xi} restricted to interior nodes.
 
 Every stored pair has an interior end, so the form keeps only the interior
-rows W[I, :] as one (n_int, N) array and their row sums a_I; an exterior row
-is read from the block's column (the kernel is symmetric bit for bit). With
-the exterior values g as data, the energy of the interior values x is the
-reduced quadratic x . (a_I x) - x . (W_II x) - 2 x . (W_IE g) + c, where
+rows W[I, :] as one (n_int, N) array and their row sums a_I. The columns are
+interior-first: column k < n_int is interior node interior_idx[k], the node of
+row k, and the exterior nodes follow in ascending order; col_order lists the
+node of each column. W_II = dense[:, :n_int] and W_IE = dense[:, n_int:] are
+therefore views. An exterior row is read from the block's column for that
+node, found through col_order (the kernel is symmetric bit for bit). With the
+exterior values g as data, the energy of the interior values x is the reduced
+quadratic x . (a_I x) - x . (W_II x) - 2 x . b_I + c, where b_I = W_IE g and
 c = sum over interior i and exterior e of w_ie g_e^2; exterior_terms computes
-b_I = W_IE g and c, and reduced_energy evaluates the form. Assembly runs the
-kernel's pair formula (eval_kernel's bits) on _ROW_BLOCK rows at a time, and
-refuses with CapacityError, before allocating, when the block would exceed
-MEMORY_BUDGET_BYTES. All reductions are fixed-block-size pairwise tree sums,
-independent of thread count. Row dots run np.vecdot over blocks of at most
-_ROW_BLOCK rows, which rounds exactly like one np.dot per row (not like gemv
-or einsum) while bounding the temporaries to one block.
+b_I and c, and reduced_energy evaluates the form without reading W_IE.
+Assembly runs the kernel's pair formula (eval_kernel's bits) on _ROW_BLOCK
+rows at a time, and refuses with CapacityError, before allocating, when the
+block would exceed MEMORY_BUDGET_BYTES. All reductions are fixed-block-size
+pairwise tree sums, independent of thread count. Row dots run np.vecdot over
+blocks of at most _ROW_BLOCK rows, which rounds exactly like one np.dot per
+row (not like gemv or einsum) while bounding the temporaries to one block;
+a range of rows (all rows, in exterior_terms, reduced_energy and the
+analysis) is read as slices of the block, which copies nothing.
 """
 
 from __future__ import annotations
@@ -74,46 +80,68 @@ def check_budget(nbytes: int, what: str) -> None:
             f"{what} needs {nbytes} bytes, above the {MEMORY_BUDGET_BYTES}-byte budget")
 
 
+def rowwise_dots(matrix, rows, v) -> np.ndarray:
+    """np.dot(matrix[k], v) for each k in rows, with the rounding of one np.dot
+    per row (the sweep's), not gemv's, _ROW_BLOCK rows at a time. A range of
+    rows, or more than _ROW_BLOCK consecutive ascending ones, is read as slices
+    of matrix; other rows are gathered."""
+    if not (isinstance(rows, range) and rows.step == 1):
+        rows = np.asarray(rows, dtype=np.int64)
+        n = rows.shape[0]
+        if n > _ROW_BLOCK and rows[n - 1] - rows[0] == n - 1 and np.all(np.diff(rows) == 1):
+            rows = range(int(rows[0]), int(rows[-1]) + 1)
+    if isinstance(rows, range):
+        blocks = (matrix[k:min(k + _ROW_BLOCK, rows.stop)]
+                  for k in range(rows.start, rows.stop, _ROW_BLOCK))
+    else:
+        blocks = (matrix[rows[k:k + _ROW_BLOCK]] for k in range(0, rows.shape[0], _ROW_BLOCK))
+    return np.concatenate([np.vecdot(block, v) for block in blocks] or [np.zeros(0)])
+
+
 @dataclass
 class QuadraticForm:
     """Pairwise weights of the Dirichlet energy on a grid, kept as interior rows."""
 
     grid: Grid
     kernel: KernelSpec
-    dense: np.ndarray             # (n_int, N): row k is w_{interior_idx[k], .}
+    dense: np.ndarray             # (n_int, N): row k is w_{col_order[k], col_order[.]}
     row_sums: np.ndarray          # (n_int,): a_i = sum_j w_ij, aligned with dense
-    interior_idx: np.ndarray = dataclass_field(init=False)
+    # (N,): the node of each column: the interior nodes, then the exterior ones,
+    # each in ascending order, so dense[:, :n_int] is W_II, aligned with the rows
+    col_order: np.ndarray
+    interior_idx: np.ndarray = dataclass_field(init=False)   # col_order[:n_int]
     row_of: np.ndarray = dataclass_field(init=False)    # stored row per node, -1 if exterior
-    # per-node views of the stored rows and their row sums as Python floats
-    # (None at exterior nodes): the coordinate sweep reads them once per visit
-    node_rows: list = dataclass_field(init=False, repr=False)
+    # the rows of W_II as views and the row sums as Python floats, by stored
+    # row: the coordinate sweep reads them once per visit
+    interior_rows: list = dataclass_field(init=False, repr=False)
     row_sums_list: list = dataclass_field(init=False, repr=False)
 
     def __post_init__(self):
-        self.interior_idx = np.nonzero(self.grid.interior)[0]
+        n_int = self.dense.shape[0]
+        self.interior_idx = self.col_order[:n_int]
         self.row_of = np.full(self.grid.n_nodes, -1, dtype=np.int64)
-        self.row_of[self.interior_idx] = np.arange(self.interior_idx.shape[0])
-        self.node_rows = [None] * self.grid.n_nodes
-        self.row_sums_list = [None] * self.grid.n_nodes
-        for i, row, a in zip(self.interior_idx.tolist(), self.dense, self.row_sums.tolist()):
-            self.node_rows[i] = row
-            self.row_sums_list[i] = a
+        self.row_of[self.interior_idx] = np.arange(n_int)
+        self.interior_rows = list(self.dense[:, :n_int])
+        self.row_sums_list = self.row_sums.tolist()
 
     @property
     def n_nodes(self) -> int:
         return self.grid.n_nodes
 
     def row_dots(self, u, rows) -> np.ndarray:
-        """sum_j w_ij u_j for stored rows, with the rounding of one np.dot per row
-        (the sweep's), not gemv's; rows are gathered at most _ROW_BLOCK at a time."""
-        rows = np.asarray(rows, dtype=np.int64)
-        return np.concatenate([np.vecdot(self.dense[rows[k:k + _ROW_BLOCK]], u)
-                               for k in range(0, rows.shape[0], _ROW_BLOCK)]
-                              or [np.zeros(0)])
+        """sum_j w_ij u_j for stored rows and node-ordered u, one np.dot's
+        rounding per row over the block's column order."""
+        return rowwise_dots(self.dense, rows, u[self.col_order])
+
+    def exterior_dots(self, g, rows) -> np.ndarray:
+        """(W_IE g)_i for stored rows, reading only g's exterior entries."""
+        n_int = self.dense.shape[0]
+        return rowwise_dots(self.dense[:, n_int:], rows, g[self.col_order[n_int:]])
 
 
 def assemble_form(kernel: KernelSpec, grid: Grid) -> QuadraticForm:
-    """Assemble the interior rows of the pair weights w_ij = 2 K(x_i, x_j) m_i m_j.
+    """Assemble the interior rows of the pair weights w_ij = 2 K(x_i, x_j) m_i m_j,
+    with interior-first columns (see QuadraticForm.col_order).
 
     Raises CapacityError, before allocating, when the (n_int, N) block exceeds
     MEMORY_BUDGET_BYTES.
@@ -121,19 +149,19 @@ def assemble_form(kernel: KernelSpec, grid: Grid) -> QuadraticForm:
     if kernel.dim != grid.dim:
         raise ConfigurationError(
             f"kernel dimension {kernel.dim} does not match grid dimension {grid.dim}")
-    interior_idx = np.nonzero(grid.interior)[0]
-    check_budget(8 * interior_idx.shape[0] * grid.n_nodes, "the interior weight block")
-    block = np.empty((interior_idx.shape[0], grid.n_nodes))
-    cols = [np.ascontiguousarray(grid.positions[:, a]) for a in range(grid.dim)]
+    col_order = np.concatenate([np.nonzero(grid.interior)[0], np.nonzero(~grid.interior)[0]])
+    n_int = int(np.count_nonzero(grid.interior))
+    check_budget(8 * n_int * grid.n_nodes, "the interior weight block")
+    block = np.empty((n_int, grid.n_nodes))
+    cols = [np.ascontiguousarray(grid.positions[col_order, a]) for a in range(grid.dim)]
     m2 = grid.cell_measure * grid.cell_measure
-    for k in range(0, interior_idx.shape[0], _ROW_BLOCK):
-        nodes = interior_idx[k:k + _ROW_BLOCK]
-        rows = pair_kernel(kernel, [c[nodes, None] for c in cols], cols,
-                           out=block[k:k + _ROW_BLOCK],
-                           exclude=(np.arange(nodes.shape[0]), nodes))
+    for k in range(0, n_int, _ROW_BLOCK):
+        n = min(_ROW_BLOCK, n_int - k)
+        rows = pair_kernel(kernel, [c[k:k + n, None] for c in cols], cols,
+                           out=block[k:k + n], exclude=(np.arange(n), np.arange(k, k + n)))
         rows *= 2.0
         rows *= m2
-    return QuadraticForm(grid, kernel, block, tree_sum(block))
+    return QuadraticForm(grid, kernel, block, tree_sum(block), col_order)
 
 
 def dirichlet_energy(form: QuadraticForm, field: Field) -> float:
@@ -141,15 +169,16 @@ def dirichlet_energy(form: QuadraticForm, field: Field) -> float:
     stored rows; interior j weigh 1/2, since both rows see an interior pair."""
     if field.grid is not form.grid and field.grid.n_nodes != form.grid.n_nodes:
         raise ConfigurationError("field and form live on different grids")
-    u = field.values
-    half = np.where(form.grid.interior, 0.5, 1.0)
-    idx = form.interior_idx
-    block = np.empty((min(_ROW_BLOCK, idx.shape[0]), u.shape[0]))   # reused per row block
+    n_int = form.dense.shape[0]
+    v = field.values[form.col_order]             # column order: v[k] is row k's value
+    half = np.ones(v.shape[0])
+    half[:n_int] = 0.5
+    block = np.empty((min(_ROW_BLOCK, n_int), v.shape[0]))   # reused per row block
     dots = []
-    for k in range(0, idx.shape[0], _ROW_BLOCK):
+    for k in range(0, n_int, _ROW_BLOCK):
         rows = form.dense[k:k + _ROW_BLOCK]
         diff = block[:rows.shape[0]]
-        np.subtract(u[idx[k:k + _ROW_BLOCK], None], u, out=diff)
+        np.subtract(v[k:k + rows.shape[0], None], v, out=diff)
         np.square(diff, out=diff)
         diff *= half
         dots.append(np.vecdot(rows, diff))
@@ -192,26 +221,29 @@ def total_energy(form: QuadraticForm, field: Field, rho, xi) -> EnergyBreakdown:
 
 
 def exterior_terms(form: QuadraticForm, g):
-    """(b_I, c) of the reduced form for exterior values g (zero over the interior):
-    b_I = W_IE g, one row dot per stored row, and c = sum over interior i and
-    exterior e of w_ie g_e^2, a tree sum."""
-    rows = range(form.interior_idx.shape[0])
-    return form.row_dots(g, rows), tree_sum(form.row_dots(g * g, rows))
+    """(b_I, c) of the reduced form for the exterior values of g (its interior
+    entries are not read): b_I = W_IE g, one row dot per stored row, and c = sum
+    over interior i and exterior e of w_ie g_e^2, a tree sum."""
+    rows = range(form.dense.shape[0])
+    return form.exterior_dots(g, rows), tree_sum(form.exterior_dots(g * g, rows))
 
 
-def reduced_energy(form: QuadraticForm, u, rho, xi, terms) -> float:
-    """total_energy(form, u, rho, xi).total, to rounding, from the reduced form.
+def reduced_energy(form: QuadraticForm, x, rho, xi, terms) -> float:
+    """total_energy(form, u, rho, xi).total, to rounding, from the reduced form,
+    for the field u with interior values x (by stored row, x = u[interior_idx])
+    and exterior values g, where terms = exterior_terms(form, g).
 
-    With x = u's interior values and terms = exterior_terms(form, g) for u's
-    exterior values g, the Dirichlet part is x . (a_I x - W u - b_I) + c, since
-    W u = W_II x + W_IE g: one row dot per stored row and one tree sum, in
-    place of total_energy's pairwise sum. The bits do not depend on thread count.
+    W u = W_II x + b_I on the interior rows, so the Dirichlet part is
+    x . (a_I x - W_II x - 2 b_I) + c: one row dot of length n_int per stored
+    row and one tree sum, in place of total_energy's pairwise sum. The bits do
+    not depend on thread count.
     """
     b_I, c = terms
-    x = u[form.interior_idx]
-    factor = form.row_sums * x - form.row_dots(u, range(x.shape[0])) - b_I
+    n_int = x.shape[0]
+    factor = form.row_sums * x - rowwise_dots(form.dense[:, :n_int], range(n_int), x)
+    factor -= 2.0 * b_I
     dirichlet = tree_sum(x * factor) + c
-    count = int(np.count_nonzero(form.grid.interior & (u > xi)))
+    count = int(np.count_nonzero(x > xi))
     return dirichlet + rho * form.grid.cell_measure * count
 
 

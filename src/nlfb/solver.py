@@ -10,9 +10,12 @@ the objective in t = u_i is a * t^2 - 2 * b * t plus the penalty indicator,
 with a = sum_j w_ij and b = sum_j w_ij u_j, so the on-candidate is the
 quadratic vertex b / a and the off-candidate is the vertex clamped into the
 off region (t <= xi, intersected with t >= 0 in one_phase). Ties resolve to
-off. Sweeps visit interior nodes in a seed-shuffled order refreshed every
-sweep; the exact energy changes of the visits are summed into a tracked
-energy, and a sweep moving it by less than 1e-13 * (1 + |energy|) stops.
+off. The exterior values are data, so b splits into the interior part
+W_II[i] . x, read from the block's interior columns, and the exterior part
+b_I = W_IE g, computed once per descent (nlfb.energy.exterior_terms). Sweeps
+visit interior nodes in a seed-shuffled order refreshed every sweep; the
+exact energy changes of the visits are summed into a tracked energy, and a
+sweep moving it by less than 1e-13 * (1 + |energy|) stops.
 
 Plain sweeps alone stall at coarse accuracy on ill-conditioned quadratics, so
 between batches of sweeps the solver polishes: it solves the quadratic exactly
@@ -46,7 +49,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .energy import (EnergyBreakdown, QuadraticForm, assemble_form, exterior_terms,
-                     reduced_energy, total_energy, truncation_error_bound)
+                     reduced_energy, rowwise_dots, total_energy, truncation_error_bound)
 from .errors import CapacityError, ConfigurationError, DataError, SolverError
 from .grid import Ball, Field, Grid, region_interior_indices
 from .kernel import KernelSpec
@@ -172,23 +175,26 @@ def _pcg(A, b, x0, rtol=CG_TOL, maxiter=None):
         f"final relative residual {res / b_norm:.3e}")
 
 
-def _subsystem(form: QuadraticForm, free_idx, u):
-    """Dense SPD subsystem over free nodes with the complement held at u.
+def _subsystem(form: QuadraticForm, rows, x, b):
+    """Dense SPD subsystem over the stored rows `rows`, with the other interior
+    values held at x (interior values, by stored row) and b = (W_IE g)[rows] the
+    fixed exterior term of those rows.
 
-    A = diag(a_i) - W restricted to free nodes; b_i = sum over pinned j of
-    w_ij u_j. W >= 0 and every interior node couples to every exterior node
+    A = diag(a_i) - W_II restricted to rows, read from the block's interior
+    columns; the right-hand side is sum over pinned interior j of w_ij x_j,
+    plus b. W >= 0 and every interior node couples to every exterior node
     (exterior couplings are always stored), so A is a nonsingular M-matrix:
     SPD, with A^-1 >= 0 entrywise. Every one_phase pin is nonnegative (0, xi
-    where u sits at it, or exterior data), so b >= 0 and the exact solve is
-    nonnegative; one_phase solves are checked against this by _nonnegative.
+    where u sits at it, or exterior data), so the right-hand side is >= 0 and
+    the exact solve is nonnegative; one_phase solves are checked against this
+    by _nonnegative.
     """
-    rows = form.row_of[free_idx]
-    A = form.dense[rows[:, None], free_idx]
+    A = form.dense[rows[:, None], rows]
     np.negative(A, out=A)
-    A.flat[::free_idx.shape[0] + 1] = form.row_sums[rows]
-    u_pinned = u.copy()
-    u_pinned[free_idx] = 0.0
-    return A, form.row_dots(u_pinned, rows)
+    A.flat[::rows.shape[0] + 1] = form.row_sums[rows]
+    pinned = x.copy()
+    pinned[rows] = 0.0
+    return A, rowwise_dots(form.dense[:, :x.shape[0]], rows, pinned) + b
 
 
 def _nonnegative(x):
@@ -226,27 +232,32 @@ def _visit(a, b, rho_cell, xi, one_phase):
     return t_off
 
 
-def _sweep(form: QuadraticForm, u, order, rho_cell, xi, one_phase) -> float:
-    """One full coordinate sweep, in place; returns the summed energy change,
-    exactly 0 when no value changes."""
-    rows, row_sums = form.node_rows, form.row_sums_list
+def _sweep(form: QuadraticForm, x, b_I, order, rho_cell, xi, one_phase) -> float:
+    """One full coordinate sweep over the stored rows in `order`, in place on
+    the interior values x (by stored row); returns the summed energy change,
+    exactly 0 when no value changes.
+
+    b_I = W_IE g for the exterior values g (exterior_terms), so a visit to row
+    k reads b = W_II[k] . x + b_I[k], one dot of length n_int.
+    """
+    rows, row_sums, b_I = form.interior_rows, form.row_sums_list, b_I.tolist()
     change = 0.0
-    for i in order.tolist():
-        a, b, t_old = row_sums[i], float(rows[i].dot(u)), u.item(i)
+    for k in order.tolist():
+        a, b, t_old = row_sums[k], float(rows[k].dot(x)) + b_I[k], x.item(k)
         t = _visit(a, b, rho_cell, xi, one_phase)
         if t != t_old:
             change += (a * (t * t - t_old * t_old) - 2.0 * b * (t - t_old)
                        + rho_cell * (int(t > xi) - int(t_old > xi)))
-            u[i] = t
+            x[k] = t
     return change
 
 
-def _solve_free(form: QuadraticForm, free_idx, values):
-    """Solve the subsystem over free_idx by PCG, warm-started from values, into
-    values, in place."""
-    A, b = _subsystem(form, free_idx, values)
-    values[free_idx] = _pcg(A, b, values[free_idx])[0]
-    return values
+def _solve_free(form: QuadraticForm, rows, x, b):
+    """Solve the subsystem over the stored rows `rows` by PCG, warm-started from
+    the interior values x, into x, in place."""
+    A, rhs = _subsystem(form, rows, x, b)
+    x[rows] = _pcg(A, rhs, x[rows])[0]
+    return x
 
 
 def harmonic_lifting(form: QuadraticForm, field: Field, region: Ball) -> Field:
@@ -256,29 +267,33 @@ def harmonic_lifting(form: QuadraticForm, field: Field, region: Ball) -> Field:
     SPD stationarity system sum_j w_ij (h_i - h_j) = 0 for region nodes, with
     all other values (including the implicit zeros beyond truncation) fixed.
     """
-    region_idx = region_interior_indices(form.grid, region)
-    return Field(form.grid, _solve_free(form, region_idx, field.values.copy()))
+    rows = form.row_of[region_interior_indices(form.grid, region)]
+    values = field.values.copy()
+    values[form.interior_idx] = _solve_free(form, rows, values[form.interior_idx],
+                                            form.exterior_dots(values, rows))
+    return Field(form.grid, values)
 
 
-def _free_mask(problem: ProblemSpec, u):
-    """The interior nodes off every clamp value (xi, and 0 in one_phase): the
-    nodes _polish solves for jointly."""
-    free = problem.grid.interior & (u != problem.xi)
+def _free_mask(problem: ProblemSpec, x):
+    """The interior values x (by stored row) off every clamp value (xi, and 0
+    in one_phase): the nodes _polish solves for jointly."""
+    free = x != problem.xi
     if problem.phase == "one_phase":
-        free &= u != 0.0
+        free &= x != 0.0
     return free
 
 
-def _polish(problem: ProblemSpec, form: QuadraticForm, u):
-    """Joint exact solve over the free nodes (_free_mask); None if there are none.
+def _polish(problem: ProblemSpec, form: QuadraticForm, x, b_I):
+    """Joint exact solve over the free nodes (_free_mask) of the interior values
+    x; the polished interior values, or None if there are no free nodes.
 
     A node is pinned when it sits exactly at a clamp value (xi, or 0 in
     one_phase); every other interior node is stationary for the current
     region assignment and is solved for jointly; in one_phase the solve is
-    checked to be nonnegative.
+    checked to be nonnegative. b_I = W_IE g for the exterior data g.
     """
-    free_idx = np.nonzero(_free_mask(problem, u))[0]
-    if free_idx.shape[0] == 0:
+    rows = np.nonzero(_free_mask(problem, x))[0]
+    if rows.shape[0] == 0:
         return None
     # Convergence relies on polishing being idempotent: on a state it already
     # solved (or one a sweep moved by ulps), the warm-started CG starts below
@@ -286,7 +301,7 @@ def _polish(problem: ProblemSpec, form: QuadraticForm, u):
     # rejects it and the descent can stop. A fresh direct re-solve (e.g. LU)
     # moves such a state by ulps and can "improve" its energy after every
     # batch of sweeps, so coordinate_descent may never converge.
-    polished = _solve_free(form, free_idx, u.copy())
+    polished = _solve_free(form, rows, x.copy(), b_I[rows])
     return _nonnegative(polished) if problem.phase == "one_phase" else polished
 
 
@@ -329,8 +344,9 @@ def coordinate_descent(problem: ProblemSpec, init: Field, seed=0,
     if one_phase and np.any(u < 0.0):
         raise ConfigurationError("one_phase initialization must be nonnegative")
 
+    x = u[form.interior_idx]    # the descent's state: interior values by stored row
     rng = np.random.default_rng(seed)
-    interior_idx = np.nonzero(grid.interior)[0]
+    n_int = x.shape[0]
     rho_cell = problem.rho * grid.cell_measure
     terms = exterior_terms(form, problem.exterior_data)
 
@@ -340,18 +356,19 @@ def coordinate_descent(problem: ProblemSpec, init: Field, seed=0,
     def tol(e):
         return ENERGY_CHECK_RTOL * (1.0 + abs(e))
 
-    checked = energy_of(u)    # u's energy, recomputed at the last polish boundary
+    checked = energy_of(x)    # x's energy, recomputed at the last polish boundary
     e_cur = checked           # tracked from the sweeps' changes
     sweeps = 0
     converged = False
     while sweeps < max_sweeps:
         reached_stop = False
-        free = _free_mask(problem, u)
+        free = _free_mask(problem, x)
         for _ in range(POLISH_PERIOD):
             if sweeps >= max_sweeps:
                 break
-            order = rng.permutation(interior_idx)
-            change = _sweep(form, u, order, rho_cell, problem.xi, one_phase)
+            # the same visiting order as rng.permutation(form.interior_idx)
+            order = rng.permutation(n_int)
+            change = _sweep(form, x, terms[0], order, rho_cell, problem.xi, one_phase)
             sweeps += 1
             if change > tol(e_cur):
                 raise SolverError(
@@ -361,27 +378,28 @@ def coordinate_descent(problem: ProblemSpec, init: Field, seed=0,
                 reached_stop = True
                 break
             # the sweeps chose the free set; the exact solve on it is the polish
-            was, free = free, _free_mask(problem, u)
+            was, free = free, _free_mask(problem, x)
             if np.array_equal(was, free):
                 break
-        now = energy_of(u)
+        now = energy_of(x)
         if abs(now - e_cur) > tol(now):
             raise SolverError(f"tracked energy {e_cur} drifted from the recomputed {now}")
         if now > checked + tol(checked):
             raise SolverError(f"energy rose between polish boundaries ({checked} -> {now})")
         checked = now
-        polished = _polish(problem, form, u)
+        polished = _polish(problem, form, x, terms[0])
         improved = False
-        # an unchanged polish has u's energy bits, which the strict test rejects
-        if polished is not None and not np.array_equal(polished, u):
+        # an unchanged polish has x's energy bits, which the strict test rejects
+        if polished is not None and not np.array_equal(polished, x):
             polished_energy = energy_of(polished)
             if polished_energy < checked:
-                u, checked = polished, polished_energy
+                x, checked = polished, polished_energy
                 improved = True
         e_cur = checked
         if reached_stop and not improved:
             converged = True
             break
+    u[form.interior_idx] = x
     return _finalize(problem, form, u, sweeps, converged, seed)
 
 
@@ -454,14 +472,14 @@ def _oracle_candidates(problem: ProblemSpec, form: QuadraticForm):
     Bit k of a mask selects interior node k. Returns the (2^m, m) block X,
     whose rows hold the interior values of each subset's pinned solve, and
     the energies by the reduced form x . (a_I x - W_II x) - 2 x . b_I + c plus
-    the volume term, with b_I and c from exterior_terms (see nlfb.energy).
+    the volume term, with W_II the block's interior columns (a view) and b_I
+    and c from exterior_terms (see nlfb.energy).
     Every solve pins the same values (the exterior data), so the right-hand
     sides are b_I, and the subsets of one size take one stacked solve, checked
     to be nonnegative in one_phase.
     """
-    interior_idx = form.interior_idx
-    m = interior_idx.shape[0]
-    W_II, a_I = form.dense[:, interior_idx], form.row_sums
+    m = form.interior_idx.shape[0]
+    W_II, a_I = form.dense[:, :m], form.row_sums
     b_I, exterior_constant = exterior_terms(form, problem.exterior_data)
 
     in_subset = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1 == 1

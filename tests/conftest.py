@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from nlfb import build_grid, enumerate_lattice, fractional_kernel
+from nlfb import (KernelSpec, build_grid, checkerboard_kernel, enumerate_lattice,
+                  fractional_kernel, modulated_kernel)
 
 
 @pytest.fixture(scope="session")
@@ -28,3 +29,16 @@ def kernel_s05():
 
 def random_field_values(grid, rng, lo=-1.0, hi=1.0):
     return rng.uniform(lo, hi, grid.n_nodes)
+
+
+def family_kernel(family, dim, s, block):
+    if family == "fractional_laplacian":
+        return fractional_kernel(s, lam=1.5, dim=dim)
+    if family == "modulated":
+        return modulated_kernel(s, 1.0, 2.0, amplitude=1.0 / 3.0, frequency=1.0 / block,
+                                multiplier=1.5, dim=dim)
+    if family == "checkerboard":
+        return checkerboard_kernel(s, 1.0, 3.0, block_size=block,
+                                   multipliers=(1.0, 1.5, 3.0), dim=dim)
+    return KernelSpec("custom_table", s, 1.0, 2.0, dim,
+                      {"block_size": block, "table": {(0, 0): 1.5, (-1, 1): 2.0, (1, 2): 1.25}})

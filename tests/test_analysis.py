@@ -304,7 +304,8 @@ def test_subsolution_pairing_of_a_spike_is_its_row_sum(grid_1d_small):
 
 
 def test_vectorized_scans_match_node_loops():
-    # reference: the per-node scans by node index, first extremum wins
+    # reference: the per-node scans by node index, first extremum wins; a
+    # pairing is one np.dot of the stored row with u in the block's column order
     grid = build_grid(2, 0.2, 2.0)
     form = assemble_form(fractional_kernel(0.5, dim=2), grid)
     rng = np.random.default_rng(131)
@@ -314,7 +315,7 @@ def test_vectorized_scans_match_node_loops():
         best, node = -math.inf, -1
         for i in np.nonzero(grid.interior)[0]:
             pairing = (form.row_sums[form.row_of[i]] * u[i]
-                       - float(np.dot(form.dense[form.row_of[i]], u)))
+                       - float(np.dot(form.dense[form.row_of[i]], u[form.col_order])))
             if pairing > best:
                 best, node = pairing, int(i)
         assert subsolution_residual(form, f) == {"max_pairing": best, "node": node}

@@ -32,7 +32,7 @@ from nlfb import (
 )
 from nlfb.energy import _ROW_BLOCK, tree_sum
 
-from conftest import random_field_values
+from conftest import family_kernel, random_field_values
 
 
 def brute_force_dirichlet(kernel, grid, values):
@@ -76,12 +76,14 @@ def test_hand_case_weights_and_pair_count():
     form, grid = hand_form()
     assert np.array_equal(grid.positions[:, 0], [-0.75, -0.25, 0.25, 0.75])
     assert np.array_equal(grid.interior, [False, True, True, False])
+    # columns are interior-first: nodes 1 and 2, then the exterior nodes 0 and 3
+    assert np.array_equal(form.col_order, [1, 2, 0, 3])
     # 6 unordered pairs minus the one exterior-exterior pair; an interior
     # pair appears in both stored rows
-    assert (np.count_nonzero(form.dense[:, grid.interior]) // 2
-            + np.count_nonzero(form.dense[:, ~grid.interior])) == 5
-    # the rows of nodes 1 and 2; column 0 is exterior node 0's row at interior columns
-    assert np.array_equal(form.dense, [[1.0, 0.0, 1.0, 0.25], [0.25, 1.0, 0.0, 1.0]])
+    assert (np.count_nonzero(form.dense[:, :2]) // 2
+            + np.count_nonzero(form.dense[:, 2:])) == 5
+    # the rows of nodes 1 and 2; column 2 is exterior node 0's row at the interior nodes
+    assert np.array_equal(form.dense, [[0.0, 1.0, 1.0, 0.25], [1.0, 0.0, 0.25, 1.0]])
     assert np.array_equal(form.row_sums, [2.25, 2.25])     # interior rows only
 
 
@@ -153,13 +155,16 @@ def test_exterior_pairs_carry_zero_weight(grid_1d_small):
     form = assemble_form(fractional_kernel(0.5), grid_1d_small)
     n_int = int(grid_1d_small.interior.sum())
     assert form.dense.shape == (n_int, grid_1d_small.n_nodes)
-    self_pairs = (np.arange(n_int), form.interior_idx)
+    # interior-first columns: the self-pairs are W_II's diagonal
+    assert np.array_equal(form.col_order[:n_int], np.nonzero(grid_1d_small.interior)[0])
+    assert np.array_equal(form.col_order[n_int:], np.nonzero(~grid_1d_small.interior)[0])
+    self_pairs = (np.arange(n_int), np.arange(n_int))
     assert np.all(form.dense[self_pairs] == 0.0)
     others = np.ones(form.dense.shape, dtype=bool)
     others[self_pairs] = False
     assert np.all(form.dense[others] > 0.0)
     # exterior partners of interior nodes still interact
-    assert np.all(form.dense[:, ~grid_1d_small.interior] > 0.0)
+    assert np.all(form.dense[:, n_int:] > 0.0)
 
 
 def test_assembly_refuses_blocks_above_the_memory_budget(monkeypatch, grid_1d_small):
@@ -205,8 +210,8 @@ def test_energy_is_nonnegative_and_quadratic(grid_1d_small):
 
 
 def test_block_matches_reference_rows_bitwise(grid_1d_small):
-    # interior rows are stored; an exterior row is the block's column (the
-    # kernel is symmetric bit for bit)
+    # interior rows are stored, their columns in col_order; an exterior row is
+    # the block's column for that node (the kernel is symmetric bit for bit)
     cases = [
         (checkerboard_kernel(0.5, 1.0, 1.5, block_size=0.5, multipliers=(1.0, 1.5)),
          grid_1d_small),
@@ -220,22 +225,10 @@ def test_block_matches_reference_rows_bitwise(grid_1d_small):
             want = reference_row(grid, kernel, i)
             k = form.row_of[i]
             if k >= 0:
-                assert form.dense[k].tobytes() == want.tobytes()
+                assert form.dense[k].tobytes() == want[form.col_order].tobytes()
             else:
-                assert form.dense[:, i].tobytes() == want[form.interior_idx].tobytes()
-
-
-def family_kernel(family, dim, s, block):
-    if family == "fractional_laplacian":
-        return fractional_kernel(s, lam=1.5, dim=dim)
-    if family == "modulated":
-        return modulated_kernel(s, 1.0, 2.0, amplitude=1.0 / 3.0, frequency=1.0 / block,
-                                multiplier=1.5, dim=dim)
-    if family == "checkerboard":
-        return checkerboard_kernel(s, 1.0, 3.0, block_size=block,
-                                   multipliers=(1.0, 1.5, 3.0), dim=dim)
-    return KernelSpec("custom_table", s, 1.0, 2.0, dim,
-                      {"block_size": block, "table": {(0, 0): 1.5, (-1, 1): 2.0, (1, 2): 1.25}})
+                column = np.nonzero(form.col_order == i)[0][0]
+                assert form.dense[:, column].tobytes() == want[form.interior_idx].tobytes()
 
 
 # Row blocks of _ROW_BLOCK rows: the pinned examples assemble more than one.
@@ -258,7 +251,7 @@ def test_assembly_equals_reference_rows_bitwise(family, dim, s, block, omega, ce
     if r is not None:
         kernel = rescale_kernel(kernel, [x0] * dim, r)
     form = assemble_form(kernel, grid)
-    want = np.array([reference_row(grid, kernel, i) for i in form.interior_idx])
+    want = np.array([reference_row(grid, kernel, i)[form.col_order] for i in form.interior_idx])
     assert form.dense.tobytes() == want.tobytes()
     assert form.row_sums.tobytes() == tree_sum(want).tobytes()
 
@@ -312,19 +305,22 @@ def test_reduced_energy_matches_total_energy(family, dim, phase, s, block, cells
     u[grid.interior & (pick > 0.8)] = xi if phase == "two_phase" or xi >= 0.0 else 0.0
     g = np.where(grid.interior, 0.0, u)
     want = total_energy(form, Field(grid, u), rho, xi).total
-    got = nlfb.energy.reduced_energy(form, u, rho, xi, nlfb.energy.exterior_terms(form, g))
+    got = nlfb.energy.reduced_energy(form, u[form.interior_idx], rho, xi,
+                                     nlfb.energy.exterior_terms(form, g))
     assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
 
 
-# One np.dot per stored row: the rounding the row-blocked np.vecdot must keep.
+# One np.dot per stored row, over the block's column order: the rounding the
+# row-blocked np.vecdot must keep.
 def reference_row_dots(form, u, rows):
-    return np.array([np.dot(form.dense[k], u) for k in rows], dtype=np.float64)
+    return np.array([np.dot(form.dense[k], u[form.col_order]) for k in rows],
+                    dtype=np.float64)
 
 
 def reference_dirichlet(form, u):
-    half = np.where(form.grid.interior, 0.5, 1.0)
-    return tree_sum([np.dot(row, (u[i] - u) ** 2 * half)
-                     for i, row in zip(form.interior_idx.tolist(), form.dense)])
+    v = u[form.col_order]
+    half = np.where(form.grid.interior[form.col_order], 0.5, 1.0)
+    return tree_sum([np.dot(row, (v[k] - v) ** 2 * half) for k, row in enumerate(form.dense)])
 
 
 @pytest.mark.parametrize("h,n_int", [(0.05, 40), (1.0 / 32.0, 64), (0.02, 100), (0.01, 200)])
@@ -337,7 +333,11 @@ def test_row_dots_and_energy_match_per_row_dots_bitwise(h, n_int):
     for _ in range(3):
         u = random_field_values(grid, rng)
         rows = rng.permutation(n_int)[:rng.integers(1, n_int + 1)]
-        for r in (range(n_int), rows, rows[:0]):
+        # a range and many consecutive ascending rows are read as slices, the
+        # rest gathered (swapped: consecutive, not ascending)
+        swapped = np.arange(n_int)
+        swapped[[1, 2]] = swapped[[2, 1]]
+        for r in (range(n_int), np.arange(n_int // 3, n_int), swapped, rows, rows[:0]):
             got, want = form.row_dots(u, r), reference_row_dots(form, u, r)
             assert got.tobytes() == want.tobytes()
         got = dirichlet_energy(form, Field(grid, u))
@@ -360,6 +360,31 @@ def test_row_dots_and_energy_allocate_at_most_a_row_block():
         finally:
             tracemalloc.stop()
         assert peak < form.dense.nbytes / 4
+
+
+def test_reduced_energy_and_exterior_terms_allocate_less_than_a_row_block(monkeypatch):
+    # both read the block in place: W_II and W_IE are slices of form.dense,
+    # and ranges of rows are read as slices, never gathered
+    grid = build_grid(2, 0.08, 2.0)
+    form = assemble_form(fractional_kernel(0.5, dim=2), grid)
+    u = random_field_values(grid, np.random.default_rng(5))
+    g = np.where(grid.interior, 0.0, u)
+    terms = nlfb.energy.exterior_terms(form, g)
+    read = []
+    real = nlfb.energy.rowwise_dots
+    monkeypatch.setattr(nlfb.energy, "rowwise_dots",
+                        lambda matrix, rows, v: read.append(matrix) or real(matrix, rows, v))
+    x = u[form.interior_idx]
+    for call in (lambda: nlfb.energy.reduced_energy(form, x, 0.3, 0.0, terms),
+                 lambda: nlfb.energy.exterior_terms(form, g)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * _ROW_BLOCK * grid.n_nodes
+    assert len(read) == 3 and all(np.shares_memory(m, form.dense) for m in read)
 
 
 def test_smooth_field_energy_converges_under_refinement():

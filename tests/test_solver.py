@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -32,11 +33,12 @@ from nlfb import (
     SolverError,
     total_energy,
 )
+from nlfb.energy import exterior_terms
 from nlfb.solver import (DEFAULT_MAX_SWEEPS, EPS_STOP_FACTOR, ORACLE_TIE_RTOL, PHASES,
                          POLISH_PERIOD, _finalize, _free_mask, _oracle_candidates, _pcg,
                          _polish, _solve_free, _subsystem, _sweep, _visit, thread_count)
 
-from conftest import random_field_values
+from conftest import family_kernel, random_field_values
 
 
 def four_interior_problem(rng, phase="one_phase", rho=None):
@@ -146,9 +148,11 @@ def test_sweep_change_matches_energy_difference(seed, phase, xi, rho, grid_1d_sm
     form = assemble_form(problem.kernel, grid_1d_small)
     u = data + np.where(grid_1d_small.interior, rng.uniform(lo, 1.0, data.shape[0]), 0.0)
     e0 = total_energy(form, Field(grid_1d_small, u), rho, xi).total
-    order = rng.permutation(np.nonzero(grid_1d_small.interior)[0])
-    change = _sweep(form, u, order, rho * grid_1d_small.cell_measure, xi,
-                    phase == "one_phase")
+    order = rng.permutation(form.interior_idx.shape[0])
+    x = u[form.interior_idx]
+    change = _sweep(form, x, exterior_terms(form, data)[0], order,
+                    rho * grid_1d_small.cell_measure, xi, phase == "one_phase")
+    u[form.interior_idx] = x
     e1 = total_energy(form, Field(grid_1d_small, u), rho, xi).total
     assert abs(change - (e1 - e0)) <= 1e-12 * (1.0 + abs(e0))
 
@@ -156,13 +160,16 @@ def test_sweep_change_matches_energy_difference(seed, phase, xi, rho, grid_1d_sm
 def test_sweep_without_changes_sums_to_exactly_zero(grid_1d_small):
     form = assemble_form(fractional_kernel(0.5), grid_1d_small)
     u = np.zeros(grid_1d_small.n_nodes)
-    order = np.nonzero(grid_1d_small.interior)[0]
-    assert _sweep(form, u, order, 0.1, 0.0, True) == 0.0
-    assert not u.any()
+    x = u[form.interior_idx]
+    order = np.arange(x.shape[0])
+    assert _sweep(form, x, exterior_terms(form, u)[0], order, 0.1, 0.0, True) == 0.0
+    assert not x.any()
 
 
 # The tuple-based visit and the per-row sweep over numpy-scalar row sums that
 # the branch-only visit and the cached-row sweep replaced: bitwise references.
+# A visit to stored row k reads b = W_II[k] . x + b_I[k], with W_II the block's
+# interior-first columns and b_I one np.dot of W_IE[k] with the exterior values.
 def reference_visit(a, b, rho_cell, xi, one_phase):
     v = b / a
     best = None           # (energy, on_flag, value)
@@ -185,16 +192,23 @@ def reference_visit(a, b, rho_cell, xi, one_phase):
     return best[2]
 
 
-def reference_sweep(form, u, order, rho_cell, xi, one_phase):
-    rows, row_sums = form.dense, form.row_sums
+def reference_exterior_term(form, u):
+    n_int = form.interior_idx.shape[0]
+    g = u[form.col_order[n_int:]]
+    return np.array([np.dot(row[n_int:], g) for row in form.dense])
+
+
+def reference_sweep(form, x, b_I, order, rho_cell, xi, one_phase):
+    n_int = form.interior_idx.shape[0]
+    rows, row_sums = form.dense[:, :n_int], form.row_sums
     change = 0.0
-    for i, k in zip(order.tolist(), form.row_of[order].tolist()):
-        a, b, t_old = row_sums[k], float(np.dot(rows[k], u)), float(u[i])
+    for k in order.tolist():
+        a, b, t_old = row_sums[k], float(np.dot(rows[k], x)) + float(b_I[k]), float(x[k])
         t = reference_visit(a, b, rho_cell, xi, one_phase)
         if t != t_old:
             change += (a * (t * t - t_old * t_old) - 2.0 * b * (t - t_old)
                        + rho_cell * (int(t > xi) - int(t_old > xi)))
-            u[i] = t
+            x[k] = t
     return change
 
 
@@ -244,18 +258,96 @@ def test_sweep_equals_reference_bitwise(phase, dim, h):
     form = assemble_form(kernel, grid)
     rng = np.random.default_rng([131, dim, PHASES.index(phase)])
     lo = 0.0 if phase == "one_phase" else -1.0
-    interior_idx = np.nonzero(grid.interior)[0]
     for _ in range(4):
         xi = float(rng.choice([0.0, rng.uniform(-0.2, 0.3)]))
         rho_cell = float(10.0 ** rng.uniform(-3.0, 0.0)) * grid.cell_measure
         u = rng.uniform(lo, 1.0, grid.n_nodes)
-        u_ref = u.copy()
+        x = u[form.interior_idx]
+        x_ref = x.copy()
+        b_I = exterior_terms(form, u)[0]
+        assert b_I.tobytes() == reference_exterior_term(form, u).tobytes()
         for _ in range(3):
-            order = rng.permutation(interior_idx)
-            change = _sweep(form, u, order, rho_cell, xi, phase == "one_phase")
-            want = reference_sweep(form, u_ref, order, rho_cell, xi, phase == "one_phase")
+            order = rng.permutation(x.shape[0])
+            change = _sweep(form, x, b_I, order, rho_cell, xi, phase == "one_phase")
+            want = reference_sweep(form, x_ref, b_I, order, rho_cell, xi,
+                                   phase == "one_phase")
             assert_same_bits(change, want)
-            assert u.tobytes() == u_ref.tobytes()
+            assert x.tobytes() == x_ref.tobytes()
+
+
+# The sweep reads b = W_II[k] . x + b_I[k], with b_I fixed for the descent, in
+# place of the node-ordered row dot sum_j w_ij u_j; the two agree to rounding.
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(("fractional_laplacian", "modulated", "checkerboard",
+                               "custom_table")),
+       dim=st.sampled_from((1, 2)), phase=st.sampled_from(PHASES), s=st.floats(0.05, 0.95),
+       block=st.floats(0.1, 1.0), cells=st.floats(4.2, 6.0), xi=st.floats(-0.2, 0.3),
+       log_rho=st.floats(-3.0, 0.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_sweep_right_hand_side_matches_node_ordered_row_dots(family, dim, phase, s, block,
+                                                             cells, xi, log_rho, seed):
+    if dim == 1:
+        cells *= 6.0     # 1D: 50 to 72 interior nodes, 2D: 52 to 112
+    grid = build_grid(dim, 1.0 / cells, 2.0)
+    form = assemble_form(family_kernel(family, dim, s, block), grid)
+    rng = np.random.default_rng(seed)
+    lo = 0.0 if phase == "one_phase" else -1.0
+    u = rng.uniform(lo, 1.0, grid.n_nodes)
+    u[grid.interior & (rng.random(grid.n_nodes) < 0.3)] = 0.0
+    order = rng.permutation(form.interior_idx.shape[0])
+    real_visit, seen = nlfb.solver._visit, []
+
+    def visit(a, b, *args):
+        t = real_visit(a, b, *args)
+        seen.append((b, t))
+        return t
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nlfb.solver, "_visit", visit)
+        _sweep(form, u[form.interior_idx], exterior_terms(form, u)[0], order,
+               10.0 ** log_rho * grid.cell_measure, xi, phase == "one_phase")
+    assert len(seen) == order.shape[0]
+    row = np.empty(grid.n_nodes)
+    for k, (b, t) in zip(order.tolist(), seen):
+        row[form.col_order] = form.dense[k]              # w_{i, .} by node
+        want = math.fsum((row * u).tolist())
+        assert abs(b - want) <= 1e-12 * math.fsum(np.abs(row * u).tolist())
+        u[form.interior_idx[k]] = t
+
+
+def test_descent_reads_the_block_in_place(monkeypatch):
+    # the sweep's rows, the reduced energy's W_II and the oracle's W_II are
+    # views of form.dense; no second copy of W_II or W_IE is stored
+    grid = build_grid(1, 0.1, 1.0, 0.5)                  # 10 interior nodes
+    rng = np.random.default_rng(59)
+    data = np.where(grid.interior, 0.0, rng.uniform(0.0, 1.0, grid.n_nodes))
+    problem = ProblemSpec(fractional_kernel(0.5), grid, data, rho=0.05)
+    form = assemble_form(problem.kernel, grid)
+    n_int = form.interior_idx.shape[0]
+    assert form.dense.shape == (n_int, grid.n_nodes)
+    assert form.dense.nbytes == 8 * n_int * grid.n_nodes
+    assert all(np.shares_memory(row, form.dense) and row.shape == (n_int,)
+               for row in form.interior_rows)
+    stored = [v for v in vars(form).values() if isinstance(v, np.ndarray)]
+    assert sum(v.nbytes for v in stored if v is not form.dense) < 4 * 8 * grid.n_nodes
+    read = []
+    real_dots = nlfb.energy.rowwise_dots
+    monkeypatch.setattr(nlfb.energy, "rowwise_dots",
+                        lambda matrix, rows, v: read.append(matrix) or real_dots(matrix, rows, v))
+    monkeypatch.setattr(nlfb.solver, "rowwise_dots", nlfb.energy.rowwise_dots)
+    coordinate_descent(problem, problem.exterior_field(), form=form)
+    assert read and all(np.shares_memory(m, form.dense) for m in read)
+    real_solve = nlfb.solver._direct_solve
+    oracle_blocks = []
+
+    def direct_solve(A, b):
+        # the caller's W_II, the block every stacked system is gathered from
+        oracle_blocks.append(sys._getframe(1).f_locals["W_II"])
+        return real_solve(A, b)
+
+    monkeypatch.setattr(nlfb.solver, "_direct_solve", direct_solve)
+    _oracle_candidates(problem, form)
+    assert len(oracle_blocks) == n_int
+    assert all(np.shares_memory(W_II, form.dense) for W_II in oracle_blocks)
 
 
 def test_descent_reports_the_energy_of_its_final_field():
@@ -291,10 +383,10 @@ def test_unchanged_polish_skips_its_energy_evaluation(monkeypatch, phase):
     real_reduced = nlfb.solver.reduced_energy
     polishes, evaluations, boundary_evaluations = [], [], []
 
-    def polish(problem, form, u):
-        out = real_polish(problem, form, u)
+    def polish(problem, form, x, *args):
+        out = real_polish(problem, form, x, *args)
         polishes.append("none" if out is None
-                        else "unchanged" if np.array_equal(out, u) else "changed")
+                        else "unchanged" if np.array_equal(out, x) else "changed")
         return out
 
     def energy(*args):
@@ -334,12 +426,13 @@ def test_polish_returns_polished_states_unchanged(phase, dim, h):
         problem = ProblemSpec(kernel, grid, data, rho=float(10.0 ** rng.uniform(-3.0, -0.5)),
                               phase=phase)
         init = lifting_initialization(problem, form)
-        polished = _polish(problem, form, init.values)
-        assert _polish(problem, form, polished).tobytes() == polished.tobytes()
+        b_I = exterior_terms(form, data)[0]
+        polished = _polish(problem, form, init.values[form.interior_idx], b_I)
+        assert _polish(problem, form, polished, b_I).tobytes() == polished.tobytes()
         res = coordinate_descent(problem, init, seed=trial, form=form)
         assert res.converged
-        u = res.field.values
-        assert _polish(problem, form, u).tobytes() == u.tobytes()
+        x = res.field.values[form.interior_idx]
+        assert _polish(problem, form, x, b_I).tobytes() == x.tobytes()
 
 
 @pytest.mark.parametrize("phase", PHASES)
@@ -356,15 +449,15 @@ def test_descent_polishes_as_soon_as_a_sweep_keeps_the_free_set(monkeypatch, pha
     real_sweep, real_polish = nlfb.solver._sweep, nlfb.solver._polish
     events = []
 
-    def sweep(form, u, *args):
-        before = _free_mask(problem, u)
-        change = real_sweep(form, u, *args)
-        events.append("kept" if np.array_equal(before, _free_mask(problem, u)) else "moved")
+    def sweep(form, x, *args):
+        before = _free_mask(problem, x)
+        change = real_sweep(form, x, *args)
+        events.append("kept" if np.array_equal(before, _free_mask(problem, x)) else "moved")
         return change
 
-    def polish(problem, form, u):
+    def polish(problem, form, x, *args):
         events.append("polish")
-        return real_polish(problem, form, u)
+        return real_polish(problem, form, x, *args)
 
     monkeypatch.setattr(nlfb.solver, "_sweep", sweep)
     monkeypatch.setattr(nlfb.solver, "_polish", polish)
@@ -402,9 +495,10 @@ def test_converged_minimize_is_coordinatewise_optimal(family, phase, h, xi, log_
     fresh = total_energy(res.form, res.field, problem.rho, problem.xi)
     fresh.truncation_bound = res.energy.truncation_bound
     assert res.energy.to_dict() == fresh.to_dict()
-    u = res.field.values.copy()
+    x = res.field.values[res.form.interior_idx]
+    b_I = exterior_terms(res.form, data)[0]
     for _ in range(2):
-        change = _sweep(res.form, u, rng.permutation(res.form.interior_idx),
+        change = _sweep(res.form, x, b_I, rng.permutation(x.shape[0]),
                         problem.rho * grid.cell_measure, problem.xi, phase == "one_phase")
         assert abs(change) < EPS_STOP_FACTOR * (1.0 + abs(e))
 
@@ -562,29 +656,32 @@ def test_oracle_reports_exact_break_even_tie():
 # The per-subset enumeration the batched oracle replaced: one _subsystem solved
 # by np.linalg.solve and one quick energy per support (from row sums of all N
 # nodes, the exterior ones read off the interior rows' columns), scanned in
-# mask order.
+# mask order. Bit k of a mask is stored row k, the node interior_idx[k]; the
+# exterior term of each row is one np.dot of W_IE[k] with the data.
 def reference_candidates(problem, form):
-    interior_idx = np.nonzero(problem.grid.interior)[0]
-    for mask in range(1 << interior_idx.shape[0]):
-        subset = interior_idx[[(mask >> k) & 1 == 1 for k in range(interior_idx.shape[0])]]
+    n_int = form.interior_idx.shape[0]
+    b_I = reference_exterior_term(form, problem.exterior_data)
+    for mask in range(1 << n_int):
+        rows = np.nonzero([(mask >> k) & 1 == 1 for k in range(n_int)])[0]
         values = problem.exterior_data.copy()
-        A, b = _subsystem(form, subset, values)
-        values[subset] = np.linalg.solve(A, b)
+        A, b = _subsystem(form, rows, values[form.interior_idx], b_I[rows])
+        values[form.interior_idx[rows]] = np.linalg.solve(A, b)
         yield values
 
 
 def reference_oracle(problem, form):
     grid = problem.grid
-    interior_idx = np.nonzero(grid.interior)[0]
-    W_I, W_II = form.dense, form.dense[:, interior_idx]
-    row_sums = np.empty(grid.n_nodes)
-    row_sums[interior_idx] = nlfb.energy.tree_sum(W_I)
-    row_sums[~grid.interior] = nlfb.energy.tree_sum(W_I[:, ~grid.interior].T)
+    interior_idx = form.interior_idx
+    n_int = interior_idx.shape[0]
+    W_I, W_II = form.dense, form.dense[:, :n_int]
+    row_sums = np.empty(grid.n_nodes)       # by column, as the block stores them
+    row_sums[:n_int] = nlfb.energy.tree_sum(W_I)
+    row_sums[n_int:] = nlfb.energy.tree_sum(W_I[:, n_int:].T)
     best_energy, best_values, ties = math.inf, None, []
     for values in reference_candidates(problem, form):
-        u_I = values[interior_idx]
+        v, u_I = values[form.col_order], values[interior_idx]
         support = tuple(np.nonzero(grid.interior & (values > problem.xi))[0].tolist())
-        energy = (float(values @ (row_sums * values) - 2.0 * (u_I @ (W_I @ values))
+        energy = (float(v @ (row_sums * v) - 2.0 * (u_I @ (W_I @ v))
                         + u_I @ (W_II @ u_I))
                   + problem.rho * grid.cell_measure * len(support))
         tol = ORACLE_TIE_RTOL * (1.0 + abs(best_energy)) if best_values is not None else 0.0
@@ -737,7 +834,8 @@ def test_one_phase_exact_solves_are_nonnegative(family, s, block, amplitude, h, 
         values[interior_idx[~free]] = np.where(rng.random(np.count_nonzero(~free)) < 0.5,
                                                0.0, xi)
         values[interior_idx[free]] = rng.uniform(0.0, 1.0, np.count_nonzero(free))
-        solved = _solve_free(form, interior_idx[free], values)
+        rows = np.nonzero(free)[0]
+        solved = _solve_free(form, rows, values[interior_idx], form.exterior_dots(values, rows))
         assert np.all(solved >= 0.0)
     X, _ = _oracle_candidates(problem, form)
     assert np.all(X >= 0.0)
@@ -765,7 +863,9 @@ def test_minimize_never_below_oracle_and_oracle_solves_its_support(seed, h, phas
     if phase == "one_phase":
         assert np.array_equal(free, oracle.support)
     if free.size:
-        A, b = _subsystem(oracle.form, free, u)
+        form = oracle.form
+        rows = form.row_of[free]
+        A, b = _subsystem(form, rows, u[form.interior_idx], form.exterior_dots(u, rows))
         assert np.max(np.abs(A @ u[free] - b)) <= 1e-12 * (1.0 + np.max(np.abs(b)))
 
 
