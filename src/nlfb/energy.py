@@ -31,7 +31,8 @@ pairwise tree sums, independent of thread count. Row dots run np.vecdot over
 blocks of at most _ROW_BLOCK rows, which rounds exactly like one np.dot per
 row (not like gemv or einsum) while bounding the temporaries to one block;
 a range of rows (all rows, in exterior_terms, reduced_energy and the
-analysis) is read as slices of the block, which copies nothing.
+analysis) is read as slices of the block, which copies nothing, and a range
+within one block as a single np.vecdot.
 """
 
 from __future__ import annotations
@@ -84,7 +85,9 @@ def rowwise_dots(matrix, rows, v) -> np.ndarray:
     """np.dot(matrix[k], v) for each k in rows, with the rounding of one np.dot
     per row (the sweep's), not gemv's, _ROW_BLOCK rows at a time. A range of
     rows, or more than _ROW_BLOCK consecutive ascending ones, is read as slices
-    of matrix; other rows are gathered."""
+    of matrix (a range within one block as one slice); other rows are gathered."""
+    if isinstance(rows, range) and rows.step == 1 and len(rows) <= _ROW_BLOCK:
+        return np.vecdot(matrix[rows.start:rows.stop], v)
     if not (isinstance(rows, range) and rows.step == 1):
         rows = np.asarray(rows, dtype=np.int64)
         n = rows.shape[0]

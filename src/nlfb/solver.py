@@ -28,12 +28,15 @@ sweep loop (monotone energy, same stopping rule) while reaching linear-solver
 accuracy on the final support, which the stationarity diagnostics require.
 The energy is recomputed only at the start and at polish boundaries, on the
 reduced form over interior values (nlfb.energy.reduced_energy), where the
-tracked energy must match it to 1e-9 * (1 + |energy|). The reported energy is
-the exit state's pairwise total_energy, evaluated once.
+tracked energy must match it to 1e-9 * (1 + |energy|), and a descent exits
+with the reduced energy checked at its last boundary. The reported energy is
+the exit state's pairwise total_energy, evaluated once per result.
 
-Restarts run coordinate descent from deterministic initializations and reduce
-by the lexicographic key (energy, restart seed); NLFB_THREADS caps how many
-run concurrently, with no effect on results. A brute-force oracle enumerates
+Restarts run coordinate descent from deterministic initializations, sharing
+one exterior_terms, and reduce by the lexicographic key (reduced exit energy,
+restart seed); only the winner is finalized, so minimize evaluates the
+pairwise total_energy once. NLFB_THREADS caps how many restarts run
+concurrently, with no effect on results. A brute-force oracle enumerates
 all interior supports (capacity-capped, xi = 0 only) for ground truth, with
 one stacked linear solve per support size, and scores them on the reduced
 quadratic form over interior values.
@@ -142,23 +145,27 @@ class MinimizeResult:
 # Preconditioned conjugate gradients on dense SPD systems.
 
 def _pcg(A, b, x0, rtol=CG_TOL, maxiter=None):
-    """Jacobi-preconditioned CG. Returns (x, relative_residual, iterations)."""
+    """Jacobi-preconditioned CG. Returns (x, relative_residual, iterations).
+
+    Norms are math.sqrt(r . r), the bits of np.linalg.norm for 1-D float64.
+    A warm start already within rtol returns a copy of x0 after 0 iterations.
+    """
     n = b.shape[0]
     if maxiter is None:
         maxiter = max(200, 50 * n)
-    b_norm = float(np.linalg.norm(b))
+    b_norm = math.sqrt(float(b @ b))
     if b_norm == 0.0:
         return np.zeros(n), 0.0, 0
-    x = x0.astype(np.float64).copy()
+    x = x0.astype(np.float64)
     r = b - A @ x
+    res = math.sqrt(float(r @ r))
+    if res <= rtol * b_norm:
+        return x, res / b_norm, 0
     inv_diag = 1.0 / np.diag(A)
     z = inv_diag * r
     p = z.copy()
     rz = float(r @ z)
-    for it in range(maxiter):
-        res = float(np.linalg.norm(r))
-        if res <= rtol * b_norm:
-            return x, res / b_norm, it
+    for it in range(1, maxiter + 1):
         Ap = A @ p
         alpha = rz / float(p @ Ap)
         x += alpha * p
@@ -167,9 +174,9 @@ def _pcg(A, b, x0, rtol=CG_TOL, maxiter=None):
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    res = float(np.linalg.norm(r))
-    if res <= rtol * b_norm:
-        return x, res / b_norm, maxiter
+        res = math.sqrt(float(r @ r))
+        if res <= rtol * b_norm:
+            return x, res / b_norm, it
     raise SolverError(
         f"CG did not reach rtol {rtol} in {maxiter} iterations; "
         f"final relative residual {res / b_norm:.3e}")
@@ -318,37 +325,35 @@ def _finalize(problem: ProblemSpec, form: QuadraticForm, u, sweeps, converged,
                           form=form)
 
 
-def coordinate_descent(problem: ProblemSpec, init: Field, seed=0,
-                       max_sweeps=DEFAULT_MAX_SWEEPS, form: QuadraticForm | None = None
-                       ) -> MinimizeResult:
-    """Descend from init with seed-shuffled sweeps; energy never increases.
+def _descend(problem: ProblemSpec, u0, seed, max_sweeps, form: QuadraticForm, terms):
+    """Coordinate descent from the node values u0 (not modified); returns
+    (u, energy, sweeps, converged) with u the exit state's node values and
+    energy its reduced_energy, for terms = exterior_terms(form, g) of the
+    exterior data g.
 
-    The initialization must agree with the exterior data and satisfy the phase
-    constraint. A batch of sweeps ends at a polish boundary as soon as a sweep
-    leaves the free set (_free_mask) unchanged or stalls, and after at most
+    u0 must agree with the exterior data and satisfy the phase constraint. A
+    batch of sweeps ends at a polish boundary as soon as a sweep leaves the
+    free set (_free_mask) unchanged or stalls, and after at most
     POLISH_PERIOD sweeps. A sweep stalls when it moves the tracked energy by
     less than 1e-13 * (1 + |energy|); the descent stops once a sweep stalls
     and the polish after it does not improve. The boundaries evaluate the
     energy on the reduced form (reduced_energy) and raise SolverError when the
     energy rises, or the tracked energy drifts from the recomputed one, by more
-    than 1e-9 * (1 + |energy|). The reported energy is the exit state's
-    pairwise total_energy.
+    than 1e-9 * (1 + |energy|). Every exit follows a boundary (or no sweep), so
+    the returned energy is the one checked there.
     """
-    if form is None:
-        form = assemble_form(problem.kernel, problem.grid)
     grid = problem.grid
-    u = init.values.copy()
-    if not np.array_equal(u[~grid.interior], problem.exterior_data[~grid.interior]):
+    exterior = ~grid.interior
+    if not (u0[exterior] == problem.exterior_data[exterior]).all():
         raise ConfigurationError("initialization does not match the exterior data")
     one_phase = problem.phase == "one_phase"
-    if one_phase and np.any(u < 0.0):
+    if one_phase and np.any(u0 < 0.0):
         raise ConfigurationError("one_phase initialization must be nonnegative")
 
-    x = u[form.interior_idx]    # the descent's state: interior values by stored row
+    x = u0[form.interior_idx]    # the descent's state: interior values by stored row
     rng = np.random.default_rng(seed)
     n_int = x.shape[0]
     rho_cell = problem.rho * grid.cell_measure
-    terms = exterior_terms(form, problem.exterior_data)
 
     def energy_of(vals):
         return reduced_energy(form, vals, problem.rho, problem.xi, terms)
@@ -379,7 +384,7 @@ def coordinate_descent(problem: ProblemSpec, init: Field, seed=0,
                 break
             # the sweeps chose the free set; the exact solve on it is the polish
             was, free = free, _free_mask(problem, x)
-            if np.array_equal(was, free):
+            if (was == free).all():
                 break
         now = energy_of(x)
         if abs(now - e_cur) > tol(now):
@@ -390,7 +395,7 @@ def coordinate_descent(problem: ProblemSpec, init: Field, seed=0,
         polished = _polish(problem, form, x, terms[0])
         improved = False
         # an unchanged polish has x's energy bits, which the strict test rejects
-        if polished is not None and not np.array_equal(polished, x):
+        if polished is not None and not (polished == x).all():
             polished_energy = energy_of(polished)
             if polished_energy < checked:
                 x, checked = polished, polished_energy
@@ -399,7 +404,24 @@ def coordinate_descent(problem: ProblemSpec, init: Field, seed=0,
         if reached_stop and not improved:
             converged = True
             break
+    u = u0.copy()
     u[form.interior_idx] = x
+    return u, checked, sweeps, converged
+
+
+def coordinate_descent(problem: ProblemSpec, init: Field, seed=0,
+                       max_sweeps=DEFAULT_MAX_SWEEPS, form: QuadraticForm | None = None
+                       ) -> MinimizeResult:
+    """Descend from init with seed-shuffled sweeps; energy never increases.
+
+    The initialization must agree with the exterior data and satisfy the phase
+    constraint; _descend gives the stopping rule and the energy checks. The
+    reported energy is the exit state's pairwise total_energy.
+    """
+    if form is None:
+        form = assemble_form(problem.kernel, problem.grid)
+    u, _, sweeps, converged = _descend(problem, init.values, seed, max_sweeps, form,
+                                       exterior_terms(form, problem.exterior_data))
     return _finalize(problem, form, u, sweeps, converged, seed)
 
 
@@ -420,31 +442,33 @@ def minimize(problem: ProblemSpec, n_restarts=4, seed=0, max_sweeps=DEFAULT_MAX_
 
     Initializations: (a) the harmonic lifting of the exterior data, (b) the
     zero extension, (c) n_restarts - 2 random interior supports carrying the
-    lifting values. Selection is by the lexicographic key (energy, restart
-    seed), so the result is independent of execution order and thread count.
-    The form is assembled unless given, and is returned on the result; assembly
-    raises CapacityError when the interior weight block exceeds the memory budget.
+    lifting values. Restart k descends with seed + k; all restarts share one
+    exterior_terms. Selection is by the lexicographic key (reduced exit energy,
+    restart seed), so the result is independent of execution order and thread
+    count, and only the winner is finalized: its reported energy is its
+    pairwise total_energy, the one pairwise evaluation per call. The form is
+    assembled unless given, and is returned on the result; assembly raises
+    CapacityError when the interior weight block exceeds the memory budget.
     """
     if n_restarts < 1:
         raise ConfigurationError(f"n_restarts must be at least 1, got {n_restarts}")
     if form is None:
         form = assemble_form(problem.kernel, problem.grid)
-    grid = problem.grid
-    lifted = lifting_initialization(problem, form)
+    lifted = lifting_initialization(problem, form).values
     inits = [lifted]
     if n_restarts >= 2:
-        inits.append(problem.exterior_field())
-    interior_idx = np.nonzero(grid.interior)[0]
+        inits.append(problem.exterior_data)
+    interior_idx = np.nonzero(problem.grid.interior)[0]
     for k in range(2, n_restarts):
         rng = np.random.default_rng([seed, k])
         mask = rng.random(interior_idx.shape[0]) < 0.5
         values = problem.exterior_data.copy()
-        values[interior_idx[mask]] = lifted.values[interior_idx[mask]]
-        inits.append(Field(grid, values))
+        values[interior_idx[mask]] = lifted[interior_idx[mask]]
+        inits.append(values)
+    terms = exterior_terms(form, problem.exterior_data)
 
     def run(k):
-        return coordinate_descent(problem, inits[k], seed=seed + k,
-                                  max_sweeps=max_sweeps, form=form)
+        return _descend(problem, inits[k], seed + k, max_sweeps, form, terms)
 
     workers = min(thread_count(), len(inits))
     if workers > 1:
@@ -453,9 +477,10 @@ def minimize(problem: ProblemSpec, n_restarts=4, seed=0, max_sweeps=DEFAULT_MAX_
     else:
         results = [run(k) for k in range(len(inits))]
 
-    best = min(results, key=lambda r: (r.energy.total, r.best_restart_seed))
-    best.restarts_used = len(results)
-    return best
+    best = min(range(len(results)), key=lambda k: (results[k][1], seed + k))
+    u, _, sweeps, converged = results[best]
+    return _finalize(problem, form, u, sweeps, converged, seed + best,
+                     restarts_used=len(results))
 
 
 # ---------------------------------------------------------------------------

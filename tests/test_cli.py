@@ -574,6 +574,47 @@ class TestOracleCompareCommand:
         for line in lines[1:]:
             assert line.split(",")[3] == "1"
 
+    def test_thread_env_keeps_restart_ties_at_the_last_ulps(self, tmp_path, monkeypatch):
+        # the oracle-50 benchmark config at CLI seed 0: on instances 7, 14 and
+        # 39 other restarts end at the winner's support a few ulps from its
+        # reduced exit energy (on 7 and 14 exactly at it) at different bits,
+        # so the (energy, restart seed) key decides the winner; it must decide
+        # alike at any thread count
+        cfg = parse_config(write_cfg(tmp_path, """\
+            kernel.s = 0.5
+            grid.h = 0.1
+            grid.omega_radius = 0.5
+            grid.R_inf = 1.0
+            problem.g_amplitude = 0.35
+            problem.rho = 0.2
+            oracle.instances = 40
+            oracle.restarts = 20
+            """))
+        exits = []       # (restart seed, exit state bytes, reduced exit energy)
+        real_descend = nlfb.solver._descend
+
+        def descend(problem, u0, seed, *args):
+            out = real_descend(problem, u0, seed, *args)
+            exits.append((seed, out[0].tobytes(), out[1]))
+            return out
+
+        outputs = {}
+        for threads in ("1", "4"):
+            monkeypatch.setenv("NLFB_THREADS", threads)
+            monkeypatch.setattr(nlfb.solver, "_descend",
+                                descend if threads == "1" else real_descend)
+            rows = oracle_compare_instances(cfg, 0)
+            outputs[threads] = [(r["result"].field.values.tobytes(), r["result"].energy.to_dict(),
+                                 r["result"].best_restart_seed, r["agree"]) for r in rows]
+        assert outputs["1"] == outputs["4"]
+        for k in (7, 14, 39):
+            restarts = [e for e in exits if e[0] // 100000 == k + 1]
+            assert len(restarts) == 20
+            winner = rows[k]["result"].best_restart_seed
+            _, won, energy = next(e for e in restarts if e[0] == winner)
+            assert any(state != won and abs(e - energy) <= 1e-14 * energy
+                       for _, state, e in restarts)
+
     def test_capacity_limit_exit_code(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, """\
             kernel.s = 0.5

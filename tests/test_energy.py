@@ -333,11 +333,13 @@ def test_row_dots_and_energy_match_per_row_dots_bitwise(h, n_int):
     for _ in range(3):
         u = random_field_values(grid, rng)
         rows = rng.permutation(n_int)[:rng.integers(1, n_int + 1)]
-        # a range and many consecutive ascending rows are read as slices, the
-        # rest gathered (swapped: consecutive, not ascending)
+        # a range and many consecutive ascending rows are read as slices (a
+        # range within one block, offset or empty, as one slice), the rest
+        # gathered (swapped: consecutive, not ascending)
         swapped = np.arange(n_int)
         swapped[[1, 2]] = swapped[[2, 1]]
-        for r in (range(n_int), np.arange(n_int // 3, n_int), swapped, rows, rows[:0]):
+        for r in (range(n_int), range(1, min(n_int, 65)), range(5, 5),
+                  np.arange(n_int // 3, n_int), swapped, rows, rows[:0]):
             got, want = form.row_dots(u, r), reference_row_dots(form, u, r)
             assert got.tobytes() == want.tobytes()
         got = dirichlet_energy(form, Field(grid, u))

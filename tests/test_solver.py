@@ -34,7 +34,7 @@ from nlfb import (
     total_energy,
 )
 from nlfb.energy import exterior_terms
-from nlfb.solver import (DEFAULT_MAX_SWEEPS, EPS_STOP_FACTOR, ORACLE_TIE_RTOL, PHASES,
+from nlfb.solver import (CG_TOL, DEFAULT_MAX_SWEEPS, EPS_STOP_FACTOR, ORACLE_TIE_RTOL, PHASES,
                          POLISH_PERIOD, _finalize, _free_mask, _oracle_candidates, _pcg,
                          _polish, _solve_free, _subsystem, _sweep, _visit, thread_count)
 
@@ -77,6 +77,73 @@ def test_pcg_reports_nonconvergence():
     A = np.eye(3)
     with pytest.raises(SolverError):
         _pcg(A, np.ones(3), np.zeros(3), maxiter=0)
+
+
+# The first _pcg, with np.linalg.norm norms and the warm-start residual tested
+# inside the loop: the bits and iteration counts _pcg must keep.
+def reference_pcg(A, b, x0, rtol=CG_TOL, maxiter=None):
+    n = b.shape[0]
+    if maxiter is None:
+        maxiter = max(200, 50 * n)
+    b_norm = float(np.linalg.norm(b))
+    if b_norm == 0.0:
+        return np.zeros(n), 0.0, 0
+    x = x0.astype(np.float64).copy()
+    r = b - A @ x
+    inv_diag = 1.0 / np.diag(A)
+    z = inv_diag * r
+    p = z.copy()
+    rz = float(r @ z)
+    for it in range(maxiter):
+        res = float(np.linalg.norm(r))
+        if res <= rtol * b_norm:
+            return x, res / b_norm, it
+        Ap = A @ p
+        alpha = rz / float(p @ Ap)
+        x += alpha * p
+        r -= alpha * Ap
+        z = inv_diag * r
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    res = float(np.linalg.norm(r))
+    if res <= rtol * b_norm:
+        return x, res / b_norm, maxiter
+    raise SolverError(
+        f"CG did not reach rtol {rtol} in {maxiter} iterations; "
+        f"final relative residual {res / b_norm:.3e}")
+
+
+def pcg_outcome(pcg, *args):
+    try:
+        x, res, iterations = pcg(*args)
+    except SolverError as exc:
+        return "raised", str(exc)
+    return x.tobytes(), float(res).hex(), iterations
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 40), density=st.floats(0.0, 1.0), start=st.sampled_from(
+       ("cold", "zero_rhs", "warm")), maxiter=st.sampled_from((None, 0, 1, 3)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_pcg_equals_reference_bitwise(n, density, start, maxiter, seed):
+    # random SPD M-matrices diag(a) - W with W >= 0 and a strictly above the
+    # row sums of W, the polish's kind of system
+    rng = np.random.default_rng(seed)
+    W = np.triu(rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < density), 1)
+    W += W.T
+    A = np.diag(W.sum(axis=1) + rng.uniform(0.05, 1.0, n)) - W
+    b = rng.uniform(-1.0, 1.0, n)
+    if start == "cold":
+        x0 = np.zeros(n)
+    elif start == "zero_rhs":
+        x0, b = rng.uniform(-1.0, 1.0, n), np.zeros(n)
+    else:
+        x0 = np.linalg.solve(A, b)
+    got = pcg_outcome(_pcg, A, b, x0, CG_TOL, maxiter)
+    assert got == pcg_outcome(reference_pcg, A, b, x0, CG_TOL, maxiter)
+    if start == "warm":
+        assert got[2] == 0
 
 
 # ------------------------------------------------------------- harmonic lifting
@@ -884,6 +951,56 @@ def test_single_restart_equals_descent_from_lifting():
     with_form = minimize(problem, n_restarts=1, seed=5, form=form)
     assert with_form.form is form and via_minimize.form is not form
     assert np.array_equal(with_form.field.values, via_minimize.field.values)
+
+
+@pytest.mark.parametrize("phase", PHASES)
+@pytest.mark.parametrize("n_restarts", [1, 2, 5])
+def test_minimize_finalizes_only_the_winner(monkeypatch, n_restarts, phase):
+    # the restarts share one exterior_terms and are ranked by (reduced exit
+    # energy, seed); only the winner gets the pairwise total_energy, and its
+    # result is the public coordinate_descent from its init and seed
+    grid = build_grid(1, 0.1, 2.0)
+    kernel = fractional_kernel(0.5)
+    form = assemble_form(kernel, grid)
+    rng = np.random.default_rng([149, n_restarts, PHASES.index(phase)])
+    lo = 0.0 if phase == "one_phase" else -1.0
+    data = np.where(grid.interior, 0.0, rng.uniform(lo, 1.0, grid.n_nodes))
+    problem = ProblemSpec(kernel, grid, data, rho=0.05, phase=phase)
+    calls = dict.fromkeys(("total_energy", "exterior_terms"), 0)
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(nlfb.solver, name, counted(name, getattr(nlfb.solver, name)))
+    exits = []       # (seed, init, reduced exit energy) per restart
+    real_descend = nlfb.solver._descend
+
+    def descend(problem, u0, seed, *args):
+        out = real_descend(problem, u0, seed, *args)
+        exits.append((seed, u0.copy(), out[1]))
+        return out
+
+    monkeypatch.setattr(nlfb.solver, "_descend", descend)
+    res = minimize(problem, n_restarts=n_restarts, seed=11, form=form)
+    monkeypatch.undo()
+    assert calls == {"total_energy": 1, "exterior_terms": 1}
+    assert res.restarts_used == n_restarts
+    assert sorted(seed for seed, _, _ in exits) == list(range(11, 11 + n_restarts))
+    best = min(energy for _, _, energy in exits)
+    assert res.best_restart_seed == min(seed for seed, _, energy in exits if energy == best)
+    _, init, _ = next(e for e in exits if e[0] == res.best_restart_seed)
+    direct = coordinate_descent(problem, Field(grid, init), seed=res.best_restart_seed,
+                                form=form)
+    assert res.field.values.tobytes() == direct.field.values.tobytes()
+    assert res.energy.to_dict() == direct.energy.to_dict()
+    assert (res.sweeps, res.converged) == (direct.sweeps, direct.converged)
+    fresh = total_energy(form, res.field, problem.rho, problem.xi)
+    fresh.truncation_bound = res.energy.truncation_bound
+    assert res.energy.to_dict() == fresh.to_dict()
 
 
 def test_minimize_not_worse_than_any_initialization():
