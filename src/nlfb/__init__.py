@@ -27,7 +27,7 @@ from .kernel import (EllipticityReport, KernelSpec, check_ellipticity,
                      load_custom_table, modulated_kernel, rescale_kernel)
 from .solver import (MinimizeResult, ProblemSpec, coordinate_descent,
                      harmonic_lifting, lifting_initialization, minimize,
-                     oracle_minimize, rho_sweep_minimize, thread_count)
+                     oracle_minimize, rho_sweep_minimize)
 
 __all__ = [
     "__version__",
@@ -45,6 +45,6 @@ __all__ = [
     "region_interior_indices", "rescale_kernel", "residual_scale",
     "rho_sweep_minimize", "sample_field",
     "scaling_discrepancy", "select_analysis_points", "subsolution_residual",
-    "sup_over_ball", "support_mask", "tail", "thread_count", "total_energy",
+    "sup_over_ball", "support_mask", "tail", "total_energy",
     "tree_sum", "truncation_error_bound",
 ]

@@ -11,6 +11,10 @@ measurements are confined to the manifest's "timing" section so the rest of
 the manifest is reproducible byte for byte. The manifest's "warnings" list
 (empty when there is nothing to report) names every reported minimization
 that stopped at solver.max_sweeps before converging.
+
+NLFB_THREADS, when set, must be an integer (a malformed value is a
+configuration error). Restarts run one after another on the calling thread,
+so any integer value changes nothing.
 """
 
 from __future__ import annotations
@@ -320,6 +324,13 @@ _COMMANDS = {
 def run(config_path: str, subcommand: str, out_dir: str | None = None,
         seed: int | None = None) -> int:
     """Execute one subcommand; returns the process exit code."""
+    threads = os.environ.get("NLFB_THREADS", "")
+    if threads:
+        try:
+            int(threads)
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"NLFB_THREADS must be an integer, got {threads!r}") from exc
     if subcommand not in _COMMANDS:
         raise ConfigurationError(f"unknown subcommand {subcommand!r}")
     cfg = parse_config(config_path)
@@ -327,6 +338,8 @@ def run(config_path: str, subcommand: str, out_dir: str | None = None,
         out_dir = cfg.values["output.directory"]
     if seed is None:
         seed = cfg.values["solver.seed"]
+    elif seed < 0:
+        raise ConfigurationError(f"--seed must be at least 0, got {seed}")
 
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.json")

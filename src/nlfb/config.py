@@ -166,6 +166,10 @@ def _validate(cfg: ExperimentConfig) -> None:
             f"kernel.family must be one of {FAMILIES}, got {v['kernel.family']!r}")
     if v["problem.phase"] not in ("one_phase", "two_phase"):
         raise ConfigurationError("problem.phase must be one_phase or two_phase")
+    for key, least in (("solver.seed", 0), ("solver.max_sweeps", 0),
+                       ("oracle.instances", 1)):
+        if v[key] < least:
+            raise ConfigurationError(f"{key} must be at least {least}, got {v[key]}")
     g = v["problem.g"]
     if g.startswith("file:"):
         ref = cfg.resolve(g[len("file:"):])

@@ -32,21 +32,18 @@ tracked energy must match it to 1e-9 * (1 + |energy|), and a descent exits
 with the reduced energy checked at its last boundary. The reported energy is
 the exit state's pairwise total_energy, evaluated once per result.
 
-Restarts run coordinate descent from deterministic initializations, sharing
-one exterior_terms, and reduce by the lexicographic key (reduced exit energy,
-restart seed); only the winner is finalized, so minimize evaluates the
-pairwise total_energy once. NLFB_THREADS caps how many restarts run
-concurrently, with no effect on results. A brute-force oracle enumerates
-all interior supports (capacity-capped, xi = 0 only) for ground truth, with
-one stacked linear solve per support size, and scores them on the reduced
-quadratic form over interior values.
+Restarts run coordinate descent from deterministic initializations, one
+after another in seed order, sharing one exterior_terms, and reduce by the
+lexicographic key (reduced exit energy, restart seed); only the winner is
+finalized, so minimize evaluates the pairwise total_energy once. A
+brute-force oracle enumerates all interior supports (capacity-capped, xi = 0
+only) for ground truth, with one stacked linear solve per support size, and
+scores them on the reduced quadratic form over interior values.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -66,18 +63,6 @@ POLISH_PERIOD = 25
 CG_TOL = 1e-12
 ORACLE_MAX_INTERIOR = 14
 ORACLE_TIE_RTOL = 1e-10
-
-
-def thread_count() -> int:
-    """Worker cap from NLFB_THREADS (default 1). Affects speed only, never results."""
-    raw = os.environ.get("NLFB_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigurationError(f"NLFB_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, n)
 
 
 @dataclass
@@ -442,13 +427,14 @@ def minimize(problem: ProblemSpec, n_restarts=4, seed=0, max_sweeps=DEFAULT_MAX_
 
     Initializations: (a) the harmonic lifting of the exterior data, (b) the
     zero extension, (c) n_restarts - 2 random interior supports carrying the
-    lifting values. Restart k descends with seed + k; all restarts share one
+    lifting values. Restart k descends with seed + k; the restarts run one
+    after another in that order on the calling thread and share one
     exterior_terms. Selection is by the lexicographic key (reduced exit energy,
-    restart seed), so the result is independent of execution order and thread
-    count, and only the winner is finalized: its reported energy is its
-    pairwise total_energy, the one pairwise evaluation per call. The form is
-    assembled unless given, and is returned on the result; assembly raises
-    CapacityError when the interior weight block exceeds the memory budget.
+    restart seed), so the lowest seed wins ties, and only the winner is
+    finalized: its reported energy is its pairwise total_energy, the one
+    pairwise evaluation per call. The form is assembled unless given, and is
+    returned on the result; assembly raises CapacityError when the interior
+    weight block exceeds the memory budget.
     """
     if n_restarts < 1:
         raise ConfigurationError(f"n_restarts must be at least 1, got {n_restarts}")
@@ -466,17 +452,8 @@ def minimize(problem: ProblemSpec, n_restarts=4, seed=0, max_sweeps=DEFAULT_MAX_
         values[interior_idx[mask]] = lifted[interior_idx[mask]]
         inits.append(values)
     terms = exterior_terms(form, problem.exterior_data)
-
-    def run(k):
-        return _descend(problem, inits[k], seed + k, max_sweeps, form, terms)
-
-    workers = min(thread_count(), len(inits))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, range(len(inits))))
-    else:
-        results = [run(k) for k in range(len(inits))]
-
+    results = [_descend(problem, u0, seed + k, max_sweeps, form, terms)
+               for k, u0 in enumerate(inits)]
     best = min(range(len(results)), key=lambda k: (results[k][1], seed + k))
     u, _, sweeps, converged = results[best]
     return _finalize(problem, form, u, sweeps, converged, seed + best,

@@ -708,6 +708,34 @@ class TestErrorContract:
         assert main(["solve", "--config", cfg_path,
                      "--out", str(tmp_path / "out")]) == 2
         assert "amplitude" in capsys.readouterr().err
+        # a negative seed, an empty oracle run or a negative sweep cap is nonsense
+        for extra, message in (("solver.seed = -1\n", "solver.seed must be at least 0"),
+                               ("oracle.instances = -3\n", "oracle.instances must be at least 1"),
+                               ("oracle.instances = 0\n", "oracle.instances must be at least 1"),
+                               ("solver.max_sweeps = -5\n",
+                                "solver.max_sweeps must be at least 0")):
+            cfg_path = write_cfg(tmp_path, ORACLE_CFG + extra)
+            assert main(["oracle-compare", "--config", cfg_path,
+                         "--out", str(tmp_path / "out")]) == 2
+            assert message in capsys.readouterr().err
+        cfg_path = write_cfg(tmp_path, SOLVE_CFG)
+        assert main(["solve", "--config", cfg_path, "--seed", "-1",
+                     "--out", str(tmp_path / "seed")]) == 2
+        assert "--seed must be at least 0" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "seed")
+
+    def test_thread_env_exit_code(self, tmp_path, capsys, monkeypatch):
+        # NLFB_THREADS must be an integer; any integer is accepted and changes nothing
+        cfg_path = write_cfg(tmp_path, SOLVE_CFG)
+        monkeypatch.setenv("NLFB_THREADS", "many")
+        assert main(["solve", "--config", cfg_path,
+                     "--out", str(tmp_path / "many")]) == 2
+        assert "NLFB_THREADS must be an integer, got 'many'" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "many")
+        for threads in ("4", "0"):
+            monkeypatch.setenv("NLFB_THREADS", threads)
+            assert main(["solve", "--config", cfg_path,
+                         "--out", str(tmp_path / threads)]) == 0
 
     def test_capacity_error_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(nlfb.energy, "MEMORY_BUDGET_BYTES", 1024)

@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -36,7 +37,7 @@ from nlfb import (
 from nlfb.energy import exterior_terms
 from nlfb.solver import (CG_TOL, DEFAULT_MAX_SWEEPS, EPS_STOP_FACTOR, ORACLE_TIE_RTOL, PHASES,
                          POLISH_PERIOD, _finalize, _free_mask, _oracle_candidates, _pcg,
-                         _polish, _solve_free, _subsystem, _sweep, _visit, thread_count)
+                         _polish, _solve_free, _subsystem, _sweep, _visit)
 
 from conftest import family_kernel, random_field_values
 
@@ -1029,18 +1030,6 @@ def test_minimize_is_deterministic_for_a_seed():
     assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
 
 
-def test_thread_count_parsing(monkeypatch):
-    monkeypatch.delenv("NLFB_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("NLFB_THREADS", "4")
-    assert thread_count() == 4
-    monkeypatch.setenv("NLFB_THREADS", "0")
-    assert thread_count() == 1
-    monkeypatch.setenv("NLFB_THREADS", "many")
-    with pytest.raises(ConfigurationError):
-        thread_count()
-
-
 def test_thread_count_does_not_change_results(monkeypatch, grid_1d_small):
     kernel = fractional_kernel(0.5)
     rng = np.random.default_rng(103)
@@ -1053,6 +1042,24 @@ def test_thread_count_does_not_change_results(monkeypatch, grid_1d_small):
         res = minimize(problem, n_restarts=6, seed=13)
         outputs[threads] = json.dumps(res.to_dict(), sort_keys=True)
     assert outputs["1"] == outputs["4"]
+
+
+def test_minimize_starts_no_thread(monkeypatch, grid_1d_small):
+    kernel = fractional_kernel(0.5)
+    rng = np.random.default_rng(103)
+    data = np.where(grid_1d_small.interior, 0.0,
+                    rng.uniform(0.0, 1.0, grid_1d_small.n_nodes))
+    problem = ProblemSpec(kernel, grid_1d_small, data, rho=0.05, phase="one_phase")
+    monkeypatch.setenv("NLFB_THREADS", "1")
+    expected = json.dumps(minimize(problem, n_restarts=6, seed=13).to_dict(), sort_keys=True)
+
+    def start(self):
+        raise AssertionError("minimize started a thread")
+
+    monkeypatch.setenv("NLFB_THREADS", "4")
+    monkeypatch.setattr(threading.Thread, "start", start)
+    res = minimize(problem, n_restarts=6, seed=13)
+    assert json.dumps(res.to_dict(), sort_keys=True) == expected
 
 
 # -------------------------------------------------------------- rho continuation
