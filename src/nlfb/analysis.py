@@ -67,7 +67,11 @@ def free_boundary(field: Field, xi: float) -> FreeBoundary:
     off_idx, on_idx = off_idx[order], on_idx[order]
     pairs = list(zip(off_idx.tolist(), on_idx.tolist()))
     mids = (grid.positions[off_idx] + grid.positions[on_idx]) / 2.0
-    return FreeBoundary(np.unique(off_idx[grid.interior[off_idx]]), pairs, mids)
+    # off_idx is sorted: keep the first node of each run (np.unique imports numpy.ma)
+    off_interior = off_idx[grid.interior[off_idx]]
+    first = np.ones(off_interior.shape[0], dtype=bool)
+    first[1:] = off_interior[1:] != off_interior[:-1]
+    return FreeBoundary(off_interior[first], pairs, mids)
 
 
 def select_analysis_points(fb: FreeBoundary, limit=5) -> list:

@@ -13,26 +13,28 @@ lost that way is estimated by truncation_error_bound.
 The penalized total adds rho * measure of the strict super-level set
 {u > xi} restricted to interior nodes.
 
-Every stored pair has an interior end, so the form keeps only the interior
-rows W[I, :] as one (n_int, N) array and their row sums a_I. The columns are
-interior-first: column k < n_int is interior node interior_idx[k], the node of
-row k, and the exterior nodes follow in ascending order; col_order lists the
-node of each column. W_II = dense[:, :n_int] and W_IE = dense[:, n_int:] are
-therefore views. An exterior row is read from the block's column for that
-node, found through col_order (the kernel is symmetric bit for bit). With the
-exterior values g as data, the energy of the interior values x is the reduced
-quadratic x . (a_I x) - x . (W_II x) - 2 x . b_I + c, where b_I = W_IE g and
-c = sum over interior i and exterior e of w_ie g_e^2; exterior_terms computes
-b_I and c, and reduced_energy evaluates the form without reading W_IE.
-Assembly runs the kernel's pair formula (eval_kernel's bits) on _ROW_BLOCK
-rows at a time, and refuses with CapacityError, before allocating, when the
-block would exceed MEMORY_BUDGET_BYTES. All reductions are fixed-block-size
-pairwise tree sums, independent of thread count. Row dots run np.vecdot over
-blocks of at most _ROW_BLOCK rows, which rounds exactly like one np.dot per
-row (not like gemv or einsum) while bounding the temporaries to one block;
-a range of rows (all rows, in exterior_terms, reduced_energy and the
-analysis) is read as slices of the block, which copies nothing, and a range
-within one block as a single np.vecdot.
+Every stored pair has an interior end. The form keeps the interior block
+W_II as one (n_int, n_int) array, its rows and columns in the order of
+interior_idx, with the row sums a_I over all N nodes and the exterior row sums
+a_E. col_order lists the interior nodes, then the exterior ones, each in
+ascending order: the columns of a full row. The interior-exterior block W_IE
+is never stored. The exterior values g are data, and W_IE meets them only
+through b_I = W_IE g and c = sum over interior i and exterior e of w_ie g_e^2,
+so the energy of the interior values x is the reduced quadratic
+x . (a_I x) - x . (W_II x) - 2 x . b_I + c. Assembly runs the kernel's pair
+formula (eval_kernel's bits) on full rows, _ROW_BLOCK rows at a time into one
+reused scratch block: it copies the interior columns into W_II and reduces
+the exterior ones to a_E and, when exterior data is given, to its (b_I, c).
+exterior_terms returns those terms; for other exterior values it runs one
+pass of the pair formula over the interior-exterior pairs, with the bits
+assembly would give, and the form keeps the terms of the last values.
+Assembly refuses with CapacityError, before allocating, when W_II would
+exceed MEMORY_BUDGET_BYTES. All reductions are fixed-block-size pairwise tree
+sums, independent of thread count. Row dots run np.vecdot over blocks of at
+most _ROW_BLOCK rows, which rounds exactly like one np.dot per row (not like
+gemv or einsum) while bounding the temporaries to one block; a range of rows
+(all rows, in reduced_energy and the analysis) is read as slices of W_II,
+which copies nothing, and a range within one block as a single np.vecdot.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ from .kernel import KernelSpec, pair_kernel
 
 _TREE_BLOCK = 64
 _ROW_BLOCK = 64
-# Largest allocation, in bytes, of the interior weight block or all-pairs arrays.
+_EVAL_ROWS = 16
+# Largest allocation, in bytes, of W_II, a subsystem matrix or all-pairs arrays.
 MEMORY_BUDGET_BYTES = 256 * 2 ** 20
 
 # Volume of the unit ball.
@@ -103,28 +106,34 @@ def rowwise_dots(matrix, rows, v) -> np.ndarray:
 
 @dataclass
 class QuadraticForm:
-    """Pairwise weights of the Dirichlet energy on a grid, kept as interior rows."""
+    """Pairwise weights of the Dirichlet energy on a grid: the interior block
+    W_II, the row sums, and the exterior terms of the last exterior values."""
 
     grid: Grid
     kernel: KernelSpec
-    dense: np.ndarray             # (n_int, N): row k is w_{col_order[k], col_order[.]}
-    row_sums: np.ndarray          # (n_int,): a_i = sum_j w_ij, aligned with dense
-    # (N,): the node of each column: the interior nodes, then the exterior ones,
-    # each in ascending order, so dense[:, :n_int] is W_II, aligned with the rows
+    dense: np.ndarray             # (n_int, n_int): W_II, row and column k are node col_order[k]
+    row_sums: np.ndarray          # (n_int,): a_i = sum_j w_ij over all N nodes, aligned with dense
+    exterior_row_sums: np.ndarray     # (n_int,): a_E,i = sum over exterior e of w_ie
+    # (N,): the node of each column of a full row: the interior nodes, then the
+    # exterior ones, each in ascending order
     col_order: np.ndarray
     interior_idx: np.ndarray = dataclass_field(init=False)   # col_order[:n_int]
+    exterior_idx: np.ndarray = dataclass_field(init=False)   # col_order[n_int:]
     row_of: np.ndarray = dataclass_field(init=False)    # stored row per node, -1 if exterior
     # the rows of W_II as views and the row sums as Python floats, by stored
     # row: the coordinate sweep reads them once per visit
     interior_rows: list = dataclass_field(init=False, repr=False)
     row_sums_list: list = dataclass_field(init=False, repr=False)
+    # (g_E, (b_I, c)): the exterior values exterior_terms last saw, and their terms
+    terms_cache: tuple | None = dataclass_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         n_int = self.dense.shape[0]
         self.interior_idx = self.col_order[:n_int]
+        self.exterior_idx = self.col_order[n_int:]
         self.row_of = np.full(self.grid.n_nodes, -1, dtype=np.int64)
         self.row_of[self.interior_idx] = np.arange(n_int)
-        self.interior_rows = list(self.dense[:, :n_int])
+        self.interior_rows = list(self.dense)
         self.row_sums_list = self.row_sums.tolist()
 
     @property
@@ -132,60 +141,106 @@ class QuadraticForm:
         return self.grid.n_nodes
 
     def row_dots(self, u, rows) -> np.ndarray:
-        """sum_j w_ij u_j for stored rows and node-ordered u, one np.dot's
-        rounding per row over the block's column order."""
-        return rowwise_dots(self.dense, rows, u[self.col_order])
+        """sum_j w_ij u_j for stored rows and node-ordered u: one np.dot of the
+        W_II row with the interior values, plus b_I = (W_IE g) for u's exterior
+        values g."""
+        b_I = exterior_terms(self, u)[0]
+        return rowwise_dots(self.dense, rows, u[self.interior_idx]) + b_I[rows]
 
     def exterior_dots(self, g, rows) -> np.ndarray:
         """(W_IE g)_i for stored rows, reading only g's exterior entries."""
-        n_int = self.dense.shape[0]
-        return rowwise_dots(self.dense[:, n_int:], rows, g[self.col_order[n_int:]])
+        return exterior_terms(self, g)[0][rows]
 
 
-def assemble_form(kernel: KernelSpec, grid: Grid) -> QuadraticForm:
-    """Assemble the interior rows of the pair weights w_ij = 2 K(x_i, x_j) m_i m_j,
-    with interior-first columns (see QuadraticForm.col_order).
+def _weight_rows(kernel: KernelSpec, grid: Grid, col_order, n_int, first_col, block):
+    """Yield (k, rows): the pair weights w_ij = 2 K(x_i, x_j) m_i m_j of the stored
+    rows k, k + 1, .. (`block` at a time) against the nodes col_order[first_col:],
+    in one reused scratch block. With first_col = 0 the rows are full and row i's
+    self-pair (column k + i) is 0; with first_col = n_int they are W_IE's rows.
+    The pair formula runs on at most _EVAL_ROWS rows at a time, which bounds
+    its pair-shaped temporaries."""
+    cols = [np.ascontiguousarray(grid.positions[col_order, a]) for a in range(grid.dim)]
+    partners = [c[first_col:] for c in cols]
+    scratch = np.empty((min(block, n_int), col_order.shape[0] - first_col))
+    m2 = grid.cell_measure * grid.cell_measure
+    for k in range(0, n_int, block):
+        n = min(block, n_int - k)
+        for r in range(k, k + n, _EVAL_ROWS):
+            m = min(_EVAL_ROWS, k + n - r)
+            pair_kernel(kernel, [c[r:r + m, None] for c in cols], partners,
+                        out=scratch[r - k:r - k + m],
+                        exclude=(np.arange(m), np.arange(r, r + m)) if first_col == 0 else None)
+        rows = scratch[:n]
+        rows *= 2.0
+        rows *= m2
+        yield k, rows
 
-    Raises CapacityError, before allocating, when the (n_int, N) block exceeds
-    MEMORY_BUDGET_BYTES.
+
+def _fold_exterior(k, W_IE_rows, g_E, b_I, c_rows):
+    """Row dots of a block of W_IE's rows with g_E and g_E^2, into rows k.. of
+    b_I and c_rows: the same np.vecdot in assembly and in exterior_terms."""
+    n = W_IE_rows.shape[0]
+    b_I[k:k + n] = np.vecdot(W_IE_rows, g_E)
+    c_rows[k:k + n] = np.vecdot(W_IE_rows, g_E * g_E)
+
+
+def assemble_form(kernel: KernelSpec, grid: Grid, exterior_data=None) -> QuadraticForm:
+    """Assemble the interior block W_II of the pair weights w_ij = 2 K(x_i, x_j) m_i m_j,
+    with the full row sums a_I and the exterior row sums a_E, and keep the
+    exterior terms (b_I, c) of exterior_data (node-ordered; its interior entries
+    are not read) when it is given.
+
+    Each block of _ROW_BLOCK rows is evaluated over all N columns into one
+    reused scratch block; its interior columns are copied into W_II and its
+    exterior columns are reduced, so W_IE is never stored. Raises
+    CapacityError, before allocating, when W_II exceeds MEMORY_BUDGET_BYTES.
     """
     if kernel.dim != grid.dim:
         raise ConfigurationError(
             f"kernel dimension {kernel.dim} does not match grid dimension {grid.dim}")
     col_order = np.concatenate([np.nonzero(grid.interior)[0], np.nonzero(~grid.interior)[0]])
     n_int = int(np.count_nonzero(grid.interior))
-    check_budget(8 * n_int * grid.n_nodes, "the interior weight block")
-    block = np.empty((n_int, grid.n_nodes))
-    cols = [np.ascontiguousarray(grid.positions[col_order, a]) for a in range(grid.dim)]
-    m2 = grid.cell_measure * grid.cell_measure
-    for k in range(0, n_int, _ROW_BLOCK):
-        n = min(_ROW_BLOCK, n_int - k)
-        rows = pair_kernel(kernel, [c[k:k + n, None] for c in cols], cols,
-                           out=block[k:k + n], exclude=(np.arange(n), np.arange(k, k + n)))
-        rows *= 2.0
-        rows *= m2
-    return QuadraticForm(grid, kernel, block, tree_sum(block), col_order)
+    check_budget(8 * n_int * n_int, "the interior weight block")
+    W_II = np.empty((n_int, n_int))
+    row_sums, a_E, b_I, c_rows = (np.empty(n_int) for _ in range(4))
+    g_E = (None if exterior_data is None
+           else np.asarray(exterior_data, dtype=np.float64)[col_order[n_int:]])
+    for k, rows in _weight_rows(kernel, grid, col_order, n_int, 0, _ROW_BLOCK):
+        n = rows.shape[0]
+        W_II[k:k + n] = rows[:, :n_int]
+        row_sums[k:k + n] = tree_sum(rows)
+        a_E[k:k + n] = tree_sum(rows[:, n_int:])
+        if g_E is not None:
+            _fold_exterior(k, rows[:, n_int:], g_E, b_I, c_rows)
+    form = QuadraticForm(grid, kernel, W_II, row_sums, a_E, col_order)
+    if g_E is not None:
+        form.terms_cache = (g_E, (b_I, tree_sum(c_rows)))
+    return form
 
 
 def dirichlet_energy(form: QuadraticForm, field: Field) -> float:
     """E(u) = sum_{i<j} w_ij (u_i - u_j)^2, a deterministic tree reduction over
-    stored rows; interior j weigh 1/2, since both rows see an interior pair."""
+    stored rows. The interior pairs are summed pairwise over W_II, each at 1/2
+    since both rows see it; the exterior pairs of row i add
+    a_E,i u_i^2 - 2 u_i b_i, and c once, from exterior_terms of u's exterior
+    values."""
     if field.grid is not form.grid and field.grid.n_nodes != form.grid.n_nodes:
         raise ConfigurationError("field and form live on different grids")
     n_int = form.dense.shape[0]
-    v = field.values[form.col_order]             # column order: v[k] is row k's value
-    half = np.ones(v.shape[0])
-    half[:n_int] = 0.5
-    block = np.empty((min(_ROW_BLOCK, n_int), v.shape[0]))   # reused per row block
+    b_I, c = exterior_terms(form, field.values)
+    x = field.values[form.interior_idx]
+    block = np.empty((min(_ROW_BLOCK, n_int), n_int))   # reused per row block
     dots = []
     for k in range(0, n_int, _ROW_BLOCK):
         rows = form.dense[k:k + _ROW_BLOCK]
         diff = block[:rows.shape[0]]
-        np.subtract(v[k:k + rows.shape[0], None], v, out=diff)
+        np.subtract(x[k:k + rows.shape[0], None], x, out=diff)
         np.square(diff, out=diff)
-        diff *= half
+        diff *= 0.5
         dots.append(np.vecdot(rows, diff))
-    return tree_sum(np.concatenate(dots or [np.zeros(0)]))
+    per_row = np.concatenate(dots or [np.zeros(0)])
+    per_row += x * (form.exterior_row_sums * x - 2.0 * b_I)
+    return tree_sum(per_row) + c
 
 
 @dataclass
@@ -224,11 +279,25 @@ def total_energy(form: QuadraticForm, field: Field, rho, xi) -> EnergyBreakdown:
 
 
 def exterior_terms(form: QuadraticForm, g):
-    """(b_I, c) of the reduced form for the exterior values of g (its interior
-    entries are not read): b_I = W_IE g, one row dot per stored row, and c = sum
-    over interior i and exterior e of w_ie g_e^2, a tree sum."""
-    rows = range(form.dense.shape[0])
-    return form.exterior_dots(g, rows), tree_sum(form.exterior_dots(g * g, rows))
+    """(b_I, c) of the reduced form for the exterior values of g (node-ordered;
+    its interior entries are not read): b_I = W_IE g, one row dot per stored
+    row, and c = sum over interior i and exterior e of w_ie g_e^2, a tree sum.
+
+    The form keeps the terms of the last exterior values it saw (compared bit
+    for bit), so repeated calls with the same data return the same arrays;
+    other values take one pass of the pair formula over the interior-exterior
+    pairs, with the bits assembly gives for them.
+    """
+    g_E = np.asarray(g, dtype=np.float64)[form.exterior_idx]
+    cached = form.terms_cache
+    if cached is None or cached[0].tobytes() != g_E.tobytes():
+        n_int = form.dense.shape[0]
+        b_I, c_rows = np.empty(n_int), np.empty(n_int)
+        for k, rows in _weight_rows(form.kernel, form.grid, form.col_order, n_int, n_int,
+                                    _EVAL_ROWS):
+            _fold_exterior(k, rows, g_E, b_I, c_rows)
+        cached = form.terms_cache = (g_E, (b_I, tree_sum(c_rows)))
+    return cached[1]
 
 
 def reduced_energy(form: QuadraticForm, x, rho, xi, terms) -> float:
@@ -243,7 +312,7 @@ def reduced_energy(form: QuadraticForm, x, rho, xi, terms) -> float:
     """
     b_I, c = terms
     n_int = x.shape[0]
-    factor = form.row_sums * x - rowwise_dots(form.dense[:, :n_int], range(n_int), x)
+    factor = form.row_sums * x - rowwise_dots(form.dense, range(n_int), x)
     factor -= 2.0 * b_I
     dirichlet = tree_sum(x * factor) + c
     count = int(np.count_nonzero(x > xi))

@@ -235,10 +235,15 @@ def field_csv_text(field: Field) -> str:
     """Render `# d h omega R_inf` then `index,x1[,x2],role,value` rows."""
     grid = field.grid
     cols = ["index"] + [f"x{d + 1}" for d in range(grid.dim)] + ["role", "value"]
-    roles = np.where(grid.interior, "interior", "exterior").tolist()
-    rows = ((i, *grid.positions[i].tolist(), roles[i], v)
-            for i, v in enumerate(field.values.tolist()))
-    return f"# {grid.dim} {grid.h!r} {grid.omega_radius!r} {grid.R_inf!r}\n" + csv_text(cols, rows)
+    # csv_text's rendering, a column at a time: str for the index and role,
+    # repr for the floats
+    columns = [map(str, range(grid.n_nodes)),
+               *(map(repr, grid.positions[:, d].tolist()) for d in range(grid.dim)),
+               np.where(grid.interior, "interior", "exterior").tolist(),
+               map(repr, field.values.tolist())]
+    lines = [",".join(cols), *map(",".join, zip(*columns))]
+    return (f"# {grid.dim} {grid.h!r} {grid.omega_radius!r} {grid.R_inf!r}\n"
+            + "\n".join(lines) + "\n")
 
 
 def load_field_csv(grid: Grid, path) -> Field:

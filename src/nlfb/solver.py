@@ -11,11 +11,12 @@ with a = sum_j w_ij and b = sum_j w_ij u_j, so the on-candidate is the
 quadratic vertex b / a and the off-candidate is the vertex clamped into the
 off region (t <= xi, intersected with t >= 0 in one_phase). Ties resolve to
 off. The exterior values are data, so b splits into the interior part
-W_II[i] . x, read from the block's interior columns, and the exterior part
-b_I = W_IE g, computed once per descent (nlfb.energy.exterior_terms). Sweeps
-visit interior nodes in a seed-shuffled order refreshed every sweep; the
-exact energy changes of the visits are summed into a tracked energy, and a
-sweep moving it by less than 1e-13 * (1 + |energy|) stops.
+W_II[i] . x, read from the stored block W_II, and the exterior part
+b_I = W_IE g, which the form keeps from assembly (nlfb.energy.exterior_terms;
+W_IE itself is never stored). Sweeps visit interior nodes in a seed-shuffled
+order refreshed every sweep; the exact energy changes of the visits are
+summed into a tracked energy, and a sweep moving it by less than
+1e-13 * (1 + |energy|) stops.
 
 Plain sweeps alone stall at coarse accuracy on ill-conditioned quadratics, so
 between batches of sweeps the solver polishes: it solves the quadratic exactly
@@ -48,8 +49,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .energy import (EnergyBreakdown, QuadraticForm, assemble_form, exterior_terms,
-                     reduced_energy, rowwise_dots, total_energy, truncation_error_bound)
+from .energy import (EnergyBreakdown, QuadraticForm, assemble_form, check_budget,
+                     exterior_terms, reduced_energy, rowwise_dots, total_energy,
+                     truncation_error_bound)
 from .errors import CapacityError, ConfigurationError, DataError, SolverError
 from .grid import Ball, Field, Grid, region_interior_indices
 from .kernel import KernelSpec
@@ -172,21 +174,28 @@ def _subsystem(form: QuadraticForm, rows, x, b):
     values held at x (interior values, by stored row) and b = (W_IE g)[rows] the
     fixed exterior term of those rows.
 
-    A = diag(a_i) - W_II restricted to rows, read from the block's interior
-    columns; the right-hand side is sum over pinned interior j of w_ij x_j,
-    plus b. W >= 0 and every interior node couples to every exterior node
-    (exterior couplings are always stored), so A is a nonsingular M-matrix:
+    A = diag(a_i) - W_II restricted to rows, gathered from W_II once
+    check_budget admits it; the right-hand side is sum over pinned interior j
+    of w_ij x_j, plus b. W >= 0 and every interior node couples to every
+    exterior node (a_i counts those couplings), so A is a nonsingular M-matrix:
     SPD, with A^-1 >= 0 entrywise. Every one_phase pin is nonnegative (0, xi
     where u sits at it, or exterior data), so the right-hand side is >= 0 and
     the exact solve is nonnegative; one_phase solves are checked against this
     by _nonnegative.
     """
+    check_budget(8 * rows.shape[0] * rows.shape[0], "the subsystem matrix")
     A = form.dense[rows[:, None], rows]
     np.negative(A, out=A)
     A.flat[::rows.shape[0] + 1] = form.row_sums[rows]
     pinned = x.copy()
     pinned[rows] = 0.0
-    return A, rowwise_dots(form.dense[:, :x.shape[0]], rows, pinned) + b
+    return A, rowwise_dots(form.dense, rows, pinned) + b
+
+
+def _check_seed(seed):
+    """Refuse a negative seed, which np.random.default_rng cannot take."""
+    if seed < 0:
+        raise ConfigurationError(f"seed must be at least 0, got {seed}")
 
 
 def _nonnegative(x):
@@ -403,8 +412,9 @@ def coordinate_descent(problem: ProblemSpec, init: Field, seed=0,
     constraint; _descend gives the stopping rule and the energy checks. The
     reported energy is the exit state's pairwise total_energy.
     """
+    _check_seed(seed)
     if form is None:
-        form = assemble_form(problem.kernel, problem.grid)
+        form = assemble_form(problem.kernel, problem.grid, problem.exterior_data)
     u, _, sweeps, converged = _descend(problem, init.values, seed, max_sweeps, form,
                                        exterior_terms(form, problem.exterior_data))
     return _finalize(problem, form, u, sweeps, converged, seed)
@@ -433,13 +443,15 @@ def minimize(problem: ProblemSpec, n_restarts=4, seed=0, max_sweeps=DEFAULT_MAX_
     restart seed), so the lowest seed wins ties, and only the winner is
     finalized: its reported energy is its pairwise total_energy, the one
     pairwise evaluation per call. The form is assembled unless given, and is
-    returned on the result; assembly raises CapacityError when the interior
-    weight block exceeds the memory budget.
+    returned on the result; CapacityError is raised when W_II, or the
+    lifting's subsystem matrix, exceeds the memory budget. A negative seed is
+    a ConfigurationError.
     """
     if n_restarts < 1:
         raise ConfigurationError(f"n_restarts must be at least 1, got {n_restarts}")
+    _check_seed(seed)
     if form is None:
-        form = assemble_form(problem.kernel, problem.grid)
+        form = assemble_form(problem.kernel, problem.grid, problem.exterior_data)
     lifted = lifting_initialization(problem, form).values
     inits = [lifted]
     if n_restarts >= 2:
@@ -474,14 +486,14 @@ def _oracle_candidates(problem: ProblemSpec, form: QuadraticForm):
     Bit k of a mask selects interior node k. Returns the (2^m, m) block X,
     whose rows hold the interior values of each subset's pinned solve, and
     the energies by the reduced form x . (a_I x - W_II x) - 2 x . b_I + c plus
-    the volume term, with W_II the block's interior columns (a view) and b_I
-    and c from exterior_terms (see nlfb.energy).
+    the volume term, with W_II the stored block and b_I and c from
+    exterior_terms (see nlfb.energy).
     Every solve pins the same values (the exterior data), so the right-hand
     sides are b_I, and the subsets of one size take one stacked solve, checked
     to be nonnegative in one_phase.
     """
     m = form.interior_idx.shape[0]
-    W_II, a_I = form.dense[:, :m], form.row_sums
+    W_II, a_I = form.dense, form.row_sums
     b_I, exterior_constant = exterior_terms(form, problem.exterior_data)
 
     in_subset = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1 == 1
@@ -524,7 +536,7 @@ def oracle_minimize(problem: ProblemSpec, form: QuadraticForm | None = None) -> 
             f"oracle enumeration supports at most {ORACLE_MAX_INTERIOR} interior nodes, "
             f"got {m}")
     if form is None:
-        form = assemble_form(problem.kernel, grid)
+        form = assemble_form(problem.kernel, grid, problem.exterior_data)
     X, energies = _oracle_candidates(problem, form)
     on = X > problem.xi
 
@@ -556,6 +568,7 @@ def rho_sweep_minimize(problem: ProblemSpec, rhos, n_restarts=4, seed=0,
     rhos = sorted((float(r) for r in rhos), reverse=True)
     if not rhos:
         raise ConfigurationError("rho sweep requires at least one rho value")
+    _check_seed(seed)
     out = []
     current = replace(problem, rho=rhos[0])
     result = minimize(current, n_restarts=n_restarts, seed=seed, max_sweeps=max_sweeps)

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
-from nlfb import (KernelSpec, build_grid, checkerboard_kernel, enumerate_lattice,
+from nlfb import (KernelSpec, build_grid, checkerboard_kernel, enumerate_lattice, eval_kernel,
                   fractional_kernel, modulated_kernel)
+
+# CI selects this profile (pytest --hypothesis-profile=ci): a failing property
+# test then prints the blob that reproduces it with @reproduce_failure
+settings.register_profile("ci", print_blob=True)
 
 
 @pytest.fixture(scope="session")
@@ -42,3 +47,31 @@ def family_kernel(family, dim, s, block):
                                    multipliers=(1.0, 1.5, 3.0), dim=dim)
     return KernelSpec("custom_table", s, 1.0, 2.0, dim,
                       {"block_size": block, "table": {(0, 0): 1.5, (-1, 1): 2.0, (1, 2): 1.25}})
+
+
+def reference_row(grid, kernel, i):
+    """Weight row w_{i, .} by node, from one eval_kernel call per row: 0 at i and,
+    for an exterior i, at the exterior pairs (which are never stored)."""
+    n = grid.n_nodes
+    row = np.zeros(n)
+    others = np.arange(n) != i
+    values = eval_kernel(kernel, grid.positions[i], grid.positions[others])
+    m2 = grid.cell_measure * grid.cell_measure
+    row[others] = 2.0 * values * m2
+    if not grid.interior[i]:
+        row[~grid.interior] = 0.0
+    return row
+
+
+def reference_exterior_rows(form):
+    """W_IE, the block the form does not store: (n_int, N_E), by stored row and
+    in the form's exterior order, from reference_row."""
+    return np.array([reference_row(form.grid, form.kernel, i)[form.exterior_idx]
+                     for i in form.interior_idx]).reshape(form.interior_idx.shape[0], -1)
+
+
+def reference_exterior_term(form, u):
+    """b_I = W_IE g for u's exterior values g: one np.dot per stored row."""
+    g = u[form.exterior_idx]
+    return np.array([np.dot(row, g) for row in reference_exterior_rows(form)],
+                    dtype=np.float64)

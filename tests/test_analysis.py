@@ -36,7 +36,7 @@ from nlfb import (
 )
 from nlfb.analysis import point_csv_text, report_json
 
-from conftest import random_field_values
+from conftest import random_field_values, reference_exterior_term
 
 
 def brute_force_boundary_pairs(field, xi):
@@ -305,17 +305,20 @@ def test_subsolution_pairing_of_a_spike_is_its_row_sum(grid_1d_small):
 
 def test_vectorized_scans_match_node_loops():
     # reference: the per-node scans by node index, first extremum wins; a
-    # pairing is one np.dot of the stored row with u in the block's column order
+    # pairing is one np.dot of the stored W_II row with the interior values,
+    # plus the row's exterior term (one np.dot with the reference W_IE row)
     grid = build_grid(2, 0.2, 2.0)
     form = assemble_form(fractional_kernel(0.5, dim=2), grid)
     rng = np.random.default_rng(131)
     for _ in range(3):
         u = grid.positions[:, 0] - 0.1 + 0.05 * rng.standard_normal(grid.n_nodes)
         f = Field(grid, u)
+        b_I = reference_exterior_term(form, u)
         best, node = -math.inf, -1
         for i in np.nonzero(grid.interior)[0]:
-            pairing = (form.row_sums[form.row_of[i]] * u[i]
-                       - float(np.dot(form.dense[form.row_of[i]], u[form.col_order])))
+            k = form.row_of[i]
+            pairing = (form.row_sums[k] * u[i]
+                       - (float(np.dot(form.dense[k], u[form.interior_idx])) + b_I[k]))
             if pairing > best:
                 best, node = pairing, int(i)
         assert subsolution_residual(form, f) == {"max_pairing": best, "node": node}

@@ -10,17 +10,20 @@ import json
 import os
 import platform
 import re
+import subprocess
+import sys
 import textwrap
 
 import numpy as np
 import pytest
 
 import nlfb
+from nlfb.analysis import free_boundary
 from nlfb.cli import EXIT_CODES, ORACLE_AGREE_RTOL, main, oracle_compare_instances, run
 from nlfb.config import build_problem, parse_config, parse_points
 from nlfb.errors import (CapacityError, ConfigurationError, DataError,
                          DomainError, SolverError)
-from nlfb.grid import build_grid, field_csv_text, load_field_csv, sample_field
+from nlfb.grid import Field, build_grid, field_csv_text, load_field_csv, sample_field
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -615,6 +618,25 @@ class TestOracleCompareCommand:
             assert any(state != won and abs(e - energy) <= 1e-14 * energy
                        for _, state, e in restarts)
 
+    def test_each_instance_runs_at_most_one_exterior_pass(self, tmp_path, monkeypatch):
+        # the form is assembled once without exterior data; each instance's
+        # data then takes one pass of the pair formula over the
+        # interior-exterior pairs, which minimize, the lifting, the oracle and
+        # both pairwise energies share
+        calls = []
+        real = nlfb.energy._weight_rows
+
+        def weight_rows(kernel, grid, col_order, n_int, first_col, block):
+            calls.append("assembly" if first_col == 0 else "exterior pass")
+            return real(kernel, grid, col_order, n_int, first_col, block)
+
+        monkeypatch.setattr(nlfb.energy, "_weight_rows", weight_rows)
+        cfg = parse_config(write_cfg(tmp_path, ORACLE_CFG + "oracle.instances = 5\n"
+                                                            "oracle.restarts = 4\n"))
+        rows = oracle_compare_instances(cfg, 3)
+        assert len(rows) == 5 and all(r["agree"] for r in rows)
+        assert calls == ["assembly"] + ["exterior pass"] * 5
+
     def test_capacity_limit_exit_code(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, """\
             kernel.s = 0.5
@@ -683,6 +705,50 @@ class TestAnalyzeCommand:
         assert "point_0.csv" in man["artifacts"]
         assert "point_1.csv" in man["artifacts"]
 
+    def test_run_assembles_once_and_leaves_numpy_ma_unimported(self, tmp_path):
+        # a fresh interpreter: the analysis must not import numpy.ma (as
+        # np.unique does), and the free-boundary nodes are the distinct
+        # interior off-side ends of the straddling edges
+        cfg_path = write_cfg(tmp_path, """\
+            grid.d = 2
+            grid.h = 0.07
+            grid.R_inf = 2.0
+            kernel.s = 0.5
+            problem.g = right_constant
+            problem.g_amplitude = 0.35
+            problem.rho = 0.3
+            solver.restarts = 2
+            analysis.points = 0.0,-0.245 ; 0.0,0.035 ; 0.0,0.315
+            analysis.r_min = 0.14
+            analysis.r_max = 0.56
+            """)
+        out = tmp_path / "out"
+        script = ("import json, sys\n"
+                  "import nlfb.energy\n"
+                  "from nlfb.cli import run\n"
+                  "calls = []\n"
+                  "real = nlfb.energy._weight_rows\n"
+                  "def weight_rows(*args):\n"
+                  "    calls.append(args[4])\n"
+                  "    return real(*args)\n"
+                  "nlfb.energy._weight_rows = weight_rows\n"
+                  f"rc = run({cfg_path!r}, 'analyze', out_dir={str(out)!r})\n"
+                  "print(json.dumps([rc, 'numpy.ma' in sys.modules, calls]))\n")
+        src = os.path.dirname(os.path.dirname(nlfb.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, False, [0]]
+        with open(out / "report.json") as fh:
+            fb_nodes = json.load(fh)["fb_nodes"]
+        with open(out / "result.json") as fh:
+            values = np.asarray(json.load(fh)["field"])
+        problem = build_problem(parse_config(cfg_path))
+        pairs = free_boundary(Field(problem.grid, values), problem.xi).pairs
+        off = np.array([i for i, _ in pairs if problem.grid.interior[i]], dtype=np.int64)
+        assert fb_nodes and fb_nodes == np.unique(off).tolist()
+
     def test_empty_region_exit_code(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path,
                              ANALYZE_CFG + "analysis.region_radius = 0.001\n")
@@ -743,6 +809,23 @@ class TestErrorContract:
         assert main(["solve", "--config", cfg_path,
                      "--out", str(tmp_path / "out")]) == 5
         assert "budget" in capsys.readouterr().err
+
+    def test_subsystem_capacity_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        # W_II fits the budget; the whole-domain lifting's matrix, of the same
+        # size, is refused before it is gathered
+        real = nlfb.solver.assemble_form
+
+        def assemble_then_lower_the_budget(*args):
+            form = real(*args)
+            n_int = form.dense.shape[0]
+            monkeypatch.setattr(nlfb.energy, "MEMORY_BUDGET_BYTES", 8 * n_int * n_int - 1)
+            return form
+
+        monkeypatch.setattr(nlfb.solver, "assemble_form", assemble_then_lower_the_budget)
+        cfg_path = write_cfg(tmp_path, SOLVE_CFG)
+        assert main(["solve", "--config", cfg_path,
+                     "--out", str(tmp_path / "out")]) == 5
+        assert "the subsystem matrix needs" in capsys.readouterr().err
 
     def test_data_error_exit_code(self, tmp_path, capsys):
         (tmp_path / "bad.csv").write_text("not,a,field\n1,2,3\n")

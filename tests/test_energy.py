@@ -30,9 +30,10 @@ from nlfb import (
     total_energy,
     truncation_error_bound,
 )
-from nlfb.energy import _ROW_BLOCK, tree_sum
+from nlfb.energy import _ROW_BLOCK, exterior_terms, tree_sum
 
-from conftest import family_kernel, random_field_values
+from conftest import (family_kernel, random_field_values, reference_exterior_rows,
+                      reference_exterior_term, reference_row)
 
 
 def brute_force_dirichlet(kernel, grid, values):
@@ -49,18 +50,10 @@ def brute_force_dirichlet(kernel, grid, values):
     return math.fsum(terms)
 
 
-def reference_row(grid, kernel, i):
-    """Weight row w_{i, .} from one eval_kernel call per row: 0 at i and, for an
-    exterior i, at the exterior pairs (which are never stored)."""
-    n = grid.n_nodes
-    row = np.zeros(n)
-    others = np.arange(n) != i
-    values = eval_kernel(kernel, grid.positions[i], grid.positions[others])
-    m2 = grid.cell_measure * grid.cell_measure
-    row[others] = 2.0 * values * m2
-    if not grid.interior[i]:
-        row[~grid.interior] = 0.0
-    return row
+def indicator(grid, i):
+    e = np.zeros(grid.n_nodes)
+    e[i] = 1.0
+    return e
 
 
 # -------------------------------------------------------------- hand-sized case
@@ -78,13 +71,18 @@ def test_hand_case_weights_and_pair_count():
     assert np.array_equal(grid.interior, [False, True, True, False])
     # columns are interior-first: nodes 1 and 2, then the exterior nodes 0 and 3
     assert np.array_equal(form.col_order, [1, 2, 0, 3])
-    # 6 unordered pairs minus the one exterior-exterior pair; an interior
-    # pair appears in both stored rows
-    assert (np.count_nonzero(form.dense[:, :2]) // 2
-            + np.count_nonzero(form.dense[:, 2:])) == 5
-    # the rows of nodes 1 and 2; column 2 is exterior node 0's row at the interior nodes
-    assert np.array_equal(form.dense, [[0.0, 1.0, 1.0, 0.25], [1.0, 0.0, 0.25, 1.0]])
+    # W_II holds the one interior pair, in both stored rows; the four
+    # interior-exterior pairs are folded into the row terms, and the
+    # exterior-exterior pair is dropped: 5 of the 6 unordered pairs
+    assert form.dense.shape == (2, 2)
+    assert np.array_equal(form.dense, [[0.0, 1.0], [1.0, 0.0]])
+    assert np.array_equal(form.exterior_row_sums, [1.25, 1.25])
     assert np.array_equal(form.row_sums, [2.25, 2.25])     # interior rows only
+    # W_IE's column of exterior node 0, then of node 3, read through b_I = W_IE g
+    b_I, c = exterior_terms(form, indicator(grid, 0))
+    assert np.array_equal(b_I, [1.0, 0.25]) and c == 1.25
+    b_I, c = exterior_terms(form, indicator(grid, 3))
+    assert np.array_equal(b_I, [0.25, 1.0]) and c == 1.25
 
 
 def test_hand_case_energy_value():
@@ -150,25 +148,30 @@ def test_dirichlet_matches_brute_force_2d():
 
 
 def test_exterior_pairs_carry_zero_weight(grid_1d_small):
-    # only interior rows are stored, so no exterior-exterior pair has a weight;
+    # only W_II is stored, so no exterior-exterior pair has a weight;
     # self-pairs are 0 and every other stored pair interacts
     form = assemble_form(fractional_kernel(0.5), grid_1d_small)
     n_int = int(grid_1d_small.interior.sum())
-    assert form.dense.shape == (n_int, grid_1d_small.n_nodes)
+    assert form.dense.shape == (n_int, n_int)
     # interior-first columns: the self-pairs are W_II's diagonal
     assert np.array_equal(form.col_order[:n_int], np.nonzero(grid_1d_small.interior)[0])
     assert np.array_equal(form.col_order[n_int:], np.nonzero(~grid_1d_small.interior)[0])
+    assert np.array_equal(form.exterior_idx, form.col_order[n_int:])
     self_pairs = (np.arange(n_int), np.arange(n_int))
     assert np.all(form.dense[self_pairs] == 0.0)
     others = np.ones(form.dense.shape, dtype=bool)
     others[self_pairs] = False
     assert np.all(form.dense[others] > 0.0)
-    # exterior partners of interior nodes still interact
-    assert np.all(form.dense[:, n_int:] > 0.0)
+    # exterior partners of interior nodes still interact: every entry of W_IE,
+    # one exterior node's column at a time
+    assert np.all(form.exterior_row_sums > 0.0)
+    for e in form.exterior_idx:
+        assert np.all(exterior_terms(form, indicator(grid_1d_small, e))[0] > 0.0)
 
 
 def test_assembly_refuses_blocks_above_the_memory_budget(monkeypatch, grid_1d_small):
-    block_bytes = 8 * int(grid_1d_small.interior.sum()) * grid_1d_small.n_nodes
+    n_int = int(grid_1d_small.interior.sum())
+    block_bytes = 8 * n_int * n_int
     monkeypatch.setattr(nlfb.energy, "MEMORY_BUDGET_BYTES", block_bytes - 1)
     with pytest.raises(CapacityError):
         assemble_form(fractional_kernel(0.5), grid_1d_small)
@@ -210,8 +213,9 @@ def test_energy_is_nonnegative_and_quadratic(grid_1d_small):
 
 
 def test_block_matches_reference_rows_bitwise(grid_1d_small):
-    # interior rows are stored, their columns in col_order; an exterior row is
-    # the block's column for that node (the kernel is symmetric bit for bit)
+    # W_II is stored, its columns in col_order; an exterior row, at the
+    # interior nodes, is W_IE's column for that node (the kernel is symmetric
+    # bit for bit), which b_I of the node's indicator reads exactly
     cases = [
         (checkerboard_kernel(0.5, 1.0, 1.5, block_size=0.5, multipliers=(1.0, 1.5)),
          grid_1d_small),
@@ -220,15 +224,18 @@ def test_block_matches_reference_rows_bitwise(grid_1d_small):
     ]
     for kernel, grid in cases:
         form = assemble_form(kernel, grid)
-        assert form.dense.shape == (int(grid.interior.sum()), grid.n_nodes)
+        n_int = int(grid.interior.sum())
+        assert form.dense.shape == (n_int, n_int)
         for i in range(grid.n_nodes):
             want = reference_row(grid, kernel, i)
             k = form.row_of[i]
             if k >= 0:
-                assert form.dense[k].tobytes() == want[form.col_order].tobytes()
+                assert form.dense[k].tobytes() == want[form.interior_idx].tobytes()
+                assert form.row_sums[k] == tree_sum(want[form.col_order])
+                assert form.exterior_row_sums[k] == tree_sum(want[form.exterior_idx])
             else:
-                column = np.nonzero(form.col_order == i)[0][0]
-                assert form.dense[:, column].tobytes() == want[form.interior_idx].tobytes()
+                b_I = exterior_terms(form, indicator(grid, i))[0]
+                assert b_I.tobytes() == want[form.interior_idx].tobytes()
 
 
 # Row blocks of _ROW_BLOCK rows: the pinned examples assemble more than one.
@@ -237,23 +244,35 @@ def test_block_matches_reference_rows_bitwise(grid_1d_small):
                                "custom_table")),
        dim=st.sampled_from((1, 2)), s=st.floats(0.05, 0.95), block=st.floats(0.1, 1.0),
        omega=st.floats(0.5, 1.5), cells=st.floats(4.2, 7.0), reach=st.floats(2.0, 3.0),
-       x0=st.floats(-1.0, 1.0), r=st.none() | st.floats(0.25, 4.0))
+       x0=st.floats(-1.0, 1.0), r=st.none() | st.floats(0.25, 4.0),
+       seed=st.integers(0, 2 ** 32 - 1))
 @example(family="checkerboard", dim=1, s=0.7, block=0.3, omega=1.0, cells=40.0, reach=2.5,
-         x0=0.3, r=0.7)
+         x0=0.3, r=0.7, seed=0)
 @example(family="modulated", dim=2, s=0.5, block=0.4, omega=1.0, cells=6.0, reach=2.0,
-         x0=-0.6, r=1.5)
+         x0=-0.6, r=1.5, seed=1)
 def test_assembly_equals_reference_rows_bitwise(family, dim, s, block, omega, cells, reach,
-                                                x0, r):
+                                                x0, r, seed):
     if dim == 1:
         cells *= 6.0     # 1D: 50 to 84 interior rows, 2D: 55 to 154
     grid = build_grid(dim, omega / cells, reach * omega, omega)
     kernel = family_kernel(family, dim, s, block)
     if r is not None:
         kernel = rescale_kernel(kernel, [x0] * dim, r)
-    form = assemble_form(kernel, grid)
+    g = random_field_values(grid, np.random.default_rng(seed))
+    form = assemble_form(kernel, grid, g)
+    n_int = form.interior_idx.shape[0]
     want = np.array([reference_row(grid, kernel, i)[form.col_order] for i in form.interior_idx])
-    assert form.dense.tobytes() == want.tobytes()
+    assert form.dense.tobytes() == np.ascontiguousarray(want[:, :n_int]).tobytes()
     assert form.row_sums.tobytes() == tree_sum(want).tobytes()
+    assert form.exterior_row_sums.tobytes() == tree_sum(want[:, n_int:]).tobytes()
+    # the exterior terms kept by assembly, and those of one pass over the
+    # interior-exterior pairs, are one np.dot per row of the reference W_IE
+    g_E = g[form.exterior_idx]
+    b_want = np.array([np.dot(row, g_E) for row in want[:, n_int:]], dtype=np.float64)
+    c_want = tree_sum([np.dot(row, g_E * g_E) for row in want[:, n_int:]])
+    for b_I, c in (exterior_terms(form, g), exterior_terms(assemble_form(kernel, grid), g)):
+        assert b_I.tobytes() == b_want.tobytes()
+        assert c == c_want
 
 
 def test_assembly_refuses_coincident_distinct_nodes():
@@ -270,17 +289,21 @@ def test_assembly_refuses_coincident_distinct_nodes():
 @pytest.mark.parametrize("family", ["fractional_laplacian", "modulated", "checkerboard",
                                     "custom_table"])
 def test_assembly_allocates_at_most_two_row_blocks_beside_the_form(family):
-    # rows are assembled _ROW_BLOCK at a time, in place; a whole-block
-    # temporary would double the peak
-    grid = build_grid(2, 0.08, 2.0)
+    # on the analyze-2d grid, rows are evaluated _ROW_BLOCK at a time into one
+    # reused (_ROW_BLOCK, N) scratch, and W_IE is reduced there, never stored:
+    # W_IE alone would be 7.5 row blocks
+    grid = build_grid(2, 0.07, 2.0)
     kernel = family_kernel(family, 2, 0.5, 0.5)
+    g = random_field_values(grid, np.random.default_rng(7))
     tracemalloc.start()
     try:
-        form = assemble_form(kernel, grid)
+        form = assemble_form(kernel, grid, g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < form.dense.nbytes + 2 * 8 * _ROW_BLOCK * grid.n_nodes
+    n_int = int(grid.interior.sum())
+    assert form.dense.shape == (n_int, n_int)
+    assert peak <= 8 * n_int * n_int + 2 * 8 * _ROW_BLOCK * grid.n_nodes
 
 
 # The descent's polish boundaries evaluate the energy on the reduced form.
@@ -310,17 +333,24 @@ def test_reduced_energy_matches_total_energy(family, dim, phase, s, block, cells
     assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
 
 
-# One np.dot per stored row, over the block's column order: the rounding the
-# row-blocked np.vecdot must keep.
+# One np.dot per stored row of W_II with the interior values, plus the
+# exterior term b_I (one np.dot per row of the reference W_IE): the rounding
+# the row-blocked np.vecdot must keep.
 def reference_row_dots(form, u, rows):
-    return np.array([np.dot(form.dense[k], u[form.col_order]) for k in rows],
+    b_I = reference_exterior_term(form, u)
+    return np.array([np.dot(form.dense[k], u[form.interior_idx]) + b_I[k] for k in rows],
                     dtype=np.float64)
 
 
+# The interior pairs pairwise over W_II, at 1/2 in each row; the exterior
+# pairs of row k as a_E,k x_k^2 - 2 x_k b_k, and c once.
 def reference_dirichlet(form, u):
-    v = u[form.col_order]
-    half = np.where(form.grid.interior[form.col_order], 0.5, 1.0)
-    return tree_sum([np.dot(row, (v[k] - v) ** 2 * half) for k, row in enumerate(form.dense)])
+    x, a_E = u[form.interior_idx], form.exterior_row_sums
+    W_IE, g = reference_exterior_rows(form), u[form.exterior_idx]
+    b_I = reference_exterior_term(form, u)
+    c = tree_sum([np.dot(row, g * g) for row in W_IE])
+    return tree_sum([np.dot(row, (x[k] - x) ** 2 * 0.5) + x[k] * (a_E[k] * x[k] - 2.0 * b_I[k])
+                     for k, row in enumerate(form.dense)]) + c
 
 
 @pytest.mark.parametrize("h,n_int", [(0.05, 40), (1.0 / 32.0, 64), (0.02, 100), (0.01, 200)])
@@ -348,10 +378,11 @@ def test_row_dots_and_energy_match_per_row_dots_bitwise(h, n_int):
 
 def test_row_dots_and_energy_allocate_at_most_a_row_block():
     # the row blocks bound the temporaries; gathering every stored row at once
-    # would allocate the size of form.dense
+    # would allocate the size of form.dense. The form keeps the exterior terms
+    # of u's exterior values, as a solve's form keeps those of its data.
     grid = build_grid(2, 0.08, 2.0)
-    form = assemble_form(fractional_kernel(0.5, dim=2), grid)
     u = random_field_values(grid, np.random.default_rng(3))
+    form = assemble_form(fractional_kernel(0.5, dim=2), grid, u)
     field = Field(grid, u)
     n_int = form.dense.shape[0]
     for call in (lambda: dirichlet_energy(form, field), lambda: form.row_dots(u, range(n_int))):
@@ -365,28 +396,32 @@ def test_row_dots_and_energy_allocate_at_most_a_row_block():
 
 
 def test_reduced_energy_and_exterior_terms_allocate_less_than_a_row_block(monkeypatch):
-    # both read the block in place: W_II and W_IE are slices of form.dense,
-    # and ranges of rows are read as slices, never gathered
+    # reduced_energy reads W_II in place, as one range of rows (slices, never
+    # gathered); exterior_terms for new exterior values evaluates W_IE one
+    # row block at a time, and for the values it last saw returns its terms
     grid = build_grid(2, 0.08, 2.0)
     form = assemble_form(fractional_kernel(0.5, dim=2), grid)
     u = random_field_values(grid, np.random.default_rng(5))
     g = np.where(grid.interior, 0.0, u)
-    terms = nlfb.energy.exterior_terms(form, g)
     read = []
     real = nlfb.energy.rowwise_dots
     monkeypatch.setattr(nlfb.energy, "rowwise_dots",
                         lambda matrix, rows, v: read.append(matrix) or real(matrix, rows, v))
     x = u[form.interior_idx]
-    for call in (lambda: nlfb.energy.reduced_energy(form, x, 0.3, 0.0, terms),
-                 lambda: nlfb.energy.exterior_terms(form, g)):
+    peaks, terms = [], []
+    for call in (lambda: terms.append(nlfb.energy.exterior_terms(form, g)),
+                 lambda: nlfb.energy.reduced_energy(form, x, 0.3, 0.0, terms[0]),
+                 lambda: terms.append(nlfb.energy.exterior_terms(form, u))):
         tracemalloc.start()
         try:
             call()
-            peak = tracemalloc.get_traced_memory()[1]
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert peak < 8 * _ROW_BLOCK * grid.n_nodes
-    assert len(read) == 3 and all(np.shares_memory(m, form.dense) for m in read)
+    assert max(peaks) < 8 * _ROW_BLOCK * grid.n_nodes
+    assert peaks[2] < 4 * 8 * grid.n_nodes       # same exterior values: no pass
+    assert terms[1] is terms[0]
+    assert len(read) == 1 and read[0] is form.dense
 
 
 def test_smooth_field_energy_converges_under_refinement():

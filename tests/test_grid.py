@@ -20,7 +20,7 @@ from nlfb import (
     sample_field,
     sup_over_ball,
 )
-from nlfb.grid import field_csv_text
+from nlfb.grid import csv_text, field_csv_text
 
 from conftest import random_field_values
 
@@ -251,6 +251,26 @@ def test_field_csv_header_and_roles(grid_1d_small):
     roles = [ln.split(",")[2] for ln in lines[2:]]
     expected = ["interior" if b else "exterior" for b in grid_1d_small.interior]
     assert roles == expected
+
+
+@pytest.mark.parametrize("dim,h", [(1, 0.2), (2, 0.2)])
+def test_field_csv_text_renders_csv_text_rows(dim, h):
+    # field_csv_text renders by columns; the reference is csv_text over one
+    # (index, x1[, x2], role, value) tuple per node: repr for the floats, str
+    # for the rest, signed zeros included
+    grid = build_grid(dim, h, 2.0)
+    values = random_field_values(grid, np.random.default_rng(dim))
+    values[[0, 3]] = -0.0
+    values[[1, 4]] = 0.0
+    values[2] = 1e-300
+    f = Field(grid, values)
+    cols = ["index"] + [f"x{d + 1}" for d in range(dim)] + ["role", "value"]
+    rows = [(i, *grid.positions[i].tolist(), "interior" if grid.interior[i] else "exterior",
+             float(v)) for i, v in enumerate(values)]
+    want = f"# {dim} {grid.h!r} {grid.omega_radius!r} {grid.R_inf!r}\n" + csv_text(cols, rows)
+    got = field_csv_text(f)
+    assert got.encode() == want.encode()
+    assert got.splitlines()[2].endswith(",-0.0")
 
 
 def test_field_csv_rejects_wrong_grid(tmp_path, grid_1d_small):

@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -39,7 +40,8 @@ from nlfb.solver import (CG_TOL, DEFAULT_MAX_SWEEPS, EPS_STOP_FACTOR, ORACLE_TIE
                          POLISH_PERIOD, _finalize, _free_mask, _oracle_candidates, _pcg,
                          _polish, _solve_free, _subsystem, _sweep, _visit)
 
-from conftest import family_kernel, random_field_values
+from conftest import (family_kernel, random_field_values, reference_exterior_rows,
+                      reference_exterior_term, reference_row)
 
 
 def four_interior_problem(rng, phase="one_phase", rho=None):
@@ -236,8 +238,8 @@ def test_sweep_without_changes_sums_to_exactly_zero(grid_1d_small):
 
 # The tuple-based visit and the per-row sweep over numpy-scalar row sums that
 # the branch-only visit and the cached-row sweep replaced: bitwise references.
-# A visit to stored row k reads b = W_II[k] . x + b_I[k], with W_II the block's
-# interior-first columns and b_I one np.dot of W_IE[k] with the exterior values.
+# A visit to stored row k reads b = W_II[k] . x + b_I[k], with W_II the stored
+# block and b_I one np.dot of the reference W_IE[k] with the exterior values.
 def reference_visit(a, b, rho_cell, xi, one_phase):
     v = b / a
     best = None           # (energy, on_flag, value)
@@ -260,15 +262,8 @@ def reference_visit(a, b, rho_cell, xi, one_phase):
     return best[2]
 
 
-def reference_exterior_term(form, u):
-    n_int = form.interior_idx.shape[0]
-    g = u[form.col_order[n_int:]]
-    return np.array([np.dot(row[n_int:], g) for row in form.dense])
-
-
 def reference_sweep(form, x, b_I, order, rho_cell, xi, one_phase):
-    n_int = form.interior_idx.shape[0]
-    rows, row_sums = form.dense[:, :n_int], form.row_sums
+    rows, row_sums = form.dense, form.row_sums
     change = 0.0
     for k in order.tolist():
         a, b, t_old = row_sums[k], float(np.dot(rows[k], x)) + float(b_I[k]), float(x[k])
@@ -374,9 +369,8 @@ def test_sweep_right_hand_side_matches_node_ordered_row_dots(family, dim, phase,
         _sweep(form, u[form.interior_idx], exterior_terms(form, u)[0], order,
                10.0 ** log_rho * grid.cell_measure, xi, phase == "one_phase")
     assert len(seen) == order.shape[0]
-    row = np.empty(grid.n_nodes)
     for k, (b, t) in zip(order.tolist(), seen):
-        row[form.col_order] = form.dense[k]              # w_{i, .} by node
+        row = reference_row(grid, form.kernel, form.interior_idx[k])    # w_{i, .} by node
         want = math.fsum((row * u).tolist())
         assert abs(b - want) <= 1e-12 * math.fsum(np.abs(row * u).tolist())
         u[form.interior_idx[k]] = t
@@ -384,19 +378,23 @@ def test_sweep_right_hand_side_matches_node_ordered_row_dots(family, dim, phase,
 
 def test_descent_reads_the_block_in_place(monkeypatch):
     # the sweep's rows, the reduced energy's W_II and the oracle's W_II are
-    # views of form.dense; no second copy of W_II or W_IE is stored
+    # views of form.dense, which is W_II; no copy of W_II and no W_IE is
+    # stored: every other array the form holds is one value per node or row
     grid = build_grid(1, 0.1, 1.0, 0.5)                  # 10 interior nodes
     rng = np.random.default_rng(59)
     data = np.where(grid.interior, 0.0, rng.uniform(0.0, 1.0, grid.n_nodes))
     problem = ProblemSpec(fractional_kernel(0.5), grid, data, rho=0.05)
     form = assemble_form(problem.kernel, grid)
     n_int = form.interior_idx.shape[0]
-    assert form.dense.shape == (n_int, grid.n_nodes)
-    assert form.dense.nbytes == 8 * n_int * grid.n_nodes
+    assert form.dense.shape == (n_int, n_int)
+    assert form.dense.nbytes == 8 * n_int * n_int
     assert all(np.shares_memory(row, form.dense) and row.shape == (n_int,)
                for row in form.interior_rows)
+    exterior_terms(form, data)
     stored = [v for v in vars(form).values() if isinstance(v, np.ndarray)]
-    assert sum(v.nbytes for v in stored if v is not form.dense) < 4 * 8 * grid.n_nodes
+    stored += [form.terms_cache[0], *form.terms_cache[1][:1]]
+    owned = [v for v in stored if v is not form.dense and v.base is None]
+    assert owned and all(v.ndim == 1 and v.shape[0] <= grid.n_nodes for v in owned)
     read = []
     real_dots = nlfb.energy.rowwise_dots
     monkeypatch.setattr(nlfb.energy, "rowwise_dots",
@@ -723,9 +721,9 @@ def test_oracle_reports_exact_break_even_tie():
 
 # The per-subset enumeration the batched oracle replaced: one _subsystem solved
 # by np.linalg.solve and one quick energy per support (from row sums of all N
-# nodes, the exterior ones read off the interior rows' columns), scanned in
+# nodes, the exterior ones read off the reference W_IE's columns), scanned in
 # mask order. Bit k of a mask is stored row k, the node interior_idx[k]; the
-# exterior term of each row is one np.dot of W_IE[k] with the data.
+# exterior term of each row is one np.dot of the reference W_IE[k] with the data.
 def reference_candidates(problem, form):
     n_int = form.interior_idx.shape[0]
     b_I = reference_exterior_term(form, problem.exterior_data)
@@ -741,7 +739,8 @@ def reference_oracle(problem, form):
     grid = problem.grid
     interior_idx = form.interior_idx
     n_int = interior_idx.shape[0]
-    W_I, W_II = form.dense, form.dense[:, :n_int]
+    W_II = form.dense
+    W_I = np.hstack([W_II, reference_exterior_rows(form)])     # w_{i, col_order[.]}
     row_sums = np.empty(grid.n_nodes)       # by column, as the block stores them
     row_sums[:n_int] = nlfb.energy.tree_sum(W_I)
     row_sums[n_int:] = nlfb.energy.tree_sum(W_I[:, n_int:].T)
@@ -935,6 +934,70 @@ def test_minimize_never_below_oracle_and_oracle_solves_its_support(seed, h, phas
         rows = form.row_of[free]
         A, b = _subsystem(form, rows, u[form.interior_idx], form.exterior_dots(u, rows))
         assert np.max(np.abs(A @ u[free] - b)) <= 1e-12 * (1.0 + np.max(np.abs(b)))
+
+
+def test_lifting_matrix_is_refused_above_the_budget(monkeypatch):
+    # the whole-domain lifting gathers A over every interior row, an
+    # allocation the size of W_II: a budget that W_II fits into but A,
+    # with W_II already held, does not is refused before the gather
+    grid = build_grid(2, 0.1, 2.0)
+    rng = np.random.default_rng(113)
+    data = np.where(grid.interior, 0.0, rng.uniform(0.0, 1.0, grid.n_nodes))
+    problem = ProblemSpec(fractional_kernel(0.5, dim=2), grid, data, rho=0.3)
+    form = assemble_form(problem.kernel, grid, data)
+    n_int = form.dense.shape[0]
+    monkeypatch.setattr(nlfb.energy, "MEMORY_BUDGET_BYTES", 8 * n_int * n_int - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="subsystem matrix needs"):
+            minimize(problem, n_restarts=2, form=form)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n_int * n_int / 4
+    monkeypatch.setattr(nlfb.energy, "MEMORY_BUDGET_BYTES", 8 * n_int * n_int)
+    assert minimize(problem, n_restarts=2, form=form).converged
+
+
+def test_exterior_terms_are_kept_for_the_last_exterior_values(monkeypatch, grid_1d_small):
+    # assembly keeps the terms of its exterior data; exterior_terms runs one
+    # pass of the pair formula only when the exterior values change, and
+    # ignores the interior entries
+    passes = []
+    real = nlfb.energy._weight_rows
+
+    def weight_rows(kernel, grid, col_order, n_int, first_col, block):
+        passes.append(first_col)
+        return real(kernel, grid, col_order, n_int, first_col, block)
+
+    monkeypatch.setattr(nlfb.energy, "_weight_rows", weight_rows)
+    rng = np.random.default_rng(127)
+    g = np.where(grid_1d_small.interior, 0.0, rng.uniform(-1.0, 1.0, grid_1d_small.n_nodes))
+    form = assemble_form(fractional_kernel(0.5), grid_1d_small, g)
+    n_int = form.dense.shape[0]
+    assert passes == [0]
+    kept = exterior_terms(form, g)
+    assert exterior_terms(form, g + np.where(grid_1d_small.interior, 1.0, 0.0)) is kept
+    assert form.exterior_dots(g, range(n_int)).tobytes() == kept[0].tobytes()
+    assert passes == [0]
+    other = exterior_terms(form, 2.0 * g)
+    assert exterior_terms(form, 2.0 * g) is other and passes == [0, n_int]
+    again = exterior_terms(form, g)
+    assert passes == [0, n_int, n_int]
+    assert again[0].tobytes() == kept[0].tobytes() and again[1] == kept[1]
+    assert again[0].tobytes() == reference_exterior_term(form, g).tobytes()
+
+
+@pytest.mark.parametrize("call", ["minimize", "coordinate_descent", "rho_sweep_minimize"])
+def test_negative_seed_is_a_configuration_error(call):
+    problem = four_interior_problem(np.random.default_rng(131))
+    with pytest.raises(ConfigurationError, match="seed must be at least 0, got -1"):
+        if call == "minimize":
+            minimize(problem, n_restarts=2, seed=-1)
+        elif call == "coordinate_descent":
+            coordinate_descent(problem, problem.exterior_field(), seed=-1)
+        else:
+            rho_sweep_minimize(problem, [0.1, 0.01], n_restarts=2, seed=-1)
 
 
 # ------------------------------------------------------- restarts and determinism
