@@ -184,6 +184,14 @@ def _fold_exterior(k, W_IE_rows, g_E, b_I, c_rows):
     c_rows[k:k + n] = np.vecdot(W_IE_rows, g_E * g_E)
 
 
+def _kept_terms(g_E, b_I, c_rows):
+    """The form's terms_cache entry: g_E and b_I read-only, since every later
+    call with the same exterior values returns these very arrays."""
+    g_E.flags.writeable = False
+    b_I.flags.writeable = False
+    return g_E, (b_I, tree_sum(c_rows))
+
+
 def assemble_form(kernel: KernelSpec, grid: Grid, exterior_data=None) -> QuadraticForm:
     """Assemble the interior block W_II of the pair weights w_ij = 2 K(x_i, x_j) m_i m_j,
     with the full row sums a_I and the exterior row sums a_E, and keep the
@@ -214,7 +222,7 @@ def assemble_form(kernel: KernelSpec, grid: Grid, exterior_data=None) -> Quadrat
             _fold_exterior(k, rows[:, n_int:], g_E, b_I, c_rows)
     form = QuadraticForm(grid, kernel, W_II, row_sums, a_E, col_order)
     if g_E is not None:
-        form.terms_cache = (g_E, (b_I, tree_sum(c_rows)))
+        form.terms_cache = _kept_terms(g_E, b_I, c_rows)
     return form
 
 
@@ -284,9 +292,10 @@ def exterior_terms(form: QuadraticForm, g):
     row, and c = sum over interior i and exterior e of w_ie g_e^2, a tree sum.
 
     The form keeps the terms of the last exterior values it saw (compared bit
-    for bit), so repeated calls with the same data return the same arrays;
-    other values take one pass of the pair formula over the interior-exterior
-    pairs, with the bits assembly gives for them.
+    for bit), so repeated calls with the same data return the same read-only
+    arrays; other values take one pass of the pair formula over the
+    interior-exterior pairs, with the bits assembly gives for them, and
+    replace the kept terms.
     """
     g_E = np.asarray(g, dtype=np.float64)[form.exterior_idx]
     cached = form.terms_cache
@@ -296,7 +305,7 @@ def exterior_terms(form: QuadraticForm, g):
         for k, rows in _weight_rows(form.kernel, form.grid, form.col_order, n_int, n_int,
                                     _EVAL_ROWS):
             _fold_exterior(k, rows, g_E, b_I, c_rows)
-        cached = form.terms_cache = (g_E, (b_I, tree_sum(c_rows)))
+        cached = form.terms_cache = _kept_terms(g_E, b_I, c_rows)
     return cached[1]
 
 

@@ -568,7 +568,6 @@ def rho_sweep_minimize(problem: ProblemSpec, rhos, n_restarts=4, seed=0,
     rhos = sorted((float(r) for r in rhos), reverse=True)
     if not rhos:
         raise ConfigurationError("rho sweep requires at least one rho value")
-    _check_seed(seed)
     out = []
     current = replace(problem, rho=rhos[0])
     result = minimize(current, n_restarts=n_restarts, seed=seed, max_sweeps=max_sweeps)

@@ -379,7 +379,8 @@ def test_sweep_right_hand_side_matches_node_ordered_row_dots(family, dim, phase,
 def test_descent_reads_the_block_in_place(monkeypatch):
     # the sweep's rows, the reduced energy's W_II and the oracle's W_II are
     # views of form.dense, which is W_II; no copy of W_II and no W_IE is
-    # stored: every other array the form holds is one value per node or row
+    # stored: the form's other arrays stay under 4 values per node, and the
+    # kept exterior terms are one value per node or row
     grid = build_grid(1, 0.1, 1.0, 0.5)                  # 10 interior nodes
     rng = np.random.default_rng(59)
     data = np.where(grid.interior, 0.0, rng.uniform(0.0, 1.0, grid.n_nodes))
@@ -390,11 +391,13 @@ def test_descent_reads_the_block_in_place(monkeypatch):
     assert form.dense.nbytes == 8 * n_int * n_int
     assert all(np.shares_memory(row, form.dense) and row.shape == (n_int,)
                for row in form.interior_rows)
-    exterior_terms(form, data)
     stored = [v for v in vars(form).values() if isinstance(v, np.ndarray)]
-    stored += [form.terms_cache[0], *form.terms_cache[1][:1]]
     owned = [v for v in stored if v is not form.dense and v.base is None]
-    assert owned and all(v.ndim == 1 and v.shape[0] <= grid.n_nodes for v in owned)
+    assert sum(v.nbytes for v in owned) < 4 * 8 * grid.n_nodes
+    assert form.terms_cache is None
+    exterior_terms(form, data)
+    g_E, (b_I, _) = form.terms_cache
+    assert all(v.ndim == 1 and v.shape[0] <= grid.n_nodes for v in (g_E, b_I))
     read = []
     real_dots = nlfb.energy.rowwise_dots
     monkeypatch.setattr(nlfb.energy, "rowwise_dots",
@@ -986,6 +989,11 @@ def test_exterior_terms_are_kept_for_the_last_exterior_values(monkeypatch, grid_
     assert passes == [0, n_int, n_int]
     assert again[0].tobytes() == kept[0].tobytes() and again[1] == kept[1]
     assert again[0].tobytes() == reference_exterior_term(form, g).tobytes()
+    # the kept arrays are returned by reference, so they refuse writes
+    for b_I in (kept[0], again[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            b_I *= 2.0
+    assert again[0].tobytes() == kept[0].tobytes()
 
 
 @pytest.mark.parametrize("call", ["minimize", "coordinate_descent", "rho_sweep_minimize"])
