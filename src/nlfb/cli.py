@@ -10,7 +10,9 @@ All artifact JSON/CSV is deterministic for a fixed config and seed. Wall-clock
 measurements are confined to the manifest's "timing" section so the rest of
 the manifest is reproducible byte for byte. The manifest's "warnings" list
 (empty when there is nothing to report) names every reported minimization
-that stopped at solver.max_sweeps before converging.
+that stopped at solver.max_sweeps before converging, and every one whose
+energy exceeds a support energy its certificate found (solver._certify), so
+that it is proven not to be a global minimizer.
 
 NLFB_THREADS, when set, must be an integer (a malformed value is a
 configuration error). Restarts run one after another on the calling thread,
@@ -38,8 +40,8 @@ from .energy import assemble_form
 from .errors import (CapacityError, ConfigurationError, DataError, DomainError,
                      NlfbError, SolverError)
 from .grid import Ball, csv_text, field_csv_text
-from .solver import (MinimizeResult, ProblemSpec, minimize, oracle_minimize,
-                     rho_sweep_minimize)
+from .solver import (CERTIFICATE_RTOL, MinimizeResult, ProblemSpec, minimize,
+                     oracle_minimize, rho_sweep_minimize)
 
 EXIT_CODES = {
     ConfigurationError: 2,
@@ -94,11 +96,20 @@ def _analysis_points(cfg: ExperimentConfig, problem: ProblemSpec, field) -> list
     return [np.asarray(p) for p in parse_points(spec_text, problem.grid.dim)]
 
 
-def _warn_unconverged(warnings: list, result: MinimizeResult, **where) -> None:
-    """Record a manifest warning for a reported result that stopped at max_sweeps."""
+def _warn_result(warnings: list, result: MinimizeResult, **where) -> None:
+    """Record manifest warnings for a reported result that stopped at
+    max_sweeps, or whose energy exceeds, by more than the certificate's
+    tolerance, a support energy its certificate found: then it is not a
+    global minimizer."""
     if not result.converged:
         warnings.append({**where, "warning": f"stopped at max_sweeps after {result.sweeps} "
                                              f"sweeps without converging"})
+    found = (result.certificate or {}).get("best_support_energy")
+    energy = result.energy.total
+    if found is not None and energy - found > CERTIFICATE_RTOL * (1.0 + abs(energy)):
+        warnings.append({**where, "warning": f"energy {energy!r} exceeds the support energy "
+                                             f"{found!r} that the certificate found: not a "
+                                             f"global minimizer"})
 
 
 def _result_artifacts(writer: _Writer, cfg: ExperimentConfig, result: MinimizeResult,
@@ -116,7 +127,7 @@ def _cmd_solve(cfg, writer, seed, timing, warnings):
     result = minimize(problem, n_restarts=cfg.values["solver.restarts"], seed=seed,
                       max_sweeps=cfg.values["solver.max_sweeps"])
     timing["solve_s"] = time.perf_counter() - t0
-    _warn_unconverged(warnings, result)
+    _warn_result(warnings, result)
     _result_artifacts(writer, cfg, result)
     return {
         "energy": result.energy.to_dict(),
@@ -140,7 +151,7 @@ def _cmd_rho_sweep(cfg, writer, seed, timing, warnings):
     timing["solve_s"] = time.perf_counter() - t0
     rows = []
     for rho, result in path:
-        _warn_unconverged(warnings, result, rho=float(rho))
+        _warn_result(warnings, result, rho=float(rho))
         dist = lifting_distance(result.form, result.field, region)
         rows.append((float(rho), float(result.energy.total), float(dist)))
     if "csv" in cfg.values["output.formats"]:
@@ -205,7 +216,7 @@ def _cmd_refine(cfg, writer, seed, timing, warnings):
         problem = build_problem(cfg, h=h)
         result = minimize(problem, n_restarts=cfg.values["solver.restarts"], seed=seed,
                           max_sweeps=cfg.values["solver.max_sweeps"])
-        _warn_unconverged(warnings, result, level=level)
+        _warn_result(warnings, result, level=level)
         levels.append(_level_diagnostics(cfg, problem, result))
         _result_artifacts(writer, cfg, result, prefix=f"level{level}_")
     timing["solve_s"] = time.perf_counter() - t0
@@ -267,7 +278,7 @@ def _cmd_oracle_compare(cfg, writer, seed, timing, warnings):
     rows = oracle_compare_instances(cfg, seed)
     timing["solve_s"] = time.perf_counter() - t0
     for r in rows:
-        _warn_unconverged(warnings, r["result"], instance=r["instance"])
+        _warn_result(warnings, r["result"], instance=r["instance"])
     csv_rows = [(r["instance"], r["minimize_energy"], r["oracle_energy"],
                  int(r["agree"])) for r in rows]
     if "csv" in cfg.values["output.formats"]:
@@ -288,7 +299,7 @@ def _cmd_analyze(cfg, writer, seed, timing, warnings):
     result = minimize(problem, n_restarts=cfg.values["solver.restarts"], seed=seed,
                       max_sweeps=cfg.values["solver.max_sweeps"])
     timing["solve_s"] = time.perf_counter() - t0
-    _warn_unconverged(warnings, result)
+    _warn_result(warnings, result)
     _result_artifacts(writer, cfg, result)
 
     r_min, r_max, n_dyadic, region = _analysis_defaults(cfg, problem.grid)

@@ -40,6 +40,22 @@ finalized, so minimize evaluates the pairwise total_energy once. A
 brute-force oracle enumerates all interior supports (capacity-capped, xi = 0
 only) for ground truth, with one stacked linear solve per support size, and
 scores them on the reduced quadratic form over interior values.
+
+For one_phase at xi = 0 the support energy
+
+    G(S) = c - b_S . A_SS^-1 b_S + rho * h^d * |S|,    A = diag(a_I) - W_II,
+
+(the least energy with the nodes off S held at 0) is submodular, and
+min_S G = min J (Topkis 1978). Restart (a) descends from the harmonic
+lifting, above every minimizer, and restart (b) rises from zero, below every
+minimizer, so the least minimizer's support lies between the two exits'
+supports. _certify fixes L = supp((b) exit) on and runs Wolfe's min-norm-point
+algorithm (Fujishige-Wolfe) over the band B = supp((a) exit) minus L, on the
+Schur complement of A_LL: each greedy vertex x of the base polytope gives the
+prefix energies G(L + first k nodes of its order) and the lower bound
+G(L) + sum_i min(x_i, 0) on min G. minimize uses the certificate for one
+decision: when it proves the better bound exit globally minimal, the random
+restarts are skipped.
 """
 
 from __future__ import annotations
@@ -65,6 +81,8 @@ POLISH_PERIOD = 25
 CG_TOL = 1e-12
 ORACLE_MAX_INTERIOR = 14
 ORACLE_TIE_RTOL = 1e-10
+CERTIFICATE_RTOL = 1e-12      # gap that certifies, and margin that refutes, a minimum
+WOLFE_MAX_ITERATIONS = 64
 
 
 @dataclass
@@ -113,6 +131,7 @@ class MinimizeResult:
     best_restart_seed: int
     tied_supports: list | None = None
     form: QuadraticForm | None = None    # the form the result was computed with
+    certificate: dict | None = None      # _certify's record, when minimize ran it
 
     def to_dict(self) -> dict:
         return {
@@ -125,6 +144,7 @@ class MinimizeResult:
             "best_restart_seed": self.best_restart_seed,
             "tied_supports": (None if self.tied_supports is None
                               else [[int(i) for i in s] for s in self.tied_supports]),
+            "certificate": self.certificate,
         }
 
 
@@ -169,13 +189,22 @@ def _pcg(A, b, x0, rtol=CG_TOL, maxiter=None):
         f"final relative residual {res / b_norm:.3e}")
 
 
+def _system_matrix(form: QuadraticForm, rows):
+    """A = diag(a_i) - W_II restricted to the stored rows `rows`, gathered from
+    W_II once check_budget admits it."""
+    check_budget(8 * rows.shape[0] * rows.shape[0], "the subsystem matrix")
+    A = form.dense[rows[:, None], rows]
+    np.negative(A, out=A)
+    A.flat[::rows.shape[0] + 1] = form.row_sums[rows]
+    return A
+
+
 def _subsystem(form: QuadraticForm, rows, x, b):
     """Dense SPD subsystem over the stored rows `rows`, with the other interior
     values held at x (interior values, by stored row) and b = (W_IE g)[rows] the
     fixed exterior term of those rows.
 
-    A = diag(a_i) - W_II restricted to rows, gathered from W_II once
-    check_budget admits it; the right-hand side is sum over pinned interior j
+    A = _system_matrix(form, rows); the right-hand side is sum over pinned interior j
     of w_ij x_j, plus b. W >= 0 and every interior node couples to every
     exterior node (a_i counts those couplings), so A is a nonsingular M-matrix:
     SPD, with A^-1 >= 0 entrywise. Every one_phase pin is nonnegative (0, xi
@@ -183,10 +212,7 @@ def _subsystem(form: QuadraticForm, rows, x, b):
     the exact solve is nonnegative; one_phase solves are checked against this
     by _nonnegative.
     """
-    check_budget(8 * rows.shape[0] * rows.shape[0], "the subsystem matrix")
-    A = form.dense[rows[:, None], rows]
-    np.negative(A, out=A)
-    A.flat[::rows.shape[0] + 1] = form.row_sums[rows]
+    A = _system_matrix(form, rows)
     pinned = x.copy()
     pinned[rows] = 0.0
     return A, rowwise_dots(form.dense, rows, pinned) + b
@@ -431,15 +457,152 @@ def lifting_initialization(problem: ProblemSpec, form: QuadraticForm) -> Field:
     return lifted
 
 
+def _band_greedy(problem: ProblemSpec, form: QuadraticForm, terms, on, band):
+    """G(L) and the greedy vertex of F(T) = G(L + T) over the band B, for the
+    stored rows L = `on` and B = `band` (one_phase, xi = 0; see the module
+    docstring). Returns (G(L), greedy).
+
+    One solve against A_LL, with |B| + 1 right-hand sides, gives the Schur
+    complement S = A_BB - A_BL A_LL^-1 A_LB, b~ = b_B - A_BL A_LL^-1 b_L and
+    G(L). greedy(order), for an order of the band positions, factors
+    S[order, order] = R R^T and solves y = R^-1 b~[order]; it returns
+    (q, energies): q[order[k]] = rho * h^d - y_k^2, the greedy vertex by band
+    position, and energies[k] = G(L) + q[order[0]] + .. + q[order[k]], the
+    support energy of L with the first k + 1 nodes of the order. A and the
+    reordered S go through check_budget. S is an M-matrix's Schur complement,
+    so a failed Cholesky raises SolverError.
+    """
+    b_I, c = terms
+    rho_cell = problem.rho * problem.grid.cell_measure
+    n_on, n_band = on.shape[0], band.shape[0]
+    A = _system_matrix(form, np.concatenate([on, band]))
+    A_BL = A[n_on:, :n_on]
+    Z = np.linalg.solve(A[:n_on, :n_on],
+                        np.concatenate([A[:n_on, n_on:], b_I[on, None]], axis=1))
+    # np.vecdot, not a small matmul, whose BLAS kernel no other step runs: it
+    # would fault in 128 kB more of the library per process
+    schur = A[n_on:, n_on:] - np.vecdot(A_BL[:, None, :], Z[:, :n_band].T)
+    b_band = b_I[band] - A_BL @ Z[:, n_band]
+    energy_on = c - float(b_I[on] @ Z[:, n_band]) + rho_cell * n_on
+    check_budget(8 * n_band * n_band, "the band's Schur complement")
+
+    def greedy(order):
+        try:
+            R = np.linalg.cholesky(schur[order[:, None], order])
+        except np.linalg.LinAlgError as exc:
+            raise SolverError("the band's Schur complement is not positive definite") from exc
+        y = np.linalg.solve(R, b_band[order])
+        q = np.empty(n_band)
+        q[order] = rho_cell - y * y
+        return q, energy_on + np.cumsum(q[order])
+
+    return energy_on, greedy
+
+
+def _affine_minimizer(P):
+    """Weights alpha, summing to 1, of the point of the affine hull of P's
+    rows nearest the origin: (P P^T + 1 1^T) alpha = 1, normalized; None when
+    that system is singular."""
+    try:
+        alpha = np.linalg.solve(np.vecdot(P[:, None, :], P) + 1.0, np.ones(P.shape[0]))
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(alpha).all():
+        return None
+    total = float(alpha.sum())
+    return alpha / total if total != 0.0 else None
+
+
+def _certify(problem: ProblemSpec, form: QuadraticForm, terms, x_a, x_b, energy) -> dict:
+    """Certificate of global minimality for a state of reduced energy `energy`,
+    given the interior values x_a and x_b (by stored row) of the (a) and (b)
+    exits (one_phase, xi = 0).
+
+    With L = supp(x_b) and B = supp(x_a) minus L, Wolfe's min-norm-point
+    algorithm runs over the band on _band_greedy's vertices, warm-started from
+    the band by decreasing x_a (stable argsort); each later greedy call orders
+    the band by increasing Wolfe point x (stable argsort). The status is,
+    checked in this order: "unbracketed" when supp(x_b) is not inside
+    supp(x_a) (no greedy call runs); after each greedy call, "certified" when
+    energy - (G(L) + sum_i min(x_i, 0)) <= 1e-12 * (1 + |energy|), "refuted"
+    when a support energy seen (G(L) or any prefix) lies below energy by more
+    than that, "stalled" when the affine system of the Wolfe step was
+    singular, and "capped" after WOLFE_MAX_ITERATIONS Wolfe iterations.
+    The record holds no timings, so it is reproducible byte for byte.
+    """
+    on_b = x_b > 0.0
+    on_a = x_a > 0.0
+    on = np.nonzero(on_b)[0]
+    band = np.nonzero(on_a & ~on_b)[0]
+    record = {"status": "unbracketed", "band": int(band.shape[0]), "fixed_on": int(on.shape[0]),
+              "wolfe_iterations": 0, "greedy_calls": 0, "lower_bound": None, "gap": None,
+              "best_support_energy": None}
+    if (on_b & ~on_a).any():
+        return record
+    tol = CERTIFICATE_RTOL * (1.0 + abs(energy))
+    energy_on, greedy = _band_greedy(problem, form, terms, on, band)
+    lowest = energy_on
+    order = np.argsort(-x_a[band], kind="stable")
+    P = lam = x = None       # Wolfe's vertices (rows), their weights and its point
+    iterations = greedy_calls = 0
+    status = None
+    while status is None:
+        q, energies = greedy(order)
+        greedy_calls += 1
+        lowest = min(lowest, float(energies.min(initial=math.inf)))
+        stalled = False
+        if x is None:
+            P, lam, x = q[None, :], np.ones(1), q
+        else:
+            # Wolfe's major cycle: add the vertex, then minor cycles until the
+            # affine minimizer of the kept vertices lies inside their hull
+            iterations += 1
+            P, lam = np.vstack([P, q]), np.append(lam, 0.0)
+            while True:
+                alpha = _affine_minimizer(P)
+                if alpha is None:
+                    stalled = True
+                    break
+                if (alpha > 0.0).all():
+                    lam, x = alpha, alpha @ P
+                    break
+                neg = alpha <= 0.0
+                ratio = np.zeros_like(lam)
+                np.divide(lam, lam - alpha, out=ratio, where=neg & (lam > alpha))
+                k = min(np.flatnonzero(neg).tolist(), key=ratio.item)
+                lam = ratio[k] * alpha + (1.0 - ratio[k]) * lam
+                lam[k] = 0.0
+                keep = lam > 0.0
+                P, lam = P[keep], lam[keep]
+        bound = energy_on + float(np.minimum(x, 0.0).sum())
+        if energy - bound <= tol:
+            status = "certified"
+        elif lowest < energy - tol:
+            status = "refuted"
+        elif stalled:
+            status = "stalled"
+        elif iterations >= WOLFE_MAX_ITERATIONS:
+            status = "capped"
+        order = np.argsort(x, kind="stable")
+    record.update(status=status, wolfe_iterations=iterations, greedy_calls=greedy_calls,
+                  lower_bound=bound, gap=energy - bound, best_support_energy=lowest)
+    return record
+
+
 def minimize(problem: ProblemSpec, n_restarts=4, seed=0, max_sweeps=DEFAULT_MAX_SWEEPS,
              form: QuadraticForm | None = None) -> MinimizeResult:
-    """Best of n_restarts coordinate descents from deterministic inits.
+    """Best of up to n_restarts coordinate descents from deterministic inits.
 
     Initializations: (a) the harmonic lifting of the exterior data, (b) the
     zero extension, (c) n_restarts - 2 random interior supports carrying the
     lifting values. Restart k descends with seed + k; the restarts run one
     after another in that order on the calling thread and share one
-    exterior_terms. Selection is by the lexicographic key (reduced exit energy,
+    exterior_terms. For one_phase at xi = 0 with n_restarts >= 3, restarts (a)
+    and (b) run first and the better of them, by the key below, is certified
+    (_certify); when the certificate proves it globally minimal the random
+    restarts (c) are skipped and restarts_used is 2. Otherwise every restart
+    runs. The certificate's record is the result's `certificate` (None when
+    none ran). Selection is by the lexicographic key (reduced exit energy,
     restart seed), so the lowest seed wins ties, and only the winner is
     finalized: its reported energy is its pairwise total_energy, the one
     pairwise evaluation per call. The form is assembled unless given, and is
@@ -453,23 +616,32 @@ def minimize(problem: ProblemSpec, n_restarts=4, seed=0, max_sweeps=DEFAULT_MAX_
     if form is None:
         form = assemble_form(problem.kernel, problem.grid, problem.exterior_data)
     lifted = lifting_initialization(problem, form).values
-    inits = [lifted]
-    if n_restarts >= 2:
-        inits.append(problem.exterior_data)
-    interior_idx = np.nonzero(problem.grid.interior)[0]
-    for k in range(2, n_restarts):
-        rng = np.random.default_rng([seed, k])
-        mask = rng.random(interior_idx.shape[0]) < 0.5
-        values = problem.exterior_data.copy()
-        values[interior_idx[mask]] = lifted[interior_idx[mask]]
-        inits.append(values)
     terms = exterior_terms(form, problem.exterior_data)
     results = [_descend(problem, u0, seed + k, max_sweeps, form, terms)
-               for k, u0 in enumerate(inits)]
-    best = min(range(len(results)), key=lambda k: (results[k][1], seed + k))
+               for k, u0 in enumerate([lifted, problem.exterior_data][:n_restarts])]
+
+    def rank(k):
+        return results[k][1], seed + k
+
+    certificate = None
+    if n_restarts >= 3 and problem.phase == "one_phase" and problem.xi == 0.0:
+        rows = form.interior_idx
+        certificate = _certify(problem, form, terms, results[0][0][rows], results[1][0][rows],
+                               results[min(range(2), key=rank)][1])
+    if certificate is None or certificate["status"] != "certified":
+        interior_idx = np.nonzero(problem.grid.interior)[0]
+        for k in range(2, n_restarts):
+            rng = np.random.default_rng([seed, k])
+            mask = rng.random(interior_idx.shape[0]) < 0.5
+            values = problem.exterior_data.copy()
+            values[interior_idx[mask]] = lifted[interior_idx[mask]]
+            results.append(_descend(problem, values, seed + k, max_sweeps, form, terms))
+    best = min(range(len(results)), key=rank)
     u, _, sweeps, converged = results[best]
-    return _finalize(problem, form, u, sweeps, converged, seed + best,
-                     restarts_used=len(results))
+    result = _finalize(problem, form, u, sweeps, converged, seed + best,
+                       restarts_used=len(results))
+    result.certificate = certificate
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -35,10 +35,12 @@ from nlfb import (
     SolverError,
     total_energy,
 )
+from nlfb.cli import ORACLE_AGREE_RTOL
 from nlfb.energy import exterior_terms
-from nlfb.solver import (CG_TOL, DEFAULT_MAX_SWEEPS, EPS_STOP_FACTOR, ORACLE_TIE_RTOL, PHASES,
-                         POLISH_PERIOD, _finalize, _free_mask, _oracle_candidates, _pcg,
-                         _polish, _solve_free, _subsystem, _sweep, _visit)
+from nlfb.solver import (CERTIFICATE_RTOL, CG_TOL, DEFAULT_MAX_SWEEPS, EPS_STOP_FACTOR,
+                         ORACLE_TIE_RTOL, PHASES, POLISH_PERIOD, _band_greedy, _certify,
+                         _descend, _finalize, _free_mask, _oracle_candidates, _pcg, _polish,
+                         _solve_free, _subsystem, _sweep, _visit)
 
 from conftest import (family_kernel, random_field_values, reference_exterior_rows,
                       reference_exterior_term, reference_row)
@@ -1025,12 +1027,15 @@ def test_single_restart_equals_descent_from_lifting():
     assert np.array_equal(with_form.field.values, via_minimize.field.values)
 
 
-@pytest.mark.parametrize("phase", PHASES)
-@pytest.mark.parametrize("n_restarts", [1, 2, 5])
+@pytest.mark.parametrize("n_restarts,phase", [(1, "one_phase"), (1, "two_phase"),
+                                              (2, "one_phase"), (2, "two_phase"),
+                                              (5, "two_phase")])
 def test_minimize_finalizes_only_the_winner(monkeypatch, n_restarts, phase):
     # the restarts share one exterior_terms and are ranked by (reduced exit
     # energy, seed); only the winner gets the pairwise total_energy, and its
-    # result is the public coordinate_descent from its init and seed
+    # result is the public coordinate_descent from its init and seed. At 5
+    # restarts only two_phase runs every restart: one_phase at xi = 0 skips
+    # the random ones once the bounds are certified (tested below)
     grid = build_grid(1, 0.1, 2.0)
     kernel = fractional_kernel(0.5)
     form = assemble_form(kernel, grid)
@@ -1073,6 +1078,178 @@ def test_minimize_finalizes_only_the_winner(monkeypatch, n_restarts, phase):
     fresh = total_energy(form, res.field, problem.rho, problem.xi)
     fresh.truncation_bound = res.energy.truncation_bound
     assert res.energy.to_dict() == fresh.to_dict()
+
+
+# ------------------------------------------- the certificate of the bound restarts
+
+def one_phase_oracle_instance(t):
+    # the oracle-compare grid and data scale: 10 interior nodes
+    grid = build_grid(1, 0.1, 1.0, 0.5)
+    rng = np.random.default_rng([151, t])
+    data = np.where(grid.interior, 0.0, rng.uniform(0.0, 0.35, grid.n_nodes))
+    return ProblemSpec(fractional_kernel(0.5), grid, data, rho=0.2, phase="one_phase")
+
+
+def record_descents(monkeypatch):
+    """Record (seed, init, _descend's result) for every descent."""
+    exits = []
+    real_descend = nlfb.solver._descend
+
+    def descend(problem, u0, seed, *args):
+        out = real_descend(problem, u0, seed, *args)
+        exits.append((seed, u0.copy(), out))
+        return out
+
+    monkeypatch.setattr(nlfb.solver, "_descend", descend)
+    return exits
+
+
+@pytest.mark.parametrize("instance,status", [(0, "certified"), (10, "refuted")])
+def test_one_phase_random_restarts_run_unless_the_bounds_are_certified(
+        monkeypatch, instance, status):
+    # certified: only seeds s and s + 1 (the bound restarts) descend, and the
+    # result is the better of them bit for bit; refuted: all n restarts run,
+    # and the result is the winner of the ranking over all of them
+    problem = one_phase_oracle_instance(instance)
+    form = assemble_form(problem.kernel, problem.grid)
+    exits = record_descents(monkeypatch)
+    res = minimize(problem, n_restarts=5, seed=11, form=form)
+    monkeypatch.undo()
+    cert = res.certificate
+    assert cert["status"] == status
+    ran = [11, 12] if status == "certified" else [11, 12, 13, 14, 15]
+    assert [seed for seed, _, _ in exits] == ran and res.restarts_used == len(ran)
+    best = min(exits, key=lambda e: (e[2][1], e[0]))
+    assert res.best_restart_seed == best[0]
+    direct = coordinate_descent(problem, Field(problem.grid, best[1]), seed=best[0], form=form)
+    assert res.field.values.tobytes() == direct.field.values.tobytes()
+    assert res.energy.to_dict() == direct.energy.to_dict()
+    assert (res.sweeps, res.converged) == (direct.sweeps, direct.converged)
+    # the record brackets the better bound exit's reduced energy
+    bound_exit = min(exits[:2], key=lambda e: (e[2][1], e[0]))[2][1]
+    tol = CERTIFICATE_RTOL * (1.0 + abs(bound_exit))
+    assert cert["gap"] == bound_exit - cert["lower_bound"]
+    assert cert["band"] + cert["fixed_on"] <= 10 and cert["greedy_calls"] >= 1
+    if status == "certified":
+        assert cert["gap"] <= tol and cert["best_support_energy"] >= bound_exit - tol
+        two = minimize(problem, n_restarts=2, seed=11, form=form)
+        assert two.field.values.tobytes() == res.field.values.tobytes()
+        assert (two.energy.to_dict(), two.best_restart_seed) == (res.energy.to_dict(),
+                                                                 res.best_restart_seed)
+        assert two.certificate is None
+    else:
+        # a random restart reaches the support energy that refuted the bounds
+        assert cert["best_support_energy"] < bound_exit - tol
+        assert res.best_restart_seed >= 13
+        assert abs(res.energy.total - cert["best_support_energy"]) <= tol
+    assert json.loads(json.dumps(res.to_dict()))["certificate"] == cert
+
+
+def test_certificate_statuses_that_decide_nothing(monkeypatch):
+    # instance 0 is certified after 3 Wolfe iterations; without them it is
+    # capped, with a singular affine step it stalls, and with the exits
+    # swapped it is unbracketed; each of these runs every restart
+    problem = one_phase_oracle_instance(0)
+    form = assemble_form(problem.kernel, problem.grid, problem.exterior_data)
+    terms = exterior_terms(form, problem.exterior_data)
+    rows = form.interior_idx
+    x_a = _descend(problem, lifting_initialization(problem, form).values, 11,
+                   DEFAULT_MAX_SWEEPS, form, terms)[0][rows]
+    x_b = _descend(problem, problem.exterior_data, 12, DEFAULT_MAX_SWEEPS, form, terms)[0][rows]
+    cert = minimize(problem, n_restarts=5, seed=11, form=form).certificate
+    assert (cert["status"], cert["wolfe_iterations"]) == ("certified", 3)
+    energy = min(nlfb.solver.reduced_energy(form, x, problem.rho, 0.0, terms) for x in (x_a, x_b))
+
+    swapped = _certify(problem, form, terms, x_b, x_a, energy)
+    assert swapped["status"] == "unbracketed"
+    assert (swapped["greedy_calls"], swapped["lower_bound"], swapped["gap"],
+            swapped["best_support_energy"]) == (0, None, None, None)
+
+    monkeypatch.setattr(nlfb.solver, "WOLFE_MAX_ITERATIONS", 0)
+    capped = _certify(problem, form, terms, x_a, x_b, energy)
+    assert (capped["status"], capped["wolfe_iterations"], capped["greedy_calls"]) == (
+        "capped", 0, 1)
+    assert minimize(problem, n_restarts=5, seed=11, form=form).restarts_used == 5
+    monkeypatch.undo()
+
+    monkeypatch.setattr(nlfb.solver, "_affine_minimizer", lambda P: None)
+    stalled = _certify(problem, form, terms, x_a, x_b, energy)
+    assert (stalled["status"], stalled["wolfe_iterations"], stalled["greedy_calls"]) == (
+        "stalled", 1, 2)
+    assert stalled["lower_bound"] == capped["lower_bound"] < energy
+    assert minimize(problem, n_restarts=5, seed=11, form=form).restarts_used == 5
+
+
+def test_failed_schur_cholesky_raises(monkeypatch):
+    problem = one_phase_oracle_instance(0)
+
+    def cholesky(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(nlfb.solver.np.linalg, "cholesky", cholesky)
+    with pytest.raises(SolverError, match="Schur complement is not positive definite"):
+        minimize(problem, n_restarts=3, seed=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(("fractional_laplacian", "modulated", "checkerboard",
+                               "custom_table")),
+       s=st.floats(0.05, 0.95), block=st.floats(0.1, 1.0), amplitude=st.floats(0.0, 0.99),
+       lattice=st.sampled_from([(1, 0.25), (1, 0.16), (1, 0.125), (1, 0.1), (1, 1.0 / 12.0),
+                                (2, 0.25)]),
+       log_rho=st.floats(-3.0, 0.5), seed=st.integers(0, 2 ** 32 - 1))
+def test_certificate_agrees_with_the_oracle(family, s, block, amplitude, lattice, log_rho,
+                                            seed):
+    # 4 to 12 interior nodes: the greedy prefix energies are the oracle's
+    # support energies; the (b) and (a) exits bracket the least minimizer;
+    # a certified minimize is at the oracle's minimum, and no bound exceeds it
+    dim, h = lattice
+    grid = enumerate_lattice(dim, h, 1.5 if dim == 1 else 1.0, 0.5)
+    kernel = (one_phase_kernel(family, s, block, amplitude) if dim == 1
+              else fractional_kernel(s, dim=2))
+    rng = np.random.default_rng(seed)
+    data = np.where(grid.interior, 0.0, rng.uniform(0.0, 1.0, grid.n_nodes))
+    problem = ProblemSpec(kernel, grid, data, rho=10.0 ** log_rho, phase="one_phase")
+    form = assemble_form(kernel, grid, data)
+    terms = exterior_terms(form, data)
+    _, energies = _oracle_candidates(problem, form)
+    m = form.interior_idx.shape[0]
+
+    def mask_of(rows):
+        return sum(1 << int(k) for k in rows)
+
+    on = rng.random(m) < 0.3
+    band = np.nonzero(~on & (rng.random(m) < 0.8))[0]
+    energy_on, greedy = _band_greedy(problem, form, terms, np.nonzero(on)[0], band)
+    order = rng.permutation(band.shape[0])
+    _, prefix = greedy(order)
+    mask = mask_of(np.nonzero(on)[0])
+    assert abs(energy_on - energies[mask]) <= 1e-12 * abs(energies[mask])
+    for k, position in enumerate(order):
+        mask |= 1 << int(band[position])
+        assert abs(prefix[k] - energies[mask]) <= 1e-12 * abs(energies[mask])
+
+    minimum = float(energies.min())
+    tol = CERTIFICATE_RTOL * (1.0 + abs(minimum))
+    least = (1 << m) - 1
+    for mask in np.nonzero(energies <= minimum + tol)[0]:
+        least &= int(mask)
+    descend_seed = seed % 1000
+    x_a, x_b = (_descend(problem, u0, descend_seed + k, DEFAULT_MAX_SWEEPS, form, terms)[0][
+        form.interior_idx] for k, u0 in enumerate([lifting_initialization(problem, form).values,
+                                                   data]))
+    supp_a, supp_b = mask_of(np.nonzero(x_a > 0.0)[0]), mask_of(np.nonzero(x_b > 0.0)[0])
+    assert supp_b & ~least == 0 and least & ~supp_a == 0
+
+    res = minimize(problem, n_restarts=3, seed=descend_seed, form=form)
+    cert = res.certificate
+    assert cert["status"] in ("certified", "refuted", "stalled", "capped")
+    assert cert["lower_bound"] <= minimum + tol
+    assert cert["best_support_energy"] >= minimum - tol
+    oracle = oracle_minimize(problem, form=form).energy.total
+    if cert["status"] == "certified":
+        assert res.restarts_used == 2
+        assert abs(res.energy.total - oracle) <= ORACLE_AGREE_RTOL * (1.0 + abs(oracle))
 
 
 def test_minimize_not_worse_than_any_initialization():
