@@ -51,7 +51,8 @@ from .kernel import KernelSpec, pair_kernel
 _TREE_BLOCK = 64
 _ROW_BLOCK = 64
 _EVAL_ROWS = 16
-# Largest allocation, in bytes, of W_II, a subsystem matrix or all-pairs arrays.
+# Largest allocation, in bytes, of W_II, a subsystem matrix, the oracle's pinned
+# inverses or all-pairs arrays.
 MEMORY_BUDGET_BYTES = 256 * 2 ** 20
 
 # Volume of the unit ball.
@@ -107,7 +108,8 @@ def rowwise_dots(matrix, rows, v) -> np.ndarray:
 @dataclass
 class QuadraticForm:
     """Pairwise weights of the Dirichlet energy on a grid: the interior block
-    W_II, the row sums, and the exterior terms of the last exterior values."""
+    W_II, the row sums, the exterior terms of the last exterior values and,
+    once the oracle has run on it, the oracle's pinned inverses."""
 
     grid: Grid
     kernel: KernelSpec
@@ -126,6 +128,9 @@ class QuadraticForm:
     row_sums_list: list = dataclass_field(init=False, repr=False)
     # (g_E, (b_I, c)): the exterior values exterior_terms last saw, and their terms
     terms_cache: tuple | None = dataclass_field(default=None, repr=False, compare=False)
+    # (masks, S, inv) per support size: the oracle's pinned inverses, which
+    # depend only on the form (nlfb.solver._pinned_inverses), once it has run
+    pinned_inverses: tuple | None = dataclass_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         n_int = self.dense.shape[0]

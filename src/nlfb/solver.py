@@ -38,8 +38,12 @@ after another in seed order, sharing one exterior_terms, and reduce by the
 lexicographic key (reduced exit energy, restart seed); only the winner is
 finalized, so minimize evaluates the pairwise total_energy once. A
 brute-force oracle enumerates all interior supports (capacity-capped, xi = 0
-only) for ground truth, with one stacked linear solve per support size, and
-scores them on the reduced quadratic form over interior values.
+only) for ground truth. Its pinned systems A_SS depend only on the form, so
+their stacked inverses, one stack per support size, are computed once per form
+and kept on it (_pinned_inverses); each instance applies them to its b_I, one
+row dot per entry, scores every candidate on the reduced quadratic form over
+interior values, and scans only the masks within the tie tolerance of the
+running best (_oracle_scan).
 
 For one_phase at xi = 0 the support energy
 
@@ -191,11 +195,13 @@ def _pcg(A, b, x0, rtol=CG_TOL, maxiter=None):
 
 def _system_matrix(form: QuadraticForm, rows):
     """A = diag(a_i) - W_II restricted to the stored rows `rows`, gathered from
-    W_II once check_budget admits it."""
-    check_budget(8 * rows.shape[0] * rows.shape[0], "the subsystem matrix")
-    A = form.dense[rows[:, None], rows]
+    W_II once check_budget admits it; rows of shape (c, k) give the stack of
+    the c matrices of its rows."""
+    k = rows.shape[-1]
+    check_budget(8 * rows.size * k, "the subsystem matrix")
+    A = form.dense[rows[..., :, None], rows[..., None, :]]
     np.negative(A, out=A)
-    A.flat[::rows.shape[0] + 1] = form.row_sums[rows]
+    A[..., np.arange(k), np.arange(k)] = form.row_sums[rows]
     return A
 
 
@@ -647,9 +653,29 @@ def minimize(problem: ProblemSpec, n_restarts=4, seed=0, max_sweeps=DEFAULT_MAX_
 # ---------------------------------------------------------------------------
 # Brute-force ground truth by support enumeration.
 
-def _direct_solve(A, b):
-    """LU solve of one system (A (k, k), b (k,)) or a stack of them (A (c, k, k), b (c, k))."""
-    return np.linalg.solve(A, b[..., None])[..., 0]
+def _pinned_inverses(form: QuadraticForm):
+    """The oracle's pinned-solve operator: for each support size k = 1..m, the
+    read-only arrays (masks, S, inv). masks lists the masks of size k in
+    ascending order, S (c, k) their stored rows in ascending order, and inv
+    (c, k, k) the stacked np.linalg.inv of A_SS = diag(a_S) - W_II[S, S]
+    (_system_matrix). check_budget admits the operator's bytes before
+    anything is allocated.
+    """
+    m = form.dense.shape[0]
+    # per support of size k: its k x k inverse, its k stored rows and its mask
+    check_budget(8 * sum(math.comb(m, k) * (k * k + k + 1) for k in range(1, m + 1)),
+                 "the oracle's pinned inverses")
+    in_subset = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1 == 1
+    sizes = np.count_nonzero(in_subset, axis=1)
+    operator = []
+    for k in range(1, m + 1):
+        masks = np.nonzero(sizes == k)[0]
+        S = np.nonzero(in_subset[masks])[1].reshape(-1, k)
+        inv = np.linalg.inv(_system_matrix(form, S))
+        for array in (masks, S, inv):
+            array.flags.writeable = False
+        operator.append((masks, S, inv))
+    return tuple(operator)
 
 
 def _oracle_candidates(problem: ProblemSpec, form: QuadraticForm):
@@ -661,23 +687,22 @@ def _oracle_candidates(problem: ProblemSpec, form: QuadraticForm):
     the volume term, with W_II the stored block and b_I and c from
     exterior_terms (see nlfb.energy).
     Every solve pins the same values (the exterior data), so the right-hand
-    sides are b_I, and the subsets of one size take one stacked solve, checked
-    to be nonnegative in one_phase.
+    sides are b_I[S], and the solution on S is A_SS^-1 b_I[S]: np.vecdot of
+    the form's kept inverses (_pinned_inverses, built on the form's first
+    oracle call) with b_I[S], one row dot per entry, checked to be
+    nonnegative in one_phase.
     """
+    operator = form.pinned_inverses
+    if operator is None:
+        operator = form.pinned_inverses = _pinned_inverses(form)
     m = form.interior_idx.shape[0]
     W_II, a_I = form.dense, form.row_sums
     b_I, exterior_constant = exterior_terms(form, problem.exterior_data)
 
-    in_subset = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1 == 1
-    sizes = np.count_nonzero(in_subset, axis=1)
-    X = np.zeros(in_subset.shape)
-    for k in range(1, m + 1):
-        group = np.nonzero(sizes == k)[0]
-        S = np.nonzero(in_subset[group])[1].reshape(-1, k)     # ascending node order
-        A = -W_II[S[:, :, None], S[:, None, :]]
-        A[:, np.arange(k), np.arange(k)] = a_I[S]
-        x = _direct_solve(A, b_I[S])
-        X[group[:, None], S] = _nonnegative(x) if problem.phase == "one_phase" else x
+    X = np.zeros((1 << m, m))
+    for masks, S, inv in operator:
+        x = np.vecdot(inv, b_I[S][:, None, :])
+        X[masks[:, None], S] = _nonnegative(x) if problem.phase == "one_phase" else x
 
     dirichlet = (np.einsum("ci,ci->c", X, X * a_I - X @ W_II.T) - 2.0 * (X @ b_I)
                  + exterior_constant)
@@ -685,18 +710,52 @@ def _oracle_candidates(problem: ProblemSpec, form: QuadraticForm):
     return X, dirichlet + problem.rho * problem.grid.cell_measure * count
 
 
+def _oracle_scan(energies, support):
+    """(best, ties) of the candidate energies in mask order, as the sequential
+    scan from mask 0 gives them: mask 0 starts as the best; with
+    tol = ORACLE_TIE_RTOL * (1 + |best energy|), a later mask below the best
+    energy by more than tol replaces it and restarts ties with its
+    support(mask), and one within tol of it appends its support(mask) to ties
+    unless listed.
+
+    A mask above best energy + tol does neither, so from each best the scan
+    jumps (np.flatnonzero) over the masks after it to those at or below that
+    bound; best and ties are exactly the sequential scan's.
+    """
+    best, ties = 0, [support(0)]
+    best_energy = energies.item(0)
+    start = 1
+    while True:
+        tol = ORACLE_TIE_RTOL * (1.0 + abs(best_energy))
+        near = np.flatnonzero(energies[start:] <= best_energy + tol) + start
+        for mask in near.tolist():
+            energy = energies.item(mask)
+            if energy < best_energy - tol:
+                best, ties, best_energy, start = mask, [support(mask)], energy, mask + 1
+                break
+            if support(mask) not in ties:
+                ties.append(support(mask))
+        else:
+            return best, ties
+
+
 def oracle_minimize(problem: ProblemSpec, form: QuadraticForm | None = None) -> MinimizeResult:
     """Global discrete minimum by enumerating every interior support.
 
     For each subset S, off-support nodes are pinned at 0 and the quadratic is
-    solved exactly on S; the reduced form scores each candidate's interior
-    values, and only the winner becomes a full field, whose reported energy is
-    the pairwise one. The minimizer's own support is one of the enumerated
-    subsets and solves its subsystem, so the smallest candidate energy is the
-    global minimum, exactly for xi = 0 only (pinned-off nodes sit at their
-    clamp value), so other xi raise ConfigurationError. Supports tied within
-    1e-10 relative energy are all reported. The form is assembled unless
-    given, and is returned on the result.
+    solved exactly on S, by the form's kept inverses (_oracle_candidates); the
+    reduced form scores each candidate's interior values, and only the winner
+    becomes a full field, whose reported energy is the pairwise one. The
+    minimizer's own support is one of the enumerated subsets and solves its
+    subsystem, so the smallest candidate energy is the global minimum, exactly
+    for xi = 0 only (pinned-off nodes sit at their clamp value), so other xi
+    raise ConfigurationError. A later mask displaces the best only when lower
+    by more than 1e-10 relative energy, and supports tied with the best
+    within that are all reported; the scan visits only the masks that can
+    change either (_oracle_scan). The form is
+    assembled unless given, and is returned on the result; CapacityError is
+    raised for more than ORACLE_MAX_INTERIOR interior nodes, and when the
+    kept inverses exceed the memory budget.
     """
     if problem.xi != 0.0:
         raise ConfigurationError(f"the oracle pins off-support nodes at 0 and is exact "
@@ -715,14 +774,7 @@ def oracle_minimize(problem: ProblemSpec, form: QuadraticForm | None = None) -> 
     def support(mask):
         return tuple(form.interior_idx[on[mask]].tolist())
 
-    best_energy, best, ties = math.inf, None, []
-    for mask, energy in enumerate(energies.tolist()):
-        tol = ORACLE_TIE_RTOL * (1.0 + abs(best_energy)) if best is not None else 0.0
-        if best is None or energy < best_energy - tol:
-            best_energy, best, ties = energy, mask, [support(mask)]
-        elif energy <= best_energy + tol and support(mask) not in ties:
-            ties.append(support(mask))
-
+    best, ties = _oracle_scan(energies, support)
     values = problem.exterior_data.copy()
     values[form.interior_idx] = X[best]
     result = _finalize(problem, form, values, sweeps=0, converged=True,

@@ -7,6 +7,7 @@ these tests exercise the full parse -> build -> solve -> artifact pipeline.
 
 import hashlib
 import json
+import math
 import os
 import platform
 import re
@@ -623,20 +624,28 @@ class TestOracleCompareCommand:
         # the form is assembled once without exterior data; each instance's
         # data then takes one pass of the pair formula over the
         # interior-exterior pairs, which minimize, the lifting, the oracle and
-        # both pairwise energies share
+        # both pairwise energies share; the oracle's pinned inverses depend
+        # only on the form, so the first oracle call builds them for all
         calls = []
         real = nlfb.energy._weight_rows
+        real_inverses = nlfb.solver._pinned_inverses
 
         def weight_rows(kernel, grid, col_order, n_int, first_col, block):
             calls.append("assembly" if first_col == 0 else "exterior pass")
             return real(kernel, grid, col_order, n_int, first_col, block)
 
+        def pinned_inverses(form):
+            calls.append("pinned inverses")
+            return real_inverses(form)
+
         monkeypatch.setattr(nlfb.energy, "_weight_rows", weight_rows)
+        monkeypatch.setattr(nlfb.solver, "_pinned_inverses", pinned_inverses)
         cfg = parse_config(write_cfg(tmp_path, ORACLE_CFG + "oracle.instances = 5\n"
                                                             "oracle.restarts = 4\n"))
         rows = oracle_compare_instances(cfg, 3)
         assert len(rows) == 5 and all(r["agree"] for r in rows)
-        assert calls == ["assembly"] + ["exterior pass"] * 5
+        assert calls == (["assembly", "exterior pass", "pinned inverses"]
+                         + ["exterior pass"] * 4)
 
     def test_capacity_limit_exit_code(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, """\
@@ -827,6 +836,25 @@ class TestErrorContract:
         assert main(["solve", "--config", cfg_path,
                      "--out", str(tmp_path / "out")]) == 5
         assert "the subsystem matrix needs" in capsys.readouterr().err
+
+    def test_pinned_inverses_capacity_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        # 14 interior nodes, whose oracle operator holds
+        # 8 * sum_k C(14, k) (k^2 + k + 1) bytes; one byte less is refused
+        size = 8 * sum(math.comb(14, k) * (k * k + k + 1) for k in range(1, 15))
+        monkeypatch.setattr(nlfb.energy, "MEMORY_BUDGET_BYTES", size - 1)
+        cfg_path = write_cfg(tmp_path, """\
+            kernel.s = 0.5
+            grid.h = 0.1
+            grid.omega_radius = 0.7
+            grid.R_inf = 1.4
+            problem.g_amplitude = 0.35
+            problem.rho = 0.1
+            oracle.instances = 2
+            oracle.restarts = 2
+            """)
+        assert main(["oracle-compare", "--config", cfg_path,
+                     "--out", str(tmp_path / "out")]) == 5
+        assert "the oracle's pinned inverses needs" in capsys.readouterr().err
 
     def test_data_error_exit_code(self, tmp_path, capsys):
         (tmp_path / "bad.csv").write_text("not,a,field\n1,2,3\n")

@@ -2,7 +2,6 @@
 
 import json
 import math
-import sys
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -39,8 +38,9 @@ from nlfb.cli import ORACLE_AGREE_RTOL
 from nlfb.energy import exterior_terms
 from nlfb.solver import (CERTIFICATE_RTOL, CG_TOL, DEFAULT_MAX_SWEEPS, EPS_STOP_FACTOR,
                          ORACLE_TIE_RTOL, PHASES, POLISH_PERIOD, _band_greedy, _certify,
-                         _descend, _finalize, _free_mask, _oracle_candidates, _pcg, _polish,
-                         _solve_free, _subsystem, _sweep, _visit)
+                         _descend, _finalize, _free_mask, _oracle_candidates, _oracle_scan,
+                         _pcg, _pinned_inverses, _polish, _solve_free, _subsystem, _sweep,
+                         _visit)
 
 from conftest import (family_kernel, random_field_values, reference_exterior_rows,
                       reference_exterior_term, reference_row)
@@ -379,10 +379,11 @@ def test_sweep_right_hand_side_matches_node_ordered_row_dots(family, dim, phase,
 
 
 def test_descent_reads_the_block_in_place(monkeypatch):
-    # the sweep's rows, the reduced energy's W_II and the oracle's W_II are
-    # views of form.dense, which is W_II; no copy of W_II and no W_IE is
-    # stored: the form's other arrays stay under 4 values per node, and the
-    # kept exterior terms are one value per node or row
+    # the sweep's rows and the reduced energy's W_II are views of form.dense,
+    # which is W_II, and the oracle's inverses are gathered from form.dense
+    # itself; no copy of W_II and no W_IE is stored: the form's other arrays
+    # stay under 4 values per node, and the kept exterior terms are one value
+    # per node or row
     grid = build_grid(1, 0.1, 1.0, 0.5)                  # 10 interior nodes
     rng = np.random.default_rng(59)
     data = np.where(grid.interior, 0.0, rng.uniform(0.0, 1.0, grid.n_nodes))
@@ -407,18 +408,22 @@ def test_descent_reads_the_block_in_place(monkeypatch):
     monkeypatch.setattr(nlfb.solver, "rowwise_dots", nlfb.energy.rowwise_dots)
     coordinate_descent(problem, problem.exterior_field(), form=form)
     assert read and all(np.shares_memory(m, form.dense) for m in read)
-    real_solve = nlfb.solver._direct_solve
-    oracle_blocks = []
+    W_II = form.dense
+    gathered = []
 
-    def direct_solve(A, b):
-        # the caller's W_II, the block every stacked system is gathered from
-        oracle_blocks.append(sys._getframe(1).f_locals["W_II"])
-        return real_solve(A, b)
+    class GatherRecordingBlock(np.ndarray):
+        # records the array each index reads, the block a gather copies from
+        def __getitem__(self, index):
+            gathered.append(self)
+            return super().__getitem__(index)
 
-    monkeypatch.setattr(nlfb.solver, "_direct_solve", direct_solve)
+    form.dense = W_II.view(GatherRecordingBlock)
     _oracle_candidates(problem, form)
-    assert len(oracle_blocks) == n_int
-    assert all(np.shares_memory(W_II, form.dense) for W_II in oracle_blocks)
+    # one stacked gather per support size, each from W_II's own memory
+    assert len(gathered) == n_int
+    assert all(np.shares_memory(block, W_II) for block in gathered)
+    assert all(inv.shape[0] == math.comb(n_int, k + 1)
+               for k, (_, _, inv) in enumerate(form.pinned_inverses))
 
 
 def test_descent_reports_the_energy_of_its_final_field():
@@ -724,23 +729,37 @@ def test_oracle_reports_exact_break_even_tie():
     assert res.tied_supports == [(), (2, 3)]
 
 
-# The per-subset enumeration the batched oracle replaced: one _subsystem solved
-# by np.linalg.solve and one quick energy per support (from row sums of all N
-# nodes, the exterior ones read off the reference W_IE's columns), scanned in
-# mask order. Bit k of a mask is stored row k, the node interior_idx[k]; the
+# The per-subset enumeration the batched oracle replaced: one _subsystem per
+# support, inverted by np.linalg.inv and applied by one np.dot per row of the
+# inverse (lu=True: solved by np.linalg.solve instead, an independent LU
+# reference), and one quick energy per support (from row sums of all N nodes,
+# the exterior ones read off the reference W_IE's columns), scanned in mask
+# order. Bit k of a mask is stored row k, the node interior_idx[k]; the
 # exterior term of each row is one np.dot of the reference W_IE[k] with the data.
-def reference_candidates(problem, form):
+def reference_candidates(problem, form, lu=False):
     n_int = form.interior_idx.shape[0]
     b_I = reference_exterior_term(form, problem.exterior_data)
     for mask in range(1 << n_int):
         rows = np.nonzero([(mask >> k) & 1 == 1 for k in range(n_int)])[0]
         values = problem.exterior_data.copy()
         A, b = _subsystem(form, rows, values[form.interior_idx], b_I[rows])
-        values[form.interior_idx[rows]] = np.linalg.solve(A, b)
+        if lu:
+            values[form.interior_idx[rows]] = np.linalg.solve(A, b)
+        else:
+            values[form.interior_idx[rows]] = [np.dot(row, b) for row in np.linalg.inv(A)]
         yield values
 
 
-def reference_oracle(problem, form):
+def assert_near_lu(got, want):
+    # every entry within 1e-14 of the largest entry of its candidate: in
+    # two_phase, entries near 0 after cancellation differ from the LU solve's
+    # by far more than 1e-14 of themselves
+    got, want = np.atleast_2d(got), np.atleast_2d(want)
+    scale = np.max(np.abs(want), axis=1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+def reference_oracle(problem, form, lu=False):
     grid = problem.grid
     interior_idx = form.interior_idx
     n_int = interior_idx.shape[0]
@@ -750,7 +769,7 @@ def reference_oracle(problem, form):
     row_sums[:n_int] = nlfb.energy.tree_sum(W_I)
     row_sums[n_int:] = nlfb.energy.tree_sum(W_I[:, n_int:].T)
     best_energy, best_values, ties = math.inf, None, []
-    for values in reference_candidates(problem, form):
+    for values in reference_candidates(problem, form, lu):
         v, u_I = values[form.col_order], values[interior_idx]
         support = tuple(np.nonzero(grid.interior & (values > problem.xi))[0].tolist())
         energy = (float(v @ (row_sums * v) - 2.0 * (u_I @ (W_I @ v))
@@ -795,7 +814,12 @@ def test_batched_oracle_matches_per_subset_reference(phase, grid, kernel, trials
     form = assemble_form(kernel, grid)
     for _ in range(trials):
         problem = random_oracle_problem(rng, grid, kernel, phase)
-        assert_same_result(oracle_minimize(problem, form=form), reference_oracle(problem, form))
+        got = oracle_minimize(problem, form=form)
+        assert_same_result(got, reference_oracle(problem, form))
+        lu = reference_oracle(problem, form, lu=True)
+        assert np.array_equal(got.support, lu.support)
+        assert got.tied_supports == lu.tied_supports
+        assert_near_lu(got.field.values, lu.field.values)
 
 
 @pytest.mark.parametrize("phase", PHASES)
@@ -807,6 +831,9 @@ def test_oracle_candidates_match_per_subset_solves(phase, grid_1d_small):
     want = np.array(list(reference_candidates(problem, form)))
     assert X.shape == (2 ** form.interior_idx.size, form.interior_idx.size)
     assert X.tobytes() == want[:, form.interior_idx].tobytes()
+    lu = np.array(list(reference_candidates(problem, form, lu=True)))
+    assert np.array_equal(X > 0.0, lu[:, form.interior_idx] > 0.0)
+    assert_near_lu(X, lu[:, form.interior_idx])
 
 
 @pytest.mark.parametrize("phase", PHASES)
@@ -826,24 +853,21 @@ def test_oracle_reduced_form_energies_equal_pairwise_energies(phase, grid_1d_sma
             assert abs(energy - want) <= 1e-12 * (1.0 + abs(want))
 
 
-def test_oracle_one_phase_negative_solve_raises(monkeypatch):
+def test_oracle_one_phase_negative_solve_raises():
     # Positive data and weights make every pinned system an M-matrix, so true
-    # negative entries cannot occur; a solve that negates the first entry of
+    # negative entries cannot occur; inverses that negate the first entry of
     # every 3-node solution must trip the sign check.
-    real = nlfb.solver._direct_solve
-
-    def negating(A, b):
-        x = real(A, b)
-        if A.shape[-1] == 3:
-            x[..., 0] = -x[..., 0]
-        return x
-
-    monkeypatch.setattr(nlfb.solver, "_direct_solve", negating)
     grid = build_grid(1, 0.1, 1.0, 0.5)
     rng = np.random.default_rng(103)
     data = np.where(grid.interior, 0.0, rng.uniform(0.1, 1.0, grid.n_nodes))
     problem = ProblemSpec(fractional_kernel(0.5), grid, data, rho=0.002, phase="one_phase")
     form = assemble_form(problem.kernel, grid)
+    operator = list(_pinned_inverses(form))
+    masks, S, inv = operator[2]           # the 3-node supports
+    negated = inv.copy()
+    negated[:, 0] = -negated[:, 0]
+    operator[2] = (masks, S, negated)
+    form.pinned_inverses = tuple(operator)
     with pytest.raises(SolverError, match="negative entry"):
         _oracle_candidates(problem, form)
     with pytest.raises(SolverError, match="negative entry"):
@@ -939,6 +963,77 @@ def test_minimize_never_below_oracle_and_oracle_solves_its_support(seed, h, phas
         rows = form.row_of[free]
         A, b = _subsystem(form, rows, u[form.interior_idx], form.exterior_dots(u, rows))
         assert np.max(np.abs(A @ u[free] - b)) <= 1e-12 * (1.0 + np.max(np.abs(b)))
+
+
+def test_pinned_inverses_are_refused_above_the_budget(monkeypatch):
+    # the 14-node operator (7.9 MB): a budget one byte below its size is
+    # refused before any of it, or of the masks it is built from, is
+    # allocated; at its size it is built, and holds exactly that many bytes
+    grid = build_grid(1, 0.1, 1.4, 0.7)                  # 14 interior nodes
+    rng = np.random.default_rng(127)
+    data = np.where(grid.interior, 0.0, rng.uniform(0.0, 1.0, grid.n_nodes))
+    problem = ProblemSpec(fractional_kernel(0.5), grid, data, rho=0.1)
+    form = assemble_form(problem.kernel, grid, data)
+    # per support of size k: its k x k inverse, its k stored rows and its mask
+    size = 8 * sum(math.comb(14, k) * (k * k + k + 1) for k in range(1, 15))
+    monkeypatch.setattr(nlfb.energy, "MEMORY_BUDGET_BYTES", size - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="pinned inverses needs"):
+            oracle_minimize(problem, form=form)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 100
+    assert form.pinned_inverses is None
+    monkeypatch.setattr(nlfb.energy, "MEMORY_BUDGET_BYTES", size)
+    oracle_minimize(problem, form=form)
+    assert sum(array.nbytes for part in form.pinned_inverses for array in part) == size
+
+
+# The scan _oracle_scan replaced: every mask in order, from mask 0.
+def reference_scan(energies, support):
+    best_energy, best, ties = math.inf, None, []
+    for mask, energy in enumerate(energies.tolist()):
+        tol = ORACLE_TIE_RTOL * (1.0 + abs(best_energy)) if best is not None else 0.0
+        if best is None or energy < best_energy - tol:
+            best_energy, best, ties = energy, mask, [support(mask)]
+        elif energy <= best_energy + tol and support(mask) not in ties:
+            ties.append(support(mask))
+    return best, ties
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 600),
+       level=st.sampled_from([0.0, 1e-12, 0.37, 1.0, -1.0, -250.0, 1e6]),
+       steps=st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.999, 1.0, 1.001, 1.5, 2.0, 3.0]),
+                      max_size=12),
+       descending=st.booleans(), in_mask_order=st.booleans(), exact_ties=st.integers(0, 4),
+       lone=st.booleans(), labels=st.integers(1, 6), first=st.sampled_from([None, 1e3, 1e6]))
+def test_oracle_scan_matches_the_sequential_scan(seed, n, level, steps, descending,
+                                                 in_mask_order, exact_ties, lone, labels, first):
+    # energies near a level, on the scale of the tie tolerance there, with a
+    # planted chain of near-ties spaced at fractions and multiples of it,
+    # exact ties, a lone minimum far below, supports that repeat and, when
+    # `first` is given, mask 0 at another scale, whose tolerance is not the
+    # level's
+    rng = np.random.default_rng(seed)
+    unit = ORACLE_TIE_RTOL * (1.0 + abs(level))
+    energies = level + unit * rng.uniform(-4.0, 40.0, n)
+    chain = level + (-unit if descending else unit) * np.cumsum([0.0] + steps)
+    chain = np.concatenate([chain, np.full(exact_ties, chain[rng.integers(chain.shape[0])])])
+    at = rng.permutation(n)[:chain.shape[0]]
+    energies[np.sort(at) if in_mask_order else at] = chain[:at.shape[0]]
+    if lone:
+        energies[rng.integers(n)] = level - 1e3 * unit
+    if first is not None:
+        energies[0] = first
+    label = rng.integers(0, labels, n)
+
+    def support(mask):
+        return (int(label[mask]),)
+
+    assert _oracle_scan(energies, support) == reference_scan(energies, support)
 
 
 def test_lifting_matrix_is_refused_above_the_budget(monkeypatch):
