@@ -752,10 +752,10 @@ def oracle_minimize(problem: ProblemSpec, form: QuadraticForm | None = None) -> 
     raise ConfigurationError. A later mask displaces the best only when lower
     by more than 1e-10 relative energy, and supports tied with the best
     within that are all reported; the scan visits only the masks that can
-    change either (_oracle_scan). The form is
-    assembled unless given, and is returned on the result; CapacityError is
-    raised for more than ORACLE_MAX_INTERIOR interior nodes, and when the
-    kept inverses exceed the memory budget.
+    change either (_oracle_scan). The form is assembled unless given, and is
+    returned on the result; CapacityError is raised for more than
+    ORACLE_MAX_INTERIOR interior nodes, and when the kept inverses exceed the
+    memory budget.
     """
     if problem.xi != 0.0:
         raise ConfigurationError(f"the oracle pins off-support nodes at 0 and is exact "
