@@ -1,4 +1,5 @@
-"""Command-line entry point: nlfb <subcommand> --config <path> [--out] [--seed].
+"""Command-line entry point: nlfb <subcommand> --config <path> [--out] [--seed],
+or python -m nlfb.cli with the same arguments.
 
 Subcommands: solve, rho-sweep, refine, oracle-compare, analyze. Every run
 writes its artifacts plus a manifest.json into the output directory. Artifacts
@@ -12,7 +13,8 @@ the manifest is reproducible byte for byte. The manifest's "warnings" list
 (empty when there is nothing to report) names every reported minimization
 that stopped at solver.max_sweeps before converging, and every one whose
 energy exceeds a support energy its certificate found (solver._certify), so
-that it is proven not to be a global minimizer.
+that it is proven not to be a global minimizer; such a warning also names the
+certified global minimum when the certificate holds one.
 
 NLFB_THREADS, when set, must be an integer (a malformed value is a
 configuration error). Restarts run one after another on the calling thread,
@@ -100,16 +102,19 @@ def _warn_result(warnings: list, result: MinimizeResult, **where) -> None:
     """Record manifest warnings for a reported result that stopped at
     max_sweeps, or whose energy exceeds, by more than the certificate's
     tolerance, a support energy its certificate found: then it is not a
-    global minimizer."""
+    global minimizer, and the warning names the certified global minimum
+    when the certificate holds one."""
     if not result.converged:
         warnings.append({**where, "warning": f"stopped at max_sweeps after {result.sweeps} "
                                              f"sweeps without converging"})
-    found = (result.certificate or {}).get("best_support_energy")
+    certificate = result.certificate or {}
+    found, minimum = certificate.get("best_support_energy"), certificate.get("minimum")
     energy = result.energy.total
     if found is not None and energy - found > CERTIFICATE_RTOL * (1.0 + abs(energy)):
+        named = "" if minimum is None else f"; the certified global minimum is {minimum!r}"
         warnings.append({**where, "warning": f"energy {energy!r} exceeds the support energy "
                                              f"{found!r} that the certificate found: not a "
-                                             f"global minimizer"})
+                                             f"global minimizer{named}"})
 
 
 def _result_artifacts(writer: _Writer, cfg: ExperimentConfig, result: MinimizeResult,
@@ -406,3 +411,7 @@ def main(argv=None) -> int:
     except NlfbError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CODES.get(type(exc), 1)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -166,8 +166,8 @@ def _validate(cfg: ExperimentConfig) -> None:
             f"kernel.family must be one of {FAMILIES}, got {v['kernel.family']!r}")
     if v["problem.phase"] not in ("one_phase", "two_phase"):
         raise ConfigurationError("problem.phase must be one_phase or two_phase")
-    for key, least in (("solver.seed", 0), ("solver.max_sweeps", 0),
-                       ("oracle.instances", 1)):
+    for key, least in (("solver.seed", 0), ("solver.max_sweeps", 0), ("solver.restarts", 1),
+                       ("oracle.instances", 1), ("oracle.restarts", 1)):
         if v[key] < least:
             raise ConfigurationError(f"{key} must be at least {least}, got {v[key]}")
     g = v["problem.g"]

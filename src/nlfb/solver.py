@@ -57,9 +57,12 @@ supports. _certify fixes L = supp((b) exit) on and runs Wolfe's min-norm-point
 algorithm (Fujishige-Wolfe) over the band B = supp((a) exit) minus L, on the
 Schur complement of A_LL: each greedy vertex x of the base polytope gives the
 prefix energies G(L + first k nodes of its order) and the lower bound
-G(L) + sum_i min(x_i, 0) on min G. minimize uses the certificate for one
-decision: when it proves the better bound exit globally minimal, the random
-restarts are skipped.
+G(L) + sum_i min(x_i, 0) on min G. When the bound meets the better bound
+exit's energy, that exit is certified globally minimal and minimize skips the
+random restarts. When a prefix energy lies below it instead (a refutation),
+Wolfe runs on until the bound meets the lowest prefix energy, which is then
+the certified global minimum, and minimize stops the random restarts at the
+first one whose exit reaches it.
 """
 
 from __future__ import annotations
@@ -527,14 +530,20 @@ def _certify(problem: ProblemSpec, form: QuadraticForm, terms, x_a, x_b, energy)
     With L = supp(x_b) and B = supp(x_a) minus L, Wolfe's min-norm-point
     algorithm runs over the band on _band_greedy's vertices, warm-started from
     the band by decreasing x_a (stable argsort); each later greedy call orders
-    the band by increasing Wolfe point x (stable argsort). The status is,
-    checked in this order: "unbracketed" when supp(x_b) is not inside
-    supp(x_a) (no greedy call runs); after each greedy call, "certified" when
-    energy - (G(L) + sum_i min(x_i, 0)) <= 1e-12 * (1 + |energy|), "refuted"
-    when a support energy seen (G(L) or any prefix) lies below energy by more
-    than that, "stalled" when the affine system of the Wolfe step was
-    singular, and "capped" after WOLFE_MAX_ITERATIONS Wolfe iterations.
-    The record holds no timings, so it is reproducible byte for byte.
+    the band by increasing Wolfe point x (stable argsort). The status is
+    "unbracketed" when supp(x_b) is not inside supp(x_a) (no greedy call
+    runs). Otherwise, after each greedy call, with the bound
+    G(L) + sum_i min(x_i, 0) and tol = 1e-12 * (1 + |energy|), a status not
+    yet set becomes "certified" when energy - bound <= tol, which stops, or
+    "refuted" when the lowest support energy seen (G(L) or any prefix) lies
+    below energy by more than tol. A refutation runs on, and stops once that
+    lowest energy is within 1e-12 * (1 + |lowest|) of the bound. The loop
+    also stops when the affine system of the Wolfe step was singular, or
+    after WOLFE_MAX_ITERATIONS Wolfe iterations; a status still unset then
+    becomes "stalled" or "capped". The record's `minimum` is the lowest
+    support energy seen when the bound closed to it at the last greedy call,
+    the certified global minimum, and None otherwise. The record holds no
+    timings, so it is reproducible byte for byte.
     """
     on_b = x_b > 0.0
     on_a = x_a > 0.0
@@ -542,7 +551,7 @@ def _certify(problem: ProblemSpec, form: QuadraticForm, terms, x_a, x_b, energy)
     band = np.nonzero(on_a & ~on_b)[0]
     record = {"status": "unbracketed", "band": int(band.shape[0]), "fixed_on": int(on.shape[0]),
               "wolfe_iterations": 0, "greedy_calls": 0, "lower_bound": None, "gap": None,
-              "best_support_energy": None}
+              "best_support_energy": None, "minimum": None}
     if (on_b & ~on_a).any():
         return record
     tol = CERTIFICATE_RTOL * (1.0 + abs(energy))
@@ -552,7 +561,7 @@ def _certify(problem: ProblemSpec, form: QuadraticForm, terms, x_a, x_b, energy)
     P = lam = x = None       # Wolfe's vertices (rows), their weights and its point
     iterations = greedy_calls = 0
     status = None
-    while status is None:
+    while True:
         q, energies = greedy(order)
         greedy_calls += 1
         lowest = min(lowest, float(energies.min(initial=math.inf)))
@@ -581,17 +590,20 @@ def _certify(problem: ProblemSpec, form: QuadraticForm, terms, x_a, x_b, energy)
                 keep = lam > 0.0
                 P, lam = P[keep], lam[keep]
         bound = energy_on + float(np.minimum(x, 0.0).sum())
-        if energy - bound <= tol:
-            status = "certified"
-        elif lowest < energy - tol:
-            status = "refuted"
-        elif stalled:
-            status = "stalled"
-        elif iterations >= WOLFE_MAX_ITERATIONS:
-            status = "capped"
+        closed = lowest - bound <= CERTIFICATE_RTOL * (1.0 + abs(lowest))
+        if status is None:
+            if energy - bound <= tol:
+                status = "certified"
+            elif lowest < energy - tol:
+                status = "refuted"
+        if (status == "certified" or (status == "refuted" and closed) or stalled
+                or iterations >= WOLFE_MAX_ITERATIONS):
+            break
         order = np.argsort(x, kind="stable")
+    status = status or ("stalled" if stalled else "capped")
     record.update(status=status, wolfe_iterations=iterations, greedy_calls=greedy_calls,
-                  lower_bound=bound, gap=energy - bound, best_support_energy=lowest)
+                  lower_bound=bound, gap=energy - bound, best_support_energy=lowest,
+                  minimum=lowest if closed else None)
     return record
 
 
@@ -606,13 +618,16 @@ def minimize(problem: ProblemSpec, n_restarts=4, seed=0, max_sweeps=DEFAULT_MAX_
     exterior_terms. For one_phase at xi = 0 with n_restarts >= 3, restarts (a)
     and (b) run first and the better of them, by the key below, is certified
     (_certify); when the certificate proves it globally minimal the random
-    restarts (c) are skipped and restarts_used is 2. Otherwise every restart
-    runs. The certificate's record is the result's `certificate` (None when
-    none ran). Selection is by the lexicographic key (reduced exit energy,
-    restart seed), so the lowest seed wins ties, and only the winner is
-    finalized: its reported energy is its pairwise total_energy, the one
-    pairwise evaluation per call. The form is assembled unless given, and is
-    returned on the result; CapacityError is raised when W_II, or the
+    restarts (c) are skipped and restarts_used is 2. Otherwise the random
+    restarts run in seed order, and when the certificate holds a certified
+    minimum they stop after the first one whose reduced exit energy is within
+    1e-12 * (1 + |minimum|) of it; without one every restart runs. The
+    certificate's record is the result's `certificate` (None when none ran).
+    Selection over the restarts that ran is by the lexicographic key (reduced
+    exit energy, restart seed), so the lowest seed wins ties, and only the
+    winner is finalized: its reported energy is its pairwise total_energy,
+    the one pairwise evaluation per call. The form is assembled unless given,
+    and is returned on the result; CapacityError is raised when W_II, or the
     lifting's subsystem matrix, exceeds the memory budget. A negative seed is
     a ConfigurationError.
     """
@@ -635,6 +650,10 @@ def minimize(problem: ProblemSpec, n_restarts=4, seed=0, max_sweeps=DEFAULT_MAX_
         certificate = _certify(problem, form, terms, results[0][0][rows], results[1][0][rows],
                                results[min(range(2), key=rank)][1])
     if certificate is None or certificate["status"] != "certified":
+        minimum = None if certificate is None else certificate["minimum"]
+        # the reduced exit energy that reaches the certified minimum, if any
+        reached = (-math.inf if minimum is None
+                   else minimum + CERTIFICATE_RTOL * (1.0 + abs(minimum)))
         interior_idx = np.nonzero(problem.grid.interior)[0]
         for k in range(2, n_restarts):
             rng = np.random.default_rng([seed, k])
@@ -642,6 +661,8 @@ def minimize(problem: ProblemSpec, n_restarts=4, seed=0, max_sweeps=DEFAULT_MAX_
             values = problem.exterior_data.copy()
             values[interior_idx[mask]] = lifted[interior_idx[mask]]
             results.append(_descend(problem, values, seed + k, max_sweeps, form, terms))
+            if results[-1][1] <= reached:
+                break
     best = min(range(len(results)), key=rank)
     u, _, sweeps, converged = results[best]
     result = _finalize(problem, form, u, sweeps, converged, seed + best,

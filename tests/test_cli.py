@@ -784,12 +784,15 @@ class TestErrorContract:
         assert main(["solve", "--config", cfg_path,
                      "--out", str(tmp_path / "out")]) == 2
         assert "amplitude" in capsys.readouterr().err
-        # a negative seed, an empty oracle run or a negative sweep cap is nonsense
+        # a negative seed, an empty oracle run, a negative sweep cap or a solve
+        # without restarts is nonsense
         for extra, message in (("solver.seed = -1\n", "solver.seed must be at least 0"),
                                ("oracle.instances = -3\n", "oracle.instances must be at least 1"),
                                ("oracle.instances = 0\n", "oracle.instances must be at least 1"),
                                ("solver.max_sweeps = -5\n",
-                                "solver.max_sweeps must be at least 0")):
+                                "solver.max_sweeps must be at least 0"),
+                               ("solver.restarts = -3\n", "solver.restarts must be at least 1"),
+                               ("oracle.restarts = 0\n", "oracle.restarts must be at least 1")):
             cfg_path = write_cfg(tmp_path, ORACLE_CFG + extra)
             assert main(["oracle-compare", "--config", cfg_path,
                          "--out", str(tmp_path / "out")]) == 2
@@ -799,6 +802,23 @@ class TestErrorContract:
                      "--out", str(tmp_path / "seed")]) == 2
         assert "--seed must be at least 0" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "seed")
+
+    def test_module_form_runs_main(self, tmp_path):
+        # python -m nlfb.cli is the nlfb command: no arguments is a usage
+        # error, and a solve writes its manifest
+        src = os.path.dirname(os.path.dirname(nlfb.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        command = [sys.executable, "-m", "nlfb.cli"]
+        proc = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2 and "usage: nlfb" in proc.stderr
+        out = tmp_path / "out"
+        proc = subprocess.run(command + ["solve", "--config", write_cfg(tmp_path, SOLVE_CFG),
+                                         "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        with open(out / "manifest.json") as fh:
+            assert json.load(fh)["subcommand"] == "solve"
 
     def test_thread_env_exit_code(self, tmp_path, capsys, monkeypatch):
         # NLFB_THREADS must be an integer; any integer is accepted and changes nothing
@@ -921,8 +941,10 @@ class TestManifestWarnings:
     def test_oracle_compare_names_each_proven_non_minimizer(self, tmp_path):
         # the oracle-50 benchmark config at CLI seed 9507: on instance 49 the
         # first greedy call of the certificate finds a support at the
-        # oracle's minimum, which none of the 20 restarts reaches; a warned
-        # instance must be one that disagrees with the oracle
+        # oracle's minimum, Wolfe then certifies it as the global minimum,
+        # and none of the 20 restarts reaches it; a warned instance must be
+        # one that disagrees with the oracle, and its warning names the
+        # certified minimum
         cfg_path, out = write_cfg(tmp_path, """\
             kernel.s = 0.5
             grid.h = 0.1
@@ -944,6 +966,9 @@ class TestManifestWarnings:
         assert all(set(w) == {"instance", "warning"} and "not a global minimizer" in w["warning"]
                    for w in warnings)
         oracle_49 = float(rows[49][2])
-        found = float(re.search(r"support energy (\S+) that", next(
-            w["warning"] for w in warnings if w["instance"] == 49)).group(1))
-        assert abs(found - oracle_49) <= ORACLE_AGREE_RTOL * (1.0 + oracle_49)
+        warning_49 = next(w["warning"] for w in warnings if w["instance"] == 49)
+        found = float(re.search(r"support energy (\S+) that", warning_49).group(1))
+        minimum = re.search(r"; the certified global minimum is (\S+)$", warning_49).group(1)
+        assert minimum.startswith("0.24558703057310")
+        for energy in (found, float(minimum)):
+            assert abs(energy - oracle_49) <= ORACLE_AGREE_RTOL * (1.0 + oracle_49)
