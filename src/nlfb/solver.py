@@ -50,10 +50,18 @@ For one_phase at xi = 0 the support energy
     G(S) = c - b_S . A_SS^-1 b_S + rho * h^d * |S|,    A = diag(a_I) - W_II,
 
 (the least energy with the nodes off S held at 0) is submodular, and
-min_S G = min J (Topkis 1978). Restart (a) descends from the harmonic
-lifting, above every minimizer, and restart (b) rises from zero, below every
-minimizer, so the least minimizer's support lies between the two exits'
-supports. _certify fixes L = supp((b) exit) on and runs Wolfe's min-norm-point
+min_S G = min J (Topkis 1978). So a node's best response (the exact
+one-variable rule of a sweep, vectorized in _best_response) is monotone in
+the other values, and alternating "S <- the best-response set" and "x <- the
+exact solve on S, with 0 off S" rises from S = {} to the least
+coordinatewise-stable state, and falls from the harmonic lifting to the
+greatest one below it (Tarski 1955; Topkis 1979). _bound_states runs both
+iterations with unions and intersections as monotone clamps, on inverses
+grown and shrunk by Schur blocks (_bordered). Restart (a) descends from the
+greatest state, above every minimizer, and restart (b) from the least, below
+every minimizer; their descents only verify the states. So the least
+minimizer's support lies between the two exits' supports. _certify fixes
+L = supp((b) exit) on and runs Wolfe's min-norm-point
 algorithm (Fujishige-Wolfe) over the band B = supp((a) exit) minus L, on the
 Schur complement of A_LL: each greedy vertex x of the base polytope gives the
 prefix energies G(L + first k nodes of its order) and the lower bound
@@ -90,6 +98,9 @@ ORACLE_MAX_INTERIOR = 14
 ORACLE_TIE_RTOL = 1e-10
 CERTIFICATE_RTOL = 1e-12      # gap that certifies, and margin that refutes, a minimum
 WOLFE_MAX_ITERATIONS = 64
+# nodes per bordered Schur block, and band columns per Schur product: wider BLAS
+# operands page in about 1 MB more of the library's packing buffers per process
+SCHUR_BLOCK = 64
 
 
 @dataclass
@@ -139,6 +150,7 @@ class MinimizeResult:
     tied_supports: list | None = None
     form: QuadraticForm | None = None    # the form the result was computed with
     certificate: dict | None = None      # _certify's record, when minimize ran it
+    bounds: dict | None = None           # _bound_states' record, when minimize ran it
 
     def to_dict(self) -> dict:
         return {
@@ -152,6 +164,7 @@ class MinimizeResult:
             "tied_supports": (None if self.tied_supports is None
                               else [[int(i) for i in s] for s in self.tied_supports]),
             "certificate": self.certificate,
+            "bounds": self.bounds,
         }
 
 
@@ -266,6 +279,17 @@ def _visit(a, b, rho_cell, xi, one_phase):
         if e_on < a * t_off * t_off - 2.0 * b * t_off:
             return t_on
     return t_off
+
+
+def _best_response(a, b, rho_cell):
+    """_visit(a, b, rho_cell, 0.0, True) elementwise over the arrays a and b,
+    bit for bit: t = max(b / a, 0) where t > 0 and a t^2 - 2 b t + rho_cell
+    < 0, else 0 (ties resolve to off; a -0.0 quotient stays -0.0)."""
+    t = b / a
+    t = np.where(0.0 > t, 0.0, t)
+    positive = t > 0.0
+    on = positive & (a * t * t - 2.0 * b * t + rho_cell < 0.0)
+    return np.where(positive & ~on, 0.0, t)
 
 
 def _sweep(form: QuadraticForm, x, b_I, order, rho_cell, xi, one_phase) -> float:
@@ -466,6 +490,96 @@ def lifting_initialization(problem: ProblemSpec, form: QuadraticForm) -> Field:
     return lifted
 
 
+def _bordered(inv, A_SJ, A_JJ):
+    """The inverse of the symmetric [[A_SS, A_SJ], [A_SJ^T, A_JJ]], from
+    inv = A_SS^-1 (which it updates in place), bordered by one Schur block of
+    at most SCHUR_BLOCK nodes of J at a time: with B the block's couplings to
+    the nodes bordered so far, Y = inv B and C = A_BB - B^T Y, the bordered
+    inverse is [[inv + Y C^-1 Y^T, -Y C^-1], [-C^-1 Y^T, C^-1]]."""
+    for start in range(0, A_JJ.shape[0], SCHUR_BLOCK):
+        block = slice(start, start + SCHUR_BLOCK)
+        k = inv.shape[0]
+        B = np.concatenate([A_SJ[:, block], A_JJ[:start, block]])
+        Y = inv @ B
+        C_inv = np.linalg.inv(A_JJ[block, block] - B.T @ Y)
+        YC = Y @ C_inv
+        inv += YC @ Y.T
+        grown = np.empty((k + C_inv.shape[0],) * 2)
+        grown[:k, :k] = inv
+        grown[:k, k:] = -YC
+        grown[k:, :k] = -YC.T
+        grown[k:, k:] = C_inv
+        inv = grown
+    return inv
+
+
+def _bound_states(problem: ProblemSpec, form: QuadraticForm, terms):
+    """The bound restarts' starting states for one_phase at xi = 0: the
+    interior values x_a and x_b (by stored row) of the greatest and the least
+    coordinatewise-stable state, and the record {"a": {"steps", "support"},
+    "b": {...}}.
+
+    With BR(x) = {_best_response on b = W_II x + b_I > 0}, monotone in x, (b)
+    rises from S = {}: S <- S | BR(x), then x <- A_SS^-1 b_I[S] with 0 off S,
+    until BR(x) adds nothing; A_SS^-1 grows by bordered blocks (_bordered).
+    (a) falls from S = every interior node, whose exact solve is the harmonic
+    lifting, so its second S is BR(lifting), which contains L = (b)'s S: L
+    stays on, and S <- S & BR(x) over the band S minus L. Each solve runs on
+    the Schur complement of A_LL over the band, whose inverse is bordered
+    once and shrinks by a Schur block per step. The unions and intersections
+    end each iteration within n steps, ties included. A step is one exact
+    solve, checked by _nonnegative.
+    """
+    b_I = terms[0]
+    W = form.dense
+    n = W.shape[0]
+    rho_cell = problem.rho * problem.grid.cell_measure
+
+    def responds(x):
+        return _best_response(form.row_sums, np.vecdot(W, x) + b_I, rho_cell) > 0.0
+
+    on = np.zeros(n, dtype=bool)
+    S, inv, x_b = np.zeros(0, dtype=np.int64), np.zeros((0, 0)), np.zeros(n)
+    rise = 0
+    while (new := np.flatnonzero(responds(x_b) & ~on)).shape[0]:
+        inv = _bordered(inv, -W[S[:, None], new], _system_matrix(form, new))
+        S = np.concatenate([S, new])
+        on[new] = True
+        x_b = np.zeros(n)
+        x_b[S] = _nonnegative(inv @ b_I[S])
+        rise += 1
+
+    # the band's Schur complement of A_LL and right-hand side, then the
+    # complement's inverse in its place
+    band = np.flatnonzero(~on)
+    W_LB = W[S[:, None], band]
+    schur = _system_matrix(form, band)
+    for start in range(0, band.shape[0], SCHUR_BLOCK):
+        block = slice(start, start + SCHUR_BLOCK)
+        schur[:, block] -= W_LB.T @ (inv @ W_LB[:, block])
+    rhs = b_I[band] + W_LB.T @ x_b[S]
+    del W_LB
+    schur = _bordered(np.zeros((0, 0)), schur[:0], schur)
+    keep = np.arange(band.shape[0])              # the band positions still on
+    fall = 0
+    while True:
+        x_a = np.zeros(n)
+        x_a[band[keep]] = schur @ rhs[keep]
+        x_a[S] = x_b[S] + inv @ np.vecdot(W, x_a)[S]
+        _nonnegative(x_a)
+        fall += 1
+        off = ~responds(x_a)[band[keep]]
+        if not off.any():
+            break
+        d, k = np.flatnonzero(off), np.flatnonzero(~off)
+        schur = schur[k[:, None], k] - schur[k[:, None], d] @ np.linalg.solve(
+            schur[d[:, None], d], schur[d[:, None], k])
+        keep = keep[k]
+    record = {name: {"steps": steps, "support": int(np.count_nonzero(x > 0.0))}
+              for name, steps, x in (("a", fall, x_a), ("b", rise, x_b))}
+    return x_a, x_b, record
+
+
 def _band_greedy(problem: ProblemSpec, form: QuadraticForm, terms, on, band):
     """G(L) and the greedy vertex of F(T) = G(L + T) over the band B, for the
     stored rows L = `on` and B = `band` (one_phase, xi = 0; see the module
@@ -613,40 +727,52 @@ def minimize(problem: ProblemSpec, n_restarts=4, seed=0, max_sweeps=DEFAULT_MAX_
 
     Initializations: (a) the harmonic lifting of the exterior data, (b) the
     zero extension, (c) n_restarts - 2 random interior supports carrying the
-    lifting values. Restart k descends with seed + k; the restarts run one
-    after another in that order on the calling thread and share one
-    exterior_terms. For one_phase at xi = 0 with n_restarts >= 3, restarts (a)
-    and (b) run first and the better of them, by the key below, is certified
-    (_certify); when the certificate proves it globally minimal the random
-    restarts (c) are skipped and restarts_used is 2. Otherwise the random
-    restarts run in seed order, and when the certificate holds a certified
-    minimum they stop after the first one whose reduced exit energy is within
-    1e-12 * (1 + |minimum|) of it; without one every restart runs. The
-    certificate's record is the result's `certificate` (None when none ran).
-    Selection over the restarts that ran is by the lexicographic key (reduced
-    exit energy, restart seed), so the lowest seed wins ties, and only the
-    winner is finalized: its reported energy is its pairwise total_energy,
-    the one pairwise evaluation per call. The form is assembled unless given,
-    and is returned on the result; CapacityError is raised when W_II, or the
-    lifting's subsystem matrix, exceeds the memory budget. A negative seed is
-    a ConfigurationError.
+    lifting values. For one_phase at xi = 0, (a) and (b) start instead at the
+    greatest and the least coordinatewise-stable states of _bound_states
+    (both are computed for any n_restarts, and their record is the result's
+    `bounds`), and the lifting is computed only when a random restart runs.
+    Restart k descends with seed + k; the restarts run one after another in
+    that order on the calling thread and share one exterior_terms. For
+    one_phase at xi = 0 with n_restarts >= 3, the better of (a) and (b), by
+    the key below, is certified (_certify); when the certificate proves it
+    globally minimal the random restarts (c) are skipped and restarts_used is
+    2. Otherwise the random restarts run in seed order, and when the
+    certificate holds a certified minimum they stop after the first one whose
+    reduced exit energy is within 1e-12 * (1 + |minimum|) of it; without one
+    every restart runs. The certificate's record is the result's
+    `certificate` (None when none ran). Selection over the restarts that ran
+    is by the lexicographic key (reduced exit energy, restart seed), so the
+    lowest seed wins ties, and only the winner is finalized: its reported
+    energy is its pairwise total_energy, the one pairwise evaluation per
+    call. The form is assembled unless given, and is returned on the result;
+    CapacityError is raised when W_II, or the lifting's subsystem matrix,
+    exceeds the memory budget. A negative seed is a ConfigurationError.
     """
     if n_restarts < 1:
         raise ConfigurationError(f"n_restarts must be at least 1, got {n_restarts}")
     _check_seed(seed)
     if form is None:
         form = assemble_form(problem.kernel, problem.grid, problem.exterior_data)
-    lifted = lifting_initialization(problem, form).values
     terms = exterior_terms(form, problem.exterior_data)
+    rows = form.interior_idx
+    bounded = problem.phase == "one_phase" and problem.xi == 0.0
+    lifted = bounds = None
+    if bounded:
+        *states, bounds = _bound_states(problem, form, terms)
+        inits = [problem.exterior_data.copy() for _ in states]
+        for u0, x in zip(inits, states):
+            u0[rows] = x
+    else:
+        lifted = lifting_initialization(problem, form).values
+        inits = [lifted, problem.exterior_data]
     results = [_descend(problem, u0, seed + k, max_sweeps, form, terms)
-               for k, u0 in enumerate([lifted, problem.exterior_data][:n_restarts])]
+               for k, u0 in enumerate(inits[:n_restarts])]
 
     def rank(k):
         return results[k][1], seed + k
 
     certificate = None
-    if n_restarts >= 3 and problem.phase == "one_phase" and problem.xi == 0.0:
-        rows = form.interior_idx
+    if n_restarts >= 3 and bounded:
         certificate = _certify(problem, form, terms, results[0][0][rows], results[1][0][rows],
                                results[min(range(2), key=rank)][1])
     if certificate is None or certificate["status"] != "certified":
@@ -656,6 +782,8 @@ def minimize(problem: ProblemSpec, n_restarts=4, seed=0, max_sweeps=DEFAULT_MAX_
                    else minimum + CERTIFICATE_RTOL * (1.0 + abs(minimum)))
         interior_idx = np.nonzero(problem.grid.interior)[0]
         for k in range(2, n_restarts):
+            if lifted is None:
+                lifted = lifting_initialization(problem, form).values
             rng = np.random.default_rng([seed, k])
             mask = rng.random(interior_idx.shape[0]) < 0.5
             values = problem.exterior_data.copy()
@@ -667,7 +795,7 @@ def minimize(problem: ProblemSpec, n_restarts=4, seed=0, max_sweeps=DEFAULT_MAX_
     u, _, sweeps, converged = results[best]
     result = _finalize(problem, form, u, sweeps, converged, seed + best,
                        restarts_used=len(results))
-    result.certificate = certificate
+    result.certificate, result.bounds = certificate, bounds
     return result
 
 

@@ -842,7 +842,8 @@ class TestErrorContract:
 
     def test_subsystem_capacity_error_exit_code(self, tmp_path, capsys, monkeypatch):
         # W_II fits the budget; the whole-domain lifting's matrix, of the same
-        # size, is refused before it is gathered
+        # size, is refused before it is gathered (two_phase, whose restart (a)
+        # starts at the lifting)
         real = nlfb.solver.assemble_form
 
         def assemble_then_lower_the_budget(*args):
@@ -852,7 +853,7 @@ class TestErrorContract:
             return form
 
         monkeypatch.setattr(nlfb.solver, "assemble_form", assemble_then_lower_the_budget)
-        cfg_path = write_cfg(tmp_path, SOLVE_CFG)
+        cfg_path = write_cfg(tmp_path, SOLVE_CFG + "problem.phase = two_phase\n")
         assert main(["solve", "--config", cfg_path,
                      "--out", str(tmp_path / "out")]) == 5
         assert "the subsystem matrix needs" in capsys.readouterr().err
@@ -907,7 +908,11 @@ def test_one_assembly_per_run(tmp_path, monkeypatch, subcommand, cfg):
 
 class TestManifestWarnings:
     """One warning per reported result that stopped at solver.max_sweeps, and
-    one per result its certificate proves not globally minimal."""
+    one per result its certificate proves not globally minimal.
+
+    A one_phase descent at xi = 0 starts at a bound state and verifies it in
+    one sweep, so the solve and oracle-compare cases run two_phase, whose
+    descents from the lifting need more than one sweep."""
 
     def run_manifest(self, tmp_path, subcommand, cfg):
         cfg_path, out = write_cfg(tmp_path, cfg + "solver.max_sweeps = 1\n"), str(tmp_path / "out")
@@ -916,7 +921,8 @@ class TestManifestWarnings:
             return json.load(fh), cfg_path, out
 
     def test_solve_stopped_at_max_sweeps(self, tmp_path):
-        man, _, out = self.run_manifest(tmp_path, "solve", SOLVE_CFG)
+        man, _, out = self.run_manifest(tmp_path, "solve",
+                                        SOLVE_CFG + "problem.phase = two_phase\n")
         assert man["results"]["converged"] is False
         assert man["warnings"] == [
             {"warning": "stopped at max_sweeps after 1 sweeps without converging"}]
@@ -924,7 +930,7 @@ class TestManifestWarnings:
             assert json.load(fh)["converged"] is False
 
     def test_oracle_compare_names_each_instance(self, tmp_path):
-        cfg = ORACLE_CFG + "oracle.instances = 4\noracle.restarts = 2\n"
+        cfg = ORACLE_CFG + "oracle.instances = 4\noracle.restarts = 2\nproblem.phase = two_phase\n"
         man, cfg_path, _ = self.run_manifest(tmp_path, "oracle-compare", cfg)
         rows = oracle_compare_instances(parse_config(cfg_path), 0)
         unconverged = [r["instance"] for r in rows if not r["result"].converged]

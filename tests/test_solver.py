@@ -38,9 +38,9 @@ from nlfb.cli import ORACLE_AGREE_RTOL
 from nlfb.energy import exterior_terms
 from nlfb.solver import (CERTIFICATE_RTOL, CG_TOL, DEFAULT_MAX_SWEEPS, EPS_STOP_FACTOR,
                          ORACLE_TIE_RTOL, PHASES, POLISH_PERIOD, _band_greedy, _certify,
-                         _descend, _finalize, _free_mask, _oracle_candidates, _oracle_scan,
-                         _pcg, _pinned_inverses, _polish, _solve_free, _subsystem, _sweep,
-                         _visit)
+                         _best_response, _bound_states, _descend, _finalize, _free_mask,
+                         _oracle_candidates, _oracle_scan, _pcg, _pinned_inverses, _polish,
+                         _solve_free, _subsystem, _sweep, _visit)
 
 from conftest import (family_kernel, random_field_values, reference_exterior_rows,
                       reference_exterior_term, reference_row)
@@ -313,6 +313,31 @@ def test_visit_keeps_the_sign_of_a_negative_zero_vertex(one_phase, xi):
     for rho_cell in (0.0, 1.0):
         t = _visit(2.0, -0.0, rho_cell, xi, one_phase)
         assert_same_bits(t, reference_visit(np.float64(2.0), -0.0, rho_cell, xi, one_phase))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(st.floats(0.01, 100.0),
+                                st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0]))),
+                      min_size=1, max_size=16),
+       rho_cell=st.floats(0.0, 3.0), tie=st.booleans())
+def test_best_response_matches_visit_bitwise(pairs, rho_cell, tie):
+    # the bound iterations' vectorized rule is _visit at one_phase, xi = 0,
+    # element by element and bit for bit; with `tie`, the first element sits
+    # on an exact tie, which goes off
+    a, b = (np.array(column) for column in zip(*pairs))
+    if tie:
+        b[0] = abs(b[0]) + 1e-3
+        v = b[0] / a[0]
+        rho_cell = float(-(a[0] * v * v - 2.0 * b[0] * v))
+        assert a[0] * v * v - 2.0 * b[0] * v + rho_cell == 0.0
+    got = _best_response(a, b, rho_cell)
+    for k in range(a.shape[0]):
+        assert_same_bits(got[k], _visit(float(a[k]), float(b[k]), rho_cell, 0.0, True))
+    if tie:
+        assert got[0] == 0.0
+    # a -0.0 quotient stays -0.0, as _visit returns it
+    zero = _best_response(np.array([2.0, 2.0]), np.array([-0.0, 0.0]), rho_cell)
+    assert np.signbit(zero).tolist() == [True, False]
 
 
 @pytest.mark.parametrize("phase", PHASES)
@@ -1039,11 +1064,14 @@ def test_oracle_scan_matches_the_sequential_scan(seed, n, level, steps, descendi
 def test_lifting_matrix_is_refused_above_the_budget(monkeypatch):
     # the whole-domain lifting gathers A over every interior row, an
     # allocation the size of W_II: a budget that W_II fits into but A,
-    # with W_II already held, does not is refused before the gather
+    # with W_II already held, does not is refused before the gather. In
+    # two_phase restart (a) starts at the lifting; one_phase at xi = 0 starts
+    # at its bound states, whose solves are smaller
     grid = build_grid(2, 0.1, 2.0)
     rng = np.random.default_rng(113)
     data = np.where(grid.interior, 0.0, rng.uniform(0.0, 1.0, grid.n_nodes))
-    problem = ProblemSpec(fractional_kernel(0.5, dim=2), grid, data, rho=0.3)
+    problem = ProblemSpec(fractional_kernel(0.5, dim=2), grid, data, rho=0.3,
+                          phase="two_phase")
     form = assemble_form(problem.kernel, grid, data)
     n_int = form.dense.shape[0]
     monkeypatch.setattr(nlfb.energy, "MEMORY_BUDGET_BYTES", 8 * n_int * n_int - 1)
@@ -1108,8 +1136,10 @@ def test_negative_seed_is_a_configuration_error(call):
 # ------------------------------------------------------- restarts and determinism
 
 def test_single_restart_equals_descent_from_lifting():
+    # two_phase: restart (a) starts at the lifting itself (one_phase at
+    # xi = 0 starts at its bound state, tested below)
     rng = np.random.default_rng(83)
-    problem = four_interior_problem(rng)
+    problem = four_interior_problem(rng, phase="two_phase")
     form = assemble_form(problem.kernel, problem.grid)
     direct = coordinate_descent(problem, lifting_initialization(problem, form),
                                 seed=5, form=form)
@@ -1120,6 +1150,90 @@ def test_single_restart_equals_descent_from_lifting():
     with_form = minimize(problem, n_restarts=1, seed=5, form=form)
     assert with_form.form is form and via_minimize.form is not form
     assert np.array_equal(with_form.field.values, via_minimize.field.values)
+
+
+def test_single_one_phase_restart_equals_descent_from_the_upper_bound_state():
+    # one_phase at xi = 0: restart (a) descends from the greatest
+    # coordinatewise-stable state below the lifting, and its descent only
+    # verifies it: one sweep, converged, on the same support
+    rng = np.random.default_rng(83)
+    problem = four_interior_problem(rng)
+    form = assemble_form(problem.kernel, problem.grid)
+    init = bound_inits(problem, form)[0]
+    direct = coordinate_descent(problem, Field(problem.grid, init), seed=5, form=form)
+    res = minimize(problem, n_restarts=1, seed=5, form=form)
+    assert_same_result(res, direct)
+    assert (res.sweeps, res.converged) == (1, True)
+    assert np.array_equal(res.support, np.nonzero(problem.grid.interior & (init > 0.0))[0])
+    assert res.bounds["a"]["support"] == res.support.shape[0]
+
+
+@pytest.mark.parametrize("phase,xi", [("one_phase", 0.0), ("two_phase", 0.0),
+                                       ("one_phase", 0.05)])
+def test_bounds_record_is_in_the_result(phase, xi):
+    # one_phase at xi = 0 records both iterations, at any restart count, as
+    # deterministic data that round-trips through JSON; other phases and
+    # thresholds run no iteration and record None
+    rng = np.random.default_rng(157)
+    problem = replace(four_interior_problem(rng, phase=phase), xi=xi)
+    form = assemble_form(problem.kernel, problem.grid)
+    for n_restarts in (1, 2, 4):
+        res = minimize(problem, n_restarts=n_restarts, seed=3, form=form)
+        record = json.loads(json.dumps(res.to_dict()))["bounds"]
+        if (phase, xi) != ("one_phase", 0.0):
+            assert res.bounds is None and record is None
+            continue
+        assert record == res.bounds == _bound_states(
+            problem, form, exterior_terms(form, problem.exterior_data))[2]
+        assert set(record) == {"a", "b"}
+        assert all(set(r) == {"steps", "support"} for r in record.values())
+        assert 0 <= record["b"]["support"] <= record["a"]["support"] <= 4
+        assert record["a"]["steps"] >= 1
+
+
+def analyze_2d_problem():
+    # the analyze-2d benchmark instance: 640 interior nodes
+    grid = build_grid(2, 0.07, 2.0)
+    radius = np.sqrt(np.einsum("nd,nd->n", grid.positions, grid.positions))
+    data = np.where(~grid.interior & (grid.positions[:, 0] > 0.0) & (radius >= 1.0)
+                    & (radius <= 2.0), 0.35, 0.0)
+    return ProblemSpec(fractional_kernel(0.5, dim=2), grid, data, rho=0.3)
+
+
+def test_bound_states_use_no_more_memory_than_the_lifting():
+    # on the analyze-2d form the two iterations (the inverse of A_LL, the
+    # band's Schur complement and its inverse) peak below the whole-domain
+    # lifting, which gathers an n_int x n_int matrix
+    problem = analyze_2d_problem()
+    form = assemble_form(problem.kernel, problem.grid, problem.exterior_data)
+    terms = exterior_terms(form, problem.exterior_data)
+    assert form.dense.shape[0] == 640
+    peaks = []
+    tracemalloc.start()
+    try:
+        for run in (lambda: lifting_initialization(problem, form),
+                    lambda: _bound_states(problem, form, terms)):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = run()
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= peaks[0]
+    assert out[2] == {"a": {"steps": 14, "support": 402}, "b": {"steps": 23, "support": 346}}
+
+
+def test_bound_states_trace_the_growth_fronts():
+    # criterion 3's fractional s = 0.5, h = 0.0025 instance (800 interior
+    # nodes): the fronts creep, one node or so per step, and stop at the
+    # supports of the two bound exits
+    grid = build_grid(1, 0.0025, 2.0)
+    x = grid.positions[:, 0]
+    data = np.where(~grid.interior & (x >= 1.0) & (x <= 2.0), 0.35, 0.0)
+    problem = ProblemSpec(fractional_kernel(0.5), grid, data, rho=0.1)
+    form = assemble_form(problem.kernel, grid, data)
+    *_, record = _bound_states(problem, form, exterior_terms(form, data))
+    assert record == {"a": {"steps": 363, "support": 438}, "b": {"steps": 233, "support": 301}}
 
 
 @pytest.mark.parametrize("n_restarts,phase", [(1, "one_phase"), (1, "two_phase"),
@@ -1199,15 +1313,26 @@ def record_descents(monkeypatch):
     return exits
 
 
+def bound_inits(problem, form):
+    """The bound restarts' initializations for one_phase at xi = 0: the
+    states of _bound_states, (a) then (b), as node values."""
+    terms = exterior_terms(form, problem.exterior_data)
+    inits = [problem.exterior_data.copy(), problem.exterior_data.copy()]
+    for u0, x in zip(inits, _bound_states(problem, form, terms)):
+        u0[form.interior_idx] = x
+    return inits
+
+
 def every_restart(problem, n_restarts, seed, form):
     """The reference for minimize without its certificate: every one of its
-    n_restarts descents (the lifting, the zero extension, then the random
-    supports drawn from default_rng([seed, k])) runs through _descend, and the
-    winner by (reduced exit energy, seed) is finalized."""
+    n_restarts descents (from the bound states of _bound_states, then the
+    random supports drawn from default_rng([seed, k]) carrying the lifting
+    values) runs through _descend, and the winner by (reduced exit energy,
+    seed) is finalized."""
     terms = exterior_terms(form, problem.exterior_data)
     lifted = lifting_initialization(problem, form).values
     interior = np.nonzero(problem.grid.interior)[0]
-    inits = [lifted, problem.exterior_data]
+    inits = bound_inits(problem, form)
     for k in range(2, n_restarts):
         on = interior[np.random.default_rng([seed, k]).random(interior.shape[0]) < 0.5]
         values = problem.exterior_data.copy()
@@ -1365,10 +1490,8 @@ def test_certificate_statuses_that_decide_nothing(monkeypatch):
     problem = one_phase_oracle_instance(0)
     form = assemble_form(problem.kernel, problem.grid, problem.exterior_data)
     terms = exterior_terms(form, problem.exterior_data)
-    rows = form.interior_idx
-    x_a = _descend(problem, lifting_initialization(problem, form).values, 11,
-                   DEFAULT_MAX_SWEEPS, form, terms)[0][rows]
-    x_b = _descend(problem, problem.exterior_data, 12, DEFAULT_MAX_SWEEPS, form, terms)[0][rows]
+    x_a, x_b = (_descend(problem, u0, 11 + k, DEFAULT_MAX_SWEEPS, form, terms)[0][
+        form.interior_idx] for k, u0 in enumerate(bound_inits(problem, form)))
     cert = minimize(problem, n_restarts=5, seed=11, form=form).certificate
     assert (cert["status"], cert["wolfe_iterations"]) == ("certified", 3)
     energy = min(nlfb.solver.reduced_energy(form, x, problem.rho, 0.0, terms) for x in (x_a, x_b))
@@ -1450,8 +1573,7 @@ def test_certificate_agrees_with_the_oracle(family, s, block, amplitude, lattice
         least &= int(mask)
     descend_seed = seed % 1000
     x_a, x_b = (_descend(problem, u0, descend_seed + k, DEFAULT_MAX_SWEEPS, form, terms)[0][
-        form.interior_idx] for k, u0 in enumerate([lifting_initialization(problem, form).values,
-                                                   data]))
+        form.interior_idx] for k, u0 in enumerate(bound_inits(problem, form)))
     supp_a, supp_b = mask_of(np.nonzero(x_a > 0.0)[0]), mask_of(np.nonzero(x_b > 0.0)[0])
     assert supp_b & ~least == 0 and least & ~supp_a == 0
 
@@ -1466,6 +1588,64 @@ def test_certificate_agrees_with_the_oracle(family, s, block, amplitude, lattice
     if cert["status"] == "certified":
         assert res.restarts_used == 2
         assert abs(res.energy.total - oracle) <= ORACLE_AGREE_RTOL * (1.0 + abs(oracle))
+
+
+@settings(max_examples=100, deadline=None)
+@given(family=st.sampled_from(("fractional_laplacian", "modulated", "checkerboard",
+                               "custom_table")),
+       s=st.floats(0.05, 0.95), block=st.floats(0.1, 1.0), amplitude=st.floats(0.0, 0.99),
+       lattice=st.sampled_from([(1, 0.25), (1, 0.16), (1, 0.125), (1, 0.1), (2, 0.25)]),
+       log_rho=st.floats(-3.0, 0.5), seed=st.integers(0, 2 ** 32 - 1))
+def test_bound_states_are_the_descent_exits_and_bracket_the_oracle(family, s, block,
+                                                                   amplitude, lattice,
+                                                                   log_rho, seed):
+    # at most 10 interior nodes, one_phase, xi = 0: the fall's state has the
+    # support of the descent from the lifting, the rise's that of the descent
+    # from the zero extension, their descents from the states verify them
+    # (converged, the same supports), and the oracle's minimizing support
+    # lies between the two, as does the least minimizer
+    dim, h = lattice
+    grid = enumerate_lattice(dim, h, 1.5 if dim == 1 else 1.0, 0.5 if dim == 1 else 0.35)
+    kernel = (one_phase_kernel(family, s, block, amplitude) if dim == 1
+              else fractional_kernel(s, dim=2))
+    rng = np.random.default_rng(seed)
+    data = np.where(grid.interior, 0.0, rng.uniform(0.0, 1.0, grid.n_nodes))
+    problem = ProblemSpec(kernel, grid, data, rho=10.0 ** log_rho, phase="one_phase")
+    form = assemble_form(kernel, grid, data)
+    terms = exterior_terms(form, data)
+    rows = form.interior_idx
+    m = rows.shape[0]
+    assert m <= 10
+    lifted = lifting_initialization(problem, form).values
+    x_a, x_b, record = _bound_states(problem, form, terms)
+    assert (x_a >= 0.0).all() and (x_b >= 0.0).all()
+    descend_seed = seed % 1000
+    for k, (init, state, name) in enumerate(((lifted, x_a, "a"), (data, x_b, "b"))):
+        exit_state = _descend(problem, init, descend_seed + k, DEFAULT_MAX_SWEEPS, form,
+                              terms)[0][rows]
+        assert np.array_equal(exit_state > 0.0, state > 0.0)
+        u0 = data.copy()
+        u0[rows] = state
+        verified, _, _, converged = _descend(problem, u0, descend_seed + k,
+                                             DEFAULT_MAX_SWEEPS, form, terms)
+        assert converged and np.array_equal(verified[rows] > 0.0, state > 0.0)
+        assert record[name]["support"] == int(np.count_nonzero(state > 0.0))
+        assert 0 <= record[name]["steps"] <= m + 1
+    assert not (x_b > 0.0)[~(x_a > 0.0)].any()
+
+    def mask_of(on):
+        return sum(1 << int(k) for k in np.nonzero(on)[0])
+
+    supp_a, supp_b = mask_of(x_a > 0.0), mask_of(x_b > 0.0)
+    _, energies = _oracle_candidates(problem, form)
+    minimum = float(energies.min())
+    least = (1 << m) - 1
+    for mask in np.nonzero(energies <= minimum + CERTIFICATE_RTOL * (1.0 + abs(minimum)))[0]:
+        least &= int(mask)
+    oracle = oracle_minimize(problem, form=form)
+    found = mask_of(oracle.field.values[rows] > 0.0)
+    for support in (least, found):
+        assert supp_b & ~support == 0 and support & ~supp_a == 0
 
 
 def test_minimize_not_worse_than_any_initialization():
