@@ -38,12 +38,12 @@ from .analysis import (build_report, density, dyadic_radii, free_boundary,
                        lifting_distance, nondegeneracy, point_csv_text, report_json,
                        select_analysis_points)
 from .config import ExperimentConfig, build_problem, parse_config, parse_points
-from .energy import assemble_form
+from .energy import exterior_terms
 from .errors import (CapacityError, ConfigurationError, DataError, DomainError,
                      NlfbError, SolverError)
 from .grid import Ball, csv_text, field_csv_text
-from .solver import (CERTIFICATE_RTOL, MinimizeResult, ProblemSpec, minimize,
-                     oracle_minimize, rho_sweep_minimize)
+from .solver import (CERTIFICATE_RTOL, MinimizeResult, ProblemSpec, check_oracle, minimize,
+                     oracle_minimize_all, rho_sweep_minimize)
 
 EXIT_CODES = {
     ConfigurationError: 2,
@@ -251,20 +251,24 @@ def random_exterior(problem: ProblemSpec, rng) -> np.ndarray:
 def oracle_compare_instances(cfg: ExperimentConfig, seed: int):
     """Shared by the CLI and tests: per-instance minimize-vs-oracle rows.
 
-    Kernel and grid are fixed across instances, so the form is assembled once.
+    Kernel and grid are fixed across instances: check_oracle assembles the form
+    once and refuses before any minimize; one oracle_minimize_all scores all.
     """
     base = build_problem(cfg)
-    form = assemble_form(base.kernel, base.grid)
-    rows = []
+    form = check_oracle(base)
+    problems, results, terms = [], [], []
     for k in range(cfg.values["oracle.instances"]):
         rng = np.random.default_rng([seed, k])
         g_k = cfg.values["problem.g_amplitude"] * random_exterior(base, rng)
-        problem = ProblemSpec(base.kernel, base.grid, g_k, rho=base.rho,
-                              xi=base.xi, phase=base.phase)
-        result = minimize(problem, n_restarts=cfg.values["oracle.restarts"],
-                          seed=seed + 100000 * (k + 1),
-                          max_sweeps=cfg.values["solver.max_sweeps"], form=form)
-        oracle = oracle_minimize(problem, form=form)
+        problems.append(ProblemSpec(base.kernel, base.grid, g_k, rho=base.rho,
+                                    xi=base.xi, phase=base.phase))
+        results.append(minimize(problems[-1], n_restarts=cfg.values["oracle.restarts"],
+                                seed=seed + 100000 * (k + 1),
+                                max_sweeps=cfg.values["solver.max_sweeps"], form=form))
+        terms.append(exterior_terms(form, g_k))
+    rows = []
+    for k, (result, oracle) in enumerate(zip(results,
+                                             oracle_minimize_all(problems, form, terms))):
         tol = ORACLE_AGREE_RTOL * (1.0 + abs(oracle.energy.total))
         gap = result.energy.total - oracle.energy.total
         rows.append({

@@ -231,16 +231,16 @@ def assemble_form(kernel: KernelSpec, grid: Grid, exterior_data=None) -> Quadrat
     return form
 
 
-def dirichlet_energy(form: QuadraticForm, field: Field) -> float:
+def dirichlet_energy(form: QuadraticForm, field: Field, terms=None) -> float:
     """E(u) = sum_{i<j} w_ij (u_i - u_j)^2, a deterministic tree reduction over
     stored rows. The interior pairs are summed pairwise over W_II, each at 1/2
     since both rows see it; the exterior pairs of row i add
-    a_E,i u_i^2 - 2 u_i b_i, and c once, from exterior_terms of u's exterior
-    values."""
+    a_E,i u_i^2 - 2 u_i b_i, and c once, from terms = exterior_terms of u's
+    exterior values, computed unless given."""
     if field.grid is not form.grid and field.grid.n_nodes != form.grid.n_nodes:
         raise ConfigurationError("field and form live on different grids")
     n_int = form.dense.shape[0]
-    b_I, c = exterior_terms(form, field.values)
+    b_I, c = terms or exterior_terms(form, field.values)
     x = field.values[form.interior_idx]
     block = np.empty((min(_ROW_BLOCK, n_int), n_int))   # reused per row block
     dots = []
@@ -279,13 +279,13 @@ def support_mask(grid: Grid, field: Field, xi) -> np.ndarray:
     return grid.interior & (field.values > xi)
 
 
-def total_energy(form: QuadraticForm, field: Field, rho, xi) -> EnergyBreakdown:
-    """Dirichlet part plus rho * h^d * #{interior nodes with u > xi}."""
+def total_energy(form: QuadraticForm, field: Field, rho, xi, terms=None) -> EnergyBreakdown:
+    """Dirichlet part (terms: see dirichlet_energy) plus rho * h^d * #{interior u > xi}."""
     if rho < 0.0:
         raise ConfigurationError(f"rho must be nonnegative, got {rho}")
     if not math.isfinite(xi):
         raise ConfigurationError(f"xi must be finite, got {xi}")
-    dirichlet = dirichlet_energy(form, field)
+    dirichlet = dirichlet_energy(form, field, terms)
     count = int(np.count_nonzero(support_mask(form.grid, field, xi)))
     volume = rho * form.grid.cell_measure * count
     return EnergyBreakdown(dirichlet, volume, dirichlet + volume, count)

@@ -40,10 +40,11 @@ finalized, so minimize evaluates the pairwise total_energy once. A
 brute-force oracle enumerates all interior supports (capacity-capped, xi = 0
 only) for ground truth. Its pinned systems A_SS depend only on the form, so
 their stacked inverses, one stack per support size, are computed once per form
-and kept on it (_pinned_inverses); each instance applies them to its b_I, one
-row dot per entry, scores every candidate on the reduced quadratic form over
-interior values, and scans only the masks within the tie tolerance of the
-running best (_oracle_scan).
+and kept on it (_pinned_inverses). Instances that share the form are scored
+together, one einsum per block of instances and of masks (_oracle_energies);
+each scans only the masks within the tie tolerance of the running best
+(_oracle_scan), and its winner and ties are solved again by one row dot per
+entry (_oracle_solve).
 
 For one_phase at xi = 0 the support energy
 
@@ -96,6 +97,9 @@ POLISH_PERIOD = 25
 CG_TOL = 1e-12
 ORACLE_MAX_INTERIOR = 14
 ORACLE_TIE_RTOL = 1e-10
+# instances and masks per block of the oracle's scoring: they bound its buffers
+ORACLE_BLOCK = 10
+ORACLE_CHUNK = 256
 CERTIFICATE_RTOL = 1e-12      # gap that certifies, and margin that refutes, a minimum
 WOLFE_MAX_ITERATIONS = 64
 # nodes per bordered Schur block, and band columns per Schur product: wider BLAS
@@ -366,10 +370,10 @@ def _polish(problem: ProblemSpec, form: QuadraticForm, x, b_I):
 
 
 def _finalize(problem: ProblemSpec, form: QuadraticForm, u, sweeps, converged,
-              seed, restarts_used=1) -> MinimizeResult:
+              seed, restarts_used=1, terms=None) -> MinimizeResult:
     """The result for the final state u, whose energy is its pairwise total_energy."""
     field = Field(problem.grid, u.copy())
-    breakdown = total_energy(form, field, problem.rho, problem.xi)
+    breakdown = total_energy(form, field, problem.rho, problem.xi, terms)
     breakdown.truncation_bound = truncation_error_bound(
         problem.grid, problem.kernel.s, problem.kernel.Lam,
         float(np.max(np.abs(u))) if u.size else 0.0)
@@ -794,7 +798,7 @@ def minimize(problem: ProblemSpec, n_restarts=4, seed=0, max_sweeps=DEFAULT_MAX_
     best = min(range(len(results)), key=rank)
     u, _, sweeps, converged = results[best]
     result = _finalize(problem, form, u, sweeps, converged, seed + best,
-                       restarts_used=len(results))
+                       restarts_used=len(results), terms=terms)
     result.certificate, result.bounds = certificate, bounds
     return result
 
@@ -806,9 +810,9 @@ def _pinned_inverses(form: QuadraticForm):
     """The oracle's pinned-solve operator: for each support size k = 1..m, the
     read-only arrays (masks, S, inv). masks lists the masks of size k in
     ascending order, S (c, k) their stored rows in ascending order, and inv
-    (c, k, k) the stacked np.linalg.inv of A_SS = diag(a_S) - W_II[S, S]
-    (_system_matrix). check_budget admits the operator's bytes before
-    anything is allocated.
+    (k, k, c) the np.linalg.inv of each A_SS = diag(a_S) - W_II[S, S]
+    (_system_matrix) along the last axis, which the scorer's einsum runs
+    along. check_budget admits the operator's bytes before any allocation.
     """
     m = form.dense.shape[0]
     # per support of size k: its k x k inverse, its k stored rows and its mask
@@ -820,43 +824,71 @@ def _pinned_inverses(form: QuadraticForm):
     for k in range(1, m + 1):
         masks = np.nonzero(sizes == k)[0]
         S = np.nonzero(in_subset[masks])[1].reshape(-1, k)
-        inv = np.linalg.inv(_system_matrix(form, S))
+        inv = np.linalg.inv(_system_matrix(form, S)).transpose(1, 2, 0).copy()
         for array in (masks, S, inv):
             array.flags.writeable = False
         operator.append((masks, S, inv))
     return tuple(operator)
 
 
-def _oracle_candidates(problem: ProblemSpec, form: QuadraticForm):
-    """Every support's interior values and its energy, in mask order.
+def check_oracle(problem: ProblemSpec, form: QuadraticForm | None = None) -> QuadraticForm:
+    """The form (assembled unless given) for oracle instances like problem,
+    with its pinned inverses kept on it. Raises ConfigurationError for
+    xi != 0, and CapacityError for more than ORACLE_MAX_INTERIOR interior
+    nodes (before assembling) or inverses above the memory budget."""
+    if problem.xi != 0.0:
+        raise ConfigurationError(f"the oracle pins off-support nodes at 0 and is exact "
+                                 f"only for xi = 0, got xi = {problem.xi}")
+    m = int(np.count_nonzero(problem.grid.interior))
+    if m > ORACLE_MAX_INTERIOR:
+        raise CapacityError(
+            f"oracle enumeration supports at most {ORACLE_MAX_INTERIOR} interior nodes, "
+            f"got {m}")
+    if form is None:
+        form = assemble_form(problem.kernel, problem.grid, problem.exterior_data)
+    if form.pinned_inverses is None:
+        form.pinned_inverses = _pinned_inverses(form)
+    return form
 
-    Bit k of a mask selects interior node k. Returns the (2^m, m) block X,
-    whose rows hold the interior values of each subset's pinned solve, and
-    the energies by the reduced form x . (a_I x - W_II x) - 2 x . b_I + c plus
-    the volume term, with W_II the stored block and b_I and c from
-    exterior_terms (see nlfb.energy).
-    Every solve pins the same values (the exterior data), so the right-hand
-    sides are b_I[S], and the solution on S is A_SS^-1 b_I[S]: np.vecdot of
-    the form's kept inverses (_pinned_inverses, built on the form's first
-    oracle call) with b_I[S], one row dot per entry, checked to be
-    nonnegative in one_phase.
-    """
-    operator = form.pinned_inverses
-    if operator is None:
-        operator = form.pinned_inverses = _pinned_inverses(form)
-    m = form.interior_idx.shape[0]
-    W_II, a_I = form.dense, form.row_sums
-    b_I, exterior_constant = exterior_terms(form, problem.exterior_data)
 
-    X = np.zeros((1 << m, m))
-    for masks, S, inv in operator:
-        x = np.vecdot(inv, b_I[S][:, None, :])
-        X[masks[:, None], S] = _nonnegative(x) if problem.phase == "one_phase" else x
+def _oracle_energies(problem: ProblemSpec, form: QuadraticForm, terms):
+    """Yield, per (b_I, c) of terms, the energies of all masks (bit k: stored row
+    k) in order, for instances sharing problem's form, rho and phase. Blocks
+    of ORACLE_BLOCK instances reuse one buffer, which check_budget admits and
+    the next block overwrites. Per support size and chunk of ORACLE_CHUNK
+    masks, one einsum gives x = A_SS^-1 b_S (_nonnegative in one_phase), which
+    scores c - x . b_S + rho * h^d * #{x > xi}, the reduced form at x."""
+    operator = check_oracle(problem, form).pinned_inverses
+    m = form.dense.shape[0]
+    rho_cell = problem.rho * problem.grid.cell_measure
+    rows = min(ORACLE_BLOCK, len(terms))
+    check_budget(8 * rows * ((1 << m) + 3 * ORACLE_CHUNK * m), "the oracle's scoring block")
+    buffer = np.empty((rows, 1 << m))
+    for start in range(0, len(terms), ORACLE_BLOCK):
+        block = terms[start:start + ORACLE_BLOCK]
+        b_I = np.array([b for b, _ in block])
+        energies = buffer[:len(block)]
+        energies[:, 0] = [c for _, c in block]
+        for masks, S, inv in operator:
+            for k in range(0, masks.shape[0], ORACLE_CHUNK):
+                chunk = slice(k, k + ORACLE_CHUNK)
+                b_S = b_I[:, S[chunk].T]           # (instance, entry, mask)
+                x = np.einsum("ijc,bjc->bic", inv[..., chunk], b_S)
+                if problem.phase == "one_phase":
+                    _nonnegative(x)
+                energies[:, masks[chunk]] = (energies[:, :1] - np.einsum("bic,bic->bc", x, b_S)
+                                             + rho_cell * np.count_nonzero(x > problem.xi, axis=1))
+        yield from energies
 
-    dirichlet = (np.einsum("ci,ci->c", X, X * a_I - X @ W_II.T) - 2.0 * (X @ b_I)
-                 + exterior_constant)
-    count = np.count_nonzero(X > problem.xi, axis=1)
-    return X, dirichlet + problem.rho * problem.grid.cell_measure * count
+
+def _oracle_solve(operator, b_I, mask):
+    """(S, x): the stored rows of the mask's subset and x = A_SS^-1 b_I[S], one
+    np.vecdot per row of the inverse, bits independent of any scoring block."""
+    if mask == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
+    masks, S, inv = operator[mask.bit_count() - 1]
+    j = int(np.searchsorted(masks, mask))
+    return S[j], np.vecdot(inv[..., j].copy(), b_I[S[j]])
 
 
 def _oracle_scan(energies, support):
@@ -882,55 +914,49 @@ def _oracle_scan(energies, support):
             if energy < best_energy - tol:
                 best, ties, best_energy, start = mask, [support(mask)], energy, mask + 1
                 break
-            if support(mask) not in ties:
-                ties.append(support(mask))
+            if (found := support(mask)) not in ties:
+                ties.append(found)
         else:
             return best, ties
 
 
 def oracle_minimize(problem: ProblemSpec, form: QuadraticForm | None = None) -> MinimizeResult:
-    """Global discrete minimum by enumerating every interior support.
+    """Global discrete minimum by enumerating every interior support:
+    oracle_minimize_all of the one instance."""
+    return oracle_minimize_all([problem], form)[0]
 
-    For each subset S, off-support nodes are pinned at 0 and the quadratic is
-    solved exactly on S, by the form's kept inverses (_oracle_candidates); the
-    reduced form scores each candidate's interior values, and only the winner
-    becomes a full field, whose reported energy is the pairwise one. The
-    minimizer's own support is one of the enumerated subsets and solves its
-    subsystem, so the smallest candidate energy is the global minimum, exactly
-    for xi = 0 only (pinned-off nodes sit at their clamp value), so other xi
-    raise ConfigurationError. A later mask displaces the best only when lower
-    by more than 1e-10 relative energy, and supports tied with the best
-    within that are all reported; the scan visits only the masks that can
-    change either (_oracle_scan). The form is assembled unless given, and is
-    returned on the result; CapacityError is raised for more than
-    ORACLE_MAX_INTERIOR interior nodes, and when the kept inverses exceed the
-    memory budget.
+
+def oracle_minimize_all(problems, form: QuadraticForm | None = None, terms=None) -> list:
+    """The oracle's result for each of `problems`, which share kernel, grid,
+    rho, xi and phase: every interior support S is solved exactly with the
+    nodes off S pinned at 0, so the lowest candidate energy is the global
+    minimum (exactly for xi = 0 only). A later mask displaces the best only
+    when lower by more than 1e-10 relative energy; supports tied with the best
+    within that are all reported (_oracle_scan). One stacked pass scores the
+    candidates (_oracle_energies); the winner's energy is the pairwise one,
+    with terms[i] = exterior_terms(form, problems[i].exterior_data), computed
+    unless given. check_oracle refuses before any scoring; the form is
+    assembled unless given, and is returned on each result.
     """
-    if problem.xi != 0.0:
-        raise ConfigurationError(f"the oracle pins off-support nodes at 0 and is exact "
-                                 f"only for xi = 0, got xi = {problem.xi}")
-    grid = problem.grid
-    m = int(np.count_nonzero(grid.interior))
-    if m > ORACLE_MAX_INTERIOR:
-        raise CapacityError(
-            f"oracle enumeration supports at most {ORACLE_MAX_INTERIOR} interior nodes, "
-            f"got {m}")
-    if form is None:
-        form = assemble_form(problem.kernel, grid, problem.exterior_data)
-    X, energies = _oracle_candidates(problem, form)
-    on = X > problem.xi
+    if len({(p.rho, p.xi, p.phase) for p in problems}) != 1:
+        raise ConfigurationError("the oracle's instances must share rho, xi and phase")
+    form = check_oracle(problems[0], form)
+    terms = terms or [exterior_terms(form, p.exterior_data) for p in problems]
+    results = []
+    for problem, kept, energies in zip(problems, terms,
+                                       _oracle_energies(problems[0], form, terms)):
+        def support(mask):
+            rows, x = _oracle_solve(form.pinned_inverses, kept[0], mask)
+            return tuple(form.interior_idx[rows[x > problem.xi]].tolist())
 
-    def support(mask):
-        return tuple(form.interior_idx[on[mask]].tolist())
-
-    best, ties = _oracle_scan(energies, support)
-    values = problem.exterior_data.copy()
-    values[form.interior_idx] = X[best]
-    result = _finalize(problem, form, values, sweeps=0, converged=True,
-                       seed=-1, restarts_used=0)
-    if len(ties) > 1:
-        result.tied_supports = sorted(ties)
-    return result
+        best, ties = _oracle_scan(energies, support)
+        rows, x = _oracle_solve(form.pinned_inverses, kept[0], best)
+        values = problem.exterior_data.copy()
+        values[form.interior_idx[rows]] = x
+        results.append(_finalize(problem, form, values, sweeps=0, converged=True, seed=-1,
+                                 restarts_used=0, terms=kept))
+        results[-1].tied_supports = sorted(ties) if len(ties) > 1 else None
+    return results
 
 
 def rho_sweep_minimize(problem: ProblemSpec, rhos, n_restarts=4, seed=0,

@@ -560,6 +560,16 @@ class TestRefineCommand:
             run(cfg_path, "refine", out_dir=str(tmp_path / "out"))
 
 
+def record_minimize(monkeypatch):
+    """Record every minimize call the CLI makes: an oracle-compare run that
+    the oracle refuses refuses before the first."""
+    calls = []
+    real = nlfb.cli.minimize
+    monkeypatch.setattr(nlfb.cli, "minimize",
+                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    return calls
+
+
 class TestOracleCompareCommand:
     def test_small_instances_all_agree(self, tmp_path):
         cfg_path = write_cfg(tmp_path, ORACLE_CFG + "oracle.instances = 6\n"
@@ -621,11 +631,11 @@ class TestOracleCompareCommand:
                        for _, state, e in restarts)
 
     def test_each_instance_runs_at_most_one_exterior_pass(self, tmp_path, monkeypatch):
-        # the form is assembled once without exterior data; each instance's
-        # data then takes one pass of the pair formula over the
-        # interior-exterior pairs, which minimize, the lifting, the oracle and
-        # both pairwise energies share; the oracle's pinned inverses depend
-        # only on the form, so the first oracle call builds them for all
+        # the form is assembled once, and the oracle's pinned inverses, which
+        # depend only on the form, are built for all instances before the
+        # first solve; each instance's data then takes one pass of the pair
+        # formula over the interior-exterior pairs, which minimize, the
+        # lifting, the stacked oracle and both pairwise energies share
         calls = []
         real = nlfb.energy._weight_rows
         real_inverses = nlfb.solver._pinned_inverses
@@ -644,10 +654,10 @@ class TestOracleCompareCommand:
                                                             "oracle.restarts = 4\n"))
         rows = oracle_compare_instances(cfg, 3)
         assert len(rows) == 5 and all(r["agree"] for r in rows)
-        assert calls == (["assembly", "exterior pass", "pinned inverses"]
-                         + ["exterior pass"] * 4)
+        assert calls == ["assembly", "pinned inverses"] + ["exterior pass"] * 5
 
-    def test_capacity_limit_exit_code(self, tmp_path, capsys):
+    def test_capacity_limit_exit_code(self, tmp_path, capsys, monkeypatch):
+        calls = record_minimize(monkeypatch)
         cfg_path = write_cfg(tmp_path, """\
             kernel.s = 0.5
             grid.h = 0.1
@@ -657,8 +667,10 @@ class TestOracleCompareCommand:
         assert main(["oracle-compare", "--config", cfg_path,
                      "--out", str(tmp_path / "out")]) == 5
         assert "interior nodes" in capsys.readouterr().err
+        assert calls == []
 
-    def test_nonzero_threshold_exit_code(self, tmp_path, capsys):
+    def test_nonzero_threshold_exit_code(self, tmp_path, capsys, monkeypatch):
+        calls = record_minimize(monkeypatch)
         cfg_path = write_cfg(tmp_path, """\
             kernel.s = 0.5
             grid.h = 0.1
@@ -673,6 +685,7 @@ class TestOracleCompareCommand:
         assert main(["oracle-compare", "--config", cfg_path,
                      "--out", str(tmp_path / "out")]) == 2
         assert "xi = 0.05" in capsys.readouterr().err
+        assert calls == []
 
 
 class TestAnalyzeCommand:
@@ -863,6 +876,7 @@ class TestErrorContract:
         # 8 * sum_k C(14, k) (k^2 + k + 1) bytes; one byte less is refused
         size = 8 * sum(math.comb(14, k) * (k * k + k + 1) for k in range(1, 15))
         monkeypatch.setattr(nlfb.energy, "MEMORY_BUDGET_BYTES", size - 1)
+        calls = record_minimize(monkeypatch)
         cfg_path = write_cfg(tmp_path, """\
             kernel.s = 0.5
             grid.h = 0.1
@@ -876,6 +890,7 @@ class TestErrorContract:
         assert main(["oracle-compare", "--config", cfg_path,
                      "--out", str(tmp_path / "out")]) == 5
         assert "the oracle's pinned inverses needs" in capsys.readouterr().err
+        assert calls == []
 
     def test_data_error_exit_code(self, tmp_path, capsys):
         (tmp_path / "bad.csv").write_text("not,a,field\n1,2,3\n")

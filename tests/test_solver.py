@@ -5,6 +5,7 @@ import math
 import threading
 import tracemalloc
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -37,10 +38,11 @@ from nlfb import (
 from nlfb.cli import ORACLE_AGREE_RTOL
 from nlfb.energy import exterior_terms
 from nlfb.solver import (CERTIFICATE_RTOL, CG_TOL, DEFAULT_MAX_SWEEPS, EPS_STOP_FACTOR,
-                         ORACLE_TIE_RTOL, PHASES, POLISH_PERIOD, _band_greedy, _certify,
-                         _best_response, _bound_states, _descend, _finalize, _free_mask,
-                         _oracle_candidates, _oracle_scan, _pcg, _pinned_inverses, _polish,
-                         _solve_free, _subsystem, _sweep, _visit)
+                         ORACLE_BLOCK, ORACLE_CHUNK, ORACLE_TIE_RTOL, PHASES, POLISH_PERIOD,
+                         _band_greedy, _certify, _best_response, _bound_states, _descend,
+                         _finalize, _free_mask, _oracle_energies, _oracle_scan, _oracle_solve,
+                         _pcg, _pinned_inverses, _polish, _solve_free, _subsystem, _sweep, _visit,
+                         check_oracle, oracle_minimize_all)
 
 from conftest import (family_kernel, random_field_values, reference_exterior_rows,
                       reference_exterior_term, reference_row)
@@ -443,11 +445,11 @@ def test_descent_reads_the_block_in_place(monkeypatch):
             return super().__getitem__(index)
 
     form.dense = W_II.view(GatherRecordingBlock)
-    _oracle_candidates(problem, form)
+    check_oracle(problem, form)
     # one stacked gather per support size, each from W_II's own memory
     assert len(gathered) == n_int
     assert all(np.shares_memory(block, W_II) for block in gathered)
-    assert all(inv.shape[0] == math.comb(n_int, k + 1)
+    assert all(inv.shape == (k + 1, k + 1, math.comb(n_int, k + 1))
                for k, (_, _, inv) in enumerate(form.pinned_inverses))
 
 
@@ -812,11 +814,25 @@ def reference_oracle(problem, form, lu=False):
     return result
 
 
-def assert_same_result(got, want):
+def assert_same_oracle_result(got, want):
     assert got.field.values.tobytes() == want.field.values.tobytes()
     assert got.energy.to_dict() == want.energy.to_dict()
     assert np.array_equal(got.support, want.support)
     assert got.tied_supports == want.tied_supports
+
+
+def oracle_candidates(problem, form):
+    # every support's interior values, as the winner and the ties are solved
+    # (_oracle_solve), and the scores of the stacked pass (_oracle_energies),
+    # in mask order
+    form = check_oracle(problem, form)
+    terms = exterior_terms(form, problem.exterior_data)
+    m = form.interior_idx.shape[0]
+    X = np.zeros((1 << m, m))
+    for mask in range(1 << m):
+        rows, x = _oracle_solve(form.pinned_inverses, terms[0], mask)
+        X[mask, rows] = x
+    return X, next(_oracle_energies(problem, form, [terms])).copy()
 
 
 def random_oracle_problem(rng, grid, kernel, phase):
@@ -840,11 +856,87 @@ def test_batched_oracle_matches_per_subset_reference(phase, grid, kernel, trials
     for _ in range(trials):
         problem = random_oracle_problem(rng, grid, kernel, phase)
         got = oracle_minimize(problem, form=form)
-        assert_same_result(got, reference_oracle(problem, form))
+        assert_same_oracle_result(got, reference_oracle(problem, form))
         lu = reference_oracle(problem, form, lu=True)
         assert np.array_equal(got.support, lu.support)
         assert got.tied_supports == lu.tied_supports
         assert_near_lu(got.field.values, lu.field.values)
+
+
+@settings(max_examples=30, deadline=None)
+@given(phase=st.sampled_from(PHASES),
+       lattice=st.sampled_from([(1, 0.25), (1, 0.16), (1, 0.125), (1, 0.1), (2, 0.25)]),
+       size=st.integers(1, 8), distinct=st.integers(1, 8), tie=st.booleans(),
+       block=st.sampled_from([1, 3, ORACLE_BLOCK]), chunk=st.sampled_from([1, 7, ORACLE_CHUNK]),
+       log_rho=st.floats(-3.0, 0.5), seed=st.integers(0, 2 ** 32 - 1))
+# two_phase: the break-even instance, twice, after one of signed data
+@example(phase="two_phase", lattice=(1, 0.16), size=3, distinct=2, tie=True,
+         block=ORACLE_BLOCK, chunk=ORACLE_CHUNK, log_rho=0.0, seed=3)
+def test_stacked_oracle_matches_the_reference_per_instance(phase, lattice, size, distinct, tie,
+                                                           block, chunk, log_rho, seed):
+    # stacks of 1 to 8 instances on one form, 4 to 10 interior nodes, with
+    # planted duplicates (the same data more than once) and, with `tie`, an
+    # instance of constant data whose empty and full supports break even;
+    # scored in blocks and chunks of several sizes, one-mask chunks and
+    # blocks of one instance included, each result is the per-subset
+    # reference oracle's bit for bit: field, energy, support and ties
+    dim, h = lattice
+    grid = enumerate_lattice(dim, h, 1.5 if dim == 1 else 1.0, 0.5 if dim == 1 else 0.35)
+    kernel = fractional_kernel(0.5, dim=dim)
+    form = assemble_form(kernel, grid)
+    m = form.interior_idx.shape[0]
+    rng = np.random.default_rng(seed)
+    rho = 10.0 ** log_rho
+    lo = 0.0 if phase == "one_phase" else -1.0
+    datas = [np.where(grid.interior, 0.0, rng.uniform(lo, 1.0, grid.n_nodes))
+             for _ in range(min(size, distinct))]
+    if tie:
+        # the full support solves to u = a, with no Dirichlet energy; the empty
+        # one has a^2 times the exterior constant c of a = 1
+        ones = np.where(grid.interior, 0.0, 1.0)
+        datas[-1] = math.sqrt(rho * grid.cell_measure * m / exterior_terms(form, ones)[1]) * ones
+    repeats = rng.integers(len(datas), size=size - len(datas))
+    stack = rng.permutation(np.concatenate([np.arange(len(datas)), repeats]))
+    problems = [ProblemSpec(kernel, grid, datas[k], rho=rho, phase=phase) for k in stack]
+    with patch.object(nlfb.solver, "ORACLE_BLOCK", block), \
+            patch.object(nlfb.solver, "ORACLE_CHUNK", chunk):
+        got = oracle_minimize_all(problems, form)
+    assert len(got) == size
+    want = {}
+    for k, res in zip(stack.tolist(), got):
+        if k not in want:
+            want[k] = reference_oracle(problems[stack.tolist().index(k)], form)
+        assert_same_oracle_result(res, want[k])
+        assert res.form is form
+
+
+def test_stacked_oracle_refuses_instances_that_differ():
+    problem = four_interior_problem(np.random.default_rng(149))
+    for problems in ([], [problem, replace(problem, rho=2.0 * problem.rho)],
+                     [problem, replace(problem, phase="two_phase")]):
+        with pytest.raises(ConfigurationError, match="share rho, xi and phase"):
+            oracle_minimize_all(problems)
+
+
+def test_oracle_scoring_memory_does_not_grow_with_the_instances():
+    # ten interior nodes: blocks of ORACLE_BLOCK instances reuse one buffer,
+    # so scoring 500 instances peaks within 10% of scoring 10
+    grid = build_grid(1, 0.1, 1.0, 0.5)
+    problem = ProblemSpec(fractional_kernel(0.5), grid, np.zeros(grid.n_nodes), rho=0.2)
+    form = check_oracle(problem)
+    rng = np.random.default_rng(163)
+    stacks = [[(rng.uniform(0.0, 1.0, 10), float(rng.uniform(1.0, 2.0))) for _ in range(n)]
+              for n in (10, 500)]
+    peaks = []
+    for terms in stacks:
+        tracemalloc.start()
+        try:
+            for energies in _oracle_energies(problem, form, terms):
+                assert energies.shape == (1 << 10,)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert 8 * min(ORACLE_BLOCK, 10) << 10 <= peaks[0] and peaks[1] <= 1.1 * peaks[0]
 
 
 @pytest.mark.parametrize("phase", PHASES)
@@ -852,7 +944,7 @@ def test_oracle_candidates_match_per_subset_solves(phase, grid_1d_small):
     problem = random_oracle_problem(np.random.default_rng(101), grid_1d_small,
                                     fractional_kernel(0.5), phase)
     form = assemble_form(problem.kernel, problem.grid)
-    X, _ = _oracle_candidates(problem, form)
+    X, _ = oracle_candidates(problem, form)
     want = np.array(list(reference_candidates(problem, form)))
     assert X.shape == (2 ** form.interior_idx.size, form.interior_idx.size)
     assert X.tobytes() == want[:, form.interior_idx].tobytes()
@@ -863,13 +955,14 @@ def test_oracle_candidates_match_per_subset_solves(phase, grid_1d_small):
 
 @pytest.mark.parametrize("phase", PHASES)
 def test_oracle_reduced_form_energies_equal_pairwise_energies(phase, grid_1d_small):
-    # the reduced form x.(a_I x - W_II x) - 2 x.b_I + c scores every candidate
-    # with the pairwise energy of its full field, up to rounding
+    # the exact-solve identity c - x_S . b_S, the reduced form at an exact
+    # solve, scores every candidate with the pairwise energy of its full
+    # field, up to rounding
     rng = np.random.default_rng(107)
     form = assemble_form(fractional_kernel(0.5), grid_1d_small)
     for _ in range(3):
         problem = random_oracle_problem(rng, grid_1d_small, form.kernel, phase)
-        X, energies = _oracle_candidates(problem, form)
+        X, energies = oracle_candidates(problem, form)
         for x, energy in zip(X, energies.tolist()):
             values = problem.exterior_data.copy()
             values[form.interior_idx] = x
@@ -890,16 +983,22 @@ def test_oracle_one_phase_negative_solve_raises():
     operator = list(_pinned_inverses(form))
     masks, S, inv = operator[2]           # the 3-node supports
     negated = inv.copy()
-    negated[:, 0] = -negated[:, 0]
+    negated[0] = -negated[0]
     operator[2] = (masks, S, negated)
     form.pinned_inverses = tuple(operator)
+    terms = [exterior_terms(form, data)]
     with pytest.raises(SolverError, match="negative entry"):
-        _oracle_candidates(problem, form)
+        next(_oracle_energies(problem, form, terms))
     with pytest.raises(SolverError, match="negative entry"):
         oracle_minimize(problem, form=form)
-    # two_phase has no sign invariant: the negated entries pass through
-    X, _ = _oracle_candidates(replace(problem, phase="two_phase"), form)
+    # two_phase has no sign invariant: the negated entries pass through, into
+    # the solves and into the scores of the 3-node supports alone
+    two_phase = replace(problem, phase="two_phase")
+    X, energies = oracle_candidates(two_phase, form)
     assert np.count_nonzero(X < 0.0) == 120
+    form.pinned_inverses = _pinned_inverses(form)
+    _, kept = oracle_candidates(two_phase, form)
+    assert np.array_equal(np.nonzero(energies != kept)[0], masks)
 
 
 def test_one_phase_negative_pcg_solve_raises(monkeypatch):
@@ -958,7 +1057,8 @@ def test_one_phase_exact_solves_are_nonnegative(family, s, block, amplitude, h, 
         rows = np.nonzero(free)[0]
         solved = _solve_free(form, rows, values[interior_idx], form.exterior_dots(values, rows))
         assert np.all(solved >= 0.0)
-    X, _ = _oracle_candidates(problem, form)
+    # the oracle's pinned solves hold the off nodes at 0 whatever xi is
+    X, _ = oracle_candidates(replace(problem, xi=0.0), form)
     assert np.all(X >= 0.0)
     assert np.all(lifting_initialization(problem, form).values >= 0.0)
 
@@ -1162,7 +1262,7 @@ def test_single_one_phase_restart_equals_descent_from_the_upper_bound_state():
     init = bound_inits(problem, form)[0]
     direct = coordinate_descent(problem, Field(problem.grid, init), seed=5, form=form)
     res = minimize(problem, n_restarts=1, seed=5, form=form)
-    assert_same_result(res, direct)
+    assert_same_restart_result(res, direct)
     assert (res.sweeps, res.converged) == (1, True)
     assert np.array_equal(res.support, np.nonzero(problem.grid.interior & (init > 0.0))[0])
     assert res.bounds["a"]["support"] == res.support.shape[0]
@@ -1346,7 +1446,7 @@ def every_restart(problem, n_restarts, seed, form):
                      restarts_used=n_restarts)
 
 
-def assert_same_result(res, reference):
+def assert_same_restart_result(res, reference):
     assert res.best_restart_seed == reference.best_restart_seed
     assert res.field.values.tobytes() == reference.field.values.tobytes()
     assert res.energy.to_dict() == reference.energy.to_dict()
@@ -1393,7 +1493,7 @@ def test_one_phase_random_restarts_run_unless_the_bounds_are_certified(
         assert cert["best_support_energy"] < bound_exit - tol
         assert res.best_restart_seed == 13
         assert abs(res.energy.total - cert["best_support_energy"]) <= tol
-        assert_same_result(res, every_restart(problem, 5, 11, form))
+        assert_same_restart_result(res, every_restart(problem, 5, 11, form))
     # either way the bound has closed on the lowest support energy seen, the
     # certified minimum, which is the oracle's
     assert cert["best_support_energy"] - cert["lower_bound"] <= CERTIFICATE_RTOL * (
@@ -1425,7 +1525,7 @@ def test_restarts_that_miss_the_certified_minimum_all_run(monkeypatch):
     assert [s for s, _, _ in exits] == list(range(seed, seed + 20)) and res.restarts_used == 20
     tol = CERTIFICATE_RTOL * (1.0 + abs(cert["minimum"]))
     assert min(out[1] for _, _, out in exits) > cert["minimum"] + tol
-    assert_same_result(res, every_restart(problem, 20, seed, form))
+    assert_same_restart_result(res, every_restart(problem, 20, seed, form))
 
 
 @pytest.mark.parametrize("blocked", ["capped", "stalled"])
@@ -1447,7 +1547,7 @@ def test_a_refutation_that_cannot_close_runs_every_restart(monkeypatch, blocked)
     assert (cert["wolfe_iterations"], cert["greedy_calls"]) == (
         (0, 1) if blocked == "capped" else (1, 2))
     assert [seed for seed, _, _ in exits] == [11, 12, 13, 14, 15] and res.restarts_used == 5
-    assert_same_result(res, every_restart(problem, 5, 11, form))
+    assert_same_restart_result(res, every_restart(problem, 5, 11, form))
 
 
 @settings(max_examples=200, deadline=None)
@@ -1480,7 +1580,7 @@ def test_stopping_at_the_certified_minimum_keeps_the_ranking(family, s, block, a
     tol = CERTIFICATE_RTOL * (1.0 + abs(reference.energy.total))
     assert abs(res.energy.total - reference.energy.total) <= tol
     if res.best_restart_seed == reference.best_restart_seed:
-        assert_same_result(res, reference)
+        assert_same_restart_result(res, reference)
 
 
 def test_certificate_statuses_that_decide_nothing(monkeypatch):
@@ -1549,7 +1649,7 @@ def test_certificate_agrees_with_the_oracle(family, s, block, amplitude, lattice
     problem = ProblemSpec(kernel, grid, data, rho=10.0 ** log_rho, phase="one_phase")
     form = assemble_form(kernel, grid, data)
     terms = exterior_terms(form, data)
-    _, energies = _oracle_candidates(problem, form)
+    _, energies = oracle_candidates(problem, form)
     m = form.interior_idx.shape[0]
 
     def mask_of(rows):
@@ -1637,7 +1737,7 @@ def test_bound_states_are_the_descent_exits_and_bracket_the_oracle(family, s, bl
         return sum(1 << int(k) for k in np.nonzero(on)[0])
 
     supp_a, supp_b = mask_of(x_a > 0.0), mask_of(x_b > 0.0)
-    _, energies = _oracle_candidates(problem, form)
+    _, energies = oracle_candidates(problem, form)
     minimum = float(energies.min())
     least = (1 << m) - 1
     for mask in np.nonzero(energies <= minimum + CERTIFICATE_RTOL * (1.0 + abs(minimum)))[0]:
