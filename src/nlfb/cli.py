@@ -38,12 +38,12 @@ from .analysis import (build_report, density, dyadic_radii, free_boundary,
                        lifting_distance, nondegeneracy, point_csv_text, report_json,
                        select_analysis_points)
 from .config import ExperimentConfig, build_problem, parse_config, parse_points
-from .energy import exterior_terms
+from .energy import exterior_terms_all
 from .errors import (CapacityError, ConfigurationError, DataError, DomainError,
                      NlfbError, SolverError)
 from .grid import Ball, csv_text, field_csv_text
 from .solver import (CERTIFICATE_RTOL, MinimizeResult, ProblemSpec, check_oracle, minimize,
-                     oracle_minimize_all, rho_sweep_minimize)
+                     minimize_all, oracle_minimize_all, rho_sweep_minimize)
 
 EXIT_CODES = {
     ConfigurationError: 2,
@@ -54,6 +54,7 @@ EXIT_CODES = {
 }
 
 ORACLE_AGREE_RTOL = 1e-10
+ORACLE_STACK = 64     # oracle-compare's instances per minimize_all stack: it bounds memory
 
 
 class _Writer:
@@ -252,33 +253,35 @@ def oracle_compare_instances(cfg: ExperimentConfig, seed: int):
     """Shared by the CLI and tests: per-instance minimize-vs-oracle rows.
 
     Kernel and grid are fixed across instances: check_oracle assembles the form
-    once and refuses before any minimize; one oracle_minimize_all scores all.
+    once and refuses before any solve. Each block of ORACLE_STACK instances
+    then takes one pass for its exterior terms and one minimize_all, and its
+    rows are built as oracle_minimize_all yields its results, so only the
+    rows outlive their block.
     """
     base = build_problem(cfg)
     form = check_oracle(base)
-    problems, results, terms = [], [], []
-    for k in range(cfg.values["oracle.instances"]):
-        rng = np.random.default_rng([seed, k])
-        g_k = cfg.values["problem.g_amplitude"] * random_exterior(base, rng)
-        problems.append(ProblemSpec(base.kernel, base.grid, g_k, rho=base.rho,
-                                    xi=base.xi, phase=base.phase))
-        results.append(minimize(problems[-1], n_restarts=cfg.values["oracle.restarts"],
-                                seed=seed + 100000 * (k + 1),
-                                max_sweeps=cfg.values["solver.max_sweeps"], form=form))
-        terms.append(exterior_terms(form, g_k))
-    rows = []
-    for k, (result, oracle) in enumerate(zip(results,
-                                             oracle_minimize_all(problems, form, terms))):
-        tol = ORACLE_AGREE_RTOL * (1.0 + abs(oracle.energy.total))
-        gap = result.energy.total - oracle.energy.total
-        rows.append({
-            "instance": k,
-            "minimize_energy": result.energy.total,
-            "oracle_energy": oracle.energy.total,
-            "agree": bool(abs(gap) <= tol),
-            "below_oracle": bool(gap < -tol),
-            "result": result,
-        })
+    n, rows = cfg.values["oracle.instances"], []
+    for start in range(0, n, ORACLE_STACK):
+        block = range(start, min(n, start + ORACLE_STACK))
+        problems = [ProblemSpec(base.kernel, base.grid,
+                                cfg.values["problem.g_amplitude"]
+                                * random_exterior(base, np.random.default_rng([seed, k])),
+                                rho=base.rho, xi=base.xi, phase=base.phase) for k in block]
+        terms = exterior_terms_all(form, [p.exterior_data for p in problems])
+        results = minimize_all(problems, cfg.values["oracle.restarts"],
+                               [seed + 100000 * (k + 1) for k in block],
+                               cfg.values["solver.max_sweeps"], form, terms)
+        for k, result, oracle in zip(block, results, oracle_minimize_all(problems, form, terms)):
+            tol = ORACLE_AGREE_RTOL * (1.0 + abs(oracle.energy.total))
+            gap = result.energy.total - oracle.energy.total
+            rows.append({
+                "instance": k,
+                "minimize_energy": result.energy.total,
+                "oracle_energy": oracle.energy.total,
+                "agree": bool(abs(gap) <= tol),
+                "below_oracle": bool(gap < -tol),
+                "result": result,
+            })
     return rows
 
 

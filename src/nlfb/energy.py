@@ -152,10 +152,6 @@ class QuadraticForm:
         b_I = exterior_terms(self, u)[0]
         return rowwise_dots(self.dense, rows, u[self.interior_idx]) + b_I[rows]
 
-    def exterior_dots(self, g, rows) -> np.ndarray:
-        """(W_IE g)_i for stored rows, reading only g's exterior entries."""
-        return exterior_terms(self, g)[0][rows]
-
 
 def _weight_rows(kernel: KernelSpec, grid: Grid, col_order, n_int, first_col, block):
     """Yield (k, rows): the pair weights w_ij = 2 K(x_i, x_j) m_i m_j of the stored
@@ -183,18 +179,10 @@ def _weight_rows(kernel: KernelSpec, grid: Grid, col_order, n_int, first_col, bl
 
 def _fold_exterior(k, W_IE_rows, g_E, b_I, c_rows):
     """Row dots of a block of W_IE's rows with g_E and g_E^2, into rows k.. of
-    b_I and c_rows: the same np.vecdot in assembly and in exterior_terms."""
+    b_I and c_rows (rows of them for a stack g_E): the same np.vecdot per row."""
     n = W_IE_rows.shape[0]
-    b_I[k:k + n] = np.vecdot(W_IE_rows, g_E)
-    c_rows[k:k + n] = np.vecdot(W_IE_rows, g_E * g_E)
-
-
-def _kept_terms(g_E, b_I, c_rows):
-    """The form's terms_cache entry: g_E and b_I read-only, since every later
-    call with the same exterior values returns these very arrays."""
-    g_E.flags.writeable = False
-    b_I.flags.writeable = False
-    return g_E, (b_I, tree_sum(c_rows))
+    b_I[..., k:k + n] = np.vecdot(W_IE_rows, g_E[..., None, :])
+    c_rows[..., k:k + n] = np.vecdot(W_IE_rows, (g_E * g_E)[..., None, :])
 
 
 def assemble_form(kernel: KernelSpec, grid: Grid, exterior_data=None) -> QuadraticForm:
@@ -226,8 +214,9 @@ def assemble_form(kernel: KernelSpec, grid: Grid, exterior_data=None) -> Quadrat
         if g_E is not None:
             _fold_exterior(k, rows[:, n_int:], g_E, b_I, c_rows)
     form = QuadraticForm(grid, kernel, W_II, row_sums, a_E, col_order)
-    if g_E is not None:
-        form.terms_cache = _kept_terms(g_E, b_I, c_rows)
+    if g_E is not None:     # read-only: later calls with these values return them
+        g_E.flags.writeable = b_I.flags.writeable = False
+        form.terms_cache = (g_E, (b_I, tree_sum(c_rows)))
     return form
 
 
@@ -302,16 +291,33 @@ def exterior_terms(form: QuadraticForm, g):
     interior-exterior pairs, with the bits assembly gives for them, and
     replace the kept terms.
     """
-    g_E = np.asarray(g, dtype=np.float64)[form.exterior_idx]
+    return exterior_terms_all(form, [g])[0]
+
+
+def exterior_terms_all(form: QuadraticForm, gs) -> list:
+    """exterior_terms(form, g) for each g of gs, bit for bit: values equal to
+    the kept ones return the kept terms, all others take one pass of the pair
+    formula together (np.vecdot over their stack), and the form then keeps
+    the terms of the last of gs."""
+    g_E = [np.asarray(g, dtype=np.float64)[form.exterior_idx] for g in gs]
     cached = form.terms_cache
-    if cached is None or cached[0].tobytes() != g_E.tobytes():
+    terms = [cached[1] if cached is not None and cached[0].tobytes() == e.tobytes() else None
+             for e in g_E]
+    new = [i for i, kept in enumerate(terms) if kept is None]
+    if new:
         n_int = form.dense.shape[0]
-        b_I, c_rows = np.empty(n_int), np.empty(n_int)
+        stack = np.array([g_E[i] for i in new])
+        b_I, c_rows = np.empty((len(new), n_int)), np.empty((len(new), n_int))
         for k, rows in _weight_rows(form.kernel, form.grid, form.col_order, n_int, n_int,
                                     _EVAL_ROWS):
-            _fold_exterior(k, rows, g_E, b_I, c_rows)
-        cached = form.terms_cache = _kept_terms(g_E, b_I, c_rows)
-    return cached[1]
+            _fold_exterior(k, rows, stack, b_I, c_rows)
+        b_I.flags.writeable = False
+        for i, b, c in zip(new, b_I, tree_sum(c_rows).tolist()):
+            terms[i] = (b, c)
+        if new[-1] == len(g_E) - 1:
+            g_E[-1].flags.writeable = False
+            form.terms_cache = (g_E[-1], terms[-1])
+    return terms
 
 
 def reduced_energy(form: QuadraticForm, x, rho, xi, terms) -> float:

@@ -36,15 +36,20 @@ the exit state's pairwise total_energy, evaluated once per result.
 Restarts run coordinate descent from deterministic initializations, one
 after another in seed order, sharing one exterior_terms, and reduce by the
 lexicographic key (reduced exit energy, restart seed); only the winner is
-finalized, so minimize evaluates the pairwise total_energy once. A
-brute-force oracle enumerates all interior supports (capacity-capped, xi = 0
-only) for ground truth. Its pinned systems A_SS depend only on the form, so
-their stacked inverses, one stack per support size, are computed once per form
-and kept on it (_pinned_inverses). Instances that share the form are scored
-together, one einsum per block of instances and of masks (_oracle_energies);
-each scans only the masks within the tie tolerance of the running best
-(_oracle_scan), and its winner and ties are solved again by one row dot per
-entry (_oracle_solve).
+finalized, so minimize evaluates the pairwise total_energy once. minimize is
+the one-instance case of minimize_all, whose instances share the form: the
+descents run per instance, while _bound_states and _certify run the stack in
+lockstep, each step's solves, greedy vertices and Wolfe steps one batched
+call per group of instances whose operands share shapes (_groups). A batched
+call runs each instance's own BLAS or LAPACK call, so each instance keeps
+the bits of its solve alone. A brute-force oracle enumerates all interior
+supports (capacity-capped, xi = 0 only) for ground truth. Its pinned systems
+A_SS depend only on the form, so their stacked inverses, one stack per
+support size, are computed once per form and kept on it (_pinned_inverses).
+Instances that share the form are scored together, one einsum per block of
+instances and of masks (_oracle_energies); each scans only the masks within
+the tie tolerance of the running best (_oracle_scan), and its winner and
+ties are solved again by one row dot per entry (_oracle_solve).
 
 For one_phase at xi = 0 the support energy
 
@@ -82,8 +87,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .energy import (EnergyBreakdown, QuadraticForm, assemble_form, check_budget,
-                     exterior_terms, reduced_energy, rowwise_dots, total_energy,
-                     truncation_error_bound)
+                     exterior_terms, exterior_terms_all, reduced_energy, rowwise_dots,
+                     total_energy, truncation_error_bound)
 from .errors import CapacityError, ConfigurationError, DataError, SolverError
 from .grid import Ball, Field, Grid, region_interior_indices
 from .kernel import KernelSpec
@@ -324,17 +329,18 @@ def _solve_free(form: QuadraticForm, rows, x, b):
     return x
 
 
-def harmonic_lifting(form: QuadraticForm, field: Field, region: Ball) -> Field:
+def harmonic_lifting(form: QuadraticForm, field: Field, region: Ball, terms=None) -> Field:
     """Replace the field inside a ball region by its energy-minimizing values.
 
     The region must lie inside the domain ball. The lifted values solve the
     SPD stationarity system sum_j w_ij (h_i - h_j) = 0 for region nodes, with
     all other values (including the implicit zeros beyond truncation) fixed.
+    terms = exterior_terms(form, field.values) is computed unless given.
     """
     rows = form.row_of[region_interior_indices(form.grid, region)]
     values = field.values.copy()
     values[form.interior_idx] = _solve_free(form, rows, values[form.interior_idx],
-                                            form.exterior_dots(values, rows))
+                                            (terms or exterior_terms(form, values))[0][rows])
     return Field(form.grid, values)
 
 
@@ -483,45 +489,66 @@ def coordinate_descent(problem: ProblemSpec, init: Field, seed=0,
     return _finalize(problem, form, u, sweeps, converged, seed)
 
 
-def lifting_initialization(problem: ProblemSpec, form: QuadraticForm) -> Field:
-    """Harmonic lifting of the exterior data over the whole domain ball,
-    checked to be nonnegative in one_phase."""
+def lifting_initialization(problem: ProblemSpec, form: QuadraticForm, terms=None) -> Field:
+    """Harmonic lifting of the exterior data over the whole domain ball (terms
+    as in harmonic_lifting), checked to be nonnegative in one_phase."""
     base = problem.exterior_field()
     lifted = harmonic_lifting(form, base, Ball((0.0,) * problem.grid.dim,
-                                               problem.grid.omega_radius))
+                                               problem.grid.omega_radius), terms)
     if problem.phase == "one_phase":
         _nonnegative(lifted.values)
     return lifted
 
 
+def _groups(*keys):
+    """Positions 0, 1, .. grouped by their tuple of keys (one sequence per
+    key), in order of first appearance: instances whose operands share shapes."""
+    groups = {}
+    for position, key in enumerate(zip(*keys)):
+        groups.setdefault(key, []).append(position)
+    return [np.array(group) for group in groups.values()]
+
+
+def _stack(arrays, ids=None):
+    """The arrays (those at ids, if given) as one stack; one array is viewed."""
+    arrays = arrays if ids is None else [arrays[i] for i in ids]
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _gather(matrices, rows, cols):
+    """The stack of matrices[i][rows[i][:, None], cols[i]], gathered per matrix."""
+    return _stack([m[r[:, None], c] for m, r, c in zip(matrices, rows, cols)])
+
+
 def _bordered(inv, A_SJ, A_JJ):
-    """The inverse of the symmetric [[A_SS, A_SJ], [A_SJ^T, A_JJ]], from
-    inv = A_SS^-1 (which it updates in place), bordered by one Schur block of
-    at most SCHUR_BLOCK nodes of J at a time: with B the block's couplings to
-    the nodes bordered so far, Y = inv B and C = A_BB - B^T Y, the bordered
-    inverse is [[inv + Y C^-1 Y^T, -Y C^-1], [-C^-1 Y^T, C^-1]]."""
-    for start in range(0, A_JJ.shape[0], SCHUR_BLOCK):
+    """The inverses of the symmetric [[A_SS, A_SJ], [A_SJ^T, A_JJ]] of a stack,
+    from inv = A_SS^-1 (which it updates in place), bordered by one Schur
+    block of at most SCHUR_BLOCK nodes of J at a time: with B the block's
+    couplings to the nodes bordered so far, Y = inv B and C = A_BB - B^T Y,
+    the bordered inverse is [[inv + Y C^-1 Y^T, -Y C^-1], [-C^-1 Y^T, C^-1]]."""
+    for start in range(0, A_JJ.shape[-1], SCHUR_BLOCK):
         block = slice(start, start + SCHUR_BLOCK)
-        k = inv.shape[0]
-        B = np.concatenate([A_SJ[:, block], A_JJ[:start, block]])
+        k = inv.shape[-1]
+        B = np.concatenate([A_SJ[..., block], A_JJ[:, :start, block]], axis=1)
         Y = inv @ B
-        C_inv = np.linalg.inv(A_JJ[block, block] - B.T @ Y)
+        C_inv = np.linalg.inv(A_JJ[:, block, block] - B.mT @ Y)
         YC = Y @ C_inv
-        inv += YC @ Y.T
-        grown = np.empty((k + C_inv.shape[0],) * 2)
-        grown[:k, :k] = inv
-        grown[:k, k:] = -YC
-        grown[k:, :k] = -YC.T
-        grown[k:, k:] = C_inv
+        inv += YC @ Y.mT
+        grown = np.empty((inv.shape[0],) + (k + C_inv.shape[-1],) * 2)
+        grown[:, :k, :k] = inv
+        grown[:, :k, k:] = -YC
+        grown[:, k:, :k] = -YC.mT
+        grown[:, k:, k:] = C_inv
         inv = grown
     return inv
 
 
-def _bound_states(problem: ProblemSpec, form: QuadraticForm, terms):
-    """The bound restarts' starting states for one_phase at xi = 0: the
-    interior values x_a and x_b (by stored row) of the greatest and the least
-    coordinatewise-stable state, and the record {"a": {"steps", "support"},
-    "b": {...}}.
+def _bound_states(problem: ProblemSpec, form: QuadraticForm, terms) -> list:
+    """The bound restarts' starting states for one_phase at xi = 0, for each
+    (b_I, c) of terms (instances sharing problem's form and rho): a list of
+    (x_a, x_b, record), x_a and x_b the interior values (by stored row) of the
+    greatest and the least coordinatewise-stable state, and the record
+    {"a": {"steps", "support"}, "b": {...}}.
 
     With BR(x) = {_best_response on b = W_II x + b_I > 0}, monotone in x, (b)
     rises from S = {}: S <- S | BR(x), then x <- A_SS^-1 b_I[S] with 0 off S,
@@ -532,118 +559,157 @@ def _bound_states(problem: ProblemSpec, form: QuadraticForm, terms):
     the Schur complement of A_LL over the band, whose inverse is bordered
     once and shrinks by a Schur block per step. The unions and intersections
     end each iteration within n steps, ties included. A step is one exact
-    solve, checked by _nonnegative.
+    solve, checked by _nonnegative. The instances run in lockstep.
     """
-    b_I = terms[0]
-    W = form.dense
-    n = W.shape[0]
-    rho_cell = problem.rho * problem.grid.cell_measure
+    W, count, n = form.dense, len(terms), form.dense.shape[0]
+    b_I, rho_cell = [b for b, _ in terms], problem.rho * problem.grid.cell_measure
 
-    def responds(x):
-        return _best_response(form.row_sums, np.vecdot(W, x) + b_I, rho_cell) > 0.0
+    def responds(x, ids):
+        b = np.vecdot(W, x[:, None, :]) + _stack(b_I, ids)
+        return _best_response(form.row_sums, b, rho_cell) > 0.0
 
-    on = np.zeros(n, dtype=bool)
-    S, inv, x_b = np.zeros(0, dtype=np.int64), np.zeros((0, 0)), np.zeros(n)
-    rise = 0
-    while (new := np.flatnonzero(responds(x_b) & ~on)).shape[0]:
-        inv = _bordered(inv, -W[S[:, None], new], _system_matrix(form, new))
-        S = np.concatenate([S, new])
-        on[new] = True
-        x_b = np.zeros(n)
-        x_b[S] = _nonnegative(inv @ b_I[S])
-        rise += 1
+    on, x_b = [np.zeros(n, dtype=bool) for _ in terms], [np.zeros(n) for _ in terms]
+    S, inv = [np.zeros(0, dtype=np.int64)] * count, [np.zeros((0, 0))] * count
+    rise, fall, live = [0] * count, [0] * count, list(range(count))
+    while live:
+        new = responds(_stack(x_b, live), live) & ~_stack(on, live)
+        new = [np.flatnonzero(row) for row in new]
+        live, new = [i for i, j in zip(live, new) if j.shape[0]], [j for j in new if j.shape[0]]
+        for pos in _groups([S[i].shape[0] for i in live], [j.shape[0] for j in new]):
+            ids, joined = [live[p] for p in pos], _stack(new, pos)
+            S_g = _stack(S, ids)
+            inv_g = _bordered(_stack(inv, ids), -W[S_g[:, :, None], joined[:, None]],
+                              _system_matrix(form, joined))
+            S_g = np.concatenate([S_g, joined], axis=1)
+            x = _nonnegative((inv_g @ _stack([b_I[i][s] for i, s in zip(ids, S_g)])[
+                ..., None])[..., 0])
+            for i, j, s, v, x_i in zip(ids, joined, S_g, inv_g, x):
+                on[i][j] = True     # S only grows, so x_b is 0 off it
+                x_b[i][s], S[i], inv[i], rise[i] = x_i, s, v, rise[i] + 1
 
-    # the band's Schur complement of A_LL and right-hand side, then the
-    # complement's inverse in its place
-    band = np.flatnonzero(~on)
-    W_LB = W[S[:, None], band]
-    schur = _system_matrix(form, band)
-    for start in range(0, band.shape[0], SCHUR_BLOCK):
-        block = slice(start, start + SCHUR_BLOCK)
-        schur[:, block] -= W_LB.T @ (inv @ W_LB[:, block])
-    rhs = b_I[band] + W_LB.T @ x_b[S]
-    del W_LB
-    schur = _bordered(np.zeros((0, 0)), schur[:0], schur)
-    keep = np.arange(band.shape[0])              # the band positions still on
-    fall = 0
-    while True:
-        x_a = np.zeros(n)
-        x_a[band[keep]] = schur @ rhs[keep]
-        x_a[S] = x_b[S] + inv @ np.vecdot(W, x_a)[S]
-        _nonnegative(x_a)
-        fall += 1
-        off = ~responds(x_a)[band[keep]]
-        if not off.any():
-            break
-        d, k = np.flatnonzero(off), np.flatnonzero(~off)
-        schur = schur[k[:, None], k] - schur[k[:, None], d] @ np.linalg.solve(
-            schur[d[:, None], d], schur[d[:, None], k])
-        keep = keep[k]
-    record = {name: {"steps": steps, "support": int(np.count_nonzero(x > 0.0))}
-              for name, steps, x in (("a", fall, x_a), ("b", rise, x_b))}
-    return x_a, x_b, record
+    # per instance, the band's Schur complement of A_LL and right-hand side,
+    # then the complement's inverse in its place; cols are the band nodes
+    # still on, and rhs their right-hand sides
+    cols = [np.flatnonzero(~o) for o in on]
+    schur, rhs, x_S = [None] * count, [None] * count, [None] * count
+    for pos in _groups([s.shape[0] for s in S], [c.shape[0] for c in cols]):
+        S_g, band_g, inv_g = _stack(S, pos), _stack(cols, pos), _stack(inv, pos)
+        W_LB = W[S_g[:, :, None], band_g[:, None, :]]
+        schur_g = _system_matrix(form, band_g)
+        for start in range(0, band_g.shape[1], SCHUR_BLOCK):
+            block = slice(start, start + SCHUR_BLOCK)
+            schur_g[..., block] -= W_LB.mT @ (inv_g @ W_LB[..., block])
+        x_S_g = _stack([x_b[i][s] for i, s in zip(pos, S_g)])
+        rhs_g = (_stack([b_I[i][c] for i, c in zip(pos, band_g)])
+                 + (W_LB.mT @ x_S_g[..., None])[..., 0])
+        del W_LB
+        schur_g = _bordered(np.zeros((pos.shape[0], 0, 0)), schur_g[:, :0], schur_g)
+        for i, s, r, x_i in zip(pos.tolist(), schur_g, rhs_g, x_S_g):
+            schur[i], rhs[i], x_S[i] = s, r, x_i
+    x_a, live = [None] * count, list(range(count))
+    while live:
+        down = []
+        for pos in _groups([cols[i].shape[0] for i in live], [S[i].shape[0] for i in live]):
+            ids = [live[p] for p in pos]
+            g, x = np.arange(pos.shape[0])[:, None], np.zeros((pos.shape[0], n))
+            cols_g, S_g = _stack(cols, ids), _stack(S, ids)
+            x[g, cols_g] = (_stack(schur, ids) @ _stack(rhs, ids)[..., None])[..., 0]
+            dots = np.vecdot(W, x[:, None, :])[g, S_g]
+            x[g, S_g] = _stack(x_S, ids) + (_stack(inv, ids) @ dots[..., None])[..., 0]
+            for i, x_i, off in zip(ids, _nonnegative(x), ~responds(x, ids)[g, cols_g]):
+                x_a[i], fall[i] = x_i, fall[i] + 1
+                if off.any():
+                    down.append((i, off))
+        for pos in _groups([off.shape[0] for _, off in down],
+                           [np.count_nonzero(off) for _, off in down]):
+            ids, off = [down[p][0] for p in pos], [down[p][1] for p in pos]
+            d, k = [np.flatnonzero(o) for o in off], [np.flatnonzero(~o) for o in off]
+            s = [schur[i] for i in ids]
+            shrunk = _gather(s, k, k)
+            shrunk -= _gather(s, k, d) @ np.linalg.solve(_gather(s, d, d), _gather(s, d, k))
+            for i, kept, s_i in zip(ids, k, shrunk):
+                schur[i], cols[i], rhs[i] = s_i, cols[i][kept], rhs[i][kept]
+        live = [i for i, _ in down]
+    return [(x_a[i], x_b[i], {name: {"steps": steps[i],
+                                     "support": int(np.count_nonzero(x[i] > 0.0))}
+                              for name, steps, x in (("a", fall, x_a), ("b", rise, x_b))})
+            for i in range(count)]
 
 
-def _band_greedy(problem: ProblemSpec, form: QuadraticForm, terms, on, band):
-    """G(L) and the greedy vertex of F(T) = G(L + T) over the band B, for the
-    stored rows L = `on` and B = `band` (one_phase, xi = 0; see the module
-    docstring). Returns (G(L), greedy).
+def _band_greedy(problem: ProblemSpec, form: QuadraticForm, terms, ons, bands):
+    """G(L) (an array) and the greedy vertices of F(T) = G(L + T) over the band
+    B, for instances with terms (b_I, c), stored rows L in ons and B in bands
+    (one_phase, xi = 0; see the module docstring). Returns (G(L), greedy).
 
     One solve against A_LL, with |B| + 1 right-hand sides, gives the Schur
     complement S = A_BB - A_BL A_LL^-1 A_LB, b~ = b_B - A_BL A_LL^-1 b_L and
-    G(L). greedy(order), for an order of the band positions, factors
-    S[order, order] = R R^T and solves y = R^-1 b~[order]; it returns
-    (q, energies): q[order[k]] = rho * h^d - y_k^2, the greedy vertex by band
-    position, and energies[k] = G(L) + q[order[0]] + .. + q[order[k]], the
-    support energy of L with the first k + 1 nodes of the order. A and the
-    reordered S go through check_budget. S is an M-matrix's Schur complement,
-    so a failed Cholesky raises SolverError.
+    G(L). greedy(positions, orders), for instances of one band size and an
+    order of each one's band positions, factors S[order, order] = R R^T and
+    solves y = R^-1 b~[order]; it returns (q, energies), one row each:
+    q[order[k]] = rho * h^d - y_k^2, the greedy vertex by band position, and
+    energies[k] = G(L) + q[order[0]] + .. + q[order[k]], the support energy
+    of L with the first k + 1 nodes of the order. A and the reordered S go
+    through check_budget. S is an M-matrix's Schur complement, so a failed
+    Cholesky raises SolverError.
     """
-    b_I, c = terms
     rho_cell = problem.rho * problem.grid.cell_measure
-    n_on, n_band = on.shape[0], band.shape[0]
-    A = _system_matrix(form, np.concatenate([on, band]))
-    A_BL = A[n_on:, :n_on]
-    Z = np.linalg.solve(A[:n_on, :n_on],
-                        np.concatenate([A[:n_on, n_on:], b_I[on, None]], axis=1))
-    # np.vecdot, not a small matmul, whose BLAS kernel no other step runs: it
-    # would fault in 128 kB more of the library per process
-    schur = A[n_on:, n_on:] - np.vecdot(A_BL[:, None, :], Z[:, :n_band].T)
-    b_band = b_I[band] - A_BL @ Z[:, n_band]
-    energy_on = c - float(b_I[on] @ Z[:, n_band]) + rho_cell * n_on
-    check_budget(8 * n_band * n_band, "the band's Schur complement")
+    energy_on, schur, b_band = np.zeros(len(terms)), [None] * len(terms), [None] * len(terms)
+    for pos in _groups([on.shape[0] for on in ons], [band.shape[0] for band in bands]):
+        on, band = _stack(ons, pos), _stack(bands, pos)
+        n_on, n_band = on.shape[1], band.shape[1]
+        b_I = np.array([terms[i][0] for i in pos])
+        A = _system_matrix(form, np.concatenate([on, band], axis=1))
+        A_BL = A[:, n_on:, :n_on]
+        Z = np.linalg.solve(A[:, :n_on, :n_on], np.concatenate(
+            [A[:, :n_on, n_on:], np.take_along_axis(b_I, on, 1)[..., None]], axis=2))
+        # np.vecdot, not a small matmul, whose BLAS kernel no other step runs: it
+        # would fault in 128 kB more of the library per process
+        schur_g = A[:, n_on:, n_on:] - np.vecdot(A_BL[:, :, None, :], Z[:, None, :, :n_band].mT)
+        b_band_g = np.take_along_axis(b_I, band, 1) - (A_BL @ Z[:, :, n_band:])[..., 0]
+        energy_on[pos] = ([terms[i][1] for i in pos]
+                          - np.vecdot(np.take_along_axis(b_I, on, 1), Z[:, :, n_band])
+                          + rho_cell * n_on)
+        check_budget(8 * pos.shape[0] * n_band * n_band, "the band's Schur complement")
+        for i, s, b in zip(pos.tolist(), schur_g, b_band_g):
+            schur[i], b_band[i] = s, b
 
-    def greedy(order):
+    def greedy(positions, orders):
+        g = np.arange(orders.shape[0])[:, None]
         try:
-            R = np.linalg.cholesky(schur[order[:, None], order])
+            R = np.linalg.cholesky(_gather([schur[i] for i in positions], orders, orders))
         except np.linalg.LinAlgError as exc:
             raise SolverError("the band's Schur complement is not positive definite") from exc
-        y = np.linalg.solve(R, b_band[order])
-        q = np.empty(n_band)
-        q[order] = rho_cell - y * y
-        return q, energy_on + np.cumsum(q[order])
+        b = _stack(b_band, positions)[g, orders]
+        y = np.linalg.solve(R, b[..., None])[..., 0]
+        q = np.empty(orders.shape)
+        q[g, orders] = rho_cell - y * y
+        return q, energy_on[positions, None] + np.cumsum(q[g, orders], axis=1)
 
     return energy_on, greedy
 
 
-def _affine_minimizer(P):
-    """Weights alpha, summing to 1, of the point of the affine hull of P's
-    rows nearest the origin: (P P^T + 1 1^T) alpha = 1, normalized; None when
-    that system is singular."""
+def _affine_minimizers(P):
+    """For each P of a stack, the weights alpha, summing to 1, of the point of
+    the affine hull of P's rows nearest the origin: (P P^T + 1 1^T) alpha = 1,
+    normalized. Returns (alpha, ok), ok False where that system is singular."""
     try:
-        alpha = np.linalg.solve(np.vecdot(P[:, None, :], P) + 1.0, np.ones(P.shape[0]))
-    except np.linalg.LinAlgError:
-        return None
-    if not np.isfinite(alpha).all():
-        return None
-    total = float(alpha.sum())
-    return alpha / total if total != 0.0 else None
+        alpha = np.linalg.solve(np.vecdot(P[:, :, None, :], P[:, None]) + 1.0,
+                                np.ones(P.shape[:2] + (1,)))[..., 0]
+    except np.linalg.LinAlgError:      # one of them is: solve them one at a time
+        if P.shape[0] > 1:
+            return tuple(map(np.concatenate, zip(*map(_affine_minimizers, P[:, None]))))
+        alpha = np.zeros(P.shape[:2])
+    ok = np.isfinite(alpha).all(axis=1)
+    alpha[~ok] = 0.0
+    total = alpha.sum(axis=1)
+    ok &= total != 0.0
+    return alpha / np.where(ok, total, 1.0)[:, None], ok
 
 
-def _certify(problem: ProblemSpec, form: QuadraticForm, terms, x_a, x_b, energy) -> dict:
-    """Certificate of global minimality for a state of reduced energy `energy`,
-    given the interior values x_a and x_b (by stored row) of the (a) and (b)
-    exits (one_phase, xi = 0).
+def _certify(problem: ProblemSpec, form: QuadraticForm, terms, x_a, x_b, energies) -> list:
+    """Certificates of global minimality, one per instance: for a state of
+    reduced energy energies[i], given the interior values x_a[i] and x_b[i]
+    (by stored row) of its (a) and (b) exits (one_phase, xi = 0).
 
     With L = supp(x_b) and B = supp(x_a) minus L, Wolfe's min-norm-point
     algorithm runs over the band on _band_greedy's vertices, warm-started from
@@ -661,73 +727,98 @@ def _certify(problem: ProblemSpec, form: QuadraticForm, terms, x_a, x_b, energy)
     becomes "stalled" or "capped". The record's `minimum` is the lowest
     support energy seen when the bound closed to it at the last greedy call,
     the certified global minimum, and None otherwise. The record holds no
-    timings, so it is reproducible byte for byte.
+    timings, so it is reproducible byte for byte. The instances run in
+    lockstep (see the module docstring).
     """
-    on_b = x_b > 0.0
-    on_a = x_a > 0.0
-    on = np.nonzero(on_b)[0]
-    band = np.nonzero(on_a & ~on_b)[0]
-    record = {"status": "unbracketed", "band": int(band.shape[0]), "fixed_on": int(on.shape[0]),
-              "wolfe_iterations": 0, "greedy_calls": 0, "lower_bound": None, "gap": None,
-              "best_support_energy": None, "minimum": None}
-    if (on_b & ~on_a).any():
-        return record
-    tol = CERTIFICATE_RTOL * (1.0 + abs(energy))
-    energy_on, greedy = _band_greedy(problem, form, terms, on, band)
-    lowest = energy_on
-    order = np.argsort(-x_a[band], kind="stable")
-    P = lam = x = None       # Wolfe's vertices (rows), their weights and its point
-    iterations = greedy_calls = 0
-    status = None
-    while True:
-        q, energies = greedy(order)
-        greedy_calls += 1
-        lowest = min(lowest, float(energies.min(initial=math.inf)))
-        stalled = False
-        if x is None:
-            P, lam, x = q[None, :], np.ones(1), q
-        else:
-            # Wolfe's major cycle: add the vertex, then minor cycles until the
-            # affine minimizer of the kept vertices lies inside their hull
-            iterations += 1
-            P, lam = np.vstack([P, q]), np.append(lam, 0.0)
-            while True:
-                alpha = _affine_minimizer(P)
-                if alpha is None:
-                    stalled = True
-                    break
-                if (alpha > 0.0).all():
-                    lam, x = alpha, alpha @ P
-                    break
-                neg = alpha <= 0.0
-                ratio = np.zeros_like(lam)
-                np.divide(lam, lam - alpha, out=ratio, where=neg & (lam > alpha))
-                k = min(np.flatnonzero(neg).tolist(), key=ratio.item)
-                lam = ratio[k] * alpha + (1.0 - ratio[k]) * lam
-                lam[k] = 0.0
-                keep = lam > 0.0
-                P, lam = P[keep], lam[keep]
-        bound = energy_on + float(np.minimum(x, 0.0).sum())
-        closed = lowest - bound <= CERTIFICATE_RTOL * (1.0 + abs(lowest))
-        if status is None:
-            if energy - bound <= tol:
-                status = "certified"
-            elif lowest < energy - tol:
-                status = "refuted"
-        if (status == "certified" or (status == "refuted" and closed) or stalled
-                or iterations >= WOLFE_MAX_ITERATIONS):
-            break
-        order = np.argsort(x, kind="stable")
-    status = status or ("stalled" if stalled else "capped")
-    record.update(status=status, wolfe_iterations=iterations, greedy_calls=greedy_calls,
-                  lower_bound=bound, gap=energy - bound, best_support_energy=lowest,
-                  minimum=lowest if closed else None)
-    return record
+    records, runs = [], []
+    for i, (a, b) in enumerate(zip(x_a, x_b)):
+        on, band = np.nonzero(b > 0.0)[0], np.nonzero((a > 0.0) & (b <= 0.0))[0]
+        records.append(dict(status="unbracketed", band=int(band.shape[0]),
+                            fixed_on=int(on.shape[0]), wolfe_iterations=0, greedy_calls=0,
+                            lower_bound=None, gap=None, best_support_energy=None, minimum=None))
+        if not ((b > 0.0) & (a <= 0.0)).any():
+            runs.append({"i": i, "position": len(runs), "on": on, "band": band, "key": -a[band],
+                         "x": None, "iterations": 0, "calls": 0, "status": None, "stalled": False})
+    energy_on, greedy = _band_greedy(problem, form, [terms[r["i"]] for r in runs],
+                                     [r["on"] for r in runs], [r["band"] for r in runs])
+    for r, energy in zip(runs, energy_on.tolist()):
+        r["energy_on"] = r["lowest"] = energy
+    live = runs    # per run: Wolfe's vertices P (rows), their weights lam, its point x
+    while live:
+        grown = []
+        for pos in _groups([r["band"].shape[0] for r in live]):
+            group = [live[p] for p in pos]
+            q, prefix = greedy([r["position"] for r in group], np.argsort(
+                _stack([r["key"] for r in group]), axis=1, kind="stable"))
+            for r, q_r, low in zip(group, q, prefix.min(axis=1, initial=math.inf).tolist()):
+                r["calls"] += 1
+                r["lowest"] = min(r["lowest"], low)
+                if r["x"] is None:
+                    r["P"], r["lam"], r["x"] = q_r[None, :], np.ones(1), q_r
+                else:
+                    # Wolfe's major cycle: add the vertex, then minor cycles until the
+                    # affine minimizer of the kept vertices lies inside their hull
+                    r["iterations"] += 1
+                    r["P"] = np.concatenate([r["P"], q_r[None]])
+                    r["lam"] = np.concatenate([r["lam"], [0.0]])
+                    grown.append(r)
+        while grown:
+            cycling = []
+            for pos in _groups([r["P"].shape for r in grown]):
+                group = [grown[p] for p in pos]
+                P = _stack([r["P"] for r in group])
+                alphas, ok = _affine_minimizers(P)
+                inside = ok & (alphas > 0.0).all(axis=1)
+                points = iter((alphas[inside][:, None] @ P[inside])[:, 0])
+                for r, alpha, ok_r, inside_r in zip(group, alphas, ok, inside):
+                    r["stalled"] = not ok_r
+                    if inside_r:
+                        r["lam"], r["x"] = alpha, next(points)
+                    elif ok_r:
+                        lam, neg = r["lam"], alpha <= 0.0
+                        ratio = np.zeros_like(lam)
+                        np.divide(lam, lam - alpha, out=ratio, where=neg & (lam > alpha))
+                        k = min(np.flatnonzero(neg).tolist(), key=ratio.item)
+                        lam = ratio[k] * alpha + (1.0 - ratio[k]) * lam
+                        lam[k] = 0.0
+                        r["P"], r["lam"] = r["P"][lam > 0.0], lam[lam > 0.0]
+                        cycling.append(r)
+            grown = cycling
+        following = []
+        for r in live:
+            energy, lowest = energies[r["i"]], r["lowest"]
+            tol = CERTIFICATE_RTOL * (1.0 + abs(energy))
+            bound = r["energy_on"] + float(np.minimum(r["x"], 0.0).sum())
+            closed = lowest - bound <= CERTIFICATE_RTOL * (1.0 + abs(lowest))
+            if r["status"] is None and energy - bound <= tol:
+                r["status"] = "certified"
+            elif r["status"] is None and lowest < energy - tol:
+                r["status"] = "refuted"
+            if (r["status"] == "certified" or (r["status"] == "refuted" and closed)
+                    or r["stalled"] or r["iterations"] >= WOLFE_MAX_ITERATIONS):
+                records[r["i"]].update(
+                    status=r["status"] or ("stalled" if r["stalled"] else "capped"),
+                    wolfe_iterations=r["iterations"], greedy_calls=r["calls"],
+                    lower_bound=bound, gap=energy - bound, best_support_energy=lowest,
+                    minimum=lowest if closed else None)
+            else:
+                r["key"] = r["x"]
+                following.append(r)
+        live = following
+    return records
 
 
 def minimize(problem: ProblemSpec, n_restarts=4, seed=0, max_sweeps=DEFAULT_MAX_SWEEPS,
              form: QuadraticForm | None = None) -> MinimizeResult:
-    """Best of up to n_restarts coordinate descents from deterministic inits.
+    """Best of up to n_restarts coordinate descents from deterministic inits:
+    minimize_all of the one instance, with its seed."""
+    return minimize_all([problem], n_restarts, [seed], max_sweeps, form)[0]
+
+
+def minimize_all(problems, n_restarts, seeds, max_sweeps=DEFAULT_MAX_SWEEPS,
+                 form: QuadraticForm | None = None, terms=None) -> list:
+    """minimize's result for each of `problems`, which share kernel, grid,
+    rho, xi and phase, seeds[i] the seed of problems[i].
 
     Initializations: (a) the harmonic lifting of the exterior data, (b) the
     zero extension, (c) n_restarts - 2 random interior supports carrying the
@@ -748,59 +839,74 @@ def minimize(problem: ProblemSpec, n_restarts=4, seed=0, max_sweeps=DEFAULT_MAX_
     is by the lexicographic key (reduced exit energy, restart seed), so the
     lowest seed wins ties, and only the winner is finalized: its reported
     energy is its pairwise total_energy, the one pairwise evaluation per
-    call. The form is assembled unless given, and is returned on the result;
+    instance. _bound_states and _certify run the stack in lockstep, and each
+    result is its instance's alone, bit for bit.
+
+    The form is assembled (with problems[0]'s data) unless given, and is
+    returned on every result; terms[i] = exterior_terms(form,
+    problems[i].exterior_data) is computed, in one pass, unless given.
     CapacityError is raised when W_II, or the lifting's subsystem matrix,
-    exceeds the memory budget. A negative seed is a ConfigurationError.
+    exceeds the memory budget; a negative seed, a seed count other than the
+    instance count, and instances that differ in kernel, grid, rho, xi or
+    phase are ConfigurationErrors.
     """
     if n_restarts < 1:
         raise ConfigurationError(f"n_restarts must be at least 1, got {n_restarts}")
-    _check_seed(seed)
+    if len(seeds) != len(problems):
+        raise ConfigurationError(f"{len(seeds)} seeds for {len(problems)} instances")
+    for seed in seeds:
+        _check_seed(seed)
+    if not problems:
+        return []
+    first = problems[0]
+    if any(p.grid is not first.grid or (p.kernel, p.rho, p.xi, p.phase)
+           != (first.kernel, first.rho, first.xi, first.phase) for p in problems):
+        raise ConfigurationError("the instances must share kernel, grid, rho, xi and phase")
     if form is None:
-        form = assemble_form(problem.kernel, problem.grid, problem.exterior_data)
-    terms = exterior_terms(form, problem.exterior_data)
+        form = assemble_form(first.kernel, first.grid, first.exterior_data)
+    terms = terms or exterior_terms_all(form, [p.exterior_data for p in problems])
     rows = form.interior_idx
-    bounded = problem.phase == "one_phase" and problem.xi == 0.0
-    lifted = bounds = None
-    if bounded:
-        *states, bounds = _bound_states(problem, form, terms)
-        inits = [problem.exterior_data.copy() for _ in states]
-        for u0, x in zip(inits, states):
-            u0[rows] = x
-    else:
-        lifted = lifting_initialization(problem, form).values
-        inits = [lifted, problem.exterior_data]
-    results = [_descend(problem, u0, seed + k, max_sweeps, form, terms)
-               for k, u0 in enumerate(inits[:n_restarts])]
-
-    def rank(k):
-        return results[k][1], seed + k
-
-    certificate = None
+    bounded = first.phase == "one_phase" and first.xi == 0.0
+    states = _bound_states(first, form, terms) if bounded else [None] * len(problems)
+    lifted = [None if bounded else lifting_initialization(problem, form, kept).values
+              for problem, kept in zip(problems, terms)]
+    results = []
+    for problem, seed, kept, state, values in zip(problems, seeds, terms, states, lifted):
+        inits = [values, problem.exterior_data]
+        if bounded:
+            inits = [problem.exterior_data.copy(), problem.exterior_data.copy()]
+            inits[0][rows], inits[1][rows] = state[:2]
+        results.append([_descend(problem, u0, seed + k, max_sweeps, form, kept)
+                        for k, u0 in enumerate(inits[:n_restarts])])
+    certificates = [None] * len(problems)
     if n_restarts >= 3 and bounded:
-        certificate = _certify(problem, form, terms, results[0][0][rows], results[1][0][rows],
-                               results[min(range(2), key=rank)][1])
-    if certificate is None or certificate["status"] != "certified":
-        minimum = None if certificate is None else certificate["minimum"]
-        # the reduced exit energy that reaches the certified minimum, if any
-        reached = (-math.inf if minimum is None
-                   else minimum + CERTIFICATE_RTOL * (1.0 + abs(minimum)))
-        interior_idx = np.nonzero(problem.grid.interior)[0]
-        for k in range(2, n_restarts):
-            if lifted is None:
-                lifted = lifting_initialization(problem, form).values
-            rng = np.random.default_rng([seed, k])
-            mask = rng.random(interior_idx.shape[0]) < 0.5
-            values = problem.exterior_data.copy()
-            values[interior_idx[mask]] = lifted[interior_idx[mask]]
-            results.append(_descend(problem, values, seed + k, max_sweeps, form, terms))
-            if results[-1][1] <= reached:
-                break
-    best = min(range(len(results)), key=rank)
-    u, _, sweeps, converged = results[best]
-    result = _finalize(problem, form, u, sweeps, converged, seed + best,
-                       restarts_used=len(results), terms=terms)
-    result.certificate, result.bounds = certificate, bounds
-    return result
+        certificates = _certify(first, form, terms, [r[0][0][rows] for r in results],
+                                [r[1][0][rows] for r in results],
+                                [min(r[0][1], r[1][1]) for r in results])
+    out = []
+    for i, (problem, seed, kept, exits, certificate, state) in enumerate(
+            zip(problems, seeds, terms, results, certificates, states)):
+        if certificate is None or certificate["status"] != "certified":
+            minimum = None if certificate is None else certificate["minimum"]
+            # the reduced exit energy that reaches the certified minimum, if any
+            reached = (-math.inf if minimum is None
+                       else minimum + CERTIFICATE_RTOL * (1.0 + abs(minimum)))
+            interior_idx = np.nonzero(problem.grid.interior)[0]
+            for k in range(2, n_restarts):
+                if lifted[i] is None:
+                    lifted[i] = lifting_initialization(problem, form, kept).values
+                mask = np.random.default_rng([seed, k]).random(interior_idx.shape[0]) < 0.5
+                values = problem.exterior_data.copy()
+                values[interior_idx[mask]] = lifted[i][interior_idx[mask]]
+                exits.append(_descend(problem, values, seed + k, max_sweeps, form, kept))
+                if exits[-1][1] <= reached:
+                    break
+        best = min(range(len(exits)), key=lambda k: (exits[k][1], seed + k))
+        u, _, sweeps, converged = exits[best]
+        out.append(_finalize(problem, form, u, sweeps, converged, seed + best,
+                             restarts_used=len(exits), terms=kept))
+        out[-1].certificate, out[-1].bounds = certificate, state and state[2]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -923,40 +1029,44 @@ def _oracle_scan(energies, support):
 def oracle_minimize(problem: ProblemSpec, form: QuadraticForm | None = None) -> MinimizeResult:
     """Global discrete minimum by enumerating every interior support:
     oracle_minimize_all of the one instance."""
-    return oracle_minimize_all([problem], form)[0]
+    return next(oracle_minimize_all([problem], form))
 
 
-def oracle_minimize_all(problems, form: QuadraticForm | None = None, terms=None) -> list:
-    """The oracle's result for each of `problems`, which share kernel, grid,
-    rho, xi and phase: every interior support S is solved exactly with the
-    nodes off S pinned at 0, so the lowest candidate energy is the global
-    minimum (exactly for xi = 0 only). A later mask displaces the best only
-    when lower by more than 1e-10 relative energy; supports tied with the best
-    within that are all reported (_oracle_scan). One stacked pass scores the
-    candidates (_oracle_energies); the winner's energy is the pairwise one,
-    with terms[i] = exterior_terms(form, problems[i].exterior_data), computed
-    unless given. check_oracle refuses before any scoring; the form is
-    assembled unless given, and is returned on each result.
+def oracle_minimize_all(problems, form: QuadraticForm | None = None, terms=None):
+    """An iterator over the oracle's results for `problems`, which share
+    kernel, grid, rho, xi and phase: every interior support S is solved
+    exactly with the nodes off S pinned at 0, so the lowest candidate energy
+    is the global minimum (exactly for xi = 0 only). A later mask displaces
+    the best only when lower by more than 1e-10 relative energy; supports tied
+    with the best within that are all reported (_oracle_scan). One stacked
+    pass scores the candidates (_oracle_energies), and each result is built
+    as it is drawn; the winner's energy is the pairwise one, with terms[i] =
+    exterior_terms(form, problems[i].exterior_data), computed in one pass
+    unless given. check_oracle refuses at the call, before any scoring; the
+    form is assembled unless given, and is returned on each result.
     """
     if len({(p.rho, p.xi, p.phase) for p in problems}) != 1:
         raise ConfigurationError("the oracle's instances must share rho, xi and phase")
     form = check_oracle(problems[0], form)
-    terms = terms or [exterior_terms(form, p.exterior_data) for p in problems]
-    results = []
-    for problem, kept, energies in zip(problems, terms,
-                                       _oracle_energies(problems[0], form, terms)):
-        def support(mask):
-            rows, x = _oracle_solve(form.pinned_inverses, kept[0], mask)
-            return tuple(form.interior_idx[rows[x > problem.xi]].tolist())
+    terms = terms or exterior_terms_all(form, [p.exterior_data for p in problems])
 
-        best, ties = _oracle_scan(energies, support)
-        rows, x = _oracle_solve(form.pinned_inverses, kept[0], best)
-        values = problem.exterior_data.copy()
-        values[form.interior_idx[rows]] = x
-        results.append(_finalize(problem, form, values, sweeps=0, converged=True, seed=-1,
-                                 restarts_used=0, terms=kept))
-        results[-1].tied_supports = sorted(ties) if len(ties) > 1 else None
-    return results
+    def results():
+        for problem, kept, energies in zip(problems, terms,
+                                           _oracle_energies(problems[0], form, terms)):
+            def support(mask):
+                rows, x = _oracle_solve(form.pinned_inverses, kept[0], mask)
+                return tuple(form.interior_idx[rows[x > problem.xi]].tolist())
+
+            best, ties = _oracle_scan(energies, support)
+            rows, x = _oracle_solve(form.pinned_inverses, kept[0], best)
+            values = problem.exterior_data.copy()
+            values[form.interior_idx[rows]] = x
+            result = _finalize(problem, form, values, sweeps=0, converged=True, seed=-1,
+                               restarts_used=0, terms=kept)
+            result.tied_supports = sorted(ties) if len(ties) > 1 else None
+            yield result
+
+    return results()
 
 
 def rho_sweep_minimize(problem: ProblemSpec, rhos, n_restarts=4, seed=0,

@@ -14,6 +14,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -561,11 +562,12 @@ class TestRefineCommand:
 
 
 def record_minimize(monkeypatch):
-    """Record every minimize call the CLI makes: an oracle-compare run that
-    the oracle refuses refuses before the first."""
+    """Record every minimize_all call the CLI makes, which solves all of
+    oracle-compare's instances: an oracle-compare run that the oracle refuses
+    refuses before it."""
     calls = []
-    real = nlfb.cli.minimize
-    monkeypatch.setattr(nlfb.cli, "minimize",
+    real = nlfb.cli.minimize_all
+    monkeypatch.setattr(nlfb.cli, "minimize_all",
                         lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
     return calls
 
@@ -633,9 +635,10 @@ class TestOracleCompareCommand:
     def test_each_instance_runs_at_most_one_exterior_pass(self, tmp_path, monkeypatch):
         # the form is assembled once, and the oracle's pinned inverses, which
         # depend only on the form, are built for all instances before the
-        # first solve; each instance's data then takes one pass of the pair
-        # formula over the interior-exterior pairs, which minimize, the
-        # lifting, the stacked oracle and both pairwise energies share
+        # first solve; the data of all instances then takes one pass of the
+        # pair formula over the interior-exterior pairs, whose terms
+        # minimize_all, the lifting, the stacked oracle and both pairwise
+        # energies share
         calls = []
         real = nlfb.energy._weight_rows
         real_inverses = nlfb.solver._pinned_inverses
@@ -654,7 +657,28 @@ class TestOracleCompareCommand:
                                                             "oracle.restarts = 4\n"))
         rows = oracle_compare_instances(cfg, 3)
         assert len(rows) == 5 and all(r["agree"] for r in rows)
-        assert calls == ["assembly", "pinned inverses"] + ["exterior pass"] * 5
+        assert calls == ["assembly", "pinned inverses", "exterior pass"]
+
+    def test_memory_grows_with_the_instances_only_by_the_rows(self, tmp_path):
+        # blocks of ORACLE_STACK instances are solved in turn, and the
+        # oracle's results stream into the rows: from 50 to 400 instances
+        # the call's tracemalloc peak grows by no more than the rows it
+        # returns (each row keeps its minimize result)
+        growth = []
+        for n in (50, 400):
+            cfg = parse_config(write_cfg(tmp_path, ORACLE_CFG + f"oracle.instances = {n}\n"
+                                                                "oracle.restarts = 20\n"))
+            oracle_compare_instances(cfg, 1)     # numpy's first calls allocate for good
+            tracemalloc.start()
+            try:
+                rows = oracle_compare_instances(cfg, 7)
+                growth.append(tracemalloc.get_traced_memory())
+            finally:
+                tracemalloc.stop()
+            assert len(rows) == n
+            del rows
+        (kept_50, peak_50), (kept_400, peak_400) = growth
+        assert 0 < peak_400 - peak_50 <= 1.1 * (kept_400 - kept_50)
 
     def test_capacity_limit_exit_code(self, tmp_path, capsys, monkeypatch):
         calls = record_minimize(monkeypatch)

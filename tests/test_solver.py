@@ -42,7 +42,7 @@ from nlfb.solver import (CERTIFICATE_RTOL, CG_TOL, DEFAULT_MAX_SWEEPS, EPS_STOP_
                          _band_greedy, _certify, _best_response, _bound_states, _descend,
                          _finalize, _free_mask, _oracle_energies, _oracle_scan, _oracle_solve,
                          _pcg, _pinned_inverses, _polish, _solve_free, _subsystem, _sweep, _visit,
-                         check_oracle, oracle_minimize_all)
+                         check_oracle, minimize_all, oracle_minimize_all)
 
 from conftest import (family_kernel, random_field_values, reference_exterior_rows,
                       reference_exterior_term, reference_row)
@@ -900,7 +900,7 @@ def test_stacked_oracle_matches_the_reference_per_instance(phase, lattice, size,
     problems = [ProblemSpec(kernel, grid, datas[k], rho=rho, phase=phase) for k in stack]
     with patch.object(nlfb.solver, "ORACLE_BLOCK", block), \
             patch.object(nlfb.solver, "ORACLE_CHUNK", chunk):
-        got = oracle_minimize_all(problems, form)
+        got = list(oracle_minimize_all(problems, form))
     assert len(got) == size
     want = {}
     for k, res in zip(stack.tolist(), got):
@@ -908,6 +908,23 @@ def test_stacked_oracle_matches_the_reference_per_instance(phase, lattice, size,
             want[k] = reference_oracle(problems[stack.tolist().index(k)], form)
         assert_same_oracle_result(res, want[k])
         assert res.form is form
+
+
+def test_stacked_oracle_builds_each_result_as_it_is_drawn(monkeypatch):
+    # the refusal comes at the call; the results come one at a time, each
+    # finalized when it is drawn
+    rng = np.random.default_rng(173)
+    base = four_interior_problem(rng)
+    problems = [replace(base, exterior_data=4.0 * base.exterior_data * k) for k in range(3)]
+    finalized = []
+    real = nlfb.solver._finalize
+    monkeypatch.setattr(nlfb.solver, "_finalize",
+                        lambda *args, **kwargs: finalized.append(1) or real(*args, **kwargs))
+    results = oracle_minimize_all(problems)
+    assert finalized == []
+    first = next(results)
+    assert len(finalized) == 1 and first.energy.total == 0.0
+    assert len(list(results)) == 2 and len(finalized) == 3
 
 
 def test_stacked_oracle_refuses_instances_that_differ():
@@ -1055,7 +1072,8 @@ def test_one_phase_exact_solves_are_nonnegative(family, s, block, amplitude, h, 
                                                0.0, xi)
         values[interior_idx[free]] = rng.uniform(0.0, 1.0, np.count_nonzero(free))
         rows = np.nonzero(free)[0]
-        solved = _solve_free(form, rows, values[interior_idx], form.exterior_dots(values, rows))
+        solved = _solve_free(form, rows, values[interior_idx],
+                             exterior_terms(form, values)[0][rows])
         assert np.all(solved >= 0.0)
     # the oracle's pinned solves hold the off nodes at 0 whatever xi is
     X, _ = oracle_candidates(replace(problem, xi=0.0), form)
@@ -1086,7 +1104,7 @@ def test_minimize_never_below_oracle_and_oracle_solves_its_support(seed, h, phas
     if free.size:
         form = oracle.form
         rows = form.row_of[free]
-        A, b = _subsystem(form, rows, u[form.interior_idx], form.exterior_dots(u, rows))
+        A, b = _subsystem(form, rows, u[form.interior_idx], exterior_terms(form, u)[0][rows])
         assert np.max(np.abs(A @ u[free] - b)) <= 1e-12 * (1.0 + np.max(np.abs(b)))
 
 
@@ -1206,7 +1224,6 @@ def test_exterior_terms_are_kept_for_the_last_exterior_values(monkeypatch, grid_
     assert passes == [0]
     kept = exterior_terms(form, g)
     assert exterior_terms(form, g + np.where(grid_1d_small.interior, 1.0, 0.0)) is kept
-    assert form.exterior_dots(g, range(n_int)).tobytes() == kept[0].tobytes()
     assert passes == [0]
     other = exterior_terms(form, 2.0 * g)
     assert exterior_terms(form, 2.0 * g) is other and passes == [0, n_int]
@@ -1284,7 +1301,7 @@ def test_bounds_record_is_in_the_result(phase, xi):
             assert res.bounds is None and record is None
             continue
         assert record == res.bounds == _bound_states(
-            problem, form, exterior_terms(form, problem.exterior_data))[2]
+            problem, form, [exterior_terms(form, problem.exterior_data)])[0][2]
         assert set(record) == {"a", "b"}
         assert all(set(r) == {"steps", "support"} for r in record.values())
         assert 0 <= record["b"]["support"] <= record["a"]["support"] <= 4
@@ -1312,7 +1329,7 @@ def test_bound_states_use_no_more_memory_than_the_lifting():
     tracemalloc.start()
     try:
         for run in (lambda: lifting_initialization(problem, form),
-                    lambda: _bound_states(problem, form, terms)):
+                    lambda: _bound_states(problem, form, [terms])[0]):
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             out = run()
@@ -1332,7 +1349,7 @@ def test_bound_states_trace_the_growth_fronts():
     data = np.where(~grid.interior & (x >= 1.0) & (x <= 2.0), 0.35, 0.0)
     problem = ProblemSpec(fractional_kernel(0.5), grid, data, rho=0.1)
     form = assemble_form(problem.kernel, grid, data)
-    *_, record = _bound_states(problem, form, exterior_terms(form, data))
+    *_, record = _bound_states(problem, form, [exterior_terms(form, data)])[0]
     assert record == {"a": {"steps": 363, "support": 438}, "b": {"steps": 233, "support": 301}}
 
 
@@ -1352,7 +1369,7 @@ def test_minimize_finalizes_only_the_winner(monkeypatch, n_restarts, phase):
     lo = 0.0 if phase == "one_phase" else -1.0
     data = np.where(grid.interior, 0.0, rng.uniform(lo, 1.0, grid.n_nodes))
     problem = ProblemSpec(kernel, grid, data, rho=0.05, phase=phase)
-    calls = dict.fromkeys(("total_energy", "exterior_terms"), 0)
+    calls = dict.fromkeys(("total_energy", "exterior_terms_all"), 0)
 
     def counted(name, real):
         def call(*args, **kwargs):
@@ -1373,7 +1390,7 @@ def test_minimize_finalizes_only_the_winner(monkeypatch, n_restarts, phase):
     monkeypatch.setattr(nlfb.solver, "_descend", descend)
     res = minimize(problem, n_restarts=n_restarts, seed=11, form=form)
     monkeypatch.undo()
-    assert calls == {"total_energy": 1, "exterior_terms": 1}
+    assert calls == {"total_energy": 1, "exterior_terms_all": 1}
     assert res.restarts_used == n_restarts
     assert sorted(seed for seed, _, _ in exits) == list(range(11, 11 + n_restarts))
     best = min(energy for _, _, energy in exits)
@@ -1418,7 +1435,7 @@ def bound_inits(problem, form):
     states of _bound_states, (a) then (b), as node values."""
     terms = exterior_terms(form, problem.exterior_data)
     inits = [problem.exterior_data.copy(), problem.exterior_data.copy()]
-    for u0, x in zip(inits, _bound_states(problem, form, terms)):
+    for u0, x in zip(inits, _bound_states(problem, form, [terms])[0]):
         u0[form.interior_idx] = x
     return inits
 
@@ -1528,6 +1545,11 @@ def test_restarts_that_miss_the_certified_minimum_all_run(monkeypatch):
     assert_same_restart_result(res, every_restart(problem, 20, seed, form))
 
 
+def singular_affine_steps(P):
+    """_affine_minimizers with every affine system of the stack singular."""
+    return np.zeros(P.shape[:2]), np.zeros(P.shape[0], dtype=bool)
+
+
 @pytest.mark.parametrize("blocked", ["capped", "stalled"])
 def test_a_refutation_that_cannot_close_runs_every_restart(monkeypatch, blocked):
     # instance 10 is refuted at the first greedy call and closes after 13
@@ -1538,7 +1560,7 @@ def test_a_refutation_that_cannot_close_runs_every_restart(monkeypatch, blocked)
     if blocked == "capped":
         monkeypatch.setattr(nlfb.solver, "WOLFE_MAX_ITERATIONS", 0)
     else:
-        monkeypatch.setattr(nlfb.solver, "_affine_minimizer", lambda P: None)
+        monkeypatch.setattr(nlfb.solver, "_affine_minimizers", singular_affine_steps)
     exits = record_descents(monkeypatch)
     res = minimize(problem, n_restarts=5, seed=11, form=form)
     monkeypatch.undo()
@@ -1596,20 +1618,20 @@ def test_certificate_statuses_that_decide_nothing(monkeypatch):
     assert (cert["status"], cert["wolfe_iterations"]) == ("certified", 3)
     energy = min(nlfb.solver.reduced_energy(form, x, problem.rho, 0.0, terms) for x in (x_a, x_b))
 
-    swapped = _certify(problem, form, terms, x_b, x_a, energy)
+    swapped = _certify(problem, form, [terms], [x_b], [x_a], [energy])[0]
     assert swapped["status"] == "unbracketed"
     assert (swapped["greedy_calls"], swapped["lower_bound"], swapped["gap"],
             swapped["best_support_energy"], swapped["minimum"]) == (0, None, None, None, None)
 
     monkeypatch.setattr(nlfb.solver, "WOLFE_MAX_ITERATIONS", 0)
-    capped = _certify(problem, form, terms, x_a, x_b, energy)
+    capped = _certify(problem, form, [terms], [x_a], [x_b], [energy])[0]
     assert (capped["status"], capped["wolfe_iterations"], capped["greedy_calls"],
             capped["minimum"]) == ("capped", 0, 1, None)
     assert minimize(problem, n_restarts=5, seed=11, form=form).restarts_used == 5
     monkeypatch.undo()
 
-    monkeypatch.setattr(nlfb.solver, "_affine_minimizer", lambda P: None)
-    stalled = _certify(problem, form, terms, x_a, x_b, energy)
+    monkeypatch.setattr(nlfb.solver, "_affine_minimizers", singular_affine_steps)
+    stalled = _certify(problem, form, [terms], [x_a], [x_b], [energy])[0]
     assert (stalled["status"], stalled["wolfe_iterations"], stalled["greedy_calls"],
             stalled["minimum"]) == ("stalled", 1, 2, None)
     assert stalled["lower_bound"] == capped["lower_bound"] < energy
@@ -1657,9 +1679,9 @@ def test_certificate_agrees_with_the_oracle(family, s, block, amplitude, lattice
 
     on = rng.random(m) < 0.3
     band = np.nonzero(~on & (rng.random(m) < 0.8))[0]
-    energy_on, greedy = _band_greedy(problem, form, terms, np.nonzero(on)[0], band)
+    (energy_on,), greedy = _band_greedy(problem, form, [terms], [np.nonzero(on)[0]], [band])
     order = rng.permutation(band.shape[0])
-    _, prefix = greedy(order)
+    _, (prefix,) = greedy([0], order[None])
     mask = mask_of(np.nonzero(on)[0])
     assert abs(energy_on - energies[mask]) <= 1e-12 * abs(energies[mask])
     for k, position in enumerate(order):
@@ -1717,7 +1739,7 @@ def test_bound_states_are_the_descent_exits_and_bracket_the_oracle(family, s, bl
     m = rows.shape[0]
     assert m <= 10
     lifted = lifting_initialization(problem, form).values
-    x_a, x_b, record = _bound_states(problem, form, terms)
+    x_a, x_b, record = _bound_states(problem, form, [terms])[0]
     assert (x_a >= 0.0).all() and (x_b >= 0.0).all()
     descend_seed = seed % 1000
     for k, (init, state, name) in enumerate(((lifted, x_a, "a"), (data, x_b, "b"))):
@@ -1746,6 +1768,129 @@ def test_bound_states_are_the_descent_exits_and_bracket_the_oracle(family, s, bl
     found = mask_of(oracle.field.values[rows] > 0.0)
     for support in (least, found):
         assert supp_b & ~support == 0 and support & ~supp_a == 0
+
+
+# --------------------------------------- minimize_all: oracle-compare's stacks
+
+def assert_same_as_alone(got, alone):
+    """A stacked instance's result is its result alone, bit for bit."""
+    assert np.array_equal(got.support, alone.support) and got.bounds == alone.bounds
+    assert (got.certificate or {}).get("status") == (alone.certificate or {}).get("status")
+    assert (got.restarts_used, got.best_restart_seed) == (alone.restarts_used,
+                                                          alone.best_restart_seed)
+    assert abs(got.energy.total - alone.energy.total) <= 1e-14 * abs(alone.energy.total)
+    assert json.dumps(got.to_dict()) == json.dumps(alone.to_dict())
+
+
+@settings(max_examples=100, deadline=None)
+@given(family=st.sampled_from(("fractional_laplacian", "modulated", "checkerboard",
+                               "custom_table")),
+       phase=st.sampled_from(PHASES),
+       lattice=st.sampled_from([(1, 0.25), (1, 0.16), (1, 0.125), (1, 0.1), (2, 0.25)]),
+       s=st.floats(0.05, 0.95), block=st.floats(0.1, 1.0), size=st.integers(1, 8),
+       distinct=st.integers(1, 8), zero=st.booleans(), log_rho=st.floats(-3.0, 0.5),
+       n_restarts=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_minimize_matches_each_instance_alone(family, phase, lattice, s, block, size,
+                                                      distinct, zero, log_rho, n_restarts, seed):
+    # stacks of 1 to 8 instances on one form, 4 to 10 interior nodes in 1D
+    # and 2D, with planted duplicates (the same data again, with another
+    # seed) and, with `zero`, an instance of zero data, whose L and band are
+    # empty: each result, and in one_phase each bound state, is that of the
+    # instance alone, bit for bit
+    dim, h = lattice
+    grid = enumerate_lattice(dim, h, 1.5 if dim == 1 else 1.0, 0.5 if dim == 1 else 0.35)
+    kernel = family_kernel(family, dim, s, block)
+    form = assemble_form(kernel, grid)
+    rng = np.random.default_rng(seed)
+    lo = 0.0 if phase == "one_phase" else -1.0
+    datas = [np.where(grid.interior, 0.0, rng.uniform(lo, 1.0, grid.n_nodes))
+             for _ in range(min(size, distinct))]
+    if zero:
+        datas[-1] = np.zeros(grid.n_nodes)
+    repeats = rng.integers(len(datas), size=size - len(datas))
+    stack = rng.permutation(np.concatenate([np.arange(len(datas)), repeats]))
+    problems = [ProblemSpec(kernel, grid, datas[k], rho=10.0 ** log_rho, phase=phase)
+                for k in stack]
+    seeds = [seed % 1000 + 3 * k for k in range(size)]
+    got = minimize_all(problems, n_restarts, seeds, form=form)
+    assert len(got) == size
+    for problem, seed_k, res in zip(problems, seeds, got):
+        assert_same_as_alone(res, minimize(problem, n_restarts, seed_k, form=form))
+        assert res.form is form
+    if phase == "one_phase":
+        terms = [exterior_terms(form, problem.exterior_data) for problem in problems]
+        for state, kept in zip(_bound_states(problems[0], form, terms), terms):
+            alone = _bound_states(problems[0], form, [kept])[0]
+            assert state[0].tobytes() == alone[0].tobytes()
+            assert state[1].tobytes() == alone[1].tobytes() and state[2] == alone[2]
+
+
+@pytest.mark.parametrize("blocked", [None, "capped", "stalled"])
+def test_a_mixed_stack_matches_each_instance_alone(monkeypatch, blocked):
+    # oracle-compare's scale: 24 ten-node instances, two of them again with
+    # other seeds, and one of zero data. They certify with and without a
+    # band or an L, or are refuted; without Wolfe iterations most stay
+    # capped, and with every affine step singular they stall. Each result
+    # is that of the instance alone, bit for bit, and so is each stacked
+    # certificate of exits swapped to be unbracketed.
+    base = one_phase_oracle_instance(0)
+    problems = [replace(base, exterior_data=one_phase_oracle_instance(t).exterior_data)
+                for t in range(24)]
+    problems += [problems[0], problems[10], replace(base, exterior_data=0.0 * base.exterior_data)]
+    seeds = list(range(11, 11 + 7 * len(problems), 7))
+    form = assemble_form(base.kernel, base.grid)
+    if blocked == "capped":
+        monkeypatch.setattr(nlfb.solver, "WOLFE_MAX_ITERATIONS", 0)
+    elif blocked == "stalled":
+        monkeypatch.setattr(nlfb.solver, "_affine_minimizers", singular_affine_steps)
+    got = minimize_all(problems, 5, seeds, form=form)
+    for problem, seed, res in zip(problems, seeds, got):
+        assert_same_as_alone(res, minimize(problem, 5, seed, form=form))
+    records = [res.certificate for res in got]
+    statuses = {None: {"certified", "refuted"}, "capped": {"capped", "certified", "refuted"},
+                "stalled": {"certified", "refuted", "stalled"}}
+    assert {r["status"] for r in records} == statuses[blocked]
+    assert any(r["band"] == 0 for r in records) and any(r["fixed_on"] == 0 for r in records)
+    terms = [exterior_terms(form, problem.exterior_data) for problem in problems]
+    states = []
+    for k, (problem, seed, kept) in enumerate(zip(problems, seeds, terms)):
+        x_a, x_b = (_descend(problem, u0, seed + j, DEFAULT_MAX_SWEEPS, form, kept)[0][
+            form.interior_idx] for j, u0 in enumerate(bound_inits(problem, form)))
+        states.append((x_b, x_a) if k % 2 else (x_a, x_b))
+    energies = [res.energy.total for res in got]
+    stacked = _certify(base, form, terms, [a for a, _ in states], [b for _, b in states],
+                       energies)
+    assert "unbracketed" in {r["status"] for r in stacked}
+    for record, kept, (x_a, x_b), energy in zip(stacked, terms, states, energies):
+        assert record == _certify(base, form, [kept], [x_a], [x_b], [energy])[0]
+
+
+def test_one_singular_affine_system_leaves_the_others_to_their_solve():
+    # two vertex sets: the second has a repeated vertex, so its affine system
+    # is singular and the stacked solve raises; the first is then solved on
+    # its own, with the bits of its solve alone
+    rng = np.random.default_rng(167)
+    P = rng.uniform(-1.0, 1.0, (2, 3, 5))
+    P[1, 2] = P[1, 0]
+    alpha, ok = nlfb.solver._affine_minimizers(P)
+    assert ok.tolist() == [True, False]
+    alone, ok_alone = nlfb.solver._affine_minimizers(P[:1])
+    assert ok_alone.tolist() == [True] and alpha[0].tobytes() == alone[0].tobytes()
+    assert math.isclose(float(alpha[0].sum()), 1.0)
+
+
+def test_minimize_all_refuses_instances_that_differ():
+    problem = four_interior_problem(np.random.default_rng(149))
+    grid = enumerate_lattice(1, 0.25, 1.5, 0.5)
+    assert grid.n_nodes == problem.grid.n_nodes and grid is not problem.grid
+    for other in (replace(problem, rho=2.0 * problem.rho), replace(problem, xi=0.05),
+                  replace(problem, phase="two_phase"), replace(problem, grid=grid),
+                  replace(problem, kernel=fractional_kernel(0.3))):
+        with pytest.raises(ConfigurationError, match="share kernel, grid, rho, xi and phase"):
+            minimize_all([problem, other], 2, [0, 1])
+    with pytest.raises(ConfigurationError, match="1 seeds for 2 instances"):
+        minimize_all([problem, problem], 2, [0])
+    assert minimize_all([], 2, []) == []
 
 
 def test_minimize_not_worse_than_any_initialization():
