@@ -35,6 +35,10 @@ most _ROW_BLOCK rows, which rounds exactly like one np.dot per row (not like
 gemv or einsum) while bounding the temporaries to one block; a range of rows
 (all rows, in reduced_energy and the analysis) is read as slices of W_II,
 which copies nothing, and a range within one block as a single np.vecdot.
+The reduced and the pairwise energies also run on a stack of states in one
+pass (reduced_energies, dirichlet_energies, total_energies): a stacked
+np.vecdot row dot and a tree_sum over 2-D rows give each row the bits of its
+own call, so each state's energy is that of its one-entry call.
 """
 
 from __future__ import annotations
@@ -51,6 +55,9 @@ from .kernel import KernelSpec, pair_kernel
 _TREE_BLOCK = 64
 _ROW_BLOCK = 64
 _EVAL_ROWS = 16
+# values per block of a stacked pass: as many entries at a time as fit, and at
+# least one (dirichlet_energies; the solver's stacked polish)
+STACK_BLOCK = 1 << 16
 # Largest allocation, in bytes, of W_II, a subsystem matrix, the oracle's pinned
 # inverses or all-pairs arrays.
 MEMORY_BUDGET_BYTES = 256 * 2 ** 20
@@ -89,20 +96,27 @@ def rowwise_dots(matrix, rows, v) -> np.ndarray:
     """np.dot(matrix[k], v) for each k in rows, with the rounding of one np.dot
     per row (the sweep's), not gemv's, _ROW_BLOCK rows at a time. A range of
     rows, or more than _ROW_BLOCK consecutive ascending ones, is read as slices
-    of matrix (a range within one block as one slice); other rows are gathered."""
+    of matrix (a range within one block as one slice); other rows are gathered.
+    A stack v (B, n) gives a row of dots per entry, with the same rows or, for
+    rows (B, k), with its own rows (read as slices when B = 1); each row dot
+    has the bits of its own call."""
     if isinstance(rows, range) and rows.step == 1 and len(rows) <= _ROW_BLOCK:
-        return np.vecdot(matrix[rows.start:rows.stop], v)
+        return np.vecdot(matrix[rows.start:rows.stop], v[..., None, :])
     if not (isinstance(rows, range) and rows.step == 1):
         rows = np.asarray(rows, dtype=np.int64)
-        n = rows.shape[0]
-        if n > _ROW_BLOCK and rows[n - 1] - rows[0] == n - 1 and np.all(np.diff(rows) == 1):
-            rows = range(int(rows[0]), int(rows[-1]) + 1)
+        line, n = rows.reshape(-1), rows.shape[-1]
+        if (line.shape[0] == n > _ROW_BLOCK and line[n - 1] - line[0] == n - 1
+                and np.all(np.diff(line) == 1)):
+            rows = range(int(line[0]), int(line[-1]) + 1)
     if isinstance(rows, range):
         blocks = (matrix[k:min(k + _ROW_BLOCK, rows.stop)]
                   for k in range(rows.start, rows.stop, _ROW_BLOCK))
     else:
-        blocks = (matrix[rows[k:k + _ROW_BLOCK]] for k in range(0, rows.shape[0], _ROW_BLOCK))
-    return np.concatenate([np.vecdot(block, v) for block in blocks] or [np.zeros(0)])
+        blocks = (matrix[rows[..., k:k + _ROW_BLOCK]]
+                  for k in range(0, rows.shape[-1], _ROW_BLOCK))
+    dots = [np.vecdot(block, v[..., None, :]) for block in blocks]
+    return dots[0] if len(dots) == 1 else np.concatenate(
+        dots or [np.zeros(v.shape[:-1] + (0,))], axis=-1)
 
 
 @dataclass
@@ -225,22 +239,35 @@ def dirichlet_energy(form: QuadraticForm, field: Field, terms=None) -> float:
     stored rows. The interior pairs are summed pairwise over W_II, each at 1/2
     since both rows see it; the exterior pairs of row i add
     a_E,i u_i^2 - 2 u_i b_i, and c once, from terms = exterior_terms of u's
-    exterior values, computed unless given."""
+    exterior values, computed unless given. The one-entry case of
+    dirichlet_energies."""
     if field.grid is not form.grid and field.grid.n_nodes != form.grid.n_nodes:
         raise ConfigurationError("field and form live on different grids")
-    n_int = form.dense.shape[0]
     b_I, c = terms or exterior_terms(form, field.values)
-    x = field.values[form.interior_idx]
-    block = np.empty((min(_ROW_BLOCK, n_int), n_int))   # reused per row block
-    dots = []
-    for k in range(0, n_int, _ROW_BLOCK):
-        rows = form.dense[k:k + _ROW_BLOCK]
-        diff = block[:rows.shape[0]]
-        np.subtract(x[k:k + rows.shape[0], None], x, out=diff)
-        np.square(diff, out=diff)
-        diff *= 0.5
-        dots.append(np.vecdot(rows, diff))
-    per_row = np.concatenate(dots or [np.zeros(0)])
+    return dirichlet_energies(form, field.values[form.interior_idx][None], b_I[None],
+                              np.array([c])).item()
+
+
+def dirichlet_energies(form: QuadraticForm, x, b_I, c) -> np.ndarray:
+    """dirichlet_energy of each row of the interior values x (B, n_int), by
+    stored row, with exterior terms b_I (B, n_int) and c (B,), each with the
+    bits of its own call. Each row block of W_II meets as many entries at a
+    time as keep the reused (entries, rows, n_int) block within STACK_BLOCK
+    values, and at least one."""
+    n_int = form.dense.shape[0]
+    block_rows = min(_ROW_BLOCK, n_int)
+    step = max(1, STACK_BLOCK // max(1, block_rows * n_int))
+    block = np.empty((min(step, x.shape[0]), block_rows, n_int))   # reused per row block
+    per_row = np.empty(x.shape)
+    for start in range(0, x.shape[0], step):
+        x_s = x[start:start + step]
+        for k in range(0, n_int, _ROW_BLOCK):
+            rows = form.dense[k:k + _ROW_BLOCK]
+            diff = block[:x_s.shape[0], :rows.shape[0]]
+            np.subtract(x_s[:, k:k + rows.shape[0], None], x_s[:, None, :], out=diff)
+            np.square(diff, out=diff)
+            diff *= 0.5
+            np.vecdot(rows, diff, out=per_row[start:start + step, k:k + rows.shape[0]])
     per_row += x * (form.exterior_row_sums * x - 2.0 * b_I)
     return tree_sum(per_row) + c
 
@@ -269,15 +296,28 @@ def support_mask(grid: Grid, field: Field, xi) -> np.ndarray:
 
 
 def total_energy(form: QuadraticForm, field: Field, rho, xi, terms=None) -> EnergyBreakdown:
-    """Dirichlet part (terms: see dirichlet_energy) plus rho * h^d * #{interior u > xi}."""
+    """Dirichlet part (terms: see dirichlet_energy) plus rho * h^d * #{interior u > xi}:
+    the one-entry case of total_energies."""
+    if field.grid is not form.grid and field.grid.n_nodes != form.grid.n_nodes:
+        raise ConfigurationError("field and form live on different grids")
+    return total_energies(form, field.values[None], rho, xi,
+                          [terms or exterior_terms(form, field.values)])[0]
+
+
+def total_energies(form: QuadraticForm, u, rho, xi, terms) -> list:
+    """total_energy of each row of the node values u (B, N), terms[i] =
+    exterior_terms of row i's exterior values: one stacked dirichlet_energies
+    pass, each breakdown with the bits of its own call."""
     if rho < 0.0:
         raise ConfigurationError(f"rho must be nonnegative, got {rho}")
     if not math.isfinite(xi):
         raise ConfigurationError(f"xi must be finite, got {xi}")
-    dirichlet = dirichlet_energy(form, field, terms)
-    count = int(np.count_nonzero(support_mask(form.grid, field, xi)))
-    volume = rho * form.grid.cell_measure * count
-    return EnergyBreakdown(dirichlet, volume, dirichlet + volume, count)
+    x = u.take(form.interior_idx, axis=1)
+    dirichlet = dirichlet_energies(form, x, np.array([b for b, _ in terms]),
+                                   np.array([c for _, c in terms]))
+    rho_cell = rho * form.grid.cell_measure
+    return [EnergyBreakdown(d, rho_cell * k, d + rho_cell * k, k) for d, k in
+            zip(dirichlet.tolist(), np.add.reduce(x > xi, axis=1).tolist())]
 
 
 def exterior_terms(form: QuadraticForm, g):
@@ -323,7 +363,8 @@ def exterior_terms_all(form: QuadraticForm, gs) -> list:
 def reduced_energy(form: QuadraticForm, x, rho, xi, terms) -> float:
     """total_energy(form, u, rho, xi).total, to rounding, from the reduced form,
     for the field u with interior values x (by stored row, x = u[interior_idx])
-    and exterior values g, where terms = exterior_terms(form, g).
+    and exterior values g, where terms = exterior_terms(form, g): the
+    one-entry case of reduced_energies.
 
     W u = W_II x + b_I on the interior rows, so the Dirichlet part is
     x . (a_I x - W_II x - 2 b_I) + c: one row dot of length n_int per stored
@@ -331,12 +372,19 @@ def reduced_energy(form: QuadraticForm, x, rho, xi, terms) -> float:
     not depend on thread count.
     """
     b_I, c = terms
-    n_int = x.shape[0]
-    factor = form.row_sums * x - rowwise_dots(form.dense, range(n_int), x)
+    return reduced_energies(form, x[None], rho, xi, b_I[None], np.array([c])).item()
+
+
+def reduced_energies(form: QuadraticForm, x, rho, xi, b_I, c) -> np.ndarray:
+    """reduced_energy of each row of the interior values x (B, n_int), with
+    exterior terms b_I (B, n_int) and c (B,): one pass over W_II's rows for
+    the stack, each energy with the bits of its own call (rows are made
+    contiguous: a strided row rounds its dots differently)."""
+    x = np.ascontiguousarray(x)
+    factor = form.row_sums * x - rowwise_dots(form.dense, range(x.shape[-1]), x)
     factor -= 2.0 * b_I
     dirichlet = tree_sum(x * factor) + c
-    count = int(np.count_nonzero(x > xi))
-    return dirichlet + rho * form.grid.cell_measure * count
+    return dirichlet + rho * form.grid.cell_measure * np.add.reduce(x > xi, axis=-1)
 
 
 def tail(field: Field, x0, R, s) -> float:

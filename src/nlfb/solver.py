@@ -28,24 +28,31 @@ and after at most POLISH_PERIOD sweeps. This preserves every contract of the
 sweep loop (monotone energy, same stopping rule) while reaching linear-solver
 accuracy on the final support, which the stationarity diagnostics require.
 The energy is recomputed only at the start and at polish boundaries, on the
-reduced form over interior values (nlfb.energy.reduced_energy), where the
+reduced form over interior values (nlfb.energy.reduced_energies), where the
 tracked energy must match it to 1e-9 * (1 + |energy|), and a descent exits
 with the reduced energy checked at its last boundary. The reported energy is
 the exit state's pairwise total_energy, evaluated once per result.
+Descents run as a stack in lockstep (_descend_all), one batch of sweeps
+each per round: every descent sweeps alone, in its own seeded order, while
+each round's boundary energies, drift and rise checks and polishes
+(_polish_all, grouped by free-set size) are one numpy call over the live
+descents; a single descent is the one-entry stack.
 
-Restarts run coordinate descent from deterministic initializations, one
-after another in seed order, sharing one exterior_terms, and reduce by the
-lexicographic key (reduced exit energy, restart seed); only the winner is
-finalized, so minimize evaluates the pairwise total_energy once. minimize is
-the one-instance case of minimize_all, whose instances share the form: the
-descents run per instance, while _bound_states and _certify run the stack in
-lockstep, each step's solves, greedy vertices and Wolfe steps one batched
-call per group of instances whose operands share shapes (_groups). A batched
-call runs each instance's own BLAS or LAPACK call, so each instance keeps
-the bits of its solve alone. A brute-force oracle enumerates all interior
-supports (capacity-capped, xi = 0 only) for ground truth. Its pinned systems
-A_SS depend only on the form, so their stacked inverses, one stack per
-support size, are computed once per form and kept on it (_pinned_inverses).
+Restarts run coordinate descent from deterministic initializations, share
+one exterior_terms, and reduce by the lexicographic key (reduced exit
+energy, restart seed); only the winner is finalized, so minimize evaluates
+the pairwise total_energy once. minimize is the one-instance case of
+minimize_all, whose instances share the form: _bound_states and _certify run
+the stack in lockstep, each step's solves, greedy vertices and Wolfe steps
+one batched call per group of instances whose operands share shapes
+(_groups); restarts (a) and (b) of every instance descend as one stack, then
+restart k of every instance whose random restarts go on, and the winners
+are finalized in one stacked total_energies pass (_finalize_all). A batched call runs each instance's own
+BLAS or LAPACK call, so each instance keeps the bits of its solve alone. A
+brute-force oracle enumerates all interior supports (capacity-capped, xi = 0
+only) for ground truth. Its pinned systems A_SS depend only on the form, so
+their stacked inverses, one stack per support size, are computed once per
+form and kept on it (_pinned_inverses).
 Instances that share the form are scored together, one einsum per block of
 instances and of masks (_oracle_energies); each scans only the masks within
 the tie tolerance of the running best (_oracle_scan), and its winner and
@@ -86,9 +93,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .energy import (EnergyBreakdown, QuadraticForm, assemble_form, check_budget,
-                     exterior_terms, exterior_terms_all, reduced_energy, rowwise_dots,
-                     total_energy, truncation_error_bound)
+from .energy import (STACK_BLOCK, EnergyBreakdown, QuadraticForm, assemble_form, check_budget,
+                     exterior_terms, exterior_terms_all, reduced_energies, rowwise_dots,
+                     total_energies, truncation_error_bound)
 from .errors import CapacityError, ConfigurationError, DataError, SolverError
 from .grid import Ball, Field, Grid, region_interior_indices
 from .kernel import KernelSpec
@@ -231,9 +238,10 @@ def _system_matrix(form: QuadraticForm, rows):
 
 
 def _subsystem(form: QuadraticForm, rows, x, b):
-    """Dense SPD subsystem over the stored rows `rows`, with the other interior
-    values held at x (interior values, by stored row) and b = (W_IE g)[rows] the
-    fixed exterior term of those rows.
+    """The stack of dense SPD subsystems, entry i over the stored rows rows[i]
+    (rows (B, k)), with the other interior values held at x[i] (interior
+    values, by stored row) and b[i] = (W_IE g)[rows[i]] the fixed exterior
+    term of those rows; each entry has the bits of its subsystem alone.
 
     A = _system_matrix(form, rows); the right-hand side is sum over pinned interior j
     of w_ij x_j, plus b. W >= 0 and every interior node couples to every
@@ -245,7 +253,7 @@ def _subsystem(form: QuadraticForm, rows, x, b):
     """
     A = _system_matrix(form, rows)
     pinned = x.copy()
-    pinned[rows] = 0.0
+    pinned[np.arange(rows.shape[0])[:, None], rows] = 0.0
     return A, rowwise_dots(form.dense, rows, pinned) + b
 
 
@@ -324,7 +332,7 @@ def _sweep(form: QuadraticForm, x, b_I, order, rho_cell, xi, one_phase) -> float
 def _solve_free(form: QuadraticForm, rows, x, b):
     """Solve the subsystem over the stored rows `rows` by PCG, warm-started from
     the interior values x, into x, in place."""
-    A, rhs = _subsystem(form, rows, x, b)
+    (A,), (rhs,) = _subsystem(form, rows[None], x[None], b[None])
     x[rows] = _pcg(A, rhs, x[rows])[0]
     return x
 
@@ -345,131 +353,191 @@ def harmonic_lifting(form: QuadraticForm, field: Field, region: Ball, terms=None
 
 
 def _free_mask(problem: ProblemSpec, x):
-    """The interior values x (by stored row) off every clamp value (xi, and 0
-    in one_phase): the nodes _polish solves for jointly."""
+    """The interior values x (by stored row; rows of a stack) off every clamp
+    value (xi, and 0 in one_phase): the nodes _polish_all solves for jointly."""
     free = x != problem.xi
     if problem.phase == "one_phase":
         free &= x != 0.0
     return free
 
 
-def _polish(problem: ProblemSpec, form: QuadraticForm, x, b_I):
-    """Joint exact solve over the free nodes (_free_mask) of the interior values
-    x; the polished interior values, or None if there are no free nodes.
+def _polish_all(problem: ProblemSpec, form: QuadraticForm, x, b_I) -> list:
+    """Joint exact solve over the free nodes (_free_mask) of each row of the
+    interior values x (B, n_int), b_I (B, n_int) the rows' W_IE g: per row,
+    the polished interior values, or None where the polish gives the row
+    back bit for bit.
 
     A node is pinned when it sits exactly at a clamp value (xi, or 0 in
     one_phase); every other interior node is stationary for the current
     region assignment and is solved for jointly; in one_phase the solve is
-    checked to be nonnegative. b_I = W_IE g for the exterior data g.
+    checked to be nonnegative. Rows with as many free nodes share one
+    stacked subsystem (_subsystem), right-hand-side norm and warm-start
+    residual, which is _pcg's own first step; a row whose warm start is not
+    within CG_TOL runs _pcg alone.
     """
-    rows = np.nonzero(_free_mask(problem, x))[0]
-    if rows.shape[0] == 0:
-        return None
     # Convergence relies on polishing being idempotent: on a state it already
     # solved (or one a sweep moved by ulps), the warm-started CG starts below
     # CG_TOL and returns it unchanged bit for bit, so the strict-decrease test
     # rejects it and the descent can stop. A fresh direct re-solve (e.g. LU)
     # moves such a state by ulps and can "improve" its energy after every
     # batch of sweeps, so coordinate_descent may never converge.
-    polished = _solve_free(form, rows, x.copy(), b_I[rows])
-    return _nonnegative(polished) if problem.phase == "one_phase" else polished
+    free = _free_mask(problem, x)
+    sizes = np.add.reduce(free, axis=1)
+    stacks = []     # rows of one free-set size, at most STACK_BLOCK // (k n_int) at a time
+    for group in _groups(sizes.tolist()):
+        step = max(1, STACK_BLOCK // max(1, int(sizes[group[0]]) * x.shape[1]))
+        stacks += [group[start:start + step] for start in range(0, group.shape[0], step)]
+    out = [None] * x.shape[0]
+    for pos in stacks:
+        rows = np.nonzero(free[pos])[1].reshape(pos.shape[0], sizes[pos[0]])
+        x_g, g = x[pos], np.arange(pos.shape[0])[:, None]
+        A, rhs = _subsystem(form, rows, x_g, b_I[pos[:, None], rows])
+        x0 = x_g[g, rows]
+        b_norm = np.sqrt(np.vecdot(rhs, rhs))
+        r = rhs - (A @ x0[..., None])[..., 0]
+        warm = np.sqrt(np.vecdot(r, r)) <= CG_TOL * b_norm
+        for p, i in enumerate(pos.tolist()):
+            if b_norm[p] == 0.0:
+                solved = np.zeros(rows.shape[1])
+            elif warm[p]:
+                continue
+            else:
+                solved = _pcg(A[p], rhs[p], x0[p])[0]
+            polished = x_g[p].copy()
+            polished[rows[p]] = solved
+            if not (polished == x_g[p]).all():
+                out[i] = _nonnegative(polished) if problem.phase == "one_phase" else polished
+        del A, rhs      # freed before the next stack builds its subsystems
+    return out
 
 
-def _finalize(problem: ProblemSpec, form: QuadraticForm, u, sweeps, converged,
-              seed, restarts_used=1, terms=None) -> MinimizeResult:
-    """The result for the final state u, whose energy is its pairwise total_energy."""
-    field = Field(problem.grid, u.copy())
-    breakdown = total_energy(form, field, problem.rho, problem.xi, terms)
-    breakdown.truncation_bound = truncation_error_bound(
-        problem.grid, problem.kernel.s, problem.kernel.Lam,
-        float(np.max(np.abs(u))) if u.size else 0.0)
-    support = np.nonzero(problem.grid.interior & (u > problem.xi))[0]
-    return MinimizeResult(field, breakdown, support, sweeps, restarts_used, converged, seed,
-                          form=form)
+def _finalize_all(problems, form: QuadraticForm, exits, seeds, restarts_used, terms) -> list:
+    """The results for the final states u of exits (u, energy, sweeps,
+    converged), of problems sharing grid, rho and xi, with terms[i] =
+    exterior_terms of problems[i]'s data: each energy is its state's
+    pairwise total_energy, from one stacked pass (total_energies)."""
+    first = problems[0]
+    grid, kernel = first.grid, first.kernel
+    u = np.array([state for state, *_ in exits])
+    breakdowns = total_energies(form, u, first.rho, first.xi, terms)
+    results = []
+    for values, (_, _, sweeps, converged), seed, used, breakdown, sup in zip(
+            u, exits, seeds, restarts_used, breakdowns, np.abs(u).max(axis=1).tolist()):
+        breakdown.truncation_bound = truncation_error_bound(grid, kernel.s, kernel.Lam, sup)
+        support = np.nonzero(grid.interior & (values > first.xi))[0]
+        results.append(MinimizeResult(Field(grid, values), breakdown, support, sweeps, used,
+                                      converged, seed, form=form))
+    return results
 
 
-def _descend(problem: ProblemSpec, u0, seed, max_sweeps, form: QuadraticForm, terms):
-    """Coordinate descent from the node values u0 (not modified); returns
-    (u, energy, sweeps, converged) with u the exit state's node values and
-    energy its reduced_energy, for terms = exterior_terms(form, g) of the
-    exterior data g.
+def _descend_all(problems, u0s, seeds, max_sweeps, form: QuadraticForm, terms) -> list:
+    """Coordinate descents, descent i from the node values u0s[i] (not
+    modified) of problems[i] with seeds[i] and terms[i] = exterior_terms(form,
+    g) of its exterior data g; the problems share grid, rho, xi and phase.
+    Returns (u, energy, sweeps, converged) per descent, with u the exit
+    state's node values and energy its reduced_energy.
 
-    u0 must agree with the exterior data and satisfy the phase constraint. A
-    batch of sweeps ends at a polish boundary as soon as a sweep leaves the
-    free set (_free_mask) unchanged or stalls, and after at most
-    POLISH_PERIOD sweeps. A sweep stalls when it moves the tracked energy by
-    less than 1e-13 * (1 + |energy|); the descent stops once a sweep stalls
+    Each u0 must agree with its exterior data and satisfy the phase
+    constraint. A batch of sweeps ends at a polish boundary as soon as a
+    sweep leaves the free set (_free_mask) unchanged or stalls, and after at
+    most POLISH_PERIOD sweeps. A sweep stalls when it moves the tracked energy
+    by less than 1e-13 * (1 + |energy|); the descent stops once a sweep stalls
     and the polish after it does not improve. The boundaries evaluate the
-    energy on the reduced form (reduced_energy) and raise SolverError when the
-    energy rises, or the tracked energy drifts from the recomputed one, by more
-    than 1e-9 * (1 + |energy|). Every exit follows a boundary (or no sweep), so
-    the returned energy is the one checked there.
+    energy on the reduced form (reduced_energies) and raise SolverError when
+    the energy rises, or the tracked energy drifts from the recomputed one, by
+    more than 1e-9 * (1 + |energy|). Every exit follows a boundary (or no
+    sweep), so the returned energy is the one checked there.
+
+    The descents run in lockstep, one batch of sweeps each per round: each
+    runs its own sweeps and seeded visiting order, while the input checks and
+    each round's boundary energies, checks and polishes (_polish_all) run as
+    one numpy call over the live descents. Each result has the bits of its
+    descent alone.
     """
-    grid = problem.grid
-    exterior = ~grid.interior
-    if not (u0[exterior] == problem.exterior_data[exterior]).all():
+    first = problems[0]
+    grid, xi, rho = first.grid, first.xi, first.rho
+    one_phase = first.phase == "one_phase"
+    u = np.array(u0s, dtype=np.float64)
+    if not ((u == [problem.exterior_data for problem in problems]) | grid.interior).all():
         raise ConfigurationError("initialization does not match the exterior data")
-    one_phase = problem.phase == "one_phase"
-    if one_phase and np.any(u0 < 0.0):
+    if one_phase and (u < 0.0).any():
         raise ConfigurationError("one_phase initialization must be nonnegative")
 
-    x = u0[form.interior_idx]    # the descent's state: interior values by stored row
-    rng = np.random.default_rng(seed)
-    n_int = x.shape[0]
-    rho_cell = problem.rho * grid.cell_measure
+    # the descents' states: interior values by stored row, each row contiguous
+    # (take copies in C order), as a strided row would change the sweep's dot
+    # products in the last bits
+    x = u.take(form.interior_idx, axis=1)
+    b_I = np.array([b for b, _ in terms])
+    c = np.array([constant for _, constant in terms])
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    n_int = x.shape[1]
+    rho_cell = rho * grid.cell_measure
 
-    def energy_of(vals):
-        return reduced_energy(form, vals, problem.rho, problem.xi, terms)
+    def energies(ids, values):
+        return reduced_energies(form, values, rho, xi, b_I[ids], c[ids])
 
-    def tol(e):
-        return ENERGY_CHECK_RTOL * (1.0 + abs(e))
-
-    checked = energy_of(x)    # x's energy, recomputed at the last polish boundary
-    e_cur = checked           # tracked from the sweeps' changes
-    sweeps = 0
-    converged = False
-    while sweeps < max_sweeps:
-        reached_stop = False
-        free = _free_mask(problem, x)
-        for _ in range(POLISH_PERIOD):
-            if sweeps >= max_sweeps:
-                break
-            # the same visiting order as rng.permutation(form.interior_idx)
-            order = rng.permutation(n_int)
-            change = _sweep(form, x, terms[0], order, rho_cell, problem.xi, one_phase)
-            sweeps += 1
-            if change > tol(e_cur):
-                raise SolverError(
-                    f"energy increased during a sweep ({e_cur} -> {e_cur + change})")
-            e_cur += change
-            if -change < EPS_STOP_FACTOR * (1.0 + abs(e_cur)):
-                reached_stop = True
-                break
-            # the sweeps chose the free set; the exact solve on it is the polish
-            was, free = free, _free_mask(problem, x)
-            if (was == free).all():
-                break
-        now = energy_of(x)
-        if abs(now - e_cur) > tol(now):
-            raise SolverError(f"tracked energy {e_cur} drifted from the recomputed {now}")
-        if now > checked + tol(checked):
-            raise SolverError(f"energy rose between polish boundaries ({checked} -> {now})")
-        checked = now
-        polished = _polish(problem, form, x, terms[0])
-        improved = False
-        # an unchanged polish has x's energy bits, which the strict test rejects
-        if polished is not None and not (polished == x).all():
-            polished_energy = energy_of(polished)
-            if polished_energy < checked:
-                x, checked = polished, polished_energy
-                improved = True
-        e_cur = checked
-        if reached_stop and not improved:
-            converged = True
-            break
-    u = u0.copy()
-    u[form.interior_idx] = x
-    return u, checked, sweeps, converged
+    # per descent: x's energy, recomputed at the last polish boundary, and
+    # the energy tracked from the sweeps' changes
+    checked = energies(slice(None), x).tolist()
+    e_cur = list(checked)
+    sweeps, converged = [0] * len(u0s), [False] * len(u0s)
+    live = list(range(len(u0s))) if max_sweeps > 0 else []
+    while live:
+        # the live descents' rows: a view while every descent is live
+        ids, stopped = slice(None) if len(live) == len(u0s) else np.array(live), []
+        for i, free in zip(live, _free_mask(first, x[ids])):
+            reached_stop = False
+            for _ in range(POLISH_PERIOD):
+                if sweeps[i] >= max_sweeps:
+                    break
+                # the same visiting order as rng.permutation(form.interior_idx)
+                order = rngs[i].permutation(n_int)
+                change = _sweep(form, x[i], b_I[i], order, rho_cell, xi, one_phase)
+                sweeps[i] += 1
+                if change > ENERGY_CHECK_RTOL * (1.0 + abs(e_cur[i])):
+                    raise SolverError(f"energy increased during a sweep "
+                                      f"({e_cur[i]} -> {e_cur[i] + change})")
+                e_cur[i] += change
+                if -change < EPS_STOP_FACTOR * (1.0 + abs(e_cur[i])):
+                    reached_stop = True
+                    break
+                # the sweeps chose the free set; the exact solve on it is the polish
+                was, free = free, _free_mask(first, x[i])
+                if (was == free).all():
+                    break
+            stopped.append(reached_stop)
+        now = energies(ids, x[ids])
+        tracked, last = np.array([e_cur[i] for i in live]), np.array([checked[i] for i in live])
+        drifted = np.abs(now - tracked) > ENERGY_CHECK_RTOL * (1.0 + np.abs(now))
+        rose = now > last + ENERGY_CHECK_RTOL * (1.0 + np.abs(last))
+        if (drifted | rose).any():
+            k = int(np.argmax(drifted | rose))
+            if drifted[k]:
+                raise SolverError(f"tracked energy {tracked[k].item()} drifted from the "
+                                  f"recomputed {now[k].item()}")
+            raise SolverError(f"energy rose between polish boundaries "
+                              f"({last[k].item()} -> {now[k].item()})")
+        now = now.tolist()
+        polished = _polish_all(first, form, x[ids], b_I[ids])
+        moved = [k for k, candidate in enumerate(polished) if candidate is not None]
+        improved = [False] * len(live)
+        if moved:
+            candidates = np.array([polished[k] for k in moved])
+            for k, values, energy in zip(moved, candidates,
+                                         energies(np.array(live)[moved], candidates).tolist()):
+                # accepted only if it lowers the energy
+                if energy < now[k]:
+                    x[live[k]], now[k], improved[k] = values, energy, True
+        following = []
+        for i, energy, reached_stop, better in zip(live, now, stopped, improved):
+            checked[i] = e_cur[i] = energy
+            if reached_stop and not better:
+                converged[i] = True
+            elif sweeps[i] < max_sweeps:
+                following.append(i)
+        live = following
+    u[:, form.interior_idx] = x
+    return list(zip(u, checked, sweeps, converged))
 
 
 def coordinate_descent(problem: ProblemSpec, init: Field, seed=0,
@@ -478,15 +546,16 @@ def coordinate_descent(problem: ProblemSpec, init: Field, seed=0,
     """Descend from init with seed-shuffled sweeps; energy never increases.
 
     The initialization must agree with the exterior data and satisfy the phase
-    constraint; _descend gives the stopping rule and the energy checks. The
-    reported energy is the exit state's pairwise total_energy.
+    constraint; _descend_all, with the one descent, gives the stopping rule
+    and the energy checks. The reported energy is the exit state's pairwise
+    total_energy.
     """
     _check_seed(seed)
     if form is None:
         form = assemble_form(problem.kernel, problem.grid, problem.exterior_data)
-    u, _, sweeps, converged = _descend(problem, init.values, seed, max_sweeps, form,
-                                       exterior_terms(form, problem.exterior_data))
-    return _finalize(problem, form, u, sweeps, converged, seed)
+    terms = [exterior_terms(form, problem.exterior_data)]
+    exits = _descend_all([problem], [init.values], [seed], max_sweeps, form, terms)
+    return _finalize_all([problem], form, exits, [seed], [1], terms)[0]
 
 
 def lifting_initialization(problem: ProblemSpec, form: QuadraticForm, terms=None) -> Field:
@@ -826,8 +895,10 @@ def minimize_all(problems, n_restarts, seeds, max_sweeps=DEFAULT_MAX_SWEEPS,
     greatest and the least coordinatewise-stable states of _bound_states
     (both are computed for any n_restarts, and their record is the result's
     `bounds`), and the lifting is computed only when a random restart runs.
-    Restart k descends with seed + k; the restarts run one after another in
-    that order on the calling thread and share one exterior_terms. For
+    Restart k descends with seed + k, on the calling thread, sharing one
+    exterior_terms: (a) and (b) of every instance as one stack
+    (_descend_all), then restart k = 2, 3, .. of every instance whose random
+    restarts go on as one stack. For
     one_phase at xi = 0 with n_restarts >= 3, the better of (a) and (b), by
     the key below, is certified (_certify); when the certificate proves it
     globally minimal the random restarts (c) are skipped and restarts_used is
@@ -839,8 +910,9 @@ def minimize_all(problems, n_restarts, seeds, max_sweeps=DEFAULT_MAX_SWEEPS,
     is by the lexicographic key (reduced exit energy, restart seed), so the
     lowest seed wins ties, and only the winner is finalized: its reported
     energy is its pairwise total_energy, the one pairwise evaluation per
-    instance. _bound_states and _certify run the stack in lockstep, and each
-    result is its instance's alone, bit for bit.
+    instance, and the winners' come from one stacked pass (_finalize_all).
+    _bound_states, _certify and the descents run the stack in lockstep, and
+    each result is its instance's alone, bit for bit.
 
     The form is assembled (with problems[0]'s data) unless given, and is
     returned on every result; terms[i] = exterior_terms(form,
@@ -870,42 +942,59 @@ def minimize_all(problems, n_restarts, seeds, max_sweeps=DEFAULT_MAX_SWEEPS,
     states = _bound_states(first, form, terms) if bounded else [None] * len(problems)
     lifted = [None if bounded else lifting_initialization(problem, form, kept).values
               for problem, kept in zip(problems, terms)]
-    results = []
-    for problem, seed, kept, state, values in zip(problems, seeds, terms, states, lifted):
-        inits = [values, problem.exterior_data]
+    # restarts (a) and (b) of every instance, descended as one stack
+    pairs = []
+    for problem, state, values in zip(problems, states, lifted):
+        pair = [values, problem.exterior_data]
         if bounded:
-            inits = [problem.exterior_data.copy(), problem.exterior_data.copy()]
-            inits[0][rows], inits[1][rows] = state[:2]
-        results.append([_descend(problem, u0, seed + k, max_sweeps, form, kept)
-                        for k, u0 in enumerate(inits[:n_restarts])])
+            pair = [problem.exterior_data.copy(), problem.exterior_data.copy()]
+            pair[0][rows], pair[1][rows] = state[:2]
+        pairs.append(pair[:n_restarts])
+    stack = [(i, k) for i, pair in enumerate(pairs) for k in range(len(pair))]
+    results = [[] for _ in problems]
+    for (i, _), out in zip(stack, _descend_all(
+            [problems[i] for i, _ in stack], [pairs[i][k] for i, k in stack],
+            [seeds[i] + k for i, k in stack], max_sweeps, form, [terms[i] for i, _ in stack])):
+        results[i].append(out)
     certificates = [None] * len(problems)
     if n_restarts >= 3 and bounded:
         certificates = _certify(first, form, terms, [r[0][0][rows] for r in results],
                                 [r[1][0][rows] for r in results],
                                 [min(r[0][1], r[1][1]) for r in results])
-    out = []
-    for i, (problem, seed, kept, exits, certificate, state) in enumerate(
-            zip(problems, seeds, terms, results, certificates, states)):
+    # the random restarts, restart k of every instance still running as one
+    # stack; an instance stops after the first whose reduced exit energy
+    # reaches its certified minimum, if it has one
+    reached, running = {}, []
+    for i, certificate in enumerate(certificates):
         if certificate is None or certificate["status"] != "certified":
             minimum = None if certificate is None else certificate["minimum"]
-            # the reduced exit energy that reaches the certified minimum, if any
-            reached = (-math.inf if minimum is None
-                       else minimum + CERTIFICATE_RTOL * (1.0 + abs(minimum)))
-            interior_idx = np.nonzero(problem.grid.interior)[0]
-            for k in range(2, n_restarts):
-                if lifted[i] is None:
-                    lifted[i] = lifting_initialization(problem, form, kept).values
-                mask = np.random.default_rng([seed, k]).random(interior_idx.shape[0]) < 0.5
-                values = problem.exterior_data.copy()
-                values[interior_idx[mask]] = lifted[i][interior_idx[mask]]
-                exits.append(_descend(problem, values, seed + k, max_sweeps, form, kept))
-                if exits[-1][1] <= reached:
-                    break
-        best = min(range(len(exits)), key=lambda k: (exits[k][1], seed + k))
-        u, _, sweeps, converged = exits[best]
-        out.append(_finalize(problem, form, u, sweeps, converged, seed + best,
-                             restarts_used=len(exits), terms=kept))
-        out[-1].certificate, out[-1].bounds = certificate, state and state[2]
+            reached[i] = (-math.inf if minimum is None
+                          else minimum + CERTIFICATE_RTOL * (1.0 + abs(minimum)))
+            running.append(i)
+    interior_idx = np.nonzero(first.grid.interior)[0]
+    for k in range(2, n_restarts):
+        if not running:
+            break
+        inits = []
+        for i in running:
+            if lifted[i] is None:
+                lifted[i] = lifting_initialization(problems[i], form, terms[i]).values
+            mask = np.random.default_rng([seeds[i], k]).random(interior_idx.shape[0]) < 0.5
+            inits.append(problems[i].exterior_data.copy())
+            inits[-1][interior_idx[mask]] = lifted[i][interior_idx[mask]]
+        descents = _descend_all([problems[i] for i in running], inits,
+                                [seeds[i] + k for i in running], max_sweeps, form,
+                                [terms[i] for i in running])
+        for i, descent in zip(running, descents):
+            results[i].append(descent)
+        running = [i for i, (_, energy, _, _) in zip(running, descents) if energy > reached[i]]
+    winners = [min(range(len(exits)), key=lambda k: (exits[k][1], seed + k))
+               for seed, exits in zip(seeds, results)]
+    out = _finalize_all(problems, form, [exits[k] for exits, k in zip(results, winners)],
+                        [seed + k for seed, k in zip(seeds, winners)],
+                        [len(exits) for exits in results], terms)
+    for result, certificate, state in zip(out, certificates, states):
+        result.certificate, result.bounds = certificate, state and state[2]
     return out
 
 
@@ -1061,8 +1150,8 @@ def oracle_minimize_all(problems, form: QuadraticForm | None = None, terms=None)
             rows, x = _oracle_solve(form.pinned_inverses, kept[0], best)
             values = problem.exterior_data.copy()
             values[form.interior_idx[rows]] = x
-            result = _finalize(problem, form, values, sweeps=0, converged=True, seed=-1,
-                               restarts_used=0, terms=kept)
+            result = _finalize_all([problem], form, [(values, None, 0, True)], [-1], [0],
+                                   [kept])[0]
             result.tied_supports = sorted(ties) if len(ties) > 1 else None
             yield result
 

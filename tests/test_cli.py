@@ -68,6 +68,16 @@ problem.g_amplitude = 0.35
 problem.rho = 0.1
 """
 
+# bench/workloads.py's oracle-50 workload, without its instance and restart counts
+ORACLE_50_CFG = """\
+kernel.s = 0.5
+grid.h = 0.1
+grid.omega_radius = 0.5
+grid.R_inf = 1.0
+problem.g_amplitude = 0.35
+problem.rho = 0.2
+"""
+
 
 class TestConfigParsing:
     def test_defaults_fill_unspecified_keys(self, tmp_path):
@@ -608,18 +618,19 @@ class TestOracleCompareCommand:
             oracle.restarts = 20
             """))
         exits = []       # (restart seed, exit state bytes, reduced exit energy)
-        real_descend = nlfb.solver._descend
+        real_descend = nlfb.solver._descend_all
 
-        def descend(problem, u0, seed, *args):
-            out = real_descend(problem, u0, seed, *args)
-            exits.append((seed, out[0].tobytes(), out[1]))
+        def descend_all(problems, u0s, seeds, *args):
+            out = real_descend(problems, u0s, seeds, *args)
+            exits.extend((seed, u.tobytes(), energy)
+                         for seed, (u, energy, _, _) in zip(seeds, out))
             return out
 
         outputs = {}
         for threads in ("1", "4"):
             monkeypatch.setenv("NLFB_THREADS", threads)
-            monkeypatch.setattr(nlfb.solver, "_descend",
-                                descend if threads == "1" else real_descend)
+            monkeypatch.setattr(nlfb.solver, "_descend_all",
+                                descend_all if threads == "1" else real_descend)
             rows = oracle_compare_instances(cfg, 0)
             outputs[threads] = [(r["result"].field.values.tobytes(), r["result"].energy.to_dict(),
                                  r["result"].best_restart_seed, r["agree"]) for r in rows]
@@ -658,6 +669,31 @@ class TestOracleCompareCommand:
         rows = oracle_compare_instances(cfg, 3)
         assert len(rows) == 5 and all(r["agree"] for r in rows)
         assert calls == ["assembly", "pinned inverses", "exterior pass"]
+
+    def test_boundary_evaluations_do_not_grow_with_the_instances(self, tmp_path, monkeypatch):
+        # the oracle-50 config at 2 restarts: minimize_all descends every
+        # instance's bound restarts as one stack, one boundary energy pass and
+        # one polish call per round for all of them, so 50 instances take no
+        # more of either than 10 (a pass per instance each, unstacked)
+        counts = {}
+        for n in (10, 50):
+            cfg = parse_config(write_cfg(tmp_path, ORACLE_50_CFG + f"oracle.instances = {n}\n"
+                                                                   "oracle.restarts = 2\n"))
+            calls = dict.fromkeys(("reduced_energies", "_polish_all"), 0)
+
+            def counted(name, real):
+                def call(*args, **kwargs):
+                    calls[name] += 1
+                    return real(*args, **kwargs)
+                return call
+
+            for name in calls:
+                monkeypatch.setattr(nlfb.solver, name, counted(name, getattr(nlfb.solver, name)))
+            assert len(oracle_compare_instances(cfg, 0)) == n
+            monkeypatch.undo()
+            counts[n] = calls
+        assert all(counts[50][name] <= counts[10][name] for name in counts[10])
+        assert 1 <= counts[10]["_polish_all"] < counts[10]["reduced_energies"] <= 7
 
     def test_memory_grows_with_the_instances_only_by_the_rows(self, tmp_path):
         # blocks of ORACLE_STACK instances are solved in turn, and the

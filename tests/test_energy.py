@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -331,6 +332,36 @@ def test_reduced_energy_matches_total_energy(family, dim, phase, s, block, cells
     got = nlfb.energy.reduced_energy(form, u[form.interior_idx], rho, xi,
                                      nlfb.energy.exterior_terms(form, g))
     assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from((1, 2)), cells=st.floats(4.2, 6.0), size=st.integers(1, 7),
+       block=st.sampled_from([1, 6000, 20000, nlfb.energy.STACK_BLOCK]),
+       xi=st.floats(-0.5, 0.5), rho=st.floats(0.0, 2.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_energies_match_each_energy_alone(dim, cells, size, block, xi, rho, seed):
+    # a stack of states, some on the same exterior data, in blocks of one or
+    # more states: each reduced and pairwise energy is its one-entry call's,
+    # bit for bit
+    if dim == 1:
+        cells *= 6.0
+    grid = build_grid(dim, 1.0 / cells, 2.0)
+    form = assemble_form(family_kernel("fractional_laplacian", dim, 0.5, 0.5), grid)
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(-1.0, 1.0, (size, grid.n_nodes))
+    u[:, grid.interior & (rng.random(grid.n_nodes) < 0.3)] = xi
+    u[1::2, ~grid.interior] = u[0, ~grid.interior]
+    terms = nlfb.energy.exterior_terms_all(form, list(u))
+    x = u[:, form.interior_idx]
+    reduced = nlfb.energy.reduced_energies(form, x, rho, xi, np.array([b for b, _ in terms]),
+                                           np.array([c for _, c in terms]))
+    with patch.object(nlfb.energy, "STACK_BLOCK", block):
+        pairwise = nlfb.energy.total_energies(form, u, rho, xi, terms)
+    for k in range(size):
+        alone = nlfb.energy.reduced_energy(form, x[k].copy(), rho, xi, terms[k])
+        assert reduced[k].tobytes() == np.float64(alone).tobytes()
+        want = total_energy(form, Field(grid, u[k].copy()), rho, xi, terms[k])
+        assert pairwise[k].to_dict() == want.to_dict()
+        assert all(type(v) is float for v in (pairwise[k].dirichlet, pairwise[k].total))
 
 
 # One np.dot per stored row of W_II with the interior values, plus the

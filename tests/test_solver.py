@@ -39,13 +39,19 @@ from nlfb.cli import ORACLE_AGREE_RTOL
 from nlfb.energy import exterior_terms
 from nlfb.solver import (CERTIFICATE_RTOL, CG_TOL, DEFAULT_MAX_SWEEPS, EPS_STOP_FACTOR,
                          ORACLE_BLOCK, ORACLE_CHUNK, ORACLE_TIE_RTOL, PHASES, POLISH_PERIOD,
-                         _band_greedy, _certify, _best_response, _bound_states, _descend,
-                         _finalize, _free_mask, _oracle_energies, _oracle_scan, _oracle_solve,
-                         _pcg, _pinned_inverses, _polish, _solve_free, _subsystem, _sweep, _visit,
-                         check_oracle, minimize_all, oracle_minimize_all)
+                         _band_greedy, _certify, _best_response, _bound_states, _descend_all,
+                         _finalize_all, _free_mask, _oracle_energies, _oracle_scan,
+                         _oracle_solve, _pcg, _pinned_inverses, _polish_all, _solve_free,
+                         _subsystem, _sweep, _visit, check_oracle, minimize_all,
+                         oracle_minimize_all)
 
 from conftest import (family_kernel, random_field_values, reference_exterior_rows,
                       reference_exterior_term, reference_row)
+
+
+def descend(problem, u0, seed, max_sweeps, form, terms):
+    """One descent alone: _descend_all's one-entry case."""
+    return _descend_all([problem], [u0], [seed], max_sweeps, form, [terms])[0]
 
 
 def four_interior_problem(rng, phase="one_phase", rho=None):
@@ -482,14 +488,15 @@ def test_unchanged_polish_skips_its_energy_evaluation(monkeypatch, phase):
     data = np.where(grid.interior, 0.0, rng.uniform(lo, 1.0, grid.n_nodes))
     problem = ProblemSpec(kernel, grid, data, rho=0.05, phase=phase)
     init = lifting_initialization(problem, form)
-    real_polish, real_energy = nlfb.solver._polish, nlfb.solver.total_energy
-    real_reduced = nlfb.solver.reduced_energy
+    real_polish, real_energy = nlfb.solver._polish_all, nlfb.solver.total_energies
+    real_reduced = nlfb.solver.reduced_energies
     polishes, evaluations, boundary_evaluations = [], [], []
 
     def polish(problem, form, x, *args):
         out = real_polish(problem, form, x, *args)
-        polishes.append("none" if out is None
-                        else "unchanged" if np.array_equal(out, x) else "changed")
+        (row,), (polished,) = x, out
+        polishes.append("none" if not _free_mask(problem, row).any()
+                        else "unchanged" if polished is None else "changed")
         return out
 
     def energy(*args):
@@ -500,14 +507,14 @@ def test_unchanged_polish_skips_its_energy_evaluation(monkeypatch, phase):
         boundary_evaluations.append(args)
         return real_reduced(*args)
 
-    monkeypatch.setattr(nlfb.solver, "_polish", polish)
-    monkeypatch.setattr(nlfb.solver, "total_energy", energy)
-    monkeypatch.setattr(nlfb.solver, "reduced_energy", reduced)
+    monkeypatch.setattr(nlfb.solver, "_polish_all", polish)
+    monkeypatch.setattr(nlfb.solver, "total_energies", energy)
+    monkeypatch.setattr(nlfb.solver, "reduced_energies", reduced)
     res = coordinate_descent(problem, init, seed=3, form=form)
     assert res.converged and "unchanged" in polishes
     assert len(boundary_evaluations) == 1 + len(polishes) + polishes.count("changed")
     assert len(evaluations) == 1
-    fresh = real_energy(form, res.field, problem.rho, problem.xi)
+    fresh = total_energy(form, res.field, problem.rho, problem.xi)
     fresh.truncation_bound = res.energy.truncation_bound
     assert res.energy.to_dict() == fresh.to_dict()
 
@@ -530,12 +537,17 @@ def test_polish_returns_polished_states_unchanged(phase, dim, h):
                               phase=phase)
         init = lifting_initialization(problem, form)
         b_I = exterior_terms(form, data)[0]
-        polished = _polish(problem, form, init.values[form.interior_idx], b_I)
-        assert _polish(problem, form, polished, b_I).tobytes() == polished.tobytes()
+
+        def polish(x):
+            # None: the polish gives x back bit for bit
+            return _polish_all(problem, form, x[None], b_I[None])[0]
+
+        lifted = init.values[form.interior_idx]
+        polished = polish(lifted)
+        assert polish(lifted if polished is None else polished) is None
         res = coordinate_descent(problem, init, seed=trial, form=form)
         assert res.converged
-        x = res.field.values[form.interior_idx]
-        assert _polish(problem, form, x, b_I).tobytes() == x.tobytes()
+        assert polish(res.field.values[form.interior_idx]) is None
 
 
 @pytest.mark.parametrize("phase", PHASES)
@@ -549,7 +561,7 @@ def test_descent_polishes_as_soon_as_a_sweep_keeps_the_free_set(monkeypatch, pha
     data = np.where(grid.interior, 0.0, rng.uniform(lo, 1.0, grid.n_nodes))
     problem = ProblemSpec(kernel, grid, data, rho=0.05, phase=phase)
     form = assemble_form(kernel, grid)
-    real_sweep, real_polish = nlfb.solver._sweep, nlfb.solver._polish
+    real_sweep, real_polish = nlfb.solver._sweep, nlfb.solver._polish_all
     events = []
 
     def sweep(form, x, *args):
@@ -563,7 +575,7 @@ def test_descent_polishes_as_soon_as_a_sweep_keeps_the_free_set(monkeypatch, pha
         return real_polish(problem, form, x, *args)
 
     monkeypatch.setattr(nlfb.solver, "_sweep", sweep)
-    monkeypatch.setattr(nlfb.solver, "_polish", polish)
+    monkeypatch.setattr(nlfb.solver, "_polish_all", polish)
     res = coordinate_descent(problem, problem.exterior_field(), seed=7, form=form)
     assert res.converged and events[-1] == "polish"
     batch = 0
@@ -619,6 +631,155 @@ def test_tracked_energy_is_checked(monkeypatch, offset, message):
     monkeypatch.setattr(nlfb.solver, "_sweep", lambda *args: real_sweep(*args) + offset)
     with pytest.raises(SolverError, match=message):
         coordinate_descent(problem, start.field)
+
+
+# ------------------------------------------------------ the stacked descents
+
+# (dim, h, R_inf, omega_radius): 4, 10, 20 and 40 interior nodes in 1D, 4, 16
+# and 32 in 2D
+STACKED_DESCENT_LATTICES = [(1, 0.25, 1.5, 0.5), (1, 0.1, 1.5, 0.5), (1, 0.1, 2.0, 1.0),
+                            (1, 0.05, 2.0, 1.0), (2, 0.25, 1.0, 0.35), (2, 0.2, 1.0, 0.5),
+                            (2, 0.3, 2.0, 1.0)]
+
+
+def descent_init(problem, form, terms, kind, rng):
+    """Node values to descend from: the zero extension, the lifting, random
+    interior values (a fifth each at 0 and at the clamp value xi), or the
+    exit of a descent from such random values."""
+    if kind == "lifting":
+        return lifting_initialization(problem, form, terms).values
+    values = problem.exterior_data.copy()
+    if kind in ("random", "exit"):
+        m = form.interior_idx.shape[0]
+        x = rng.uniform(0.0 if problem.phase == "one_phase" else -1.0, 1.0, m)
+        pick = rng.random(m)
+        x[pick < 0.2] = 0.0
+        x[pick > 0.8] = max(problem.xi, 0.0) if problem.phase == "one_phase" else problem.xi
+        values[form.interior_idx] = x
+        if kind == "exit":
+            values = descend(problem, values, 1, DEFAULT_MAX_SWEEPS, form, terms)[0]
+    return values
+
+
+def assert_same_descents(got, alone):
+    for (u, energy, sweeps, converged), want in zip(got, alone):
+        assert u.tobytes() == want[0].tobytes()
+        assert type(energy) is float and energy.hex() == want[1].hex()
+        assert (sweeps, converged) == want[2:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice=st.sampled_from(STACKED_DESCENT_LATTICES), phase=st.sampled_from(PHASES),
+       xi=st.sampled_from([0.0, 0.05, -0.05]), log_rho=st.floats(-3.0, 0.0),
+       max_sweeps=st.sampled_from([0, 1, 2, DEFAULT_MAX_SWEEPS]),
+       kinds=st.lists(st.sampled_from(("zero", "lifting", "random", "exit")), min_size=1,
+                      max_size=8),
+       distinct=st.integers(1, 8), block=st.sampled_from([1, 64, nlfb.energy.STACK_BLOCK]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_descents_match_each_descent_alone(lattice, phase, xi, log_rho, max_sweeps,
+                                                   kinds, distinct, block, seed):
+    # stacks of 1 to 8 descents on one form, 4 to 40 interior nodes in 1D and
+    # 2D, from zero, lifted, random and converged states, some on the same
+    # data: they stop in different rounds, and each result is that of the
+    # descent alone, bit for bit, however many polishes one stack takes
+    grid = enumerate_lattice(*lattice)
+    kernel = fractional_kernel(0.5, dim=lattice[0])
+    form = assemble_form(kernel, grid)
+    rng = np.random.default_rng(seed)
+    lo = 0.0 if phase == "one_phase" else -1.0
+    datas = [np.where(grid.interior, 0.0, rng.uniform(lo, 1.0, grid.n_nodes))
+             for _ in range(distinct)]
+    problems = [ProblemSpec(kernel, grid, datas[rng.integers(distinct)], rho=10.0 ** log_rho,
+                            xi=xi, phase=phase) for _ in kinds]
+    terms = nlfb.energy.exterior_terms_all(form, [p.exterior_data for p in problems])
+    inits = [descent_init(p, form, t, kind, rng) for p, t, kind in zip(problems, terms, kinds)]
+    seeds = rng.integers(0, 1000, len(kinds)).tolist()
+    with patch.object(nlfb.solver, "STACK_BLOCK", block):
+        got = _descend_all(problems, inits, seeds, max_sweeps, form, terms)
+    assert len(got) == len(kinds)
+    assert_same_descents(got, [descend(p, u0, s, max_sweeps, form, t)
+                               for p, u0, s, t in zip(problems, inits, seeds, terms)])
+
+
+@pytest.mark.parametrize("phase", PHASES)
+def test_a_mixed_stack_of_descents_matches_each_descent_alone(monkeypatch, phase):
+    # 40 nodes: the random starts take several rounds and polishes whose CG
+    # iterates, while the converged ones stop in the first round; each
+    # result is that of the descent alone, bit for bit
+    grid = build_grid(1, 0.05, 2.0)
+    kernel = fractional_kernel(0.5)
+    form = assemble_form(kernel, grid)
+    rng = np.random.default_rng([197, PHASES.index(phase)])
+    lo = 0.0 if phase == "one_phase" else -1.0
+    problems = [ProblemSpec(kernel, grid,
+                            np.where(grid.interior, 0.0, rng.uniform(lo, 1.0, grid.n_nodes)),
+                            rho=0.05, xi=0.05, phase=phase) for _ in range(3)]
+    kinds = ["random", "exit", "zero", "lifting", "random", "exit"]
+    problems = [problems[k % 3] for k in range(len(kinds))]
+    terms = nlfb.energy.exterior_terms_all(form, [p.exterior_data for p in problems])
+    inits = [descent_init(p, form, t, kind, rng) for p, t, kind in zip(problems, terms, kinds)]
+    seeds = list(range(5, 5 + len(kinds)))
+    real_pcg, real_polish = nlfb.solver._pcg, nlfb.solver._polish_all
+    iterated, rounds = [], []
+    monkeypatch.setattr(nlfb.solver, "_pcg",
+                        lambda *args: iterated.append(1) or real_pcg(*args))
+    monkeypatch.setattr(nlfb.solver, "_polish_all",
+                        lambda problem, form, x, *args: rounds.append(x.shape[0])
+                        or real_polish(problem, form, x, *args))
+    got = _descend_all(problems, inits, seeds, DEFAULT_MAX_SWEEPS, form, terms)
+    assert iterated and rounds[0] == len(kinds) and len(set(rounds)) > 1
+    monkeypatch.undo()
+    alone = [descend(p, u0, s, DEFAULT_MAX_SWEEPS, form, t)
+             for p, u0, s, t in zip(problems, inits, seeds, terms)]
+    assert_same_descents(got, alone)
+    assert all(converged for *_, converged in got)
+    assert len({sweeps for _, _, sweeps, _ in got}) > 1
+
+
+@pytest.mark.parametrize("fault,error,message", [
+    ("exterior", ConfigurationError, "does not match"),
+    ("negative", ConfigurationError, "nonnegative"),
+    ("increased", SolverError, "increased"),
+    ("drifted", SolverError, "drifted"),
+    ("rose", SolverError, "rose")])
+def test_stacked_descents_raise_as_each_descent_alone(monkeypatch, fault, error, message):
+    # one bad entry fails the stack as it fails its descent alone; the sweep
+    # and boundary faults start from a converged state, whose first sweep
+    # changes the energy by ~0: a sweep reported 1e-3 too high or too low
+    # trips the sweep's check or the boundary's drift check, and a sweep
+    # reported 0.9 tol too high with a boundary energy 1.8 tol too high the
+    # rise check
+    rng = np.random.default_rng(211)
+    problem = four_interior_problem(rng)
+    form = assemble_form(problem.kernel, problem.grid)
+    terms = exterior_terms(form, problem.exterior_data)
+    start = coordinate_descent(problem, problem.exterior_field(), form=form)
+    assert start.converged
+    inits = [start.field.values.copy() for _ in range(3)]
+    bad = inits[-1]
+    if fault == "exterior":
+        bad[np.nonzero(~problem.grid.interior)[0][0]] += 1.0
+    elif fault == "negative":
+        bad[form.interior_idx[0]] = -1e-3
+    else:
+        tol = nlfb.solver.ENERGY_CHECK_RTOL * (1.0 + abs(start.energy.total))
+        offset = {"increased": 1e-3, "drifted": -1e-3, "rose": 0.9 * tol}[fault]
+        real_sweep, real_energies = nlfb.solver._sweep, nlfb.solver.reduced_energies
+        monkeypatch.setattr(nlfb.solver, "_sweep", lambda *args: real_sweep(*args) + offset)
+        if fault == "rose":
+            calls = []
+
+            def energies(*args):
+                calls.append(1)
+                return real_energies(*args) + (1.8 * tol if len(calls) > 1 else 0.0)
+
+            monkeypatch.setattr(nlfb.solver, "reduced_energies", energies)
+    for stack in (inits, inits[-1:]):
+        with pytest.raises(error, match=message):
+            _descend_all([problem] * len(stack), stack, [3] * len(stack), DEFAULT_MAX_SWEEPS,
+                         form, [terms] * len(stack))
+        if fault == "rose":
+            calls.clear()
 
 
 def test_rho_zero_two_phase_recovers_harmonic_values(grid_1d_small):
@@ -769,7 +930,8 @@ def reference_candidates(problem, form, lu=False):
     for mask in range(1 << n_int):
         rows = np.nonzero([(mask >> k) & 1 == 1 for k in range(n_int)])[0]
         values = problem.exterior_data.copy()
-        A, b = _subsystem(form, rows, values[form.interior_idx], b_I[rows])
+        (A,), (b,) = _subsystem(form, rows[None], values[form.interior_idx][None],
+                                b_I[rows][None])
         if lu:
             values[form.interior_idx[rows]] = np.linalg.solve(A, b)
         else:
@@ -807,8 +969,8 @@ def reference_oracle(problem, form, lu=False):
             best_energy, best_values, ties = energy, values, [support]
         elif energy <= best_energy + tol and support not in ties:
             ties.append(support)
-    result = _finalize(problem, form, best_values, sweeps=0, converged=True,
-                       seed=-1, restarts_used=0)
+    result = _finalize_all([problem], form, [(best_values, None, 0, True)], [-1], [0],
+                           [exterior_terms(form, problem.exterior_data)])[0]
     if len(ties) > 1:
         result.tied_supports = sorted(ties)
     return result
@@ -917,8 +1079,8 @@ def test_stacked_oracle_builds_each_result_as_it_is_drawn(monkeypatch):
     base = four_interior_problem(rng)
     problems = [replace(base, exterior_data=4.0 * base.exterior_data * k) for k in range(3)]
     finalized = []
-    real = nlfb.solver._finalize
-    monkeypatch.setattr(nlfb.solver, "_finalize",
+    real = nlfb.solver._finalize_all
+    monkeypatch.setattr(nlfb.solver, "_finalize_all",
                         lambda *args, **kwargs: finalized.append(1) or real(*args, **kwargs))
     results = oracle_minimize_all(problems)
     assert finalized == []
@@ -1104,7 +1266,8 @@ def test_minimize_never_below_oracle_and_oracle_solves_its_support(seed, h, phas
     if free.size:
         form = oracle.form
         rows = form.row_of[free]
-        A, b = _subsystem(form, rows, u[form.interior_idx], exterior_terms(form, u)[0][rows])
+        (A,), (b,) = _subsystem(form, rows[None], u[form.interior_idx][None],
+                                exterior_terms(form, u)[0][rows][None])
         assert np.max(np.abs(A @ u[free] - b)) <= 1e-12 * (1.0 + np.max(np.abs(b)))
 
 
@@ -1369,7 +1532,7 @@ def test_minimize_finalizes_only_the_winner(monkeypatch, n_restarts, phase):
     lo = 0.0 if phase == "one_phase" else -1.0
     data = np.where(grid.interior, 0.0, rng.uniform(lo, 1.0, grid.n_nodes))
     problem = ProblemSpec(kernel, grid, data, rho=0.05, phase=phase)
-    calls = dict.fromkeys(("total_energy", "exterior_terms_all"), 0)
+    calls = dict.fromkeys(("total_energies", "exterior_terms_all"), 0)
 
     def counted(name, real):
         def call(*args, **kwargs):
@@ -1380,17 +1543,18 @@ def test_minimize_finalizes_only_the_winner(monkeypatch, n_restarts, phase):
     for name in calls:
         monkeypatch.setattr(nlfb.solver, name, counted(name, getattr(nlfb.solver, name)))
     exits = []       # (seed, init, reduced exit energy) per restart
-    real_descend = nlfb.solver._descend
+    real_descend = nlfb.solver._descend_all
 
-    def descend(problem, u0, seed, *args):
-        out = real_descend(problem, u0, seed, *args)
-        exits.append((seed, u0.copy(), out[1]))
+    def descend_all(problems, u0s, seeds, *args):
+        out = real_descend(problems, u0s, seeds, *args)
+        exits.extend((seed, u0.copy(), energy) for seed, u0, (_, energy, _, _)
+                     in zip(seeds, u0s, out))
         return out
 
-    monkeypatch.setattr(nlfb.solver, "_descend", descend)
+    monkeypatch.setattr(nlfb.solver, "_descend_all", descend_all)
     res = minimize(problem, n_restarts=n_restarts, seed=11, form=form)
     monkeypatch.undo()
-    assert calls == {"total_energy": 1, "exterior_terms_all": 1}
+    assert calls == {"total_energies": 1, "exterior_terms_all": 1}
     assert res.restarts_used == n_restarts
     assert sorted(seed for seed, _, _ in exits) == list(range(11, 11 + n_restarts))
     best = min(energy for _, _, energy in exits)
@@ -1417,16 +1581,16 @@ def one_phase_oracle_instance(t):
 
 
 def record_descents(monkeypatch):
-    """Record (seed, init, _descend's result) for every descent."""
+    """Record (seed, init, result) for every descent _descend_all runs."""
     exits = []
-    real_descend = nlfb.solver._descend
+    real_descend = nlfb.solver._descend_all
 
-    def descend(problem, u0, seed, *args):
-        out = real_descend(problem, u0, seed, *args)
-        exits.append((seed, u0.copy(), out))
+    def descend_all(problems, u0s, seeds, *args):
+        out = real_descend(problems, u0s, seeds, *args)
+        exits.extend((seed, u0.copy(), result) for seed, u0, result in zip(seeds, u0s, out))
         return out
 
-    monkeypatch.setattr(nlfb.solver, "_descend", descend)
+    monkeypatch.setattr(nlfb.solver, "_descend_all", descend_all)
     return exits
 
 
@@ -1444,7 +1608,7 @@ def every_restart(problem, n_restarts, seed, form):
     """The reference for minimize without its certificate: every one of its
     n_restarts descents (from the bound states of _bound_states, then the
     random supports drawn from default_rng([seed, k]) carrying the lifting
-    values) runs through _descend, and the winner by (reduced exit energy,
+    values) descends alone, and the winner by (reduced exit energy,
     seed) is finalized."""
     terms = exterior_terms(form, problem.exterior_data)
     lifted = lifting_initialization(problem, form).values
@@ -1455,12 +1619,11 @@ def every_restart(problem, n_restarts, seed, form):
         values = problem.exterior_data.copy()
         values[on] = lifted[on]
         inits.append(values)
-    exits = [_descend(problem, u0, seed + k, DEFAULT_MAX_SWEEPS, form, terms)
+    exits = [descend(problem, u0, seed + k, DEFAULT_MAX_SWEEPS, form, terms)
              for k, u0 in enumerate(inits[:n_restarts])]
     best = min(range(n_restarts), key=lambda k: (exits[k][1], k))
-    u, _, sweeps, converged = exits[best]
-    return _finalize(problem, form, u, sweeps, converged, seed + best,
-                     restarts_used=n_restarts)
+    return _finalize_all([problem], form, [exits[best]], [seed + best], [n_restarts],
+                         [terms])[0]
 
 
 def assert_same_restart_result(res, reference):
@@ -1612,11 +1775,11 @@ def test_certificate_statuses_that_decide_nothing(monkeypatch):
     problem = one_phase_oracle_instance(0)
     form = assemble_form(problem.kernel, problem.grid, problem.exterior_data)
     terms = exterior_terms(form, problem.exterior_data)
-    x_a, x_b = (_descend(problem, u0, 11 + k, DEFAULT_MAX_SWEEPS, form, terms)[0][
+    x_a, x_b = (descend(problem, u0, 11 + k, DEFAULT_MAX_SWEEPS, form, terms)[0][
         form.interior_idx] for k, u0 in enumerate(bound_inits(problem, form)))
     cert = minimize(problem, n_restarts=5, seed=11, form=form).certificate
     assert (cert["status"], cert["wolfe_iterations"]) == ("certified", 3)
-    energy = min(nlfb.solver.reduced_energy(form, x, problem.rho, 0.0, terms) for x in (x_a, x_b))
+    energy = min(nlfb.energy.reduced_energy(form, x, problem.rho, 0.0, terms) for x in (x_a, x_b))
 
     swapped = _certify(problem, form, [terms], [x_b], [x_a], [energy])[0]
     assert swapped["status"] == "unbracketed"
@@ -1694,7 +1857,7 @@ def test_certificate_agrees_with_the_oracle(family, s, block, amplitude, lattice
     for mask in np.nonzero(energies <= minimum + tol)[0]:
         least &= int(mask)
     descend_seed = seed % 1000
-    x_a, x_b = (_descend(problem, u0, descend_seed + k, DEFAULT_MAX_SWEEPS, form, terms)[0][
+    x_a, x_b = (descend(problem, u0, descend_seed + k, DEFAULT_MAX_SWEEPS, form, terms)[0][
         form.interior_idx] for k, u0 in enumerate(bound_inits(problem, form)))
     supp_a, supp_b = mask_of(np.nonzero(x_a > 0.0)[0]), mask_of(np.nonzero(x_b > 0.0)[0])
     assert supp_b & ~least == 0 and least & ~supp_a == 0
@@ -1743,13 +1906,13 @@ def test_bound_states_are_the_descent_exits_and_bracket_the_oracle(family, s, bl
     assert (x_a >= 0.0).all() and (x_b >= 0.0).all()
     descend_seed = seed % 1000
     for k, (init, state, name) in enumerate(((lifted, x_a, "a"), (data, x_b, "b"))):
-        exit_state = _descend(problem, init, descend_seed + k, DEFAULT_MAX_SWEEPS, form,
-                              terms)[0][rows]
+        exit_state = descend(problem, init, descend_seed + k, DEFAULT_MAX_SWEEPS, form,
+                             terms)[0][rows]
         assert np.array_equal(exit_state > 0.0, state > 0.0)
         u0 = data.copy()
         u0[rows] = state
-        verified, _, _, converged = _descend(problem, u0, descend_seed + k,
-                                             DEFAULT_MAX_SWEEPS, form, terms)
+        verified, _, _, converged = descend(problem, u0, descend_seed + k,
+                                            DEFAULT_MAX_SWEEPS, form, terms)
         assert converged and np.array_equal(verified[rows] > 0.0, state > 0.0)
         assert record[name]["support"] == int(np.count_nonzero(state > 0.0))
         assert 0 <= record[name]["steps"] <= m + 1
@@ -1854,7 +2017,7 @@ def test_a_mixed_stack_matches_each_instance_alone(monkeypatch, blocked):
     terms = [exterior_terms(form, problem.exterior_data) for problem in problems]
     states = []
     for k, (problem, seed, kept) in enumerate(zip(problems, seeds, terms)):
-        x_a, x_b = (_descend(problem, u0, seed + j, DEFAULT_MAX_SWEEPS, form, kept)[0][
+        x_a, x_b = (descend(problem, u0, seed + j, DEFAULT_MAX_SWEEPS, form, kept)[0][
             form.interior_idx] for j, u0 in enumerate(bound_inits(problem, form)))
         states.append((x_b, x_a) if k % 2 else (x_a, x_b))
     energies = [res.energy.total for res in got]
