@@ -32,31 +32,16 @@ reduced form over interior values (nlfb.energy.reduced_energies), where the
 tracked energy must match it to 1e-9 * (1 + |energy|), and a descent exits
 with the reduced energy checked at its last boundary. The reported energy is
 the exit state's pairwise total_energy, evaluated once per result.
-Descents run as a stack in lockstep (_descend_all), one batch of sweeps
-each per round: every descent sweeps alone, in its own seeded order, while
-each round's boundary energies, drift and rise checks and polishes
-(_polish_all, grouped by free-set size) are one numpy call over the live
-descents; a single descent is the one-entry stack.
+Descents run as a stack in lockstep (_descend_all); a single descent is the
+one-entry stack.
 
-Restarts run coordinate descent from deterministic initializations, share
-one exterior_terms, and reduce by the lexicographic key (reduced exit
-energy, restart seed); only the winner is finalized, so minimize evaluates
-the pairwise total_energy once. minimize is the one-instance case of
-minimize_all, whose instances share the form: _bound_states and _certify run
-the stack in lockstep, each step's solves, greedy vertices and Wolfe steps
-one batched call per group of instances whose operands share shapes
-(_groups); restarts (a) and (b) of every instance descend as one stack, then
-restart k of every instance whose random restarts go on, and the winners
-are finalized in one stacked total_energies pass (_finalize_all). A batched call runs each instance's own
-BLAS or LAPACK call, so each instance keeps the bits of its solve alone. A
-brute-force oracle enumerates all interior supports (capacity-capped, xi = 0
-only) for ground truth. Its pinned systems A_SS depend only on the form, so
-their stacked inverses, one stack per support size, are computed once per
-form and kept on it (_pinned_inverses).
-Instances that share the form are scored together, one einsum per block of
-instances and of masks (_oracle_energies); each scans only the masks within
-the tie tolerance of the running best (_oracle_scan), and its winner and
-ties are solved again by one row dot per entry (_oracle_solve).
+Restarts (minimize_all) run from deterministic initializations, share one
+exterior_terms and keep the best by (reduced exit energy, restart seed). A
+stack of instances that share the form runs in lockstep, one batched call
+per group whose operands share shapes (_groups), each instance with the
+bits of its solve alone. A brute-force oracle (oracle_minimize_all)
+enumerates all interior supports (capacity-capped, xi = 0 only) for ground
+truth, on the inverses of its pinned systems, computed once per form.
 
 For one_phase at xi = 0 the support energy
 
@@ -70,20 +55,18 @@ exact solve on S, with 0 off S" rises from S = {} to the least
 coordinatewise-stable state, and falls from the harmonic lifting to the
 greatest one below it (Tarski 1955; Topkis 1979). _bound_states runs both
 iterations with unions and intersections as monotone clamps, on inverses
-grown and shrunk by Schur blocks (_bordered). Restart (a) descends from the
-greatest state, above every minimizer, and restart (b) from the least, below
-every minimizer; their descents only verify the states. So the least
-minimizer's support lies between the two exits' supports. _certify fixes
-L = supp((b) exit) on and runs Wolfe's min-norm-point
-algorithm (Fujishige-Wolfe) over the band B = supp((a) exit) minus L, on the
-Schur complement of A_LL: each greedy vertex x of the base polytope gives the
+grown and shrunk by Schur blocks (_bordered). Restarts (a) and (b) are the
+greatest state, above every minimizer, and the least, below every
+minimizer, verified in one stacked pass (_verify_bounds) rather than
+descended. _certify fixes L = supp(b) on and runs Wolfe's min-norm-point
+algorithm (Fujishige-Wolfe) over the band B = supp(a) minus L, on the Schur
+complement of A_LL: each greedy vertex x of the base polytope gives the
 prefix energies G(L + first k nodes of its order) and the lower bound
 G(L) + sum_i min(x_i, 0) on min G. When the bound meets the better bound
-exit's energy, that exit is certified globally minimal and minimize skips the
-random restarts. When a prefix energy lies below it instead (a refutation),
-Wolfe runs on until the bound meets the lowest prefix energy, which is then
-the certified global minimum, and minimize stops the random restarts at the
-first one whose exit reaches it.
+state's energy, that state is certified globally minimal and the random
+restarts are skipped; when a prefix energy lies below it (a refutation),
+Wolfe runs on until the bound meets the lowest prefix energy, the certified
+global minimum, and the random restarts stop at the first that reaches it.
 """
 
 from __future__ import annotations
@@ -159,9 +142,9 @@ class MinimizeResult:
     field: Field
     energy: EnergyBreakdown
     support: np.ndarray          # sorted interior indices with u > xi
-    sweeps: int
+    sweeps: int                  # the winning descent's; 0 for a verified bound state
     restarts_used: int
-    converged: bool
+    converged: bool              # True for a verified bound state, at any max_sweeps
     best_restart_seed: int
     tied_supports: list | None = None
     form: QuadraticForm | None = None    # the form the result was computed with
@@ -448,11 +431,10 @@ def _descend_all(problems, u0s, seeds, max_sweeps, form: QuadraticForm, terms) -
     more than 1e-9 * (1 + |energy|). Every exit follows a boundary (or no
     sweep), so the returned energy is the one checked there.
 
-    The descents run in lockstep, one batch of sweeps each per round: each
-    runs its own sweeps and seeded visiting order, while the input checks and
-    each round's boundary energies, checks and polishes (_polish_all) run as
-    one numpy call over the live descents. Each result has the bits of its
-    descent alone.
+    The descents run in lockstep, one batch of sweeps each per round, in its
+    own seeded order, while each round's boundary energies, checks and
+    polishes (_polish_all) are one numpy call over the live descents. Each
+    result has the bits of its descent alone.
     """
     first = problems[0]
     grid, xi, rho = first.grid, first.xi, first.rho
@@ -469,7 +451,7 @@ def _descend_all(problems, u0s, seeds, max_sweeps, form: QuadraticForm, terms) -
     x = u.take(form.interior_idx, axis=1)
     b_I = np.array([b for b, _ in terms])
     c = np.array([constant for _, constant in terms])
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]  # = default_rng(seed)
     n_int = x.shape[1]
     rho_cell = rho * grid.cell_measure
 
@@ -540,16 +522,45 @@ def _descend_all(problems, u0s, seeds, max_sweeps, form: QuadraticForm, terms) -
     return list(zip(u, checked, sweeps, converged))
 
 
+def _verify_bounds(problems, form: QuadraticForm, terms, states) -> list:
+    """Restarts (a) and (b) of each instance (one_phase, xi = 0), for its
+    states of _bound_states and terms[i]: a pair of exits (u, energy, 0,
+    True), checked in one stacked pass where a descent would sweep once and
+    stall. With b = W_II x + b_I and t its best responses (_best_response),
+    a state must be nonnegative, on where t is, improvable in all by less
+    than the sweep's stall threshold (sum_i a_i (x_i - t_i)^2), and solve
+    A_SS x_S = b_I[S] on its support S to CG_TOL, the polish's warm-start
+    test, or SolverError names the instance and the node."""
+    rho, grid = problems[0].rho, problems[0].grid
+    x = np.array([x for state in states for x in state[:2]])
+    b_I, c = (np.repeat([term[j] for term in terms], 2, axis=0) for j in (0, 1))
+    energies = reduced_energies(form, x, rho, 0.0, b_I, c)
+    a, on, b = form.row_sums, x > 0.0, np.vecdot(form.dense, x[:, None, :]) + b_I
+    t = _best_response(a, b, rho * grid.cell_measure)
+    flipped, gains, residual = (t > 0.0) != on, a * (x - t) ** 2, np.where(on, a * x - b, 0.0)
+    for failed, nodes, what in (
+            ((x < 0.0).any(axis=1), x < 0.0, "a one_phase exact solve is negative"),
+            (flipped.any(axis=1), flipped, "its best response differs"),
+            (np.add.reduce(gains, axis=1) >= EPS_STOP_FACTOR * (1.0 + np.abs(energies)), gains,
+             "best responses improve the energy by a sweep's stall threshold"),
+            (np.linalg.norm(residual, axis=1) > CG_TOL * np.linalg.norm(b_I * on, axis=1),
+             np.abs(residual), "the exact solve's residual exceeds CG_TOL")):
+        if failed.any():
+            k = int(np.argmax(failed))
+            raise SolverError(f"bound state ({'ab'[k % 2]}) of instance {k // 2} fails at node "
+                              f"{form.interior_idx[np.argmax(nodes[k])]}: {what}")
+    u = np.repeat([problem.exterior_data for problem in problems], 2, axis=0)
+    u[:, form.interior_idx] = x
+    exits = iter((values, energy, 0, True) for values, energy in zip(u, energies.tolist()))
+    return [list(pair) for pair in zip(exits, exits)]
+
+
 def coordinate_descent(problem: ProblemSpec, init: Field, seed=0,
                        max_sweeps=DEFAULT_MAX_SWEEPS, form: QuadraticForm | None = None
                        ) -> MinimizeResult:
-    """Descend from init with seed-shuffled sweeps; energy never increases.
-
-    The initialization must agree with the exterior data and satisfy the phase
-    constraint; _descend_all, with the one descent, gives the stopping rule
-    and the energy checks. The reported energy is the exit state's pairwise
-    total_energy.
-    """
+    """Descend from init with seed-shuffled sweeps, energy never increasing:
+    _descend_all's one-entry stack, which checks init and gives the stopping
+    rule; the reported energy is the exit state's pairwise total_energy."""
     _check_seed(seed)
     if form is None:
         form = assemble_form(problem.kernel, problem.grid, problem.exterior_data)
@@ -796,8 +807,7 @@ def _certify(problem: ProblemSpec, form: QuadraticForm, terms, x_a, x_b, energie
     becomes "stalled" or "capped". The record's `minimum` is the lowest
     support energy seen when the bound closed to it at the last greedy call,
     the certified global minimum, and None otherwise. The record holds no
-    timings, so it is reproducible byte for byte. The instances run in
-    lockstep (see the module docstring).
+    timings, so it is reproducible byte for byte. The instances run in lockstep.
     """
     records, runs = [], []
     for i, (a, b) in enumerate(zip(x_a, x_b)):
@@ -889,29 +899,21 @@ def minimize_all(problems, n_restarts, seeds, max_sweeps=DEFAULT_MAX_SWEEPS,
     """minimize's result for each of `problems`, which share kernel, grid,
     rho, xi and phase, seeds[i] the seed of problems[i].
 
-    Initializations: (a) the harmonic lifting of the exterior data, (b) the
-    zero extension, (c) n_restarts - 2 random interior supports carrying the
-    lifting values. For one_phase at xi = 0, (a) and (b) start instead at the
-    greatest and the least coordinatewise-stable states of _bound_states
-    (both are computed for any n_restarts, and their record is the result's
-    `bounds`), and the lifting is computed only when a random restart runs.
-    Restart k descends with seed + k, on the calling thread, sharing one
-    exterior_terms: (a) and (b) of every instance as one stack
-    (_descend_all), then restart k = 2, 3, .. of every instance whose random
-    restarts go on as one stack. For
-    one_phase at xi = 0 with n_restarts >= 3, the better of (a) and (b), by
-    the key below, is certified (_certify); when the certificate proves it
-    globally minimal the random restarts (c) are skipped and restarts_used is
-    2. Otherwise the random restarts run in seed order, and when the
-    certificate holds a certified minimum they stop after the first one whose
-    reduced exit energy is within 1e-12 * (1 + |minimum|) of it; without one
-    every restart runs. The certificate's record is the result's
-    `certificate` (None when none ran). Selection over the restarts that ran
-    is by the lexicographic key (reduced exit energy, restart seed), so the
-    lowest seed wins ties, and only the winner is finalized: its reported
-    energy is its pairwise total_energy, the one pairwise evaluation per
-    instance, and the winners' come from one stacked pass (_finalize_all).
-    _bound_states, _certify and the descents run the stack in lockstep, and
+    Restart k, with seed + k, starts from (a) the harmonic lifting of the
+    exterior data, (b) the zero extension, or (c) for k >= 2 a random
+    interior support carrying the lifting values. For one_phase at xi = 0,
+    (a) and (b) are instead the states of _bound_states (their record is the
+    result's `bounds`), verified (_verify_bounds) at any n_restarts and
+    max_sweeps; otherwise they descend as one stack (_descend_all), as does
+    restart k of every instance whose random restarts go on. For one_phase
+    at xi = 0 with n_restarts >= 3, _certify certifies the better of (a) and
+    (b) (its record is the result's `certificate`, else None): proven
+    globally minimal, it skips the random restarts; with a certified minimum
+    they stop after the first whose reduced exit energy is within
+    1e-12 * (1 + |minimum|) of it. The winner over the restarts that ran is
+    the least by (reduced exit energy, restart seed), and only the winners
+    are finalized, with their pairwise total_energy in one stacked pass
+    (_finalize_all). All of it runs on the calling thread, in lockstep, and
     each result is its instance's alone, bit for bit.
 
     The form is assembled (with problems[0]'s data) unless given, and is
@@ -937,40 +939,32 @@ def minimize_all(problems, n_restarts, seeds, max_sweeps=DEFAULT_MAX_SWEEPS,
     if form is None:
         form = assemble_form(first.kernel, first.grid, first.exterior_data)
     terms = terms or exterior_terms_all(form, [p.exterior_data for p in problems])
-    rows = form.interior_idx
     bounded = first.phase == "one_phase" and first.xi == 0.0
     states = _bound_states(first, form, terms) if bounded else [None] * len(problems)
     lifted = [None if bounded else lifting_initialization(problem, form, kept).values
               for problem, kept in zip(problems, terms)]
-    # restarts (a) and (b) of every instance, descended as one stack
-    pairs = []
-    for problem, state, values in zip(problems, states, lifted):
-        pair = [values, problem.exterior_data]
-        if bounded:
-            pair = [problem.exterior_data.copy(), problem.exterior_data.copy()]
-            pair[0][rows], pair[1][rows] = state[:2]
-        pairs.append(pair[:n_restarts])
-    stack = [(i, k) for i, pair in enumerate(pairs) for k in range(len(pair))]
-    results = [[] for _ in problems]
-    for (i, _), out in zip(stack, _descend_all(
-            [problems[i] for i, _ in stack], [pairs[i][k] for i, k in stack],
-            [seeds[i] + k for i, k in stack], max_sweeps, form, [terms[i] for i, _ in stack])):
-        results[i].append(out)
+    # restarts (a) and (b): the verified bound states, or one stack of descents
+    if bounded:
+        results = [pair[:n_restarts] for pair in _verify_bounds(problems, form, terms, states)]
+    else:
+        stack = [(i, k) for i in range(len(problems)) for k in range(min(n_restarts, 2))]
+        exits = iter(_descend_all([problems[i] for i, _ in stack],
+                                  [(lifted[i], problems[i].exterior_data)[k] for i, k in stack],
+                                  [seeds[i] + k for i, k in stack], max_sweeps, form,
+                                  [terms[i] for i, _ in stack]))
+        results = [[next(exits) for _ in range(min(n_restarts, 2))] for _ in problems]
     certificates = [None] * len(problems)
     if n_restarts >= 3 and bounded:
-        certificates = _certify(first, form, terms, [r[0][0][rows] for r in results],
-                                [r[1][0][rows] for r in results],
+        certificates = _certify(first, form, terms, *zip(*[s[:2] for s in states]),
                                 [min(r[0][1], r[1][1]) for r in results])
     # the random restarts, restart k of every instance still running as one
     # stack; an instance stops after the first whose reduced exit energy
     # reaches its certified minimum, if it has one
-    reached, running = {}, []
-    for i, certificate in enumerate(certificates):
-        if certificate is None or certificate["status"] != "certified":
-            minimum = None if certificate is None else certificate["minimum"]
-            reached[i] = (-math.inf if minimum is None
-                          else minimum + CERTIFICATE_RTOL * (1.0 + abs(minimum)))
-            running.append(i)
+    reached = {i: -math.inf if (minimum := (record or {}).get("minimum")) is None
+               else minimum + CERTIFICATE_RTOL * (1.0 + abs(minimum))
+               for i, record in enumerate(certificates)
+               if (record or {}).get("status") != "certified"}
+    running = list(reached)
     interior_idx = np.nonzero(first.grid.interior)[0]
     for k in range(2, n_restarts):
         if not running:
@@ -1128,9 +1122,10 @@ def oracle_minimize_all(problems, form: QuadraticForm | None = None, terms=None)
     is the global minimum (exactly for xi = 0 only). A later mask displaces
     the best only when lower by more than 1e-10 relative energy; supports tied
     with the best within that are all reported (_oracle_scan). One stacked
-    pass scores the candidates (_oracle_energies), and each result is built
-    as it is drawn; the winner's energy is the pairwise one, with terms[i] =
-    exterior_terms(form, problems[i].exterior_data), computed in one pass
+    pass scores the candidates (_oracle_energies), and the winners of each
+    block of ORACLE_BLOCK instances get their pairwise energies from one
+    call (_finalize_all) when its first result is drawn; terms[i] =
+    exterior_terms(form, problems[i].exterior_data) is computed in one pass
     unless given. check_oracle refuses at the call, before any scoring; the
     form is assembled unless given, and is returned on each result.
     """
@@ -1140,20 +1135,25 @@ def oracle_minimize_all(problems, form: QuadraticForm | None = None, terms=None)
     terms = terms or exterior_terms_all(form, [p.exterior_data for p in problems])
 
     def results():
-        for problem, kept, energies in zip(problems, terms,
-                                           _oracle_energies(problems[0], form, terms)):
-            def support(mask):
-                rows, x = _oracle_solve(form.pinned_inverses, kept[0], mask)
-                return tuple(form.interior_idx[rows[x > problem.xi]].tolist())
+        scores = _oracle_energies(problems[0], form, terms)
+        for start in range(0, len(problems), ORACLE_BLOCK):
+            block, kept, exits, tied = (problems[start:start + ORACLE_BLOCK],
+                                        terms[start:start + ORACLE_BLOCK], [], [])
+            # each instance's energies are scanned before the next block overwrites them
+            for problem, (b_I, _), energies in zip(block, kept, scores):
+                def support(mask):
+                    rows, x = _oracle_solve(form.pinned_inverses, b_I, mask)
+                    return tuple(form.interior_idx[rows[x > problem.xi]].tolist())
 
-            best, ties = _oracle_scan(energies, support)
-            rows, x = _oracle_solve(form.pinned_inverses, kept[0], best)
-            values = problem.exterior_data.copy()
-            values[form.interior_idx[rows]] = x
-            result = _finalize_all([problem], form, [(values, None, 0, True)], [-1], [0],
-                                   [kept])[0]
-            result.tied_supports = sorted(ties) if len(ties) > 1 else None
-            yield result
+                best, ties = _oracle_scan(energies, support)
+                rows, x = _oracle_solve(form.pinned_inverses, b_I, best)
+                exits.append((problem.exterior_data.copy(), None, 0, True))
+                exits[-1][0][form.interior_idx[rows]] = x
+                tied.append(sorted(ties) if len(ties) > 1 else None)
+            for result, ties in zip(_finalize_all(block, form, exits, [-1] * len(block),
+                                                  [0] * len(block), kept), tied):
+                result.tied_supports = ties
+                yield result
 
     return results()
 

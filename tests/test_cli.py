@@ -384,8 +384,9 @@ class TestSolveCommand:
         assert res["energy"]["total"] == res["energy"]["dirichlet"] + res["energy"]["volume"]
         assert res["energy"]["support_count"] == 17
         assert res["support_size"] == 17
+        # one_phase at xi = 0: the winner is a bound state, verified, not descended
         assert res["converged"] is True
-        assert isinstance(res["sweeps"], int) and res["sweeps"] > 0
+        assert isinstance(res["sweeps"], int) and res["sweeps"] == 0
 
         # staged files were all renamed into place
         assert not [n for n in os.listdir(out) if n.endswith(".partial")]
@@ -671,15 +672,16 @@ class TestOracleCompareCommand:
         assert calls == ["assembly", "pinned inverses", "exterior pass"]
 
     def test_boundary_evaluations_do_not_grow_with_the_instances(self, tmp_path, monkeypatch):
-        # the oracle-50 config at 2 restarts: minimize_all descends every
-        # instance's bound restarts as one stack, one boundary energy pass and
-        # one polish call per round for all of them, so 50 instances take no
-        # more of either than 10 (a pass per instance each, unstacked)
+        # the oracle-50 config at 2 restarts: minimize_all verifies every
+        # instance's bound restarts in one stacked pass, with one energy
+        # pass and no descent or polish, so 50 instances take no more of
+        # any than 10 (a pass per instance each, unstacked)
         counts = {}
         for n in (10, 50):
             cfg = parse_config(write_cfg(tmp_path, ORACLE_50_CFG + f"oracle.instances = {n}\n"
                                                                    "oracle.restarts = 2\n"))
-            calls = dict.fromkeys(("reduced_energies", "_polish_all"), 0)
+            calls = dict.fromkeys(("reduced_energies", "_verify_bounds", "_descend_all",
+                                   "_polish_all"), 0)
 
             def counted(name, real):
                 def call(*args, **kwargs):
@@ -692,8 +694,8 @@ class TestOracleCompareCommand:
             assert len(oracle_compare_instances(cfg, 0)) == n
             monkeypatch.undo()
             counts[n] = calls
-        assert all(counts[50][name] <= counts[10][name] for name in counts[10])
-        assert 1 <= counts[10]["_polish_all"] < counts[10]["reduced_energies"] <= 7
+        assert counts[10] == counts[50] == {"reduced_energies": 1, "_verify_bounds": 1,
+                                            "_descend_all": 0, "_polish_all": 0}
 
     def test_memory_grows_with_the_instances_only_by_the_rows(self, tmp_path):
         # blocks of ORACLE_STACK instances are solved in turn, and the
@@ -985,9 +987,10 @@ class TestManifestWarnings:
     """One warning per reported result that stopped at solver.max_sweeps, and
     one per result its certificate proves not globally minimal.
 
-    A one_phase descent at xi = 0 starts at a bound state and verifies it in
-    one sweep, so the solve and oracle-compare cases run two_phase, whose
-    descents from the lifting need more than one sweep."""
+    At one_phase, xi = 0 restarts (a) and (b) are bound states, verified in
+    place of a descent and converged at any max_sweeps, so the solve and
+    oracle-compare cases run two_phase, whose descents from the lifting need
+    more than one sweep."""
 
     def run_manifest(self, tmp_path, subcommand, cfg):
         cfg_path, out = write_cfg(tmp_path, cfg + "solver.max_sweeps = 1\n"), str(tmp_path / "out")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -42,8 +43,8 @@ from nlfb.solver import (CERTIFICATE_RTOL, CG_TOL, DEFAULT_MAX_SWEEPS, EPS_STOP_
                          _band_greedy, _certify, _best_response, _bound_states, _descend_all,
                          _finalize_all, _free_mask, _oracle_energies, _oracle_scan,
                          _oracle_solve, _pcg, _pinned_inverses, _polish_all, _solve_free,
-                         _subsystem, _sweep, _visit, check_oracle, minimize_all,
-                         oracle_minimize_all)
+                         _subsystem, _sweep, _verify_bounds, _visit, check_oracle,
+                         minimize_all, oracle_minimize_all)
 
 from conftest import (family_kernel, random_field_values, reference_exterior_rows,
                       reference_exterior_term, reference_row)
@@ -782,6 +783,24 @@ def test_stacked_descents_raise_as_each_descent_alone(monkeypatch, fault, error,
             calls.clear()
 
 
+def test_descent_orders_are_the_default_rng_permutations(monkeypatch):
+    # each descent's visiting orders are default_rng(seed)'s permutations,
+    # bit for bit, over small and large seeds
+    problem = four_interior_problem(np.random.default_rng(223))
+    form = assemble_form(problem.kernel, problem.grid)
+    terms = exterior_terms(form, problem.exterior_data)
+    real_sweep, orders = nlfb.solver._sweep, []
+    monkeypatch.setattr(nlfb.solver, "_sweep",
+                        lambda form, x, b_I, order, *args: orders.append(order.copy())
+                        or real_sweep(form, x, b_I, order, *args))
+    for seed in list(range(40)) + [1000, 100000 * 51 + 9507, 2 ** 32 - 1, 2 ** 32, 2 ** 63]:
+        orders.clear()
+        descend(problem, problem.exterior_data, seed, 3, form, terms)
+        rng = np.random.default_rng(seed)
+        assert orders and all(order.tobytes() == rng.permutation(4).tobytes()
+                              for order in orders)
+
+
 def test_rho_zero_two_phase_recovers_harmonic_values(grid_1d_small):
     kernel = fractional_kernel(0.5)
     rng = np.random.default_rng(53)
@@ -1072,21 +1091,36 @@ def test_stacked_oracle_matches_the_reference_per_instance(phase, lattice, size,
         assert res.form is form
 
 
-def test_stacked_oracle_builds_each_result_as_it_is_drawn(monkeypatch):
-    # the refusal comes at the call; the results come one at a time, each
-    # finalized when it is drawn
+def test_stacked_oracle_builds_each_block_as_its_first_result_is_drawn(monkeypatch):
+    # the refusal comes at the call; the results come one at a time, and
+    # when the first of a block of ORACLE_BLOCK is drawn the block's winners
+    # are finalized in one call, each result that of the instance alone
+    # (finalized alone), bit for bit
     rng = np.random.default_rng(173)
     base = four_interior_problem(rng)
-    problems = [replace(base, exterior_data=4.0 * base.exterior_data * k) for k in range(3)]
+    problems = [replace(base, exterior_data=0.5 * base.exterior_data * k)
+                for k in range(ORACLE_BLOCK + 3)]
+    form = check_oracle(base)
+    alone = [oracle_minimize(problem, form) for problem in problems]
     finalized = []
     real = nlfb.solver._finalize_all
     monkeypatch.setattr(nlfb.solver, "_finalize_all",
-                        lambda *args, **kwargs: finalized.append(1) or real(*args, **kwargs))
-    results = oracle_minimize_all(problems)
+                        lambda problems, *args: finalized.append(len(problems))
+                        or real(problems, *args))
+    results = oracle_minimize_all(problems, form)
     assert finalized == []
-    first = next(results)
-    assert len(finalized) == 1 and first.energy.total == 0.0
-    assert len(list(results)) == 2 and len(finalized) == 3
+    drawn = [next(results)]
+    assert finalized == [ORACLE_BLOCK] and drawn[0].energy.total == 0.0
+    drawn += [next(results) for _ in range(ORACLE_BLOCK - 1)]
+    assert finalized == [ORACLE_BLOCK]
+    drawn.append(next(results))
+    assert finalized == [ORACLE_BLOCK, 3]
+    drawn += list(results)
+    assert finalized == [ORACLE_BLOCK, 3] and len(drawn) == len(problems)
+    for got, want in zip(drawn, alone):
+        assert_same_oracle_result(got, want)
+        assert got.energy.total.hex() == want.energy.total.hex()
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
 
 
 def test_stacked_oracle_refuses_instances_that_differ():
@@ -1432,18 +1466,26 @@ def test_single_restart_equals_descent_from_lifting():
     assert np.array_equal(with_form.field.values, via_minimize.field.values)
 
 
-def test_single_one_phase_restart_equals_descent_from_the_upper_bound_state():
-    # one_phase at xi = 0: restart (a) descends from the greatest
-    # coordinatewise-stable state below the lifting, and its descent only
-    # verifies it: one sweep, converged, on the same support
+def test_single_one_phase_restart_is_the_verified_upper_bound_state():
+    # one_phase at xi = 0: restart (a) is the greatest coordinatewise-stable
+    # state below the lifting, verified in place of a descent (sweeps 0,
+    # converged, at any max_sweeps); a descent from it stops after one
+    # sweep on the same support, at the same energy up to the last ulps
     rng = np.random.default_rng(83)
     problem = four_interior_problem(rng)
     form = assemble_form(problem.kernel, problem.grid)
     init = bound_inits(problem, form)[0]
+    for max_sweeps in (0, 1, DEFAULT_MAX_SWEEPS):
+        res = minimize(problem, n_restarts=1, seed=5, max_sweeps=max_sweeps, form=form)
+        assert res.field.values.tobytes() == init.tobytes()
+        assert (res.sweeps, res.converged, res.best_restart_seed) == (0, True, 5)
+        fresh = total_energy(form, res.field, problem.rho, problem.xi)
+        fresh.truncation_bound = res.energy.truncation_bound
+        assert res.energy.to_dict() == fresh.to_dict()
     direct = coordinate_descent(problem, Field(problem.grid, init), seed=5, form=form)
-    res = minimize(problem, n_restarts=1, seed=5, form=form)
-    assert_same_restart_result(res, direct)
-    assert (res.sweeps, res.converged) == (1, True)
+    assert (direct.sweeps, direct.converged) == (1, True)
+    assert np.array_equal(res.support, direct.support)
+    assert abs(res.energy.total - direct.energy.total) <= 1e-14 * abs(direct.energy.total)
     assert np.array_equal(res.support, np.nonzero(problem.grid.interior & (init > 0.0))[0])
     assert res.bounds["a"]["support"] == res.support.shape[0]
 
@@ -1522,7 +1564,8 @@ def test_bound_states_trace_the_growth_fronts():
 def test_minimize_finalizes_only_the_winner(monkeypatch, n_restarts, phase):
     # the restarts share one exterior_terms and are ranked by (reduced exit
     # energy, seed); only the winner gets the pairwise total_energy, and its
-    # result is the public coordinate_descent from its init and seed. At 5
+    # result is its restart's alone: the public coordinate_descent from its
+    # init and seed, or at one_phase, xi = 0 its verified bound state. At 5
     # restarts only two_phase runs every restart: one_phase at xi = 0 skips
     # the random ones once the bounds are certified (tested below)
     grid = build_grid(1, 0.1, 2.0)
@@ -1542,29 +1585,17 @@ def test_minimize_finalizes_only_the_winner(monkeypatch, n_restarts, phase):
 
     for name in calls:
         monkeypatch.setattr(nlfb.solver, name, counted(name, getattr(nlfb.solver, name)))
-    exits = []       # (seed, init, reduced exit energy) per restart
-    real_descend = nlfb.solver._descend_all
-
-    def descend_all(problems, u0s, seeds, *args):
-        out = real_descend(problems, u0s, seeds, *args)
-        exits.extend((seed, u0.copy(), energy) for seed, u0, (_, energy, _, _)
-                     in zip(seeds, u0s, out))
-        return out
-
-    monkeypatch.setattr(nlfb.solver, "_descend_all", descend_all)
+    exits = record_restarts(monkeypatch, 11, n_restarts)
     res = minimize(problem, n_restarts=n_restarts, seed=11, form=form)
     monkeypatch.undo()
     assert calls == {"total_energies": 1, "exterior_terms_all": 1}
     assert res.restarts_used == n_restarts
     assert sorted(seed for seed, _, _ in exits) == list(range(11, 11 + n_restarts))
-    best = min(energy for _, _, energy in exits)
-    assert res.best_restart_seed == min(seed for seed, _, energy in exits if energy == best)
+    best = min(out[1] for _, _, out in exits)
+    assert res.best_restart_seed == min(seed for seed, _, out in exits if out[1] == best)
     _, init, _ = next(e for e in exits if e[0] == res.best_restart_seed)
-    direct = coordinate_descent(problem, Field(grid, init), seed=res.best_restart_seed,
-                                form=form)
-    assert res.field.values.tobytes() == direct.field.values.tobytes()
-    assert res.energy.to_dict() == direct.energy.to_dict()
-    assert (res.sweeps, res.converged) == (direct.sweeps, direct.converged)
+    assert_same_restart_result(res, restart_reference(
+        problem, form, res.best_restart_seed, init, verified=phase == "one_phase"))
     fresh = total_energy(form, res.field, problem.rho, problem.xi)
     fresh.truncation_bound = res.energy.truncation_bound
     assert res.energy.to_dict() == fresh.to_dict()
@@ -1580,18 +1611,40 @@ def one_phase_oracle_instance(t):
     return ProblemSpec(fractional_kernel(0.5), grid, data, rho=0.2, phase="one_phase")
 
 
-def record_descents(monkeypatch):
-    """Record (seed, init, result) for every descent _descend_all runs."""
+def record_restarts(monkeypatch, seed, n_restarts):
+    """Record (seed, init, exit) for every restart of a one-instance minimize
+    with this seed and restart count: the bound restarts as _verify_bounds
+    gives them (seeds seed and seed + 1, init the state of _bound_states),
+    every other one as _descend_all runs it."""
     exits = []
-    real_descend = nlfb.solver._descend_all
+    real_descend, real_verify = nlfb.solver._descend_all, nlfb.solver._verify_bounds
 
     def descend_all(problems, u0s, seeds, *args):
         out = real_descend(problems, u0s, seeds, *args)
         exits.extend((seed, u0.copy(), result) for seed, u0, result in zip(seeds, u0s, out))
         return out
 
+    def verify_bounds(problems, form, terms, states):
+        out = real_verify(problems, form, terms, states)
+        for k, (x, result) in enumerate(zip(states[0][:2], out[0][:n_restarts])):
+            init = problems[0].exterior_data.copy()
+            init[form.interior_idx] = x
+            exits.append((seed + k, init, result))
+        return out
+
     monkeypatch.setattr(nlfb.solver, "_descend_all", descend_all)
+    monkeypatch.setattr(nlfb.solver, "_verify_bounds", verify_bounds)
     return exits
+
+
+def restart_reference(problem, form, seed, init, verified):
+    """A restart's result alone: with `verified`, its bound state init
+    finalized as an exit of 0 sweeps, converged; otherwise the public
+    coordinate_descent from init with its seed."""
+    if not verified:
+        return coordinate_descent(problem, Field(problem.grid, init), seed=seed, form=form)
+    terms = exterior_terms(form, problem.exterior_data)
+    return _finalize_all([problem], form, [(init, None, 0, True)], [seed], [1], [terms])[0]
 
 
 def bound_inits(problem, form):
@@ -1606,21 +1659,20 @@ def bound_inits(problem, form):
 
 def every_restart(problem, n_restarts, seed, form):
     """The reference for minimize without its certificate: every one of its
-    n_restarts descents (from the bound states of _bound_states, then the
-    random supports drawn from default_rng([seed, k]) carrying the lifting
-    values) descends alone, and the winner by (reduced exit energy,
-    seed) is finalized."""
+    n_restarts restarts runs alone (the bound states of _bound_states,
+    verified by _verify_bounds, then descents from the random supports drawn
+    from default_rng([seed, k]) carrying the lifting values), and the winner
+    by (reduced exit energy, seed) is finalized."""
     terms = exterior_terms(form, problem.exterior_data)
     lifted = lifting_initialization(problem, form).values
     interior = np.nonzero(problem.grid.interior)[0]
-    inits = bound_inits(problem, form)
+    exits = _verify_bounds([problem], form, [terms], _bound_states(problem, form, [terms]))[0]
     for k in range(2, n_restarts):
         on = interior[np.random.default_rng([seed, k]).random(interior.shape[0]) < 0.5]
         values = problem.exterior_data.copy()
         values[on] = lifted[on]
-        inits.append(values)
-    exits = [descend(problem, u0, seed + k, DEFAULT_MAX_SWEEPS, form, terms)
-             for k, u0 in enumerate(inits[:n_restarts])]
+        exits.append(descend(problem, values, seed + k, DEFAULT_MAX_SWEEPS, form, terms))
+    exits = exits[:n_restarts]
     best = min(range(n_restarts), key=lambda k: (exits[k][1], k))
     return _finalize_all([problem], form, [exits[best]], [seed + best], [n_restarts],
                          [terms])[0]
@@ -1636,14 +1688,14 @@ def assert_same_restart_result(res, reference):
 @pytest.mark.parametrize("instance,status", [(0, "certified"), (10, "refuted")])
 def test_one_phase_random_restarts_run_unless_the_bounds_are_certified(
         monkeypatch, instance, status):
-    # certified: only seeds s and s + 1 (the bound restarts) descend, and the
-    # result is the better of them bit for bit; refuted: Wolfe runs on until
+    # certified: only seeds s and s + 1 (the bound restarts) run, verified,
+    # and the result is the better of them bit for bit; refuted: Wolfe runs on until
     # the bound meets the support energy that refuted the exits, the oracle's
     # minimum, and the random restarts stop at seed 13, the first to reach
     # it, which is also the winner of the ranking over all 5 restarts
     problem = one_phase_oracle_instance(instance)
     form = assemble_form(problem.kernel, problem.grid)
-    exits = record_descents(monkeypatch)
+    exits = record_restarts(monkeypatch, 11, 5)
     res = minimize(problem, n_restarts=5, seed=11, form=form)
     monkeypatch.undo()
     cert = res.certificate
@@ -1652,10 +1704,8 @@ def test_one_phase_random_restarts_run_unless_the_bounds_are_certified(
     assert [seed for seed, _, _ in exits] == ran and res.restarts_used == len(ran)
     best = min(exits, key=lambda e: (e[2][1], e[0]))
     assert res.best_restart_seed == best[0]
-    direct = coordinate_descent(problem, Field(problem.grid, best[1]), seed=best[0], form=form)
-    assert res.field.values.tobytes() == direct.field.values.tobytes()
-    assert res.energy.to_dict() == direct.energy.to_dict()
-    assert (res.sweeps, res.converged) == (direct.sweeps, direct.converged)
+    assert_same_restart_result(res, restart_reference(problem, form, *best[:2],
+                                                      verified=best[0] < 13))
     # the record brackets the better bound exit's reduced energy
     bound_exit = min(exits[:2], key=lambda e: (e[2][1], e[0]))[2][1]
     tol = CERTIFICATE_RTOL * (1.0 + abs(bound_exit))
@@ -1695,7 +1745,7 @@ def test_restarts_that_miss_the_certified_minimum_all_run(monkeypatch):
     problem = ProblemSpec(fractional_kernel(0.5), grid, data, rho=0.2, phase="one_phase")
     form = assemble_form(problem.kernel, grid)
     seed = 9507 + 100000 * 50
-    exits = record_descents(monkeypatch)
+    exits = record_restarts(monkeypatch, seed, 20)
     res = minimize(problem, n_restarts=20, seed=seed, form=form)
     monkeypatch.undo()
     cert = res.certificate
@@ -1724,7 +1774,7 @@ def test_a_refutation_that_cannot_close_runs_every_restart(monkeypatch, blocked)
         monkeypatch.setattr(nlfb.solver, "WOLFE_MAX_ITERATIONS", 0)
     else:
         monkeypatch.setattr(nlfb.solver, "_affine_minimizers", singular_affine_steps)
-    exits = record_descents(monkeypatch)
+    exits = record_restarts(monkeypatch, 11, 5)
     res = minimize(problem, n_restarts=5, seed=11, form=form)
     monkeypatch.undo()
     cert = res.certificate
@@ -1931,6 +1981,168 @@ def test_bound_states_are_the_descent_exits_and_bracket_the_oracle(family, s, bl
     found = mask_of(oracle.field.values[rows] > 0.0)
     for support in (least, found):
         assert supp_b & ~support == 0 and support & ~supp_a == 0
+
+
+# ------------------------------------------------ the verified bound restarts
+
+def test_descents_run_only_the_random_restarts_at_one_phase_xi_0(monkeypatch):
+    # one_phase at xi = 0: one _verify_bounds call takes restarts (a) and
+    # (b) of every instance, and _descend_all runs only the random restarts
+    # of the refuted instances; two_phase descends (a) and (b) as one stack
+    base = one_phase_oracle_instance(0)
+    problems = [replace(base, exterior_data=one_phase_oracle_instance(t).exterior_data)
+                for t in (0, 10, 3)]
+    form = assemble_form(base.kernel, base.grid)
+    for phase in PHASES:
+        stack = [replace(p, phase=phase) for p in problems]
+        calls = []
+        real_descend, real_verify = nlfb.solver._descend_all, nlfb.solver._verify_bounds
+        monkeypatch.setattr(nlfb.solver, "_descend_all", lambda problems, u0s, seeds, *args:
+                            calls.append(("descend", list(seeds))) or
+                            real_descend(problems, u0s, seeds, *args))
+        monkeypatch.setattr(nlfb.solver, "_verify_bounds", lambda problems, *args:
+                            calls.append(("verify", len(problems))) or
+                            real_verify(problems, *args))
+        got = minimize_all(stack, 5, [11, 21, 31], form=form)
+        monkeypatch.undo()
+        if phase == "two_phase":
+            assert calls[0] == ("descend", [11, 12, 21, 22, 31, 32])
+            assert all(name == "descend" for name, _ in calls)
+            continue
+        statuses = [res.certificate["status"] for res in got]
+        assert statuses == ["certified", "refuted", "certified"]
+        assert calls[0] == ("verify", 3) and len(calls) >= 2
+        assert [seeds for _, seeds in calls[1:]] == [[23 + k] for k in range(len(calls) - 1)]
+        assert got[1].restarts_used == len(calls) + 1
+        assert all(res.restarts_used == 2 for res in (got[0], got[2]))
+
+
+BOUND_FAULTS = {
+    # fault: (the check that fails, whether it names the faulted node)
+    "on_to_off": ("its best response differs", True),
+    "off_to_on": ("its best response differs", True),
+    "nudged": ("residual exceeds CG_TOL", True),
+    "residual": ("residual exceeds CG_TOL", False),
+    "negative": ("exact solve is negative", True),
+    "stall": ("improve the energy by a sweep's stall threshold", False),
+}
+
+
+@pytest.mark.parametrize("fault", list(BOUND_FAULTS))
+@pytest.mark.parametrize("bound", ["a", "b"])
+def test_a_faulted_bound_state_fails_its_verification(monkeypatch, fault, bound):
+    # one state of the middle instance of three (40 nodes, both bound
+    # states with nodes on and off): its lowest support node flipped off,
+    # its lowest node off the support flipped on (valued as the largest
+    # entry), that support node's value nudged by 1e-8 relative or made
+    # negative, or the state scaled by 1 + 1e-10 (its exact solve's residual
+    # 100 times CG_TOL) each raise SolverError naming the instance and the
+    # node; a stall threshold of 0 trips the summed improvements
+    grid = build_grid(1, 0.05, 2.0)
+    outside = ~grid.interior & (grid.positions[:, 0] >= 1.0)
+    problems = [ProblemSpec(fractional_kernel(0.5), grid, np.where(outside, amplitude, 0.0),
+                            rho=0.1) for amplitude in (0.35, 0.42, 0.49)]
+    form = assemble_form(problems[0].kernel, grid)
+    real = nlfb.solver._bound_states
+    terms = [exterior_terms(form, p.exterior_data) for p in problems]
+    k = "ab".index(bound)
+    x = real(problems[0], form, [terms[1]])[0][k].copy()
+    on = np.flatnonzero(x > 0.0)
+    assert on.shape[0] and on.shape[0] < x.shape[0]
+    node = {"on_to_off": on[0], "off_to_on": np.flatnonzero(x <= 0.0)[0],
+            "nudged": on[0], "negative": on[0]}.get(fault)
+    if fault == "on_to_off":
+        x[node] = 0.0
+    elif fault == "off_to_on":
+        x[node] = x.max()
+    elif fault == "nudged":
+        x[node] *= 1.0 + 1e-8
+    elif fault == "residual":
+        x *= 1.0 + 1e-10
+    elif fault == "negative":
+        x[node] = -1e-300
+    else:
+        monkeypatch.setattr(nlfb.solver, "EPS_STOP_FACTOR", 0.0)
+
+    def faulted(problem, form, terms):
+        states = real(problem, form, terms)
+        states[1] = states[1][:k] + (x,) + states[1][k + 1:]
+        return states
+
+    monkeypatch.setattr(nlfb.solver, "_bound_states", faulted)
+    what, named = BOUND_FAULTS[fault]
+    # at a threshold of 0 every state fails, the first one first
+    state = "(a) of instance 0" if fault == "stall" else f"({bound}) of instance 1"
+    message = rf"bound state \{state[:2]}\{state[2:]} fails at node (\d+): .*{what}"
+    for n_restarts in (1, 2, 5):
+        with pytest.raises(SolverError, match=message) as raised:
+            minimize_all(problems, n_restarts, [11, 21, 31], form=form)
+        found = int(re.search(message, str(raised.value)).group(1))
+        assert found == form.interior_idx[node] if named else found in form.interior_idx
+    monkeypatch.undo()
+    assert [res.sweeps for res in minimize_all(problems, 2, [11, 21, 31], form=form)] == [0] * 3
+
+
+@settings(max_examples=100, deadline=None)
+@given(family=st.sampled_from(("fractional_laplacian", "modulated", "checkerboard",
+                               "custom_table")),
+       lattice=st.sampled_from([(1, 0.25), (1, 0.16), (1, 0.125), (1, 0.1), (2, 0.25)]),
+       s=st.floats(0.05, 0.95), block=st.floats(0.1, 1.0), size=st.integers(1, 6),
+       zero=st.booleans(), log_rho=st.floats(-3.0, 0.5), n_restarts=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_verified_bound_states_are_one_sweep_of_their_descents(family, lattice, s, block,
+                                                               size, zero, log_rho,
+                                                               n_restarts, seed):
+    # random one_phase, xi = 0 stacks of 1 to 6 instances with 4 to 10
+    # interior nodes (with `zero`, one of zero data): a descent from each
+    # verified bound state, one sweep long, stays on its support at its
+    # energy within 1e-14 relative, and minimize_all with (a) and (b)
+    # descended in place of verified picks the same winners, restarts and
+    # certificate statuses. Restarts that end on one support may tie in one
+    # ranking and differ by ulps in the other, so the winning seeds may
+    # differ, but only between exits on the winning support
+    dim, h = lattice
+    grid = enumerate_lattice(dim, h, 1.5 if dim == 1 else 1.0, 0.5 if dim == 1 else 0.35)
+    kernel = family_kernel(family, dim, s, block)
+    form = assemble_form(kernel, grid)
+    rng = np.random.default_rng(seed)
+    datas = [np.where(grid.interior, 0.0, rng.uniform(0.0, 1.0, grid.n_nodes))
+             for _ in range(size)]
+    if zero:
+        datas[-1] = np.zeros(grid.n_nodes)
+    problems = [ProblemSpec(kernel, grid, data, rho=10.0 ** log_rho) for data in datas]
+    seeds = [seed % 1000 + 7 * k for k in range(size)]
+    terms = nlfb.energy.exterior_terms_all(form, datas)
+    states = _bound_states(problems[0], form, terms)
+    verified = _verify_bounds(problems, form, terms, states)
+    for problem, kept, seed_i, pair in zip(problems, terms, seeds, verified):
+        for k, (u, energy, sweeps, converged) in enumerate(pair):
+            assert (sweeps, converged) == (0, True)
+            swept, swept_energy, _, _ = descend(problem, u, seed_i + k, 1, form, kept)
+            assert np.array_equal(swept > 0.0, u > 0.0)
+            assert abs(swept_energy - energy) <= 1e-14 * abs(energy)
+
+    def descended(problems, form, terms, states):
+        inits = []
+        for problem, state in zip(problems, states):
+            for x in state[:2]:
+                inits.append(problem.exterior_data.copy())
+                inits[-1][form.interior_idx] = x
+        exits = iter(_descend_all([p for p in problems for _ in "ab"], inits,
+                                  [s + k for s in seeds for k in (0, 1)], DEFAULT_MAX_SWEEPS,
+                                  form, [t for t in terms for _ in "ab"]))
+        return [list(pair) for pair in zip(exits, exits)]
+
+    got = minimize_all(problems, n_restarts, seeds, form=form)
+    with patch.object(nlfb.solver, "_verify_bounds", descended):
+        want = minimize_all(problems, n_restarts, seeds, form=form)
+    for res, ref, seed_i in zip(got, want, seeds):
+        assert res.restarts_used == ref.restarts_used
+        assert seed_i <= res.best_restart_seed < seed_i + res.restarts_used
+        # the winners: the same seed, or restarts tied on the winning support
+        assert (res.certificate or {}).get("status") == (ref.certificate or {}).get("status")
+        assert np.array_equal(res.support, ref.support)
+        assert abs(res.energy.total - ref.energy.total) <= 1e-14 * abs(ref.energy.total)
 
 
 # --------------------------------------- minimize_all: oracle-compare's stacks
