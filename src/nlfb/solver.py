@@ -14,26 +14,18 @@ off. The exterior values are data, so b splits into the interior part
 W_II[i] . x, read from the stored block W_II, and the exterior part
 b_I = W_IE g, which the form keeps from assembly (nlfb.energy.exterior_terms;
 W_IE itself is never stored). Sweeps visit interior nodes in a seed-shuffled
-order refreshed every sweep; the exact energy changes of the visits are
-summed into a tracked energy, and a sweep moving it by less than
-1e-13 * (1 + |energy|) stops.
+order refreshed every sweep.
 
 Plain sweeps alone stall at coarse accuracy on ill-conditioned quadratics, so
 between batches of sweeps the solver polishes: it solves the quadratic exactly
-(preconditioned CG) over the free nodes, those off every clamp value, with
-the pinned values held fixed, and accepts the candidate only if the objective
-strictly decreases. Sweeps choose the free set and the polish solves on it,
-so a batch ends as soon as a sweep leaves the free set unchanged (or stalls),
-and after at most POLISH_PERIOD sweeps. This preserves every contract of the
-sweep loop (monotone energy, same stopping rule) while reaching linear-solver
-accuracy on the final support, which the stationarity diagnostics require.
-The energy is recomputed only at the start and at polish boundaries, on the
-reduced form over interior values (nlfb.energy.reduced_energies), where the
-tracked energy must match it to 1e-9 * (1 + |energy|), and a descent exits
-with the reduced energy checked at its last boundary. The reported energy is
-the exit state's pairwise total_energy, evaluated once per result.
-Descents run as a stack in lockstep (_descend_all); a single descent is the
-one-entry stack.
+(preconditioned CG) over the free nodes, with the pinned values held fixed,
+and accepts the candidate only if the objective strictly decreases. This keeps
+every contract of the sweep loop (monotone energy, same stopping rule) while
+reaching linear-solver accuracy on the final support, which the stationarity
+diagnostics require. Descents run as a stack in lockstep (_descend_all, which
+gives the stopping rule and the energy checks); a single descent is the
+one-entry stack. The reported energy is the exit state's pairwise
+total_energy, evaluated once per result.
 
 Restarts (minimize_all) run from deterministic initializations, share one
 exterior_terms and keep the best by (reduced exit energy, restart seed). A
@@ -50,23 +42,13 @@ For one_phase at xi = 0 the support energy
 (the least energy with the nodes off S held at 0) is submodular, and
 min_S G = min J (Topkis 1978). So a node's best response (the exact
 one-variable rule of a sweep, vectorized in _best_response) is monotone in
-the other values, and alternating "S <- the best-response set" and "x <- the
-exact solve on S, with 0 off S" rises from S = {} to the least
-coordinatewise-stable state, and falls from the harmonic lifting to the
-greatest one below it (Tarski 1955; Topkis 1979). _bound_states runs both
-iterations with unions and intersections as monotone clamps, on inverses
-grown and shrunk by Schur blocks (_bordered). Restarts (a) and (b) are the
-greatest state, above every minimizer, and the least, below every
-minimizer, verified in one stacked pass (_verify_bounds) rather than
-descended. _certify fixes L = supp(b) on and runs Wolfe's min-norm-point
-algorithm (Fujishige-Wolfe) over the band B = supp(a) minus L, on the Schur
-complement of A_LL: each greedy vertex x of the base polytope gives the
-prefix energies G(L + first k nodes of its order) and the lower bound
-G(L) + sum_i min(x_i, 0) on min G. When the bound meets the better bound
-state's energy, that state is certified globally minimal and the random
-restarts are skipped; when a prefix energy lies below it (a refutation),
-Wolfe runs on until the bound meets the lowest prefix energy, the certified
-global minimum, and the random restarts stop at the first that reaches it.
+the other values, and _bound_states iterates it up to the least and down to
+the greatest coordinatewise-stable state (Tarski 1955; Topkis 1979): below
+and above every minimizer, they are restarts (b) and (a), verified in one
+stacked pass (_verify_bounds) rather than descended. _certify bounds min G
+from below by Wolfe's min-norm-point algorithm (Fujishige-Wolfe) over the
+band between them: it certifies the better bound state globally minimal,
+which skips the random restarts, or finds a lower minimum, at which they stop.
 """
 
 from __future__ import annotations
@@ -100,6 +82,7 @@ WOLFE_MAX_ITERATIONS = 64
 # nodes per bordered Schur block, and band columns per Schur product: wider BLAS
 # operands page in about 1 MB more of the library's packing buffers per process
 SCHUR_BLOCK = 64
+NEAR_TIE_RTOL = 1e-9     # see _bound_states' fall
 
 
 @dataclass
@@ -581,8 +564,10 @@ def lifting_initialization(problem: ProblemSpec, form: QuadraticForm, terms=None
 
 
 def _groups(*keys):
-    """Positions 0, 1, .. grouped by their tuple of keys (one sequence per
-    key), in order of first appearance: instances whose operands share shapes."""
+    """Positions 0, 1, .. grouped by their tuple of keys (one sequence per key), in
+    order of first appearance: instances whose operands share shapes."""
+    if len(keys[0]) == 1:
+        return [np.zeros(1, dtype=np.int64)]
     groups = {}
     for position, key in enumerate(zip(*keys)):
         groups.setdefault(key, []).append(position)
@@ -596,8 +581,11 @@ def _stack(arrays, ids=None):
 
 
 def _gather(matrices, rows, cols):
-    """The stack of matrices[i][rows[i][:, None], cols[i]], gathered per matrix."""
-    return _stack([m[r[:, None], c] for m, r, c in zip(matrices, rows, cols)])
+    """The stack of matrices[i][rows[i][:, None], cols[i]], for ascending rows and
+    cols, read as a slice (a view in a one-matrix stack) where both are runs."""
+    return _stack([m[r[0]:r[-1] + 1, c[0]:c[-1] + 1]
+                   if r.size and c.size and r[-1] - r[0] + c[-1] - c[0] == r.size + c.size - 2
+                   else m[r[:, None], c] for m, r, c in zip(matrices, rows, cols)])
 
 
 def _bordered(inv, A_SJ, A_JJ):
@@ -638,22 +626,22 @@ def _bound_states(problem: ProblemSpec, form: QuadraticForm, terms) -> list:
     stays on, and S <- S & BR(x) over the band S minus L. Each solve runs on
     the Schur complement of A_LL over the band, whose inverse is bordered
     once and shrinks by a Schur block per step. The unions and intersections
-    end each iteration within n steps, ties included. A step is one exact
-    solve, checked by _nonnegative. The instances run in lockstep.
+    end each iteration within n steps, ties included. A rise step is one
+    exact solve. A fall step solves for the band alone and decides on
+    b = a x, as on an exact solve's support; a row within NEAR_TIE_RTOL of
+    the threshold sqrt(a rho h^d), relative to it plus the largest b_I, is
+    decided by its row dot, and L's values are solved for that or at the
+    exit. Every solve is checked by _nonnegative. The instances run in lockstep.
     """
     W, count, n = form.dense, len(terms), form.dense.shape[0]
     b_I, rho_cell = [b for b, _ in terms], problem.rho * problem.grid.cell_measure
-
-    def responds(x, ids):
-        b = np.vecdot(W, x[:, None, :]) + _stack(b_I, ids)
-        return _best_response(form.row_sums, b, rho_cell) > 0.0
-
     on, x_b = [np.zeros(n, dtype=bool) for _ in terms], [np.zeros(n) for _ in terms]
     S, inv = [np.zeros(0, dtype=np.int64)] * count, [np.zeros((0, 0))] * count
     rise, fall, live = [0] * count, [0] * count, list(range(count))
     while live:
-        new = responds(_stack(x_b, live), live) & ~_stack(on, live)
-        new = [np.flatnonzero(row) for row in new]
+        b = np.vecdot(W, _stack(x_b, live)[:, None, :]) + _stack(b_I, live)
+        new = [np.flatnonzero(row) for row in
+               (_best_response(form.row_sums, b, rho_cell) > 0.0) & ~_stack(on, live)]
         live, new = [i for i, j in zip(live, new) if j.shape[0]], [j for j in new if j.shape[0]]
         for pos in _groups([S[i].shape[0] for i in live], [j.shape[0] for j in new]):
             ids, joined = [live[p] for p in pos], _stack(new, pos)
@@ -686,30 +674,39 @@ def _bound_states(problem: ProblemSpec, form: QuadraticForm, terms) -> list:
         schur_g = _bordered(np.zeros((pos.shape[0], 0, 0)), schur_g[:, :0], schur_g)
         for i, s, r, x_i in zip(pos.tolist(), schur_g, rhs_g, x_S_g):
             schur[i], rhs[i], x_S[i] = s, r, x_i
+    beta, tie = np.sqrt(form.row_sums * rho_cell), np.array([b.max(initial=0.0) for b in b_I])
     x_a, live = [None] * count, list(range(count))
     while live:
         down = []
         for pos in _groups([cols[i].shape[0] for i in live], [S[i].shape[0] for i in live]):
-            ids = [live[p] for p in pos]
-            g, x = np.arange(pos.shape[0])[:, None], np.zeros((pos.shape[0], n))
-            cols_g, S_g = _stack(cols, ids), _stack(S, ids)
-            x[g, cols_g] = (_stack(schur, ids) @ _stack(rhs, ids)[..., None])[..., 0]
-            dots = np.vecdot(W, x[:, None, :])[g, S_g]
-            x[g, S_g] = _stack(x_S, ids) + (_stack(inv, ids) @ dots[..., None])[..., 0]
-            for i, x_i, off in zip(ids, _nonnegative(x), ~responds(x, ids)[g, cols_g]):
-                x_a[i], fall[i] = x_i, fall[i] + 1
-                if off.any():
-                    down.append((i, off))
-        for pos in _groups([off.shape[0] for _, off in down],
-                           [np.count_nonzero(off) for _, off in down]):
-            ids, off = [down[p][0] for p in pos], [down[p][1] for p in pos]
-            d, k = [np.flatnonzero(o) for o in off], [np.flatnonzero(~o) for o in off]
+            ids, g = [live[p] for p in pos], np.arange(pos.shape[0])[:, None]
+            cols_g, x = _stack(cols, ids), np.zeros((pos.shape[0], n))
+            x[g, cols_g] = _nonnegative((_stack(schur, ids) @ _stack(rhs, ids)[..., None])[..., 0])
+            a, b = form.row_sums[cols_g], form.row_sums[cols_g] * x[g, cols_g]
+            on = _best_response(a, b, rho_cell) > 0.0
+            near = np.abs(b - beta[cols_g]) <= NEAR_TIE_RTOL * (beta[cols_g] + tie[ids, None])
+            if (filled := on.all(axis=1) | near.any(axis=1)).any():
+                kept, x_f = [i for i, f in zip(ids, filled) if f], x[filled]
+                S_f = _stack(S, kept)
+                x_f[g[:len(kept)], S_f] = _stack(x_S, kept) + (_stack(inv, kept) @ rowwise_dots(
+                    W, S_f, x_f)[..., None])[..., 0]
+                x[filled] = _nonnegative(x_f)
+            for p in np.flatnonzero(near.any(axis=1)).tolist():
+                rows = cols_g[p][near[p]]
+                b[p, near[p]] = rowwise_dots(W, rows, x[p]) + b_I[ids[p]][rows]
+                on[p] = _best_response(a[p], b[p], rho_cell) > 0.0
+            for i, x_i, on_i in zip(ids, x, on):
+                x_a[i], fall[i] = x_i, fall[i] + 1      # filled at the exit
+                if not on_i.all():
+                    down.append((i, np.flatnonzero(~on_i), np.flatnonzero(on_i)))
+        for pos in _groups([d.shape[0] for _, d, _ in down], [k.shape[0] for *_, k in down]):
+            ids, d, k = zip(*[down[p] for p in pos])
             s = [schur[i] for i in ids]
             shrunk = _gather(s, k, k)
             shrunk -= _gather(s, k, d) @ np.linalg.solve(_gather(s, d, d), _gather(s, d, k))
             for i, kept, s_i in zip(ids, k, shrunk):
                 schur[i], cols[i], rhs[i] = s_i, cols[i][kept], rhs[i][kept]
-        live = [i for i, _ in down]
+        live = [i for i, *_ in down]
     return [(x_a[i], x_b[i], {name: {"steps": steps[i],
                                      "support": int(np.count_nonzero(x[i] > 0.0))}
                               for name, steps, x in (("a", fall, x_a), ("b", rise, x_b))})
@@ -728,7 +725,7 @@ def _band_greedy(problem: ProblemSpec, form: QuadraticForm, terms, ons, bands):
     solves y = R^-1 b~[order]; it returns (q, energies), one row each:
     q[order[k]] = rho * h^d - y_k^2, the greedy vertex by band position, and
     energies[k] = G(L) + q[order[0]] + .. + q[order[k]], the support energy
-    of L with the first k + 1 nodes of the order. A and the reordered S go
+    of L with the first k + 1 nodes of the order. A and the stacked S go
     through check_budget. S is an M-matrix's Schur complement, so a failed
     Cholesky raises SolverError.
     """
@@ -752,15 +749,19 @@ def _band_greedy(problem: ProblemSpec, form: QuadraticForm, terms, ons, bands):
         check_budget(8 * pos.shape[0] * n_band * n_band, "the band's Schur complement")
         for i, s, b in zip(pos.tolist(), schur_g, b_band_g):
             schur[i], b_band[i] = s, b
+    stacks, index = {}, np.zeros(len(terms), dtype=np.int64)    # instance i at index[i]
+    for pos in _groups([band.shape[0] for band in bands]):      # one stack per band size
+        stacks[bands[pos[0]].shape[0]] = _stack(schur, pos), _stack(b_band, pos)
+        index[pos] = np.arange(pos.shape[0])
 
     def greedy(positions, orders):
-        g = np.arange(orders.shape[0])[:, None]
+        (schur_s, b_s), g = stacks[orders.shape[1]], np.arange(orders.shape[0])[:, None]
+        at = index[positions][:, None]
         try:
-            R = np.linalg.cholesky(_gather([schur[i] for i in positions], orders, orders))
+            R = np.linalg.cholesky(schur_s[at[..., None], orders[..., None], orders[:, None]])
         except np.linalg.LinAlgError as exc:
             raise SolverError("the band's Schur complement is not positive definite") from exc
-        b = _stack(b_band, positions)[g, orders]
-        y = np.linalg.solve(R, b[..., None])[..., 0]
+        y = np.linalg.solve(R, b_s[at, orders][..., None])[..., 0]
         q = np.empty(orders.shape)
         q[g, orders] = rho_cell - y * y
         return q, energy_on[positions, None] + np.cumsum(q[g, orders], axis=1)
@@ -787,27 +788,25 @@ def _affine_minimizers(P):
 
 
 def _certify(problem: ProblemSpec, form: QuadraticForm, terms, x_a, x_b, energies) -> list:
-    """Certificates of global minimality, one per instance: for a state of
-    reduced energy energies[i], given the interior values x_a[i] and x_b[i]
-    (by stored row) of its (a) and (b) exits (one_phase, xi = 0).
+    """Certificates of global minimality, one per instance (one_phase, xi = 0)
+    for a state of reduced energy energies[i], with x_a[i] and x_b[i] the
+    interior values (by stored row) of its (a) and (b) exits.
 
     With L = supp(x_b) and B = supp(x_a) minus L, Wolfe's min-norm-point
-    algorithm runs over the band on _band_greedy's vertices, warm-started from
-    the band by decreasing x_a (stable argsort); each later greedy call orders
-    the band by increasing Wolfe point x (stable argsort). The status is
-    "unbracketed" when supp(x_b) is not inside supp(x_a) (no greedy call
-    runs). Otherwise, after each greedy call, with the bound
-    G(L) + sum_i min(x_i, 0) and tol = 1e-12 * (1 + |energy|), a status not
-    yet set becomes "certified" when energy - bound <= tol, which stops, or
-    "refuted" when the lowest support energy seen (G(L) or any prefix) lies
-    below energy by more than tol. A refutation runs on, and stops once that
-    lowest energy is within 1e-12 * (1 + |lowest|) of the bound. The loop
-    also stops when the affine system of the Wolfe step was singular, or
-    after WOLFE_MAX_ITERATIONS Wolfe iterations; a status still unset then
-    becomes "stalled" or "capped". The record's `minimum` is the lowest
-    support energy seen when the bound closed to it at the last greedy call,
-    the certified global minimum, and None otherwise. The record holds no
-    timings, so it is reproducible byte for byte. The instances run in lockstep.
+    algorithm runs over the band on _band_greedy's vertices, ordering it by
+    decreasing x_a, then by increasing Wolfe point x (stable argsorts). The
+    status is "unbracketed" when supp(x_b) is not inside supp(x_a) (no greedy
+    call runs). After each greedy call, with the bound G(L) + sum_i min(x_i, 0)
+    and tol = 1e-12 * (1 + |energy|), an unset status becomes "certified" when
+    energy - bound <= tol, which stops, or "refuted" when the lowest support
+    energy seen (G(L) or any prefix) lies below energy by more than tol, which
+    stops once that lowest energy is within 1e-12 * (1 + |lowest|) of the
+    bound. A singular affine system in a Wolfe step, or WOLFE_MAX_ITERATIONS
+    Wolfe iterations, stop it too, an unset status as "stalled" or "capped".
+    The record's `minimum` is the lowest support energy seen when the bound
+    closed to it at the last greedy call (the certified global minimum), else
+    None. The record holds no timings, so it is reproducible byte for byte.
+    The instances run in lockstep, grouped by band size.
     """
     records, runs = [], []
     for i, (a, b) in enumerate(zip(x_a, x_b)):
@@ -817,73 +816,74 @@ def _certify(problem: ProblemSpec, form: QuadraticForm, terms, x_a, x_b, energie
                             lower_bound=None, gap=None, best_support_energy=None, minimum=None))
         if not ((b > 0.0) & (a <= 0.0)).any():
             runs.append({"i": i, "position": len(runs), "on": on, "band": band, "key": -a[band],
-                         "x": None, "iterations": 0, "calls": 0, "status": None, "stalled": False})
+                         "iterations": 0, "status": None, "stalled": False})
     energy_on, greedy = _band_greedy(problem, form, [terms[r["i"]] for r in runs],
                                      [r["on"] for r in runs], [r["band"] for r in runs])
     for r, energy in zip(runs, energy_on.tolist()):
-        r["energy_on"] = r["lowest"] = energy
-    live = runs    # per run: Wolfe's vertices P (rows), their weights lam, its point x
-    while live:
+        r["lowest"] = energy
+    # per group of one band size: its live runs, their positions, and their sort
+    # keys and Wolfe points x as rows; per run: Wolfe's vertices P, their weights lam
+    groups = [[[runs[p] for p in pos], pos, _stack([runs[p]["key"] for p in pos]), None]
+              for pos in _groups([r["band"].shape[0] for r in runs])]
+    while groups:
         grown = []
-        for pos in _groups([r["band"].shape[0] for r in live]):
-            group = [live[p] for p in pos]
-            q, prefix = greedy([r["position"] for r in group], np.argsort(
-                _stack([r["key"] for r in group]), axis=1, kind="stable"))
-            for r, q_r, low in zip(group, q, prefix.min(axis=1, initial=math.inf).tolist()):
-                r["calls"] += 1
+        for group in groups:
+            live, positions, key, x = group
+            q, prefix = greedy(positions, np.argsort(key, axis=1, kind="stable"))
+            lows = prefix.min(axis=1, initial=math.inf).tolist()
+            for k, (r, q_r, low) in enumerate(zip(live, q, lows)):
                 r["lowest"] = min(r["lowest"], low)
-                if r["x"] is None:
-                    r["P"], r["lam"], r["x"] = q_r[None, :], np.ones(1), q_r
+                if x is None:
+                    r["P"], r["lam"] = q_r[None, :], np.ones(1)
                 else:
                     # Wolfe's major cycle: add the vertex, then minor cycles until the
                     # affine minimizer of the kept vertices lies inside their hull
                     r["iterations"] += 1
-                    r["P"] = np.concatenate([r["P"], q_r[None]])
-                    r["lam"] = np.concatenate([r["lam"], [0.0]])
-                    grown.append(r)
+                    r["P"], r["lam"] = np.vstack([r["P"], q_r]), np.append(r["lam"], 0.0)
+                    grown.append((r, x, k))
+            group[3] = q if x is None else x
         while grown:
             cycling = []
-            for pos in _groups([r["P"].shape for r in grown]):
-                group = [grown[p] for p in pos]
-                P = _stack([r["P"] for r in group])
+            for pos in _groups([r["P"].shape for r, *_ in grown]):
+                cycle = [grown[p] for p in pos]
+                P = _stack([r["P"] for r, *_ in cycle])
                 alphas, ok = _affine_minimizers(P)
                 inside = ok & (alphas > 0.0).all(axis=1)
                 points = iter((alphas[inside][:, None] @ P[inside])[:, 0])
-                for r, alpha, ok_r, inside_r in zip(group, alphas, ok, inside):
+                for (r, x, k), alpha, ok_r, inside_r in zip(cycle, alphas, ok, inside):
                     r["stalled"] = not ok_r
                     if inside_r:
-                        r["lam"], r["x"] = alpha, next(points)
+                        r["lam"], x[k] = alpha, next(points)
                     elif ok_r:
-                        lam, neg = r["lam"], alpha <= 0.0
-                        ratio = np.zeros_like(lam)
+                        lam, neg, ratio = r["lam"], alpha <= 0.0, np.zeros_like(r["lam"])
                         np.divide(lam, lam - alpha, out=ratio, where=neg & (lam > alpha))
-                        k = min(np.flatnonzero(neg).tolist(), key=ratio.item)
-                        lam = ratio[k] * alpha + (1.0 - ratio[k]) * lam
-                        lam[k] = 0.0
+                        j = min(np.flatnonzero(neg).tolist(), key=ratio.item)
+                        lam = ratio[j] * alpha + (1.0 - ratio[j]) * lam
+                        lam[j] = 0.0
                         r["P"], r["lam"] = r["P"][lam > 0.0], lam[lam > 0.0]
-                        cycling.append(r)
+                        cycling.append((r, x, k))
             grown = cycling
-        following = []
-        for r in live:
-            energy, lowest = energies[r["i"]], r["lowest"]
-            tol = CERTIFICATE_RTOL * (1.0 + abs(energy))
-            bound = r["energy_on"] + float(np.minimum(r["x"], 0.0).sum())
-            closed = lowest - bound <= CERTIFICATE_RTOL * (1.0 + abs(lowest))
-            if r["status"] is None and energy - bound <= tol:
-                r["status"] = "certified"
-            elif r["status"] is None and lowest < energy - tol:
-                r["status"] = "refuted"
-            if (r["status"] == "certified" or (r["status"] == "refuted" and closed)
-                    or r["stalled"] or r["iterations"] >= WOLFE_MAX_ITERATIONS):
-                records[r["i"]].update(
-                    status=r["status"] or ("stalled" if r["stalled"] else "capped"),
-                    wolfe_iterations=r["iterations"], greedy_calls=r["calls"],
-                    lower_bound=bound, gap=energy - bound, best_support_energy=lowest,
-                    minimum=lowest if closed else None)
-            else:
-                r["key"] = r["x"]
-                following.append(r)
-        live = following
+        for group in groups:
+            live, positions, _, x = group
+            bounds, kept = (energy_on[positions] + np.minimum(x, 0.0).sum(axis=1)).tolist(), []
+            for r, bound in zip(live, bounds):
+                energy, lowest = energies[r["i"]], r["lowest"]
+                tol = CERTIFICATE_RTOL * (1.0 + abs(energy))
+                closed = lowest - bound <= CERTIFICATE_RTOL * (1.0 + abs(lowest))
+                if r["status"] is None and energy - bound <= tol:
+                    r["status"] = "certified"
+                elif r["status"] is None and lowest < energy - tol:
+                    r["status"] = "refuted"
+                kept.append(r["status"] != "certified" and (r["status"] != "refuted" or not closed)
+                            and not r["stalled"] and r["iterations"] < WOLFE_MAX_ITERATIONS)
+                if not kept[-1]:
+                    records[r["i"]].update(
+                        status=r["status"] or ("stalled" if r["stalled"] else "capped"),
+                        wolfe_iterations=r["iterations"], greedy_calls=r["iterations"] + 1,
+                        lower_bound=bound, gap=energy - bound, best_support_energy=lowest,
+                        minimum=lowest if closed else None)
+            group[:] = ([r for r, k in zip(live, kept) if k], positions[kept], x[kept], x[kept])
+        groups = [group for group in groups if group[0]]
     return records
 
 
