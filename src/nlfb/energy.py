@@ -30,8 +30,10 @@ pass of the pair formula over the interior-exterior pairs, with the bits
 assembly would give, and the form keeps the terms of the last values.
 Assembly refuses with CapacityError, before allocating, when W_II would
 exceed MEMORY_BUDGET_BYTES. All reductions are fixed-block-size pairwise tree
-sums, independent of thread count. Row dots run np.vecdot over blocks of at
-most _ROW_BLOCK rows, which rounds exactly like one np.dot per row (not like
+sums, independent of thread count: one np.add.reduce over the full blocks of
+all rows, one over the tail block, then the block sums added in pairs. Row
+dots run np.vecdot over blocks of at most _ROW_BLOCK rows, which rounds
+exactly like one np.dot per row (not like
 gemv or einsum) while bounding the temporaries to one block; a range of rows
 (all rows, in reduced_energy and the analysis) is read as slices of W_II,
 which copies nothing, and a range within one block as a single np.vecdot.
@@ -72,17 +74,29 @@ def tree_sum(values):
     The summation order depends only on the length of the input, never on
     thread count or chunking, so repeated runs produce identical bits. A 1-D
     input gives a float; a 2-D input gives each row's sum, with the same bits.
+    Each row is cut into _TREE_BLOCK-column blocks and a tail of n % _TREE_BLOCK
+    columns: one np.add.reduce sums every full block of every row (over a
+    (m, n // _TREE_BLOCK, _TREE_BLOCK) view, which copies nothing), another the
+    tail, unpadded (numpy rounds a sum of fewer than 8 values differently).
+    The block sums are then added in pairs, (0, 1), (2, 3), .., an odd last one
+    carried up, one level at a time, until one remains.
     """
     arr = np.asarray(values, dtype=np.float64)
     rows = arr if arr.ndim == 2 else arr.reshape(1, -1)
-    sums = [np.add.reduce(rows[:, k:k + _TREE_BLOCK], axis=1)
-            for k in range(0, rows.shape[1], _TREE_BLOCK)] or [np.zeros(rows.shape[0])]
-    while len(sums) > 1:
-        nxt = [sums[i] + sums[i + 1] for i in range(0, len(sums) - 1, 2)]
-        if len(sums) % 2 == 1:
-            nxt.append(sums[-1])
-        sums = nxt
-    return sums[0] if arr.ndim == 2 else float(sums[0][0])
+    m, n = rows.shape
+    full, tail = divmod(n, _TREE_BLOCK)
+    if not full:
+        # the tail is the only block (an empty one sums to 0.0)
+        total = np.add.reduce(rows, axis=1)
+        return total if arr.ndim == 2 else float(total[0])
+    sums = np.add.reduce(rows[:, :n - tail].reshape(m, full, _TREE_BLOCK), axis=2)
+    if tail:
+        sums = np.concatenate([sums, np.add.reduce(rows[:, n - tail:], axis=1)[:, None]],
+                              axis=1)
+    while sums.shape[1] > 1:
+        pairs = sums[:, 0:-1:2] + sums[:, 1::2]
+        sums = np.concatenate([pairs, sums[:, -1:]], axis=1) if sums.shape[1] % 2 else pairs
+    return sums[:, 0] if arr.ndim == 2 else float(sums[0, 0])
 
 
 def check_budget(nbytes: int, what: str) -> None:

@@ -231,16 +231,24 @@ def csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _float_texts(column) -> list:
+    """repr of each float of a float64 column, rendered once per distinct value:
+    values are told apart by their bits, so -0.0 and 0.0 keep their own texts."""
+    bits, where = np.unique(column.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return texts[where.reshape(-1)].tolist()
+
+
 def field_csv_text(field: Field) -> str:
     """Render `# d h omega R_inf` then `index,x1[,x2],role,value` rows."""
     grid = field.grid
     cols = ["index"] + [f"x{d + 1}" for d in range(grid.dim)] + ["role", "value"]
     # csv_text's rendering, a column at a time: str for the index and role,
-    # repr for the floats
+    # repr for the floats, each distinct float once (_float_texts)
     columns = [map(str, range(grid.n_nodes)),
-               *(map(repr, grid.positions[:, d].tolist()) for d in range(grid.dim)),
+               *(_float_texts(grid.positions[:, d]) for d in range(grid.dim)),
                np.where(grid.interior, "interior", "exterior").tolist(),
-               map(repr, field.values.tolist())]
+               _float_texts(field.values)]
     lines = [",".join(cols), *map(",".join, zip(*columns))]
     return (f"# {grid.dim} {grid.h!r} {grid.omega_radius!r} {grid.R_inf!r}\n"
             + "\n".join(lines) + "\n")

@@ -196,12 +196,14 @@ def _as_points(dim, x):
     raise DomainError(f"cannot interpret position of shape {arr.shape} in dimension {dim}")
 
 
-def _multiplier(spec: KernelSpec, Xt, Yt):
-    """(1 - s) * m(x, y) at per-axis transformed coordinates, from per-node parities or
-    block ids combined per pair: a scalar (fractional) or a fresh pair-shaped array."""
+def _multiplier(spec: KernelSpec, X, Y):
+    """(1 - s) * m(x, y) at per-axis coordinates X, Y, from per-node parities or block
+    ids combined per pair: a scalar (fractional, which reads no coordinate) or a fresh
+    pair-shaped array, computed at the spec's transformed coordinates origin + scale * x."""
     p = spec.params
     if spec.family == "fractional_laplacian":
         return (1.0 - spec.s) * spec.lam
+    Xt, Yt = ([o + spec.scale * c for o, c in zip(spec.origin, P)] for P in (X, Y))
     if spec.family == "modulated":
         m = np.add(Xt[0], Yt[0])
         m *= p["frequency"]
@@ -247,8 +249,7 @@ def pair_kernel(spec: KernelSpec, X, Y, out=None, exclude=None):
         raise DomainError("kernel evaluated at coincident points")
     np.sqrt(d2, out=d2)
     np.power(d2, -(spec.dim + 2.0 * spec.s), out=d2)
-    Xt, Yt = ([o + spec.scale * c for o, c in zip(spec.origin, P)] for P in (X, Y))
-    d2 *= _multiplier(spec, Xt, Yt)
+    d2 *= _multiplier(spec, X, Y)
     if exclude is not None:
         d2[exclude] = 0.0
     return d2

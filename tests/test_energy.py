@@ -232,8 +232,8 @@ def test_block_matches_reference_rows_bitwise(grid_1d_small):
             k = form.row_of[i]
             if k >= 0:
                 assert form.dense[k].tobytes() == want[form.interior_idx].tobytes()
-                assert form.row_sums[k] == tree_sum(want[form.col_order])
-                assert form.exterior_row_sums[k] == tree_sum(want[form.exterior_idx])
+                assert form.row_sums[k] == reference_tree_sum(want[form.col_order])
+                assert form.exterior_row_sums[k] == reference_tree_sum(want[form.exterior_idx])
             else:
                 b_I = exterior_terms(form, indicator(grid, i))[0]
                 assert b_I.tobytes() == want[form.interior_idx].tobytes()
@@ -264,13 +264,13 @@ def test_assembly_equals_reference_rows_bitwise(family, dim, s, block, omega, ce
     n_int = form.interior_idx.shape[0]
     want = np.array([reference_row(grid, kernel, i)[form.col_order] for i in form.interior_idx])
     assert form.dense.tobytes() == np.ascontiguousarray(want[:, :n_int]).tobytes()
-    assert form.row_sums.tobytes() == tree_sum(want).tobytes()
-    assert form.exterior_row_sums.tobytes() == tree_sum(want[:, n_int:]).tobytes()
+    assert form.row_sums.tobytes() == reference_tree_sum(want).tobytes()
+    assert form.exterior_row_sums.tobytes() == reference_tree_sum(want[:, n_int:]).tobytes()
     # the exterior terms kept by assembly, and those of one pass over the
     # interior-exterior pairs, are one np.dot per row of the reference W_IE
     g_E = g[form.exterior_idx]
     b_want = np.array([np.dot(row, g_E) for row in want[:, n_int:]], dtype=np.float64)
-    c_want = tree_sum([np.dot(row, g_E * g_E) for row in want[:, n_int:]])
+    c_want = reference_tree_sum([np.dot(row, g_E * g_E) for row in want[:, n_int:]])
     for b_I, c in (exterior_terms(form, g), exterior_terms(assemble_form(kernel, grid), g)):
         assert b_I.tobytes() == b_want.tobytes()
         assert c == c_want
@@ -379,9 +379,10 @@ def reference_dirichlet(form, u):
     x, a_E = u[form.interior_idx], form.exterior_row_sums
     W_IE, g = reference_exterior_rows(form), u[form.exterior_idx]
     b_I = reference_exterior_term(form, u)
-    c = tree_sum([np.dot(row, g * g) for row in W_IE])
-    return tree_sum([np.dot(row, (x[k] - x) ** 2 * 0.5) + x[k] * (a_E[k] * x[k] - 2.0 * b_I[k])
-                     for k, row in enumerate(form.dense)]) + c
+    c = reference_tree_sum([np.dot(row, g * g) for row in W_IE])
+    return reference_tree_sum([np.dot(row, (x[k] - x) ** 2 * 0.5)
+                               + x[k] * (a_E[k] * x[k] - 2.0 * b_I[k])
+                               for k, row in enumerate(form.dense)]) + c
 
 
 @pytest.mark.parametrize("h,n_int", [(0.05, 40), (1.0 / 32.0, 64), (0.02, 100), (0.01, 200)])
@@ -469,6 +470,84 @@ def test_smooth_field_energy_converges_under_refinement():
 
 
 # ----------------------------------------------------------------- tree reduction
+
+def reference_tree_sum(values):
+    """The tree sum with one np.add.reduce per 64-column block, the block sums
+    combined in a list: (0, 1), (2, 3), .., an odd last one carried up."""
+    arr = np.asarray(values, dtype=np.float64)
+    rows = arr if arr.ndim == 2 else arr.reshape(1, -1)
+    sums = [np.add.reduce(rows[:, k:k + 64], axis=1)
+            for k in range(0, rows.shape[1], 64)] or [np.zeros(rows.shape[0])]
+    while len(sums) > 1:
+        nxt = [sums[i] + sums[i + 1] for i in range(0, len(sums) - 1, 2)]
+        if len(sums) % 2 == 1:
+            nxt.append(sums[-1])
+        sums = nxt
+    return sums[0] if arr.ndim == 2 else float(sums[0][0])
+
+
+def tree_sum_values(rng, shape, mix):
+    """Normal values at a random scale, with a share of signed zeros,
+    subnormals and values near 1e300."""
+    kinds = rng.choice(4, size=shape, p=mix)
+    return np.select(
+        [kinds == 0, kinds == 1, kinds == 2],
+        [rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9),
+         np.where(rng.random(shape) < 0.5, -0.0, 0.0),
+         rng.integers(-2 ** 52, 2 ** 52, size=shape) * 5e-324],
+        rng.uniform(-1.0, 1.0, shape) * 1e300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.one_of(st.builds(lambda blocks, extra: max(0, 64 * blocks + extra),
+                             st.integers(0, 10), st.sampled_from((-1, 0, 1, 7, 8))),
+                   st.integers(0, 700)),
+       m=st.none() | st.integers(0, 5),
+       layout=st.sampled_from(("contiguous", "mid_block_slice", "transposed", "strided")),
+       offset=st.integers(1, 127), mix=st.sampled_from(("normal", "mixed", "zeros")),
+       negative_zero_row=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@example(n=700, m=3, layout="mid_block_slice", offset=33, mix="normal",
+         negative_zero_row=True, seed=0)
+@example(n=129, m=0, layout="contiguous", offset=1, mix="normal", negative_zero_row=False,
+         seed=0)
+@example(n=5, m=None, layout="strided", offset=1, mix="zeros", negative_zero_row=True, seed=0)
+def test_tree_sum_equals_the_per_block_reference_bitwise(n, m, layout, offset, mix,
+                                                         negative_zero_row, seed):
+    # one reduce over the full blocks and one over the tail give the bits of
+    # one reduce per block, on 1-D and 2-D inputs of any layout: a column
+    # slice starting mid-block (as assembly's rows[:, n_int:]), a transposed
+    # view and a strided slice. The bytes compare signed zeros too: an all
+    # -0.0 row sums to the sign that np.add.reduce gives it (+0.0 on numpy
+    # 2.4.6), in both
+    rng = np.random.default_rng(seed)
+    rows = 1 if m is None else m
+    p = {"normal": (1.0, 0.0, 0.0, 0.0), "mixed": (0.4, 0.2, 0.2, 0.2),
+         "zeros": (0.0, 1.0, 0.0, 0.0)}[mix]
+    data = tree_sum_values(rng, (rows, n), p)
+    if negative_zero_row and rows:
+        data[-1] = -0.0
+    if layout == "contiguous":
+        x = data
+    elif layout == "mid_block_slice":
+        wide = rng.standard_normal((rows, offset + n))
+        wide[:, offset:] = data
+        x = wide[:, offset:]
+    elif layout == "transposed":
+        x = np.ascontiguousarray(data.T).T
+    else:
+        wide = rng.standard_normal((rows, 3 * n))
+        wide[:, ::3] = data
+        x = wide[:, ::3]
+    assert np.array_equal(x, data)
+    if m is None:
+        got, want = tree_sum(x[0]), reference_tree_sum(x[0])
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    else:
+        got, want = tree_sum(x), reference_tree_sum(x)
+        assert got.dtype == np.float64 and got.shape == (m,)
+        assert got.tobytes() == want.tobytes()
+
 
 def test_tree_sum_accuracy_and_determinism():
     rng = np.random.default_rng(31)

@@ -20,7 +20,7 @@ from nlfb import (
     sample_field,
     sup_over_ball,
 )
-from nlfb.grid import csv_text, field_csv_text
+from nlfb.grid import Grid, csv_text, field_csv_text
 
 from conftest import random_field_values
 
@@ -253,12 +253,25 @@ def test_field_csv_header_and_roles(grid_1d_small):
     assert roles == expected
 
 
-@pytest.mark.parametrize("dim,h", [(1, 0.2), (2, 0.2)])
-def test_field_csv_text_renders_csv_text_rows(dim, h):
-    # field_csv_text renders by columns; the reference is csv_text over one
-    # (index, x1[, x2], role, value) tuple per node: repr for the floats, str
-    # for the rest, signed zeros included
-    grid = build_grid(dim, h, 2.0)
+def repeated_coordinate_grid(dim):
+    """A hand-built Grid whose coordinate columns repeat 17-digit values, 0.0 and
+    -0.0 (which compare equal), each several times."""
+    axis = [6.5 * 0.07, -0.0, 0.1 + 0.2, 0.0, -1.5 * 0.07, -0.0, 0.0, 6.5 * 0.07]
+    positions = np.array(np.meshgrid(*[axis] * dim, indexing="ij")).reshape(dim, -1).T
+    n = positions.shape[0]
+    return Grid(dim, 0.07, 1.0, 2.0, positions, np.arange(n * dim).reshape(n, dim),
+                np.arange(n) % 3 != 0)
+
+
+@pytest.mark.parametrize("dim,h", [(1, 0.2), (2, 0.2), pytest.param(1, None, id="hand-built-1d"),
+                                   pytest.param(2, None, id="hand-built-2d")])
+def test_field_csv_text_renders_csv_text_rows(dim, h, tmp_path):
+    # field_csv_text renders by columns, each distinct float once; the
+    # reference is csv_text over one (index, x1[, x2], role, value) tuple per
+    # node: repr for the floats, str for the rest, signed zeros included. The
+    # hand-built grids (h None) repeat 0.0 and -0.0 within a coordinate
+    # column, so a rendering keyed by float equality would mix them up.
+    grid = build_grid(dim, h, 2.0) if h is not None else repeated_coordinate_grid(dim)
     values = random_field_values(grid, np.random.default_rng(dim))
     values[[0, 3]] = -0.0
     values[[1, 4]] = 0.0
@@ -271,6 +284,15 @@ def test_field_csv_text_renders_csv_text_rows(dim, h):
     got = field_csv_text(f)
     assert got.encode() == want.encode()
     assert got.splitlines()[2].endswith(",-0.0")
+    if h is None:
+        for d in range(dim):
+            texts = [line.split(",")[1 + d] for line in got.splitlines()[2:]]
+            assert {"0.45500000000000007", "-0.10500000000000001", "0.30000000000000004",
+                    "0.0", "-0.0"} <= set(texts)
+            assert texts.count("-0.0") == texts.count("0.0") == 2 * len(texts) // 8
+    path = tmp_path / "field.csv"
+    path.write_text(got)
+    assert load_field_csv(grid, path).values.tobytes() == values.tobytes()
 
 
 def test_field_csv_rejects_wrong_grid(tmp_path, grid_1d_small):
