@@ -33,10 +33,10 @@ exceed MEMORY_BUDGET_BYTES. All reductions are fixed-block-size pairwise tree
 sums, independent of thread count: one np.add.reduce over the full blocks of
 all rows, one over the tail block, then the block sums added in pairs. Row
 dots run np.vecdot over blocks of at most _ROW_BLOCK rows, which rounds
-exactly like one np.dot per row (not like
-gemv or einsum) while bounding the temporaries to one block; a range of rows
-(all rows, in reduced_energy and the analysis) is read as slices of W_II,
-which copies nothing, and a range within one block as a single np.vecdot.
+exactly like one np.dot per row (not like gemv or einsum) while bounding the
+temporaries to one block; a range of rows (all rows, in reduced_energy and
+the analysis) is read as slices of W_II, which copies nothing, and a range
+within one block as a single np.vecdot.
 The reduced and the pairwise energies also run on a stack of states in one
 pass (reduced_energies, dirichlet_energies, total_energies): a stacked
 np.vecdot row dot and a tree_sum over 2-D rows give each row the bits of its
@@ -77,9 +77,10 @@ def tree_sum(values):
     Each row is cut into _TREE_BLOCK-column blocks and a tail of n % _TREE_BLOCK
     columns: one np.add.reduce sums every full block of every row (over a
     (m, n // _TREE_BLOCK, _TREE_BLOCK) view, which copies nothing), another the
-    tail, unpadded (numpy rounds a sum of fewer than 8 values differently).
-    The block sums are then added in pairs, (0, 1), (2, 3), .., an odd last one
-    carried up, one level at a time, until one remains.
+    tail, unpadded: numpy sums fewer than 8 values in sequence and more with 8
+    accumulators, so zero padding would round differently. The block sums are
+    then added in pairs, (0, 1), (2, 3), .., an odd last one carried up, one
+    level at a time, until one remains.
     """
     arr = np.asarray(values, dtype=np.float64)
     rows = arr if arr.ndim == 2 else arr.reshape(1, -1)
