@@ -23,7 +23,7 @@ import numpy as np
 
 from .energy import QuadraticForm, check_budget, tail, tree_sum
 from .errors import ConfigurationError, DataError, DomainError
-from .grid import (Ball, Field, csv_text, l2_mean_over_ball, nodes_in_ball,
+from .grid import (Ball, Field, ball_distances, csv_text, l2_mean_over_ball, nodes_in_ball,
                    region_interior_indices, sup_over_ball)
 from .kernel import eval_kernel, rescale_kernel
 from .solver import ProblemSpec, harmonic_lifting
@@ -105,12 +105,14 @@ def dyadic_radii(r_min: float, r_max: float, n_max: int) -> list:
     return out
 
 
-def growth_exponent(field: Field, x0, r_min: float, r_max: float, n_dyadic: int) -> dict:
+def growth_exponent(field: Field, x0, r_min: float, r_max: float, n_dyadic: int,
+                    dist=None) -> dict:
     """Fit sup_{B_r(x0)} u ~ C r^slope over dyadic radii by log-log least squares.
 
     The caller is responsible for centering x0 at (or within h of) the free
     boundary; radii below 2h are refused as sub-resolution and radii whose sup
-    is not positive are excluded from the fit and counted.
+    is not positive are excluded from the fit and counted. Every radius reads
+    dist = ball_distances(grid, x0), computed once unless given.
     """
     grid = field.grid
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
@@ -124,7 +126,8 @@ def growth_exponent(field: Field, x0, r_min: float, r_max: float, n_dyadic: int)
     if r_max > limit + 1e-12:
         raise ConfigurationError(f"r_max = {r_max} exceeds the distance {limit} to the domain boundary")
     radii = dyadic_radii(r_min, r_max, n_dyadic)
-    sups = [sup_over_ball(field, x0, r) for r in radii]
+    dist = ball_distances(grid, x0) if dist is None else dist
+    sups = [sup_over_ball(field, x0, r, dist) for r in radii]
     usable = [(r, v) for r, v in zip(radii, sups) if v > 0.0]
     excluded = len(radii) - len(usable)
     if len(usable) < GROWTH_MIN_RADII:
@@ -169,23 +172,25 @@ def nondegeneracy(field: Field, s: float, xi: float = 0.0) -> dict:
     return {"c_min": ratios[k], "node": int(candidates[far][k])}
 
 
-def density(field: Field, x0, radii, xi: float = 0.0) -> list:
+def density(field: Field, x0, radii, xi: float = 0.0, dist=None) -> list:
     """Volume fractions of {u <= xi} and {u > xi} in balls around x0.
 
     Cell measures are uniform, so the fractions are node-count ratios; they
-    sum to 1 exactly because pos_ratio is computed as 1 - zero_ratio.
+    sum to 1 exactly because pos_ratio is computed as 1 - zero_ratio. Every
+    radius reads dist = ball_distances(grid, x0), computed once unless given.
     """
     grid = field.grid
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
     if x0.shape[0] != grid.dim:
         raise DomainError(f"x0 must have length {grid.dim}")
     limit = grid.omega_radius - float(np.sqrt(x0 @ x0))
+    dist = ball_distances(grid, x0) if dist is None else dist
     rows = []
     for r in radii:
         r = float(r)
         if r <= 0.0 or r > limit + 1e-12:
             raise DomainError(f"radius {r} is not inside the domain around {x0.tolist()}")
-        idx = nodes_in_ball(grid, x0, r)
+        idx = nodes_in_ball(grid, x0, r, dist)
         if idx.shape[0] == 0:
             raise DomainError(f"ball of radius {r} around {x0.tolist()} contains no nodes")
         zero_ratio = float(np.count_nonzero(field.values[idx] <= xi)) / idx.shape[0]
@@ -338,16 +343,18 @@ def build_report(problem: ProblemSpec, form: QuadraticForm, field: Field, points
         x0a = np.asarray(x0, dtype=np.float64).reshape(-1)
         # points close to the domain wall get a correspondingly shorter ladder
         cap = grid.omega_radius - float(np.sqrt(x0a @ x0a))
-        g_row = growth_exponent(field, x0, r_min, min(r_max, cap), n_dyadic)
+        # the growth sups, the l2 mean and the density read one distance pass
+        dist = ball_distances(grid, x0a)
+        g_row = growth_exponent(field, x0, r_min, min(r_max, cap), n_dyadic, dist)
         if not math.isfinite(g_row["slope"]):
             raise DataError(f"growth fit at {g_row['x0']} produced a non-finite slope")
         r_ref = g_row["radii"][-1]
-        norm = l2_mean_over_ball(field, x0, r_ref) + tail(field, x0, r_ref, s)
+        norm = l2_mean_over_ball(field, x0, r_ref, dist) + tail(field, x0, r_ref, s)
         g_row["normalization"] = float(norm)
         g_row["C_normalized"] = float(g_row["C"] / norm) if norm > 0 else None
         growth_rows.append(g_row)
 
-        rows = density(field, x0, g_row["radii"], problem.xi)
+        rows = density(field, x0, g_row["radii"], problem.xi, dist)
         c1 = min(row["zero_ratio"] for row in rows)
         c2_lin = min(row["pos_ratio"] / row["r"] for row in rows)
         slope = g_row["slope"]

@@ -21,13 +21,18 @@ ascending order: the columns of a full row. The interior-exterior block W_IE
 is never stored. The exterior values g are data, and W_IE meets them only
 through b_I = W_IE g and c = sum over interior i and exterior e of w_ie g_e^2,
 so the energy of the interior values x is the reduced quadratic
-x . (a_I x) - x . (W_II x) - 2 x . b_I + c. Assembly runs the kernel's pair
-formula (eval_kernel's bits) on full rows, _ROW_BLOCK rows at a time into one
-reused scratch block: it copies the interior columns into W_II and reduces
-the exterior ones to a_E and, when exterior data is given, to its (b_I, c).
-exterior_terms returns those terms; for other exterior values it runs one
-pass of the pair formula over the interior-exterior pairs, with the bits
-assembly would give, and the form keeps the terms of the last values.
+x . (a_I x) - x . (W_II x) - 2 x . b_I + c. On the lattice, K's radial factor
+depends on the offset k_j - k_i alone: assembly gathers it from one table
+over the lattice offsets (kernel.offset_radial) and scales it by the
+multiplier at the node positions. The offset's axis steps are rounded once,
+so a weight can differ from eval_kernel at the node positions, whose
+difference cancels two rounded coordinates, by a few ulps. Assembly fills
+full rows, _ROW_BLOCK rows at a time, into one reused scratch block: it
+copies the interior columns into W_II and reduces the exterior ones to a_E
+and, when exterior data is given, to its (b_I, c). exterior_terms returns
+those terms; for other exterior values it makes one pass of the weight rows
+over the interior-exterior pairs, with the bits assembly would give, and
+the form keeps the terms of the last values.
 Assembly refuses with CapacityError, before allocating, when W_II would
 exceed MEMORY_BUDGET_BYTES. All reductions are fixed-block-size pairwise tree
 sums, independent of thread count: one np.add.reduce over the full blocks of
@@ -52,7 +57,7 @@ import numpy as np
 
 from .errors import CapacityError, ConfigurationError, DomainError
 from .grid import Field, Grid
-from .kernel import KernelSpec, pair_kernel
+from .kernel import KernelSpec, offset_radial, pair_multiplier
 
 _TREE_BLOCK = 64
 _ROW_BLOCK = 64
@@ -182,27 +187,71 @@ class QuadraticForm:
         return rowwise_dots(self.dense, rows, u[self.interior_idx]) + b_I[rows]
 
 
+def _lattice_codes(grid: Grid):
+    """(codes, span): the lattice's extent per axis, span, and one int64 code per
+    node, k_1 (2 span_2 + 1) + k_2 in 2D (k_1 in 1D) for its lattice point k, so
+    that code_j - code_i is the C-order index of the offset k_j - k_i in an
+    array of shape 2 span + 1, less the index of the zero offset. Raises
+    DomainError unless every position is exactly (k + 1/2) h and no lattice
+    point repeats (distinct nodes would coincide), and CapacityError when that
+    offset table would exceed MEMORY_BUDGET_BYTES."""
+    lattice = grid.lattice
+    if not np.array_equal(grid.positions, (lattice + 0.5) * grid.h):
+        raise DomainError("grid positions are not the cell centers (lattice + 1/2) h")
+    span = (lattice.max(axis=0) - lattice.min(axis=0)).tolist()
+    check_budget(8 * math.prod(2 * n + 1 for n in span), "the lattice-offset table")
+    codes = lattice[:, 0] * (2 * span[1] + 1) + lattice[:, 1] if grid.dim == 2 else lattice[:, 0]
+    ordered = np.sort(codes)
+    if np.any(ordered[1:] == ordered[:-1]):
+        raise DomainError("grid repeats a lattice point: distinct nodes coincide")
+    return codes, span
+
+
 def _weight_rows(kernel: KernelSpec, grid: Grid, col_order, n_int, first_col, block):
     """Yield (k, rows): the pair weights w_ij = 2 K(x_i, x_j) m_i m_j of the stored
     rows k, k + 1, .. (`block` at a time) against the nodes col_order[first_col:],
     in one reused scratch block. With first_col = 0 the rows are full and row i's
     self-pair (column k + i) is 0; with first_col = n_int they are W_IE's rows.
-    The pair formula runs on at most _EVAL_ROWS rows at a time, which bounds
-    its pair-shaped temporaries."""
-    cols = [np.ascontiguousarray(grid.positions[col_order, a]) for a in range(grid.dim)]
-    partners = [c[first_col:] for c in cols]
-    scratch = np.empty((min(block, n_int), col_order.shape[0] - first_col))
+
+    K's radial factor depends on the lattice offset k_j - k_i alone, so it is
+    gathered (np.take) from one table over all offsets (offset_radial) at the
+    differences of the nodes' codes (_lattice_codes); the rows are then scaled
+    by the multiplier at the node positions, 2 and m^2. A constant multiplier
+    (the fractional family) is folded into the table, with 2 and m^2, which
+    gives the same bits. The gathers and the multiplier run on at most
+    _EVAL_ROWS rows at a time, which bounds their pair-shaped temporaries."""
+    if n_int == 0:
+        return
+    codes, span = _lattice_codes(grid)
+    codes = codes[col_order]
+    table = offset_radial(kernel, grid.h, span).reshape(-1)
+    # code_j - code_i + zero is the table index of the pair's offset
+    zero = int(np.ravel_multi_index(span, [2 * n + 1 for n in span]))
+    partner_codes = codes[first_col:] + zero
     m2 = grid.cell_measure * grid.cell_measure
+    varies = kernel.family != "fractional_laplacian"
+    if varies:
+        cols = [np.ascontiguousarray(grid.positions[col_order, a]) for a in range(grid.dim)]
+        partners = [c[first_col:] for c in cols]
+    else:
+        table *= pair_multiplier(kernel, None, None)     # reads no coordinate
+        table *= 2.0
+        table *= m2
+    scratch = np.empty((min(block, n_int), partner_codes.shape[0]))
+    offsets = np.empty((min(_EVAL_ROWS, n_int), partner_codes.shape[0]), dtype=np.int64)
     for k in range(0, n_int, block):
         n = min(block, n_int - k)
         for r in range(k, k + n, _EVAL_ROWS):
             m = min(_EVAL_ROWS, k + n - r)
-            pair_kernel(kernel, [c[r:r + m, None] for c in cols], partners,
-                        out=scratch[r - k:r - k + m],
-                        exclude=(np.arange(m), np.arange(r, r + m)) if first_col == 0 else None)
+            out = scratch[r - k:r - k + m]
+            np.subtract(partner_codes, codes[r:r + m, None], out=offsets[:m])
+            np.take(table, offsets[:m], out=out, mode="clip")
+            if varies:
+                out *= pair_multiplier(kernel, [c[r:r + m, None] for c in cols], partners)
         rows = scratch[:n]
-        rows *= 2.0
-        rows *= m2
+        if varies:
+            rows *= 2.0
+            rows *= m2
         yield k, rows
 
 
@@ -221,9 +270,11 @@ def assemble_form(kernel: KernelSpec, grid: Grid, exterior_data=None) -> Quadrat
     are not read) when it is given.
 
     Each block of _ROW_BLOCK rows is evaluated over all N columns into one
-    reused scratch block; its interior columns are copied into W_II and its
-    exterior columns are reduced, so W_IE is never stored. Raises
-    CapacityError, before allocating, when W_II exceeds MEMORY_BUDGET_BYTES.
+    reused scratch block (_weight_rows); its interior columns are copied into
+    W_II and its exterior columns are reduced, so W_IE is never stored. Raises
+    CapacityError, before allocating, when W_II exceeds MEMORY_BUDGET_BYTES,
+    and DomainError when a position is not its cell center (lattice + 1/2) h
+    or two nodes share a lattice point.
     """
     if kernel.dim != grid.dim:
         raise ConfigurationError(
@@ -342,7 +393,7 @@ def exterior_terms(form: QuadraticForm, g):
 
     The form keeps the terms of the last exterior values it saw (compared bit
     for bit), so repeated calls with the same data return the same read-only
-    arrays; other values take one pass of the pair formula over the
+    arrays; other values take one pass of the weight rows over the
     interior-exterior pairs, with the bits assembly gives for them, and
     replace the kept terms.
     """
@@ -351,8 +402,8 @@ def exterior_terms(form: QuadraticForm, g):
 
 def exterior_terms_all(form: QuadraticForm, gs) -> list:
     """exterior_terms(form, g) for each g of gs, bit for bit: values equal to
-    the kept ones return the kept terms, all others take one pass of the pair
-    formula together (np.vecdot over their stack), and the form then keeps
+    the kept ones return the kept terms, all others take one pass of the
+    weight rows together (np.vecdot over their stack), and the form then keeps
     the terms of the last of gs."""
     g_E = [np.asarray(g, dtype=np.float64)[form.exterior_idx] for g in gs]
     cached = form.terms_cache

@@ -153,18 +153,25 @@ def sample_field(grid: Grid, fn) -> Field:
     return Field(grid, values)
 
 
-def _ball_mask(grid: Grid, x0, r):
+def ball_distances(grid: Grid, x0) -> np.ndarray:
+    """|x_i - x0| for every node: what each ball query around x0 compares with
+    its radius, so queries at several radii can share one pass."""
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
     if x0.shape[0] != grid.dim:
         raise DomainError(f"ball center must have length {grid.dim}")
     diff = grid.positions - x0
-    dist = np.sqrt(np.einsum("nd,nd->n", diff, diff))
-    return dist <= r, x0
+    return np.sqrt(np.einsum("nd,nd->n", diff, diff))
 
 
-def nodes_in_ball(grid: Grid, x0, r) -> np.ndarray:
-    """Indices of nodes inside the closed ball B_r(x0)."""
-    mask, _ = _ball_mask(grid, x0, r)
+def _ball_mask(grid: Grid, x0, r, dist=None):
+    x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
+    return (ball_distances(grid, x0) if dist is None else dist) <= r, x0
+
+
+def nodes_in_ball(grid: Grid, x0, r, dist=None) -> np.ndarray:
+    """Indices of nodes inside the closed ball B_r(x0); dist =
+    ball_distances(grid, x0), computed unless given."""
+    mask, _ = _ball_mask(grid, x0, r, dist)
     return np.nonzero(mask)[0]
 
 
@@ -186,16 +193,17 @@ def region_interior_indices(grid: Grid, region: Ball) -> np.ndarray:
     return idx
 
 
-def sup_over_ball(field: Field, x0, r) -> float:
+def sup_over_ball(field: Field, x0, r, dist=None) -> float:
     """Supremum of the field over B_r(x0) cap B_R_inf, as seen by the lattice.
 
     If the ball pokes outside the truncation radius, the implicit value 0 of
     the beyond-truncation region competes in the maximum. A ball lying entirely
     beyond R_inf returns 0 by that convention; a ball that should contain nodes
-    but does not is a domain error.
+    but does not is a domain error. dist = ball_distances(grid, x0), computed
+    unless given.
     """
     grid = field.grid
-    mask, x0 = _ball_mask(grid, x0, r)
+    mask, x0 = _ball_mask(grid, x0, r, dist)
     center_norm = float(np.sqrt(np.dot(x0, x0)))
     if not mask.any():
         if center_norm - r > grid.R_inf:
@@ -207,10 +215,11 @@ def sup_over_ball(field: Field, x0, r) -> float:
     return value
 
 
-def l2_mean_over_ball(field: Field, x0, r) -> float:
-    """Cell-measure-weighted root mean square of the field over B_r(x0)."""
+def l2_mean_over_ball(field: Field, x0, r, dist=None) -> float:
+    """Cell-measure-weighted root mean square of the field over B_r(x0); dist =
+    ball_distances(grid, x0), computed unless given."""
     grid = field.grid
-    mask, x0 = _ball_mask(grid, x0, r)
+    mask, x0 = _ball_mask(grid, x0, r, dist)
     if not mask.any():
         if float(np.sqrt(np.dot(x0, x0))) - r > grid.R_inf:
             return 0.0

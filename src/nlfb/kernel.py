@@ -15,8 +15,12 @@ an affine position transform stored on the KernelSpec: the r^(d+2s) prefactor ca
 the |.|^(-d-2s) homogeneity, so only the multiplier lookup positions move and
 the ellipticity constants are preserved bit for bit.
 
-pair_kernel is the one pair formula, over broadcastable per-axis coordinates;
-eval_kernel and assembly both run it, so a pair has the same bits either way.
+A pair's kernel is its radial factor |x - y|^(-d-2s) (radial: sqrt, then the
+power, of the squared distance) times its multiplier (pair_multiplier).
+eval_kernel forms the squared distance from the coordinates; assembly reads
+the radial factor from one table over the lattice offsets (offset_radial),
+whose axis steps are rounded once, so its weights can differ from eval_kernel
+at the node positions by a few ulps.
 """
 
 from __future__ import annotations
@@ -196,7 +200,7 @@ def _as_points(dim, x):
     raise DomainError(f"cannot interpret position of shape {arr.shape} in dimension {dim}")
 
 
-def _multiplier(spec: KernelSpec, X, Y):
+def pair_multiplier(spec: KernelSpec, X, Y):
     """(1 - s) * m(x, y) at per-axis coordinates X, Y, from per-node parities or block
     ids combined per pair: a scalar (fractional, which reads no coordinate) or a fresh
     pair-shaped array, computed at the spec's transformed coordinates origin + scale * x."""
@@ -229,42 +233,49 @@ def _multiplier(spec: KernelSpec, X, Y):
     return out
 
 
-def pair_kernel(spec: KernelSpec, X, Y, out=None, exclude=None):
-    """K(x, y) at every pair of the broadcast per-axis coordinates X = (x_1, .., x_d), Y.
-
-    The operation order fixes the bits: d2 = sum_a (x_a - y_a)^2 axis by axis (as
-    einsum sums), K = ((1 - s) * m) * sqrt(d2) ** -(d + 2s), computed in out when
-    given. Coincident pairs raise DomainError, except those at the index tuple
-    `exclude` (a block's self-pairs), which get 0.
-    """
-    d2 = np.subtract(X[0], Y[0], out=out)
-    np.square(d2, out=d2)
-    for a in range(1, spec.dim):
-        diff = np.subtract(X[a], Y[a])
-        d2 += np.square(diff, out=diff)
-        del diff      # at most one temporary of the pair shape at a time
-    if exclude is not None:
-        d2[exclude] = 1.0
-    if np.any(d2 == 0.0):
-        raise DomainError("kernel evaluated at coincident points")
+def radial(spec: KernelSpec, d2):
+    """|x - y|^(-d-2s) from the squared distances d2, in place: sqrt, then the power."""
     np.sqrt(d2, out=d2)
-    np.power(d2, -(spec.dim + 2.0 * spec.s), out=d2)
-    d2 *= _multiplier(spec, X, Y)
-    if exclude is not None:
-        d2[exclude] = 0.0
+    return np.power(d2, -(spec.dim + 2.0 * spec.s), out=d2)
+
+
+def offset_radial(spec: KernelSpec, h, span):
+    """The radial factor |delta h|^(-d-2s) of every lattice offset delta with
+    |delta_a| <= span[a], as an array of shape 2 span + 1 indexed by delta + span.
+
+    Each axis step delta_a h is rounded once, and the squares are summed axis by
+    axis, as eval_kernel sums them. The zero offset, which only a self-pair has,
+    is set to 1 before the power (no 0 ** -p) and to 0 after it.
+    """
+    squares = [np.square(np.arange(-n, n + 1) * h) for n in span]
+    d2 = squares[0] if spec.dim == 1 else np.add.outer(squares[0], squares[1])
+    zero = tuple(span)
+    d2[zero] = 1.0
+    radial(spec, d2)
+    d2[zero] = 0.0
     return d2
 
 
 def eval_kernel(spec: KernelSpec, x, y):
     """Evaluate K(x, y); accepts single points or matching batches of points.
 
-    Coincident points are outside the kernel's domain and raise DomainError.
+    K = radial(d2) * pair_multiplier, with d2 = sum_a (x_a - y_a)^2 summed axis
+    by axis (as einsum sums). Coincident points are outside the kernel's domain
+    and raise DomainError.
     """
     X, x_single = _as_points(spec.dim, x)
     Y, y_single = _as_points(spec.dim, y)
     if X.shape[0] != Y.shape[0] and 1 not in (X.shape[0], Y.shape[0]):
         raise DomainError(f"mismatched position batches {X.shape} vs {Y.shape}")
-    value = pair_kernel(spec, X.T, Y.T)
+    d2 = np.subtract(X[:, 0], Y[:, 0])
+    np.square(d2, out=d2)
+    for a in range(1, spec.dim):
+        diff = np.subtract(X[:, a], Y[:, a])
+        d2 += np.square(diff, out=diff)
+    if np.any(d2 == 0.0):
+        raise DomainError("kernel evaluated at coincident points")
+    value = radial(spec, d2)
+    value *= pair_multiplier(spec, X.T, Y.T)
     if x_single and y_single:
         return float(value[0])
     return value

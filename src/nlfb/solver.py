@@ -28,10 +28,10 @@ one-entry stack. The reported energy is the exit state's pairwise
 total_energy, evaluated once per result.
 
 Restarts (minimize_all) run from deterministic initializations, share one
-exterior_terms and keep the best by (reduced exit energy, restart seed). A
-stack of instances that share the form runs in lockstep, one batched call
-per group whose operands share shapes (_groups), each instance with the
-bits of its solve alone. A brute-force oracle (oracle_minimize_all)
+exterior_terms and keep the best reduced exit energy; exits within rounding
+of it keep the lower seed (_winner). A stack of instances that share the
+form runs in lockstep, one batched call per group whose operands share
+shapes (_groups), each instance with the bits of its solve alone. A brute-force oracle (oracle_minimize_all)
 enumerates all interior supports (capacity-capped, xi = 0 only) for ground
 truth, on the inverses of its pinned systems, computed once per form.
 
@@ -894,6 +894,18 @@ def minimize(problem: ProblemSpec, n_restarts=4, seed=0, max_sweeps=DEFAULT_MAX_
     return minimize_all([problem], n_restarts, [seed], max_sweeps, form)[0]
 
 
+def _winner(energies) -> int:
+    """The winning restart of reduced exit energies in seed order: a later exit
+    displaces the best only when lower by more than CERTIFICATE_RTOL * (1 +
+    |best energy|), as _oracle_scan ranks candidates, so exits that differ by
+    rounding alone keep the lower seed."""
+    best = 0
+    for k, energy in enumerate(energies):
+        if energy < energies[best] - CERTIFICATE_RTOL * (1.0 + abs(energies[best])):
+            best = k
+    return best
+
+
 def minimize_all(problems, n_restarts, seeds, max_sweeps=DEFAULT_MAX_SWEEPS,
                  form: QuadraticForm | None = None, terms=None) -> list:
     """minimize's result for each of `problems`, which share kernel, grid,
@@ -910,10 +922,11 @@ def minimize_all(problems, n_restarts, seeds, max_sweeps=DEFAULT_MAX_SWEEPS,
     (b) (its record is the result's `certificate`, else None): proven
     globally minimal, it skips the random restarts; with a certified minimum
     they stop after the first whose reduced exit energy is within
-    1e-12 * (1 + |minimum|) of it. The winner over the restarts that ran is
-    the least by (reduced exit energy, restart seed), and only the winners
-    are finalized, with their pairwise total_energy in one stacked pass
-    (_finalize_all). All of it runs on the calling thread, in lockstep, and
+    1e-12 * (1 + |minimum|) of it. The winner over the restarts that ran
+    comes from a scan in seed order, in which a later exit displaces the best
+    only when its reduced exit energy is lower by more than 1e-12 * (1 +
+    |best energy|) (_winner), and only the winners are finalized, with their
+    pairwise total_energy in one stacked pass (_finalize_all). All of it runs on the calling thread, in lockstep, and
     each result is its instance's alone, bit for bit.
 
     The form is assembled (with problems[0]'s data) unless given, and is
@@ -982,8 +995,7 @@ def minimize_all(problems, n_restarts, seeds, max_sweeps=DEFAULT_MAX_SWEEPS,
         for i, descent in zip(running, descents):
             results[i].append(descent)
         running = [i for i, (_, energy, _, _) in zip(running, descents) if energy > reached[i]]
-    winners = [min(range(len(exits)), key=lambda k: (exits[k][1], seed + k))
-               for seed, exits in zip(seeds, results)]
+    winners = [_winner([energy for _, energy, _, _ in exits]) for exits in results]
     out = _finalize_all(problems, form, [exits[k] for exits, k in zip(results, winners)],
                         [seed + k for seed, k in zip(seeds, winners)],
                         [len(exits) for exits in results], terms)

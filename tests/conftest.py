@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from nlfb import (KernelSpec, build_grid, checkerboard_kernel, enumerate_lattice, eval_kernel,
+from nlfb import (KernelSpec, build_grid, checkerboard_kernel, enumerate_lattice,
                   fractional_kernel, modulated_kernel)
 
 # CI selects this profile (pytest --hypothesis-profile=ci): a failing property
@@ -49,13 +49,46 @@ def family_kernel(family, dim, s, block):
                       {"block_size": block, "table": {(0, 0): 1.5, (-1, 1): 2.0, (1, 2): 1.25}})
 
 
+def reference_multiplier(spec, X, Y):
+    """(1 - s) m(x, y) on (n, d) batches: (n, d) transformed positions, one
+    multiplier per pair."""
+    origin = np.asarray(spec.origin, dtype=np.float64)
+    Xt, Yt = origin + spec.scale * X, origin + spec.scale * Y
+    p = spec.params
+    if spec.family == "fractional_laplacian":
+        mult = np.full(X.shape[0], spec.lam)
+    elif spec.family == "modulated":
+        phase = np.sin(p["frequency"] * (Xt[:, 0] + Yt[:, 0]))
+        mult = p["multiplier"] * (1.0 + p["amplitude"] * phase)
+    elif spec.family == "checkerboard":
+        cx = np.floor(Xt / p["block_size"]).astype(np.int64).sum(axis=1) % 2
+        cy = np.floor(Yt / p["block_size"]).astype(np.int64).sum(axis=1) % 2
+        mults = np.asarray(p["multipliers"], dtype=np.float64)
+        mult = mults[(cx + cy) % len(mults)]
+    else:
+        bi = np.floor(Xt[:, 0] / p["block_size"]).astype(np.int64)
+        bj = np.floor(Yt[:, 0] / p["block_size"]).astype(np.int64)
+        mult = np.ones(X.shape[0])
+        for (i, j), m in p["table"].items():
+            mult[((bi == i) & (bj == j)) | ((bi == j) & (bj == i))] = m
+    return (1.0 - spec.s) * mult
+
+
 def reference_row(grid, kernel, i):
-    """Weight row w_{i, .} by node, from one eval_kernel call per row: 0 at i and,
-    for an exterior i, at the exterior pairs (which are never stored)."""
+    """Weight row w_{i, .} by node, pair by pair from the integer lattice: the
+    offset k_j - k_i times h per axis, its squares summed axis by axis, then
+    sqrt and the power, times the multiplier at the node positions; 0 at i
+    and, for an exterior i, at the exterior pairs (which are never stored)."""
     n = grid.n_nodes
     row = np.zeros(n)
     others = np.arange(n) != i
-    values = eval_kernel(kernel, grid.positions[i], grid.positions[others])
+    steps = (grid.lattice[others] - grid.lattice[i]) * grid.h
+    d2 = np.zeros(steps.shape[0])
+    for a in range(grid.dim):
+        d2 += steps[:, a] * steps[:, a]
+    radial = np.sqrt(d2) ** -(grid.dim + 2.0 * kernel.s)
+    values = reference_multiplier(kernel, np.broadcast_to(grid.positions[i], steps.shape),
+                                  grid.positions[others]) * radial
     m2 = grid.cell_measure * grid.cell_measure
     row[others] = 2.0 * values * m2
     if not grid.interior[i]:

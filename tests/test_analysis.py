@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+import nlfb.analysis
 import nlfb.energy
+import nlfb.grid
 from nlfb import (
     Ball,
     CapacityError,
@@ -486,6 +488,32 @@ def test_build_report_and_serializations():
         for line in lines[1:]:
             values = [float(v) for v in line.split(",")]
             assert values[2] + values[3] == pytest.approx(1.0, abs=1e-15)
+
+
+def test_build_report_reads_each_points_distances_once(monkeypatch):
+    # a point's growth sups, l2 mean and density compare one ball_distances
+    # pass with every radius of its ladder; the lifting region's two queries
+    # take one each. report.json is byte-identical to one pass per query
+    problem, form, field = analysis_instance()
+    points = select_analysis_points(free_boundary(field, problem.xi), limit=2)
+    settings = dict(r_min=0.08, r_max=0.5, n_dyadic=4, region=Ball((0.0,), 0.5))
+    passes = []
+    real = nlfb.grid.ball_distances
+
+    def counted(grid, x0):
+        passes.append(1)
+        return real(grid, x0)
+
+    monkeypatch.setattr(nlfb.grid, "ball_distances", counted)
+    monkeypatch.setattr(nlfb.analysis, "ball_distances", counted)
+    report = build_report(problem, form, field, points, **settings)
+    assert len(passes) == len(points) + 2
+    passes.clear()
+    # no shared pass: every query computes its own distances
+    monkeypatch.setattr(nlfb.analysis, "ball_distances", lambda grid, x0: None)
+    per_query = build_report(problem, form, field, points, **settings)
+    assert len(passes) == sum(2 * len(g["radii"]) + 1 for g in report.growth) + 2
+    assert report_json(per_query).encode() == report_json(report).encode()
 
 
 def test_build_report_without_free_boundary():

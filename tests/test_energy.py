@@ -1,5 +1,6 @@
 """Pair-sum energy assembly, penalized total, tail functional, truncation bound."""
 
+import dataclasses
 import math
 import tracemalloc
 from unittest.mock import patch
@@ -285,6 +286,75 @@ def test_assembly_refuses_coincident_distinct_nodes():
                 grid.interior)
     with pytest.raises(DomainError):
         assemble_form(fractional_kernel(0.5, dim=2), twin)
+
+
+def test_assembly_refuses_grids_off_their_cell_centers_or_repeating_a_lattice_point():
+    # the lattice-offset weights hold only for positions (k + 1/2) h exactly,
+    # with one node per lattice point; an offset table above the memory
+    # budget is refused before it is allocated
+    for dim in (1, 2):
+        grid = build_grid(dim, 0.2, 2.0)
+        kernel = fractional_kernel(0.5, dim=dim)
+        i, j = np.nonzero(grid.interior)[0][:2]
+        positions = grid.positions.copy()
+        positions[i, -1] = np.nextafter(positions[i, -1], math.inf)
+        off = Grid(dim, grid.h, grid.omega_radius, grid.R_inf, positions, grid.lattice,
+                   grid.interior)
+        lattice = grid.lattice.copy()
+        lattice[j] = lattice[i]
+        repeated = Grid(dim, grid.h, grid.omega_radius, grid.R_inf, (lattice + 0.5) * grid.h,
+                        lattice, grid.interior)
+        for bad, match in ((off, "cell centers"), (repeated, "repeats a lattice point")):
+            with pytest.raises(DomainError, match=match):
+                assemble_form(kernel, bad)
+            with pytest.raises(DomainError, match=match):
+                exterior_terms(dataclasses.replace(assemble_form(kernel, grid), grid=bad),
+                               np.ones(grid.n_nodes))
+    lattice = np.array([[0], [1], [1 << 30]])
+    far = Grid(1, 0.5, 0.5, 1.0, (lattice + 0.5) * 0.5, lattice, [True, False, False])
+    with pytest.raises(CapacityError, match="lattice-offset table"):
+        assemble_form(fractional_kernel(0.5), far)
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(("fractional_laplacian", "modulated", "checkerboard",
+                               "custom_table")),
+       dim=st.sampled_from((1, 2)), s=st.floats(0.05, 0.95), block=st.floats(0.1, 1.0),
+       cells=st.floats(4.2, 7.0), reach=st.floats(2.0, 3.0), x0=st.floats(-1.0, 1.0),
+       r=st.none() | st.floats(0.25, 4.0))
+def test_assembled_weights_match_eval_kernel_within_the_coordinate_rounding(
+        family, dim, s, block, cells, reach, x0, r):
+    # assembly takes the offset (k_j - k_i) h, rounded once; eval_kernel at
+    # the node positions takes x_i - x_j, where each x = (k + 1/2) h carries a
+    # rounding of at most u |x| (u = 2^-53) and the difference one more. Per
+    # axis the two distances then differ by at most
+    # eps = u (|x_i| + |x_j|) / |(k_j - k_i) h| + 2u relative, the distance by
+    # the largest eps over its axes, and |.|^-p (p = d + 2s) by p eps to first
+    # order. The multiplier is the same in both; each side's own square, sum,
+    # sqrt, power and products round at most 8 times (the power within 2u)
+    if dim == 1:
+        cells *= 6.0
+    grid = build_grid(dim, 1.0 / cells, reach)
+    kernel = family_kernel(family, dim, s, block)
+    if r is not None:
+        kernel = rescale_kernel(kernel, [x0] * dim, r)
+    form = assemble_form(kernel, grid)
+    n_int, order = form.interior_idx.shape[0], form.col_order
+    assert form.dense.tobytes() == np.ascontiguousarray(form.dense.T).tobytes()
+    rows = np.concatenate([block.copy() for _, block in nlfb.energy._weight_rows(
+        kernel, grid, order, n_int, 0, _ROW_BLOCK)])
+    i, j = np.nonzero(np.arange(n_int)[:, None] != np.arange(grid.n_nodes))
+    X, Y = grid.positions[order[i]], grid.positions[order[j]]
+    m2 = grid.cell_measure * grid.cell_measure
+    want = 2.0 * eval_kernel(kernel, X, Y) * m2
+    u = 2.0 ** -53
+    step = np.abs(grid.lattice[order[j]] - grid.lattice[order[i]]) * grid.h
+    # an axis whose offset is 0 has the difference 0 both ways
+    eps = np.divide(u * (np.abs(X) + np.abs(Y)), step, out=np.zeros(step.shape),
+                    where=step > 0.0).max(axis=1) + 2.0 * u
+    bound = (dim + 2.0 * s) * eps * (1.0 + 1e-6) + 16.0 * u
+    assert np.all(np.abs(rows[i, j] - want) <= bound * want)
+    assert np.all(rows[np.arange(n_int), np.arange(n_int)] == 0.0)
 
 
 @pytest.mark.parametrize("family", ["fractional_laplacian", "modulated", "checkerboard",

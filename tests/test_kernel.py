@@ -17,6 +17,8 @@ from nlfb import (
     rescale_kernel,
 )
 
+from conftest import reference_multiplier
+
 ALL_VALID_SPECS = [
     fractional_kernel(0.5),
     fractional_kernel(0.3, lam=2.0, dim=2),
@@ -85,26 +87,7 @@ def reference_eval(spec, X, Y):
     distances and (n, d) transformed positions, one multiplier per pair."""
     diff = X - Y
     dist = np.sqrt(np.einsum("nd,nd->n", diff, diff))
-    origin = np.asarray(spec.origin, dtype=np.float64)
-    Xt, Yt = origin + spec.scale * X, origin + spec.scale * Y
-    p = spec.params
-    if spec.family == "fractional_laplacian":
-        mult = np.full(X.shape[0], spec.lam)
-    elif spec.family == "modulated":
-        phase = np.sin(p["frequency"] * (Xt[:, 0] + Yt[:, 0]))
-        mult = p["multiplier"] * (1.0 + p["amplitude"] * phase)
-    elif spec.family == "checkerboard":
-        cx = np.floor(Xt / p["block_size"]).astype(np.int64).sum(axis=1) % 2
-        cy = np.floor(Yt / p["block_size"]).astype(np.int64).sum(axis=1) % 2
-        mults = np.asarray(p["multipliers"], dtype=np.float64)
-        mult = mults[(cx + cy) % len(mults)]
-    else:
-        bi = np.floor(Xt[:, 0] / p["block_size"]).astype(np.int64)
-        bj = np.floor(Yt[:, 0] / p["block_size"]).astype(np.int64)
-        mult = np.ones(X.shape[0])
-        for (i, j), m in p["table"].items():
-            mult[((bi == i) & (bj == j)) | ((bi == j) & (bj == i))] = m
-    return (1.0 - spec.s) * mult * dist ** (-(spec.dim + 2.0 * spec.s))
+    return reference_multiplier(spec, X, Y) * dist ** (-(spec.dim + 2.0 * spec.s))
 
 
 TABLE = {"block_size": 0.5, "table": {(0, 0): 1.5, (-1, 1): 2.0, (1, 2): 1.25}}
