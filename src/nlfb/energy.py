@@ -196,13 +196,17 @@ def _lattice_codes(grid: Grid):
     point repeats (distinct nodes would coincide), and CapacityError when that
     offset table would exceed MEMORY_BUDGET_BYTES."""
     lattice = grid.lattice
-    if not np.array_equal(grid.positions, (lattice + 0.5) * grid.h):
+    if np.any(grid.positions != (lattice + 0.5) * grid.h):
         raise DomainError("grid positions are not the cell centers (lattice + 1/2) h")
-    span = (lattice.max(axis=0) - lattice.min(axis=0)).tolist()
+    lo = lattice.min(axis=0)
+    span = (lattice.max(axis=0) - lo).tolist()
     check_budget(8 * math.prod(2 * n + 1 for n in span), "the lattice-offset table")
     codes = lattice[:, 0] * (2 * span[1] + 1) + lattice[:, 1] if grid.dim == 2 else lattice[:, 0]
-    ordered = np.sort(codes)
-    if np.any(ordered[1:] == ordered[:-1]):
+    # one mark per occupied lattice point of the bounding box: fewer marks
+    # than nodes means a point repeats
+    occupied = np.zeros(math.prod(n + 1 for n in span), dtype=bool)
+    occupied[np.ravel_multi_index(tuple((lattice - lo).T), [n + 1 for n in span])] = True
+    if np.count_nonzero(occupied) != codes.shape[0]:
         raise DomainError("grid repeats a lattice point: distinct nodes coincide")
     return codes, span
 
