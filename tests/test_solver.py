@@ -1730,10 +1730,10 @@ def test_minimize_finalizes_only_the_winner(monkeypatch, n_restarts, phase):
     # the restarts share one exterior_terms and are ranked by their reduced
     # exit energies (ranked_winner); only the winner gets the pairwise
     # total_energy, and its result is its restart's alone: the public
-    # coordinate_descent from its
-    # init and seed, or at one_phase, xi = 0 its verified bound state. At 5
-    # restarts only two_phase runs every restart: one_phase at xi = 0 skips
-    # the random ones once the bounds are certified (tested below)
+    # coordinate_descent from its init and seed, or at one_phase, xi = 0 its
+    # verified bound state. At 5 restarts only two_phase runs every restart:
+    # one_phase at xi = 0 skips the random ones once the bounds are certified
+    # (tested below)
     grid = build_grid(1, 0.1, 2.0)
     kernel = fractional_kernel(0.5)
     form = assemble_form(kernel, grid)
