@@ -15,7 +15,6 @@ iteration orders are fixed by node index, so outputs are deterministic.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field as dataclass_field
 
@@ -308,19 +307,6 @@ class FreeBoundaryReport:
     lifting_l2: float
     extras: dict = dataclass_field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "fb_nodes": self.fb_nodes,
-            "growth": self.growth,
-            "nondeg_constant": self.nondeg_constant,
-            "nondeg_node": self.nondeg_node,
-            "density": self.density,
-            "subsolution_max": self.subsolution_max,
-            "subsolution_node": self.subsolution_node,
-            "lifting_l2": self.lifting_l2,
-            "extras": self.extras,
-        }
-
 
 def build_report(problem: ProblemSpec, form: QuadraticForm, field: Field, points,
                  r_min: float, r_max: float, n_dyadic: int, region: Ball
@@ -391,11 +377,6 @@ def build_report(problem: ProblemSpec, form: QuadraticForm, field: Field, points
         extras={"n_fb_pairs": len(fb.pairs),
                 "subsolution_scale": residual_scale(form, field)},
     )
-
-
-def report_json(report: FreeBoundaryReport) -> str:
-    """Deterministic JSON rendering (repr-exact floats, sorted keys)."""
-    return json.dumps(report.to_dict(), sort_keys=True, indent=2)
 
 
 def point_csv_text(report: FreeBoundaryReport, k: int) -> str:

@@ -1,11 +1,15 @@
 """Command-line entry point: nlfb <subcommand> --config <path> [--out] [--seed],
 or python -m nlfb.cli with the same arguments.
 
-Subcommands: solve, rho-sweep, refine, oracle-compare, analyze. Every run
-writes its artifacts plus a manifest.json into the output directory. Artifacts
-are staged under a .partial suffix and renamed into place only when complete,
-the manifest last, so an interrupted run never corrupts finished outputs; a
-directory that already holds a manifest.json is refused outright.
+Subcommands: solve, rho-sweep, refine, oracle-compare, analyze. Each one
+computes its results and returns them with its named artifact payloads; run()
+alone keeps the artifacts whose format (the name's extension) output.formats
+lists, renders each through the one renderer of its format (json.dumps for
+JSON, grid.csv_text for CSV) and writes them with a manifest.json into the
+output directory. Artifacts are staged under a .partial suffix and renamed
+into place only when all are complete, the manifest last, so an interrupted
+run never corrupts finished outputs; a directory that already holds a
+manifest.json is refused outright.
 
 All artifact JSON/CSV is deterministic for a fixed config and seed. Wall-clock
 measurements are confined to the manifest's "timing" section so the rest of
@@ -30,12 +34,14 @@ import os
 import platform
 import sys
 import time
+from dataclasses import asdict
+from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .analysis import (build_report, density, dyadic_radii, free_boundary,
-                       lifting_distance, nondegeneracy, point_csv_text, report_json,
+                       lifting_distance, nondegeneracy, point_csv_text,
                        select_analysis_points)
 from .config import ExperimentConfig, build_problem, parse_config, parse_points
 from .energy import exterior_terms_all
@@ -57,28 +63,22 @@ ORACLE_AGREE_RTOL = 1e-10
 ORACLE_STACK = 64     # oracle-compare's instances per minimize_all stack: it bounds memory
 
 
-class _Writer:
-    """Stages artifact files and renames them into place atomically at the end."""
-
-    def __init__(self, out_dir: str):
-        self.out_dir = out_dir
-        self.staged = []
-
-    def stage(self, name: str, text: str) -> None:
-        partial = os.path.join(self.out_dir, name + ".partial")
-        with open(partial, "w", newline="") as fh:
-            fh.write(text)
-        self.staged.append(name)
-
-    def finalize(self) -> list:
-        for name in self.staged:
-            path = os.path.join(self.out_dir, name)
-            os.replace(path + ".partial", path)
-        return list(self.staged)
+def _stage(out_dir: str, name: str, payload) -> str:
+    """Render one artifact and write it under a .partial suffix; returns its
+    name. A .json payload goes through the one JSON renderer; a .csv payload
+    is a callable whose text comes from grid.csv_text."""
+    text = (json.dumps(payload, sort_keys=True, indent=2) + "\n" if name.endswith(".json")
+            else payload())
+    with open(os.path.join(out_dir, name + ".partial"), "w", newline="") as fh:
+        fh.write(text)
+    return name
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _publish(out_dir: str, names: list) -> None:
+    """Rename staged artifacts into place, in the order given."""
+    for name in names:
+        path = os.path.join(out_dir, name)
+        os.replace(path + ".partial", path)
 
 
 def _analysis_defaults(cfg: ExperimentConfig, grid):
@@ -118,33 +118,23 @@ def _warn_result(warnings: list, result: MinimizeResult, **where) -> None:
                                              f"global minimizer{named}"})
 
 
-def _result_artifacts(writer: _Writer, cfg: ExperimentConfig, result: MinimizeResult,
-                      prefix: str = "") -> None:
-    fmts = cfg.values["output.formats"]
-    if "json" in fmts:
-        writer.stage(f"{prefix}result.json", _json_text(result.to_dict()))
-    if "csv" in fmts:
-        writer.stage(f"{prefix}field.csv", field_csv_text(result.field))
-
-
-def _cmd_solve(cfg, writer, seed, timing, warnings):
+def _cmd_solve(cfg, seed, timing, warnings):
     problem = build_problem(cfg)
     t0 = time.perf_counter()
     result = minimize(problem, n_restarts=cfg.values["solver.restarts"], seed=seed,
                       max_sweeps=cfg.values["solver.max_sweeps"])
     timing["solve_s"] = time.perf_counter() - t0
     _warn_result(warnings, result)
-    _result_artifacts(writer, cfg, result)
     return {
-        "energy": result.energy.to_dict(),
+        "energy": asdict(result.energy),
         "support_size": int(result.support.shape[0]),
         "sweeps": result.sweeps,
         "converged": result.converged,
         "best_restart_seed": result.best_restart_seed,
-    }
+    }, {"result.json": result.to_dict(), "field.csv": partial(field_csv_text, result.field)}
 
 
-def _cmd_rho_sweep(cfg, writer, seed, timing, warnings):
+def _cmd_rho_sweep(cfg, seed, timing, warnings):
     rhos = cfg.values["sweep.rhos"]
     if not rhos:
         raise ConfigurationError("rho-sweep requires sweep.rhos in the config")
@@ -160,9 +150,6 @@ def _cmd_rho_sweep(cfg, writer, seed, timing, warnings):
         _warn_result(warnings, result, rho=float(rho))
         dist = lifting_distance(result.form, result.field, region)
         rows.append((float(rho), float(result.energy.total), float(dist)))
-    if "csv" in cfg.values["output.formats"]:
-        writer.stage("rho_sweep.csv",
-                     csv_text(["rho", "energy", "lifting_distance"], rows))
     usable = [(r, d) for r, d, in ((row[0], row[2]) for row in rows) if d > 0.0]
     slope = None
     if len(usable) >= 2:
@@ -173,7 +160,7 @@ def _cmd_rho_sweep(cfg, writer, seed, timing, warnings):
         "lifting_distances": [row[2] for row in rows],
         "energies": [row[1] for row in rows],
         "slope": slope,
-    }
+    }, {"rho_sweep.csv": partial(csv_text, ["rho", "energy", "lifting_distance"], rows)}
 
 
 def _level_diagnostics(cfg, problem, result):
@@ -210,13 +197,13 @@ def _level_diagnostics(cfg, problem, result):
     return entry
 
 
-def _cmd_refine(cfg, writer, seed, timing, warnings):
+def _cmd_refine(cfg, seed, timing, warnings):
     if cfg.values["problem.g"].startswith("file:"):
         raise ConfigurationError("refine requires a named g profile, not a file reference")
     factor = cfg.values["refine.factor"]
     if factor < 2:
         raise ConfigurationError(f"refine.factor must be at least 2, got {factor}")
-    levels = []
+    levels, artifacts = [], {}
     t0 = time.perf_counter()
     for level, h in enumerate((cfg.values["grid.h"], cfg.values["grid.h"] / factor)):
         problem = build_problem(cfg, h=h)
@@ -224,7 +211,8 @@ def _cmd_refine(cfg, writer, seed, timing, warnings):
                           max_sweeps=cfg.values["solver.max_sweeps"])
         _warn_result(warnings, result, level=level)
         levels.append(_level_diagnostics(cfg, problem, result))
-        _result_artifacts(writer, cfg, result, prefix=f"level{level}_")
+        artifacts[f"level{level}_result.json"] = result.to_dict()
+        artifacts[f"level{level}_field.csv"] = partial(field_csv_text, result.field)
     timing["solve_s"] = time.perf_counter() - t0
 
     def ratio(key):
@@ -236,9 +224,7 @@ def _cmd_refine(cfg, writer, seed, timing, warnings):
     summary = {"levels": levels,
                "nondeg_ratio": ratio("nondeg_constant"),
                "density_c1_ratio": ratio("density_c1")}
-    if "json" in cfg.values["output.formats"]:
-        writer.stage("refine.json", _json_text(summary))
-    return summary
+    return summary, {**artifacts, "refine.json": summary}
 
 
 def random_exterior(problem: ProblemSpec, rng) -> np.ndarray:
@@ -285,7 +271,7 @@ def oracle_compare_instances(cfg: ExperimentConfig, seed: int):
     return rows
 
 
-def _cmd_oracle_compare(cfg, writer, seed, timing, warnings):
+def _cmd_oracle_compare(cfg, seed, timing, warnings):
     t0 = time.perf_counter()
     rows = oracle_compare_instances(cfg, seed)
     timing["solve_s"] = time.perf_counter() - t0
@@ -293,26 +279,22 @@ def _cmd_oracle_compare(cfg, writer, seed, timing, warnings):
         _warn_result(warnings, r["result"], instance=r["instance"])
     csv_rows = [(r["instance"], r["minimize_energy"], r["oracle_energy"],
                  int(r["agree"])) for r in rows]
-    if "csv" in cfg.values["output.formats"]:
-        writer.stage("oracle_compare.csv",
-                     csv_text(["instance", "minimize_energy", "oracle_energy", "agree"],
-                               csv_rows))
     n_agree = sum(1 for r in rows if r["agree"])
     return {
         "instances": len(rows),
         "agreement_pct": 100.0 * n_agree / len(rows) if rows else None,
         "never_below": bool(all(not r["below_oracle"] for r in rows)),
-    }
+    }, {"oracle_compare.csv": partial(csv_text, ["instance", "minimize_energy",
+                                                 "oracle_energy", "agree"], csv_rows)}
 
 
-def _cmd_analyze(cfg, writer, seed, timing, warnings):
+def _cmd_analyze(cfg, seed, timing, warnings):
     problem = build_problem(cfg)
     t0 = time.perf_counter()
     result = minimize(problem, n_restarts=cfg.values["solver.restarts"], seed=seed,
                       max_sweeps=cfg.values["solver.max_sweeps"])
     timing["solve_s"] = time.perf_counter() - t0
     _warn_result(warnings, result)
-    _result_artifacts(writer, cfg, result)
 
     r_min, r_max, n_dyadic, region = _analysis_defaults(cfg, problem.grid)
     points = _analysis_points(cfg, problem, result.field)
@@ -320,19 +302,17 @@ def _cmd_analyze(cfg, writer, seed, timing, warnings):
     report = build_report(problem, result.form, result.field, points, r_min, r_max,
                           n_dyadic, region)
     timing["analysis_s"] = time.perf_counter() - t0
-    if "json" in cfg.values["output.formats"]:
-        writer.stage("report.json", report_json(report) + "\n")
-    if "csv" in cfg.values["output.formats"]:
-        # render per-point CSVs through the shared writer for atomicity
-        for k in range(len(report.growth)):
-            writer.stage(f"point_{k}.csv", point_csv_text(report, k))
     return {
         "fb_nodes": len(report.fb_nodes),
         "nondeg_constant": report.nondeg_constant,
         "lifting_l2": report.lifting_l2,
         "subsolution_max": report.subsolution_max,
         "points": [list(map(float, np.asarray(p).reshape(-1))) for p in points],
-    }
+    }, {"result.json": result.to_dict(), "field.csv": partial(field_csv_text, result.field),
+        # the report's fields as they are: asdict would deep-copy every value
+        "report.json": vars(report),
+        **{f"point_{k}.csv": partial(point_csv_text, report, k)
+           for k in range(len(report.growth))}}
 
 
 _COMMANDS = {
@@ -373,14 +353,15 @@ def run(config_path: str, subcommand: str, out_dir: str | None = None,
     with open(config_path, "rb") as fh:
         config_hash = hashlib.sha256(fh.read()).hexdigest()
 
-    writer = _Writer(out_dir)
     timing = {}
     warnings = []
     t_start = time.perf_counter()
-    results = _COMMANDS[subcommand](cfg, writer, seed, timing, warnings)
+    results, payloads = _COMMANDS[subcommand](cfg, seed, timing, warnings)
+    formats = cfg.values["output.formats"]
+    staged = [_stage(out_dir, name, payload) for name, payload in payloads.items()
+              if name.rsplit(".", 1)[1] in formats]
     timing["total_s"] = time.perf_counter() - t_start
 
-    artifacts = writer.finalize()
     manifest = {
         "subcommand": subcommand,
         "config_hash": config_hash,
@@ -390,15 +371,13 @@ def run(config_path: str, subcommand: str, out_dir: str | None = None,
             "numpy": np.__version__,
             "python": platform.python_version(),
         },
-        "artifacts": sorted(artifacts),
+        "artifacts": sorted(staged),
         "results": results,
         "timing": timing,
         "warnings": warnings,
     }
-    partial = manifest_path + ".partial"
-    with open(partial, "w") as fh:
-        fh.write(_json_text(manifest))
-    os.replace(partial, manifest_path)
+    # the manifest is renamed into place last: its presence marks a complete run
+    _publish(out_dir, staged + [_stage(out_dir, "manifest.json", manifest)])
     return 0
 
 

@@ -350,15 +350,6 @@ class EnergyBreakdown:
     support_count: int
     truncation_bound: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "dirichlet": self.dirichlet,
-            "volume": self.volume,
-            "total": self.total,
-            "support_count": self.support_count,
-            "truncation_bound": self.truncation_bound,
-        }
-
 
 def support_mask(grid: Grid, field: Field, xi) -> np.ndarray:
     """Interior nodes strictly above the threshold xi."""

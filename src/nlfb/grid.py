@@ -233,34 +233,35 @@ def l2_mean_over_ball(field: Field, x0, r, dist=None) -> float:
 # Field serialization: CSV with a grid signature line.
 
 def csv_text(header, rows) -> str:
-    """Comma-separated lines, each ending in a newline: floats as exact reprs, others via str."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+    """Comma-separated lines, each ending in a newline: floats (numpy.float64
+    among them) as repr(float(v)), everything else via str.
 
-
-def _float_texts(column) -> list:
-    """repr of each float of a float64 column, rendered once per distinct value:
-    values are told apart by their bits, so -0.0 and 0.0 keep their own texts."""
-    bits, where = np.unique(column.view(np.int64), return_inverse=True)
+    Rows must have equal lengths. Rendering goes a column at a time. The
+    columns that hold only floats render each distinct value once, told apart
+    by its bits, so -0.0 and 0.0 keep their own texts.
+    """
+    columns = list(zip(*rows))
+    # per column, which of its values are floats: {True} all, {False} none, else some
+    kinds = [{issubclass(t, float) for t in set(map(type, c))} for c in columns]
+    floats = np.array([c for c, kind in zip(columns, kinds) if kind == {True}],
+                      dtype=np.float64)
+    bits, where = np.unique(floats.view(np.int64), return_inverse=True)
     texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-    return texts[where.reshape(-1)].tolist()
+    float_columns = iter(texts[where.reshape(floats.shape)].tolist())
+    columns = [next(float_columns) if kind == {True} else map(str, c) if kind == {False}
+               else [repr(float(v)) if isinstance(v, float) else str(v) for v in c]
+               for c, kind in zip(columns, kinds)]
+    return "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
 
 
 def field_csv_text(field: Field) -> str:
     """Render `# d h omega R_inf` then `index,x1[,x2],role,value` rows."""
     grid = field.grid
     cols = ["index"] + [f"x{d + 1}" for d in range(grid.dim)] + ["role", "value"]
-    # csv_text's rendering, a column at a time: str for the index and role,
-    # repr for the floats, each distinct float once (_float_texts)
-    columns = [map(str, range(grid.n_nodes)),
-               *(_float_texts(grid.positions[:, d]) for d in range(grid.dim)),
-               np.where(grid.interior, "interior", "exterior").tolist(),
-               _float_texts(field.values)]
-    lines = [",".join(cols), *map(",".join, zip(*columns))]
+    rows = zip(range(grid.n_nodes), *grid.positions.T.tolist(),
+               np.where(grid.interior, "interior", "exterior").tolist(), field.values.tolist())
     return (f"# {grid.dim} {grid.h!r} {grid.omega_radius!r} {grid.R_inf!r}\n"
-            + "\n".join(lines) + "\n")
+            + csv_text(cols, rows))
 
 
 def load_field_csv(grid: Grid, path) -> Field:

@@ -54,7 +54,7 @@ which skips the random restarts, or finds a lower minimum, at which they stop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -136,9 +136,9 @@ class MinimizeResult:
 
     def to_dict(self) -> dict:
         return {
-            "field": [float(v) for v in self.field.values],
-            "energy": self.energy.to_dict(),
-            "support": [int(i) for i in self.support],
+            "field": self.field.values.tolist(),
+            "energy": asdict(self.energy),
+            "support": self.support.tolist(),
             "sweeps": self.sweeps,
             "restarts_used": self.restarts_used,
             "converged": self.converged,

@@ -49,6 +49,48 @@ def family_kernel(family, dim, s, block):
                       {"block_size": block, "table": {(0, 0): 1.5, (-1, 1): 2.0, (1, 2): 1.25}})
 
 
+def _gamma(n_int):
+    """gamma_k = k u / (1 - k u), u = 2^-53, for k = 2 n_int + 6 rounded
+    operations: the most that any term of an energy at n_int interior values
+    passes through (see the two bounds below)."""
+    k = 2 * n_int + 6
+    return k * 2.0 ** -53 / (1.0 - k * 2.0 ** -53)
+
+
+def reduced_energy_rounding(form, x, b_I, c, rho_cell):
+    """A bound on the rounding error of reduced_energies at the interior
+    values x (xi = 0). Each of its terms x_i (a_i x_i - W_II[i] . x - 2 b_i)
+    passes through at most n + 3 rounded operations, and the sum over the n
+    terms, c and the penalty through at most n + 3 more, so the error is at
+    most gamma_(2n+6) times the sum of the terms' magnitudes (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., Lemma 3.3 and section
+    3.1). The weights are positive."""
+    ax = np.abs(x)
+    magnitudes = ax @ (form.row_sums * ax + form.dense @ ax + 2.0 * np.abs(b_I))
+    return _gamma(x.shape[0]) * (magnitudes + abs(c) + rho_cell * np.count_nonzero(x > 0.0))
+
+
+def pair_energy_rounding(form, x, b_I, c, rho_cell):
+    """A bound on the rounding error of total_energies' total (the pairwise
+    dirichlet_energies plus the penalty) at the interior values x (xi = 0).
+    In row i, each pair term w_ij (x_i - x_j)^2 / 2 passes through at most
+    n + 3 rounded operations (the difference, its square, the product with
+    w_ij, the n - 1 additions of the row's dot and the addition of the
+    exterior term) and each exterior term x_i (a_E,i x_i - 2 b_i) through 4.
+    The tree sum over the n rows, c and the penalty add at most n + 1 more,
+    so the error is at most gamma_(2n+6) times the sum of the terms'
+    magnitudes, as for reduced_energy_rounding. The weights are positive.
+
+    The terms cancel: they expand the squares (x - g)^2 of the exterior
+    pairs, so the bound scales with c and the pair terms, not with the
+    energy."""
+    ax = np.abs(x)
+    diff = x[:, None] - x[None, :]
+    magnitudes = (0.5 * np.sum(form.dense * diff * diff)
+                  + ax @ (form.exterior_row_sums * ax + 2.0 * np.abs(b_I)))
+    return _gamma(x.shape[0]) * (magnitudes + abs(c) + rho_cell * np.count_nonzero(x > 0.0))
+
+
 def reference_multiplier(spec, X, Y):
     """(1 - s) m(x, y) on (n, d) batches: (n, d) transformed positions, one
     multiplier per pair."""

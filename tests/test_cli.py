@@ -23,9 +23,12 @@ import nlfb
 from nlfb.analysis import free_boundary
 from nlfb.cli import EXIT_CODES, ORACLE_AGREE_RTOL, main, oracle_compare_instances, run
 from nlfb.config import build_problem, parse_config, parse_points
+from nlfb.energy import exterior_terms
 from nlfb.errors import (CapacityError, ConfigurationError, DataError,
                          DomainError, SolverError)
 from nlfb.grid import Field, build_grid, field_csv_text, load_field_csv, sample_field
+
+from conftest import reduced_energy_rounding
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -435,13 +438,6 @@ class TestSolveCommand:
         assert run(cfg_path, "solve") == 0
         assert os.path.isfile(str(tmp_path / "artifacts" / "manifest.json"))
 
-    def test_json_only_formats_skip_csv(self, tmp_path):
-        cfg_path = write_cfg(tmp_path, SOLVE_CFG + "output.formats = json\n")
-        out = str(tmp_path / "out")
-        run(cfg_path, "solve", out_dir=out)
-        with open(os.path.join(out, "manifest.json")) as fh:
-            assert json.load(fh)["artifacts"] == ["result.json"]
-
     def test_existing_manifest_refused(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, SOLVE_CFG)
         out = str(tmp_path / "out")
@@ -633,15 +629,32 @@ class TestOracleCompareCommand:
             monkeypatch.setattr(nlfb.solver, "_descend_all",
                                 descend_all if threads == "1" else real_descend)
             rows = oracle_compare_instances(cfg, 0)
-            outputs[threads] = [(r["result"].field.values.tobytes(), r["result"].energy.to_dict(),
+            outputs[threads] = [(r["result"].field.values.tobytes(), r["result"].energy,
                                  r["result"].best_restart_seed, r["agree"]) for r in rows]
         assert outputs["1"] == outputs["4"]
+        problem = build_problem(cfg)
         for k in (0, 3, 18):
             restarts = [e for e in exits if e[0] // 100000 == k + 1]
             assert len(restarts) == 20
-            winner = rows[k]["result"].best_restart_seed
+            result = rows[k]["result"]
+            form, winner = result.form, result.best_restart_seed
+            kept = exterior_terms(form, result.field.values)
+
+            def interior(state):
+                return np.frombuffer(state)[form.interior_idx]
+
+            def rounding(state):      # of reduced_energies at the state (xi = 0)
+                return reduced_energy_rounding(form, interior(state), *kept,
+                                               problem.rho * problem.grid.cell_measure)
+
             _, won, energy = next(e for e in restarts if e[0] == winner)
-            assert any(state != won and abs(e - energy) <= 1e-14 * energy
+            # another exit at other bits on the winner's support whose energy
+            # differs from the winner's by no more than the two evaluations
+            # can round: values ulps apart change the exact energy only at
+            # second order
+            assert any(state != won
+                       and np.array_equal(interior(state) > 0.0, interior(won) > 0.0)
+                       and abs(e - energy) <= rounding(state) + rounding(won)
                        for _, state, e in restarts)
 
     def test_each_instance_runs_at_most_one_exterior_pass(self, tmp_path, monkeypatch):
@@ -965,6 +978,42 @@ class TestErrorContract:
         assert main(["solve", "--config", cfg_path,
                      "--out", str(tmp_path / "out")]) == 3
         assert "error:" in capsys.readouterr().err
+
+
+# each subcommand's artifacts by format; analyze adds one point_k.csv per analysis point
+FORMAT_ARTIFACTS = {
+    "solve": (SOLVE_CFG, {"json": ["result.json"], "csv": ["field.csv"]}),
+    "rho-sweep": (SOLVE_CFG + "sweep.rhos = 0.04, 0.08\n", {"json": [], "csv": ["rho_sweep.csv"]}),
+    "refine": (SOLVE_CFG, {"json": ["level0_result.json", "level1_result.json", "refine.json"],
+                           "csv": ["level0_field.csv", "level1_field.csv"]}),
+    "oracle-compare": (ORACLE_CFG + "oracle.instances = 3\noracle.restarts = 2\n",
+                       {"json": [], "csv": ["oracle_compare.csv"]}),
+    "analyze": (ANALYZE_CFG, {"json": ["report.json", "result.json"], "csv": ["field.csv"]}),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("subcommand", list(FORMAT_ARTIFACTS))
+def test_formats_select_artifacts(tmp_path, monkeypatch, subcommand, fmt):
+    # only the requested format's artifacts are rendered and written
+    cfg, artifacts = FORMAT_ARTIFACTS[subcommand]
+    rendered = []
+    for name in ("csv_text", "field_csv_text", "point_csv_text"):
+        real = getattr(nlfb.cli, name)
+        monkeypatch.setattr(nlfb.cli, name, lambda *args, real=real: rendered.append(args)
+                            or real(*args))
+    out = str(tmp_path / "out")
+    assert run(write_cfg(tmp_path, cfg + f"output.formats = {fmt}\n"), subcommand,
+               out_dir=out) == 0
+    with open(os.path.join(out, "manifest.json")) as fh:
+        man = json.load(fh)
+    want = list(artifacts[fmt])
+    if subcommand == "analyze" and fmt == "csv":
+        want += [f"point_{k}.csv" for k in range(len(man["results"]["points"]))]
+        assert len(want) > 1
+    assert man["artifacts"] == sorted(want)
+    assert sorted(os.listdir(out)) == sorted(want + ["manifest.json"])
+    assert len(rendered) == (0 if fmt == "json" else len(want))
 
 
 @pytest.mark.parametrize("subcommand,cfg", [

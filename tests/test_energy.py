@@ -430,7 +430,7 @@ def test_stacked_energies_match_each_energy_alone(dim, cells, size, block, xi, r
         alone = nlfb.energy.reduced_energy(form, x[k].copy(), rho, xi, terms[k])
         assert reduced[k].tobytes() == np.float64(alone).tobytes()
         want = total_energy(form, Field(grid, u[k].copy()), rho, xi, terms[k])
-        assert pairwise[k].to_dict() == want.to_dict()
+        assert pairwise[k] == want
         assert all(type(v) is float for v in (pairwise[k].dirichlet, pairwise[k].total))
 
 

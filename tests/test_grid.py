@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlfb import (
     Ball,
@@ -263,14 +264,63 @@ def repeated_coordinate_grid(dim):
                 np.arange(n) % 3 != 0)
 
 
+def reference_csv_text(header, rows) -> str:
+    """The per-value rule, a row at a time: repr(float(v)) for floats (numpy.float64
+    among them), str for everything else; each line ends in a newline."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_text_follows_the_per_value_rule():
+    # csv_text renders a column at a time, each distinct float of an all-float
+    # column once, keyed by its bits; the reference renders each value alone
+    rows = [
+        (0, np.int64(7), 0.1 + 0.2, np.float64(-0.0), "interior", 1, 2.5),
+        (1, np.int32(-3), 0.0, np.float64(5e-324), "exterior", 2.5, True),
+        (np.int64(2), 10 ** 20, -0.0, np.float64(0.1 + 0.2), "a b", np.float32(0.1), None),
+        (3, 0, 2.2250738585072014e-308, np.float64(-1.7976931348623157e308), "", -0.0, 0.0),
+        (4, np.int64(7), 0.1 + 0.2, np.float64(0.0), "interior", np.float64(-0.0), "x"),
+    ]
+    header = ["i", "ints", "floats", "np_floats", "text", "mixed", "other"]
+    got = csv_text(header, rows)
+    assert got.encode() == reference_csv_text(header, rows).encode()
+    lines = got.splitlines()
+    assert [line.split(",")[2] for line in lines[1:]] == [
+        "0.30000000000000004", "0.0", "-0.0", "2.2250738585072014e-308", "0.30000000000000004"]
+    assert [line.split(",")[3] for line in lines[1:]] == [
+        "-0.0", "5e-324", "0.30000000000000004", "-1.7976931348623157e+308", "0.0"]
+    assert lines[3].split(",")[5] == "0.1"      # numpy.float32 is not a float: str
+    assert csv_text(header, []) == reference_csv_text(header, []) == ",".join(header) + "\n"
+
+
+_CELLS = (st.floats(allow_nan=False, width=64),
+          st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 0.1 + 0.2]),
+          st.integers(-10 ** 20, 10 ** 20),
+          st.text(alphabet="abc-_ ", max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(range(len(_CELLS))), min_size=1, max_size=3),
+                min_size=1, max_size=4).flatmap(
+    lambda kinds: st.lists(st.tuples(*[st.one_of(*[_CELLS[k] for k in ks]) for ks in kinds]),
+                           max_size=12)))
+def test_csv_text_follows_the_per_value_rule_on_random_tables(rows):
+    # each column draws from one to three kinds of value, so some columns hold
+    # only floats and some mix floats with ints and strings
+    header = [f"c{j}" for j in range(len(rows[0]))] if rows else ["c0"]
+    assert csv_text(header, rows).encode() == reference_csv_text(header, rows).encode()
+
+
 @pytest.mark.parametrize("dim,h", [(1, 0.2), (2, 0.2), pytest.param(1, None, id="hand-built-1d"),
                                    pytest.param(2, None, id="hand-built-2d")])
 def test_field_csv_text_renders_csv_text_rows(dim, h, tmp_path):
-    # field_csv_text renders by columns, each distinct float once; the
-    # reference is csv_text over one (index, x1[, x2], role, value) tuple per
-    # node: repr for the floats, str for the rest, signed zeros included. The
-    # hand-built grids (h None) repeat 0.0 and -0.0 within a coordinate
-    # column, so a rendering keyed by float equality would mix them up.
+    # the reference is the per-value rule over one (index, x1[, x2], role,
+    # value) tuple per node: repr for the floats, str for the rest, signed
+    # zeros included. The hand-built grids (h None) repeat 0.0 and -0.0
+    # within a coordinate column, so a rendering keyed by float equality
+    # would mix them up.
     grid = build_grid(dim, h, 2.0) if h is not None else repeated_coordinate_grid(dim)
     values = random_field_values(grid, np.random.default_rng(dim))
     values[[0, 3]] = -0.0
@@ -280,7 +330,8 @@ def test_field_csv_text_renders_csv_text_rows(dim, h, tmp_path):
     cols = ["index"] + [f"x{d + 1}" for d in range(dim)] + ["role", "value"]
     rows = [(i, *grid.positions[i].tolist(), "interior" if grid.interior[i] else "exterior",
              float(v)) for i, v in enumerate(values)]
-    want = f"# {dim} {grid.h!r} {grid.omega_radius!r} {grid.R_inf!r}\n" + csv_text(cols, rows)
+    want = (f"# {dim} {grid.h!r} {grid.omega_radius!r} {grid.R_inf!r}\n"
+            + reference_csv_text(cols, rows))
     got = field_csv_text(f)
     assert got.encode() == want.encode()
     assert got.splitlines()[2].endswith(",-0.0")
