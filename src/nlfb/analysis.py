@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .energy import QuadraticForm, check_budget, tail, tree_sum
+from .energy import QuadraticForm, check_budget, check_grid, tail, tree_sum
 from .errors import ConfigurationError, DataError, DomainError
 from .grid import (Ball, Field, ball_distances, csv_text, l2_mean_over_ball, nodes_in_ball,
                    region_interior_indices, sup_over_ball)
@@ -202,8 +202,9 @@ def subsolution_residual(form: QuadraticForm, field: Field) -> dict:
 
     For the hat at interior node i the pairing is P_i = sum_j w_ij (u_i - u_j).
     Minimizers satisfy P_i <= 0 up to solver tolerance; a large positive value
-    certifies non-minimality.
+    certifies non-minimality. A field on another grid (check_grid) is refused.
     """
+    check_grid(form, field)
     idx = form.interior_idx
     if idx.size == 0:
         raise DataError("grid has no interior nodes")
@@ -222,7 +223,8 @@ def residual_scale(form: QuadraticForm, field: Field) -> float:
 
 
 def lifting_distance(form: QuadraticForm, field: Field, region: Ball) -> float:
-    """Mean-square distance between the field and its harmonic lifting over a ball."""
+    """Mean-square distance between the field and its harmonic lifting over a
+    ball; harmonic_lifting refuses a field on another grid (check_grid)."""
     lifted = harmonic_lifting(form, field, region)
     idx = region_interior_indices(form.grid, region)
     diff = field.values[idx] - lifted.values[idx]
@@ -381,7 +383,8 @@ def build_report(problem: ProblemSpec, form: QuadraticForm, field: Field, points
 
 def point_csv_text(report: FreeBoundaryReport, k: int) -> str:
     """Per-radius CSV of analysis point k: r, sup, zero_ratio, pos_ratio."""
-    by_r = {row["r"]: row for row in report.density[k]["rows"]}
+    growth, by_r = report.growth[k], {row["r"]: row for row in report.density[k]["rows"]}
+    rows = [by_r[r] for r in growth["radii"]]
     return csv_text(["r", "sup", "zero_ratio", "pos_ratio"],
-                    [(float(r), float(sup), by_r[r]["zero_ratio"], by_r[r]["pos_ratio"])
-                     for r, sup in zip(report.growth[k]["radii"], report.growth[k]["sups"])])
+                    [growth["radii"], growth["sups"], [row["zero_ratio"] for row in rows],
+                     [row["pos_ratio"] for row in rows]])

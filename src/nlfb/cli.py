@@ -145,22 +145,24 @@ def _cmd_rho_sweep(cfg, seed, timing, warnings):
                               n_restarts=cfg.values["solver.restarts"], seed=seed,
                               max_sweeps=cfg.values["solver.max_sweeps"])
     timing["solve_s"] = time.perf_counter() - t0
-    rows = []
+    rhos, energies, dists = [], [], []
     for rho, result in path:
         _warn_result(warnings, result, rho=float(rho))
-        dist = lifting_distance(result.form, result.field, region)
-        rows.append((float(rho), float(result.energy.total), float(dist)))
-    usable = [(r, d) for r, d, in ((row[0], row[2]) for row in rows) if d > 0.0]
+        rhos.append(float(rho))
+        energies.append(float(result.energy.total))
+        dists.append(float(lifting_distance(result.form, result.field, region)))
+    usable = [(r, d) for r, d in zip(rhos, dists) if d > 0.0]
     slope = None
     if len(usable) >= 2:
         slope = float(np.polyfit(np.log([r for r, _ in usable]),
                                  np.log([d for _, d in usable]), 1)[0])
     return {
-        "rhos": [row[0] for row in rows],
-        "lifting_distances": [row[2] for row in rows],
-        "energies": [row[1] for row in rows],
+        "rhos": rhos,
+        "lifting_distances": dists,
+        "energies": energies,
         "slope": slope,
-    }, {"rho_sweep.csv": partial(csv_text, ["rho", "energy", "lifting_distance"], rows)}
+    }, {"rho_sweep.csv": partial(csv_text, ["rho", "energy", "lifting_distance"],
+                                 [rhos, energies, dists])}
 
 
 def _level_diagnostics(cfg, problem, result):
@@ -277,15 +279,14 @@ def _cmd_oracle_compare(cfg, seed, timing, warnings):
     timing["solve_s"] = time.perf_counter() - t0
     for r in rows:
         _warn_result(warnings, r["result"], instance=r["instance"])
-    csv_rows = [(r["instance"], r["minimize_energy"], r["oracle_energy"],
-                 int(r["agree"])) for r in rows]
+    header = ["instance", "minimize_energy", "oracle_energy", "agree"]
+    columns = [[r[name] for r in rows] for name in header[:3]] + [[int(r["agree"]) for r in rows]]
     n_agree = sum(1 for r in rows if r["agree"])
     return {
         "instances": len(rows),
         "agreement_pct": 100.0 * n_agree / len(rows) if rows else None,
         "never_below": bool(all(not r["below_oracle"] for r in rows)),
-    }, {"oracle_compare.csv": partial(csv_text, ["instance", "minimize_energy",
-                                                 "oracle_energy", "agree"], csv_rows)}
+    }, {"oracle_compare.csv": partial(csv_text, header, columns)}
 
 
 def _cmd_analyze(cfg, seed, timing, warnings):

@@ -63,7 +63,7 @@ _TREE_BLOCK = 64
 _ROW_BLOCK = 64
 _EVAL_ROWS = 16
 # values per block of a stacked pass: as many entries at a time as fit, and at
-# least one (dirichlet_energies; the solver's stacked polish)
+# least one (dirichlet_energies)
 STACK_BLOCK = 1 << 16
 # Largest allocation, in bytes, of W_II, a subsystem matrix, the oracle's pinned
 # inverses or all-pairs arrays.
@@ -110,6 +110,15 @@ def check_budget(nbytes: int, what: str) -> None:
     if nbytes > MEMORY_BUDGET_BYTES:
         raise CapacityError(
             f"{what} needs {nbytes} bytes, above the {MEMORY_BUDGET_BYTES}-byte budget")
+
+
+def check_grid(form: QuadraticForm, field: Field) -> None:
+    """Raise ConfigurationError unless the field lives on the form's grid: the
+    same Grid object, or one of the same signature (dim, h, omega_radius,
+    R_inf), the rule load_field_csv applies to a field file."""
+    if field.grid is not form.grid and field.grid.signature != form.grid.signature:
+        raise ConfigurationError(f"field grid {field.grid.signature} is not the form's grid "
+                                 f"{form.grid.signature} (dim, h, omega_radius, R_inf)")
 
 
 def rowwise_dots(matrix, rows, v) -> np.ndarray:
@@ -310,9 +319,8 @@ def dirichlet_energy(form: QuadraticForm, field: Field, terms=None) -> float:
     since both rows see it; the exterior pairs of row i add
     a_E,i u_i^2 - 2 u_i b_i, and c once, from terms = exterior_terms of u's
     exterior values, computed unless given. The one-entry case of
-    dirichlet_energies."""
-    if field.grid is not form.grid and field.grid.n_nodes != form.grid.n_nodes:
-        raise ConfigurationError("field and form live on different grids")
+    dirichlet_energies; a field on another grid (check_grid) is refused."""
+    check_grid(form, field)
     b_I, c = terms or exterior_terms(form, field.values)
     return dirichlet_energies(form, field.values[form.interior_idx][None], b_I[None],
                               np.array([c])).item()
@@ -358,9 +366,9 @@ def support_mask(grid: Grid, field: Field, xi) -> np.ndarray:
 
 def total_energy(form: QuadraticForm, field: Field, rho, xi, terms=None) -> EnergyBreakdown:
     """Dirichlet part (terms: see dirichlet_energy) plus rho * h^d * #{interior u > xi}:
-    the one-entry case of total_energies."""
-    if field.grid is not form.grid and field.grid.n_nodes != form.grid.n_nodes:
-        raise ConfigurationError("field and form live on different grids")
+    the one-entry case of total_energies; a field on another grid (check_grid)
+    is refused."""
+    check_grid(form, field)
     return total_energies(form, field.values[None], rho, xi,
                           [terms or exterior_terms(form, field.values)])[0]
 

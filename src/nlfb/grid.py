@@ -54,6 +54,11 @@ class Grid:
     def cell_measure(self) -> float:
         return self.h ** self.dim
 
+    @property
+    def signature(self) -> tuple:
+        """(dim, h, omega_radius, R_inf), which determine the lattice and the node roles."""
+        return (self.dim, self.h, self.omega_radius, self.R_inf)
+
     def indices_of_lattice(self, ks) -> np.ndarray:
         """Node indices of (m, dim) integer lattice points, -1 where absent (one table lookup)."""
         if self._lookup is None:
@@ -232,17 +237,19 @@ def l2_mean_over_ball(field: Field, x0, r, dist=None) -> float:
 # ---------------------------------------------------------------------------
 # Field serialization: CSV with a grid signature line.
 
-def csv_text(header, rows) -> str:
-    """Comma-separated lines, each ending in a newline: floats (numpy.float64
-    among them) as repr(float(v)), everything else via str.
+def csv_text(header, columns) -> str:
+    """Comma-separated lines, each ending in a newline: the header, then one
+    row per position of the columns, floats (numpy.float64 among them) as
+    repr(float(v)) and everything else via str.
 
-    Rows must have equal lengths. Rendering goes a column at a time. The
-    columns that hold only floats render each distinct value once, told apart
-    by its bits, so -0.0 and 0.0 keep their own texts.
+    The columns are sequences of equal length; a float64 array is read as it
+    is. Rendering goes a column at a time. The columns that hold only floats
+    render each distinct value once, told apart by its bits, so -0.0 and 0.0
+    keep their own texts.
     """
-    columns = list(zip(*rows))
     # per column, which of its values are floats: {True} all, {False} none, else some
-    kinds = [{issubclass(t, float) for t in set(map(type, c))} for c in columns]
+    kinds = [{True} if isinstance(c, np.ndarray) and c.dtype == np.float64
+             else {issubclass(t, float) for t in set(map(type, c))} for c in columns]
     floats = np.array([c for c, kind in zip(columns, kinds) if kind == {True}],
                       dtype=np.float64)
     bits, where = np.unique(floats.view(np.int64), return_inverse=True)
@@ -258,10 +265,9 @@ def field_csv_text(field: Field) -> str:
     """Render `# d h omega R_inf` then `index,x1[,x2],role,value` rows."""
     grid = field.grid
     cols = ["index"] + [f"x{d + 1}" for d in range(grid.dim)] + ["role", "value"]
-    rows = zip(range(grid.n_nodes), *grid.positions.T.tolist(),
-               np.where(grid.interior, "interior", "exterior").tolist(), field.values.tolist())
-    return (f"# {grid.dim} {grid.h!r} {grid.omega_radius!r} {grid.R_inf!r}\n"
-            + csv_text(cols, rows))
+    columns = [range(grid.n_nodes), *grid.positions.T,
+               np.where(grid.interior, "interior", "exterior").tolist(), field.values]
+    return "# " + " ".join(map(repr, grid.signature)) + "\n" + csv_text(cols, columns)
 
 
 def load_field_csv(grid: Grid, path) -> Field:
@@ -281,7 +287,7 @@ def load_field_csv(grid: Grid, path) -> Field:
         sig_h, sig_omega, sig_R = (float(v) for v in sig[1:])
     except ValueError as exc:
         raise DataError(f"{path}: malformed signature: {exc}") from exc
-    if (sig_dim, sig_h, sig_omega, sig_R) != (grid.dim, grid.h, grid.omega_radius, grid.R_inf):
+    if (sig_dim, sig_h, sig_omega, sig_R) != grid.signature:
         raise DataError(
             f"{path}: field was written for grid (d={sig_dim}, h={sig_h}, "
             f"omega={sig_omega}, R_inf={sig_R}), not the target grid")

@@ -22,16 +22,18 @@ between batches of sweeps the solver polishes: it solves the quadratic exactly
 and accepts the candidate only if the objective strictly decreases. This keeps
 every contract of the sweep loop (monotone energy, same stopping rule) while
 reaching linear-solver accuracy on the final support, which the stationarity
-diagnostics require. Descents run as a stack in lockstep (_descend_all, which
-gives the stopping rule and the energy checks); a single descent is the
-one-entry stack. The reported energy is the exit state's pairwise
-total_energy, evaluated once per result.
+diagnostics require. The polish is _solve_free, the harmonic lifting's exact
+solve, and _descend gives the stopping rule and the energy checks. The
+reported energy is the exit state's pairwise total_energy, evaluated once
+per result.
 
 Restarts (minimize_all) run from deterministic initializations, share one
 exterior_terms and keep the best reduced exit energy; exits within rounding
-of it keep the lower seed (_winner). A stack of instances that share the
-form runs in lockstep, one batched call per group whose operands share
-shapes (_groups), each instance with the bits of its solve alone. A brute-force oracle (oracle_minimize_all)
+of it keep the lower seed (_winner). For a stack of instances that share
+the form, the descents run one at a time, while the bound iterations, their
+verification, the certificates and the finalize pass run in lockstep, one
+batched call per group whose operands share shapes (_groups), each instance
+with the bits of its solve alone. A brute-force oracle (oracle_minimize_all)
 enumerates all interior supports (capacity-capped, xi = 0 only) for ground
 truth, on the inverses of its pinned systems, computed once per form.
 
@@ -58,9 +60,9 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .energy import (STACK_BLOCK, EnergyBreakdown, QuadraticForm, assemble_form, check_budget,
-                     exterior_terms, exterior_terms_all, reduced_energies, rowwise_dots,
-                     total_energies, truncation_error_bound)
+from .energy import (EnergyBreakdown, QuadraticForm, assemble_form, check_budget, check_grid,
+                     exterior_terms, exterior_terms_all, reduced_energies, reduced_energy,
+                     rowwise_dots, total_energies, truncation_error_bound)
 from .errors import CapacityError, ConfigurationError, DataError, SolverError
 from .grid import Ball, Field, Grid, region_interior_indices
 from .kernel import KernelSpec
@@ -204,10 +206,9 @@ def _system_matrix(form: QuadraticForm, rows):
 
 
 def _subsystem(form: QuadraticForm, rows, x, b):
-    """The stack of dense SPD subsystems, entry i over the stored rows rows[i]
-    (rows (B, k)), with the other interior values held at x[i] (interior
-    values, by stored row) and b[i] = (W_IE g)[rows[i]] the fixed exterior
-    term of those rows; each entry has the bits of its subsystem alone.
+    """The dense SPD subsystem over the stored rows `rows`, with the other
+    interior values held at x (interior values, by stored row) and b =
+    (W_IE g)[rows] the fixed exterior term of those rows.
 
     A = _system_matrix(form, rows); the right-hand side is sum over pinned interior j
     of w_ij x_j, plus b. W >= 0 and every interior node couples to every
@@ -217,10 +218,9 @@ def _subsystem(form: QuadraticForm, rows, x, b):
     the exact solve is nonnegative; one_phase solves are checked against this
     by _nonnegative.
     """
-    A = _system_matrix(form, rows)
     pinned = x.copy()
-    pinned[np.arange(rows.shape[0])[:, None], rows] = 0.0
-    return A, rowwise_dots(form.dense, rows, pinned) + b
+    pinned[rows] = 0.0
+    return _system_matrix(form, rows), rowwise_dots(form.dense, rows, pinned) + b
 
 
 def _check_seed(seed):
@@ -298,7 +298,7 @@ def _sweep(form: QuadraticForm, x, b_I, order, rho_cell, xi, one_phase) -> float
 def _solve_free(form: QuadraticForm, rows, x, b):
     """Solve the subsystem over the stored rows `rows` by PCG, warm-started from
     the interior values x, into x, in place."""
-    (A,), (rhs,) = _subsystem(form, rows[None], x[None], b[None])
+    A, rhs = _subsystem(form, rows, x, b)
     x[rows] = _pcg(A, rhs, x[rows])[0]
     return x
 
@@ -309,8 +309,10 @@ def harmonic_lifting(form: QuadraticForm, field: Field, region: Ball, terms=None
     The region must lie inside the domain ball. The lifted values solve the
     SPD stationarity system sum_j w_ij (h_i - h_j) = 0 for region nodes, with
     all other values (including the implicit zeros beyond truncation) fixed.
-    terms = exterior_terms(form, field.values) is computed unless given.
+    terms = exterior_terms(form, field.values) is computed unless given. A
+    field on another grid (check_grid) is a ConfigurationError.
     """
+    check_grid(form, field)
     rows = form.row_of[region_interior_indices(form.grid, region)]
     values = field.values.copy()
     values[form.interior_idx] = _solve_free(form, rows, values[form.interior_idx],
@@ -319,27 +321,23 @@ def harmonic_lifting(form: QuadraticForm, field: Field, region: Ball, terms=None
 
 
 def _free_mask(problem: ProblemSpec, x):
-    """The interior values x (by stored row; rows of a stack) off every clamp
-    value (xi, and 0 in one_phase): the nodes _polish_all solves for jointly."""
+    """The interior values x (by stored row) off every clamp value (xi, and 0
+    in one_phase): the nodes _polish solves for jointly."""
     free = x != problem.xi
     if problem.phase == "one_phase":
         free &= x != 0.0
     return free
 
 
-def _polish_all(problem: ProblemSpec, form: QuadraticForm, x, b_I) -> list:
-    """Joint exact solve over the free nodes (_free_mask) of each row of the
-    interior values x (B, n_int), b_I (B, n_int) the rows' W_IE g: per row,
-    the polished interior values, or None where the polish gives the row
-    back bit for bit.
+def _polish(problem: ProblemSpec, form: QuadraticForm, x, b_I):
+    """Joint exact solve (_solve_free) over the free nodes (_free_mask) of the
+    interior values x, with b_I = W_IE g: the polished interior values, or
+    None where the polish gives x back bit for bit.
 
     A node is pinned when it sits exactly at a clamp value (xi, or 0 in
     one_phase); every other interior node is stationary for the current
     region assignment and is solved for jointly; in one_phase the solve is
-    checked to be nonnegative. Rows with as many free nodes share one
-    stacked subsystem (_subsystem), right-hand-side norm and warm-start
-    residual, which is _pcg's own first step; a row whose warm start is not
-    within CG_TOL runs _pcg alone.
+    checked to be nonnegative.
     """
     # Convergence relies on polishing being idempotent: on a state it already
     # solved (or one a sweep moved by ulps), the warm-started CG starts below
@@ -347,34 +345,11 @@ def _polish_all(problem: ProblemSpec, form: QuadraticForm, x, b_I) -> list:
     # rejects it and the descent can stop. A fresh direct re-solve (e.g. LU)
     # moves such a state by ulps and can "improve" its energy after every
     # batch of sweeps, so coordinate_descent may never converge.
-    free = _free_mask(problem, x)
-    sizes = np.add.reduce(free, axis=1)
-    stacks = []     # rows of one free-set size, at most STACK_BLOCK // (k n_int) at a time
-    for group in _groups(sizes.tolist()):
-        step = max(1, STACK_BLOCK // max(1, int(sizes[group[0]]) * x.shape[1]))
-        stacks += [group[start:start + step] for start in range(0, group.shape[0], step)]
-    out = [None] * x.shape[0]
-    for pos in stacks:
-        rows = np.nonzero(free[pos])[1].reshape(pos.shape[0], sizes[pos[0]])
-        x_g, g = x[pos], np.arange(pos.shape[0])[:, None]
-        A, rhs = _subsystem(form, rows, x_g, b_I[pos[:, None], rows])
-        x0 = x_g[g, rows]
-        b_norm = np.sqrt(np.vecdot(rhs, rhs))
-        r = rhs - (A @ x0[..., None])[..., 0]
-        warm = np.sqrt(np.vecdot(r, r)) <= CG_TOL * b_norm
-        for p, i in enumerate(pos.tolist()):
-            if b_norm[p] == 0.0:
-                solved = np.zeros(rows.shape[1])
-            elif warm[p]:
-                continue
-            else:
-                solved = _pcg(A[p], rhs[p], x0[p])[0]
-            polished = x_g[p].copy()
-            polished[rows[p]] = solved
-            if not (polished == x_g[p]).all():
-                out[i] = _nonnegative(polished) if problem.phase == "one_phase" else polished
-        del A, rhs      # freed before the next stack builds its subsystems
-    return out
+    rows = np.flatnonzero(_free_mask(problem, x))
+    polished = _solve_free(form, rows, x.copy(), b_I[rows])
+    if (polished == x).all():
+        return None
+    return _nonnegative(polished) if problem.phase == "one_phase" else polished
 
 
 def _finalize_all(problems, form: QuadraticForm, exits, seeds, restarts_used, terms) -> list:
@@ -396,113 +371,72 @@ def _finalize_all(problems, form: QuadraticForm, exits, seeds, restarts_used, te
     return results
 
 
-def _descend_all(problems, u0s, seeds, max_sweeps, form: QuadraticForm, terms) -> list:
-    """Coordinate descents, descent i from the node values u0s[i] (not
-    modified) of problems[i] with seeds[i] and terms[i] = exterior_terms(form,
-    g) of its exterior data g; the problems share grid, rho, xi and phase.
-    Returns (u, energy, sweeps, converged) per descent, with u the exit
-    state's node values and energy its reduced_energy.
+def _descend(problem: ProblemSpec, u0, seed, max_sweeps, form: QuadraticForm, terms):
+    """Coordinate descent from the node values u0 (not modified) with the
+    given seed, terms = exterior_terms(form, g) of the exterior data g.
+    Returns (u, energy, sweeps, converged), with u the exit state's node
+    values and energy its reduced_energy.
 
-    Each u0 must agree with its exterior data and satisfy the phase
-    constraint. A batch of sweeps ends at a polish boundary as soon as a
-    sweep leaves the free set (_free_mask) unchanged or stalls, and after at
-    most POLISH_PERIOD sweeps. A sweep stalls when it moves the tracked energy
-    by less than 1e-13 * (1 + |energy|); the descent stops once a sweep stalls
-    and the polish after it does not improve. The boundaries evaluate the
-    energy on the reduced form (reduced_energies) and raise SolverError when
-    the energy rises, or the tracked energy drifts from the recomputed one, by
+    u0 must agree with the exterior data and satisfy the phase constraint. A
+    batch of sweeps ends at a polish boundary as soon as a sweep leaves the
+    free set (_free_mask) unchanged or stalls, and after at most
+    POLISH_PERIOD sweeps. A sweep stalls when it moves the tracked energy by
+    less than 1e-13 * (1 + |energy|); the descent stops once a sweep stalls
+    and the polish (_polish) after it does not improve. The boundaries
+    evaluate the energy on the reduced form and raise SolverError when the
+    energy rises, or the tracked energy drifts from the recomputed one, by
     more than 1e-9 * (1 + |energy|). Every exit follows a boundary (or no
     sweep), so the returned energy is the one checked there.
-
-    The descents run in lockstep, one batch of sweeps each per round, in its
-    own seeded order, while each round's boundary energies, checks and
-    polishes (_polish_all) are one numpy call over the live descents. Each
-    result has the bits of its descent alone.
     """
-    first = problems[0]
-    grid, xi, rho = first.grid, first.xi, first.rho
-    one_phase = first.phase == "one_phase"
-    u = np.array(u0s, dtype=np.float64)
-    if not ((u == [problem.exterior_data for problem in problems]) | grid.interior).all():
+    grid, xi, rho = problem.grid, problem.xi, problem.rho
+    one_phase = problem.phase == "one_phase"
+    u = np.array(u0, dtype=np.float64)
+    if not ((u == problem.exterior_data) | grid.interior).all():
         raise ConfigurationError("initialization does not match the exterior data")
     if one_phase and (u < 0.0).any():
         raise ConfigurationError("one_phase initialization must be nonnegative")
-
-    # the descents' states: interior values by stored row, each row contiguous
-    # (take copies in C order), as a strided row would change the sweep's dot
-    # products in the last bits
-    x = u.take(form.interior_idx, axis=1)
-    b_I = np.array([b for b, _ in terms])
-    c = np.array([constant for _, constant in terms])
-    rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]  # = default_rng(seed)
-    n_int = x.shape[1]
+    # the state: interior values by stored row, contiguous, as a strided
+    # array would change the sweep's dot products in the last bits
+    x, b_I = u[form.interior_idx], terms[0]
+    rng = np.random.Generator(np.random.PCG64(seed))     # = default_rng(seed)
     rho_cell = rho * grid.cell_measure
-
-    def energies(ids, values):
-        return reduced_energies(form, values, rho, xi, b_I[ids], c[ids])
-
-    # per descent: x's energy, recomputed at the last polish boundary, and
-    # the energy tracked from the sweeps' changes
-    checked = energies(slice(None), x).tolist()
-    e_cur = list(checked)
-    sweeps, converged = [0] * len(u0s), [False] * len(u0s)
-    live = list(range(len(u0s))) if max_sweeps > 0 else []
-    while live:
-        # the live descents' rows: a view while every descent is live
-        ids, stopped = slice(None) if len(live) == len(u0s) else np.array(live), []
-        for i, free in zip(live, _free_mask(first, x[ids])):
-            reached_stop = False
-            for _ in range(POLISH_PERIOD):
-                if sweeps[i] >= max_sweeps:
-                    break
-                # the same visiting order as rng.permutation(form.interior_idx)
-                order = rngs[i].permutation(n_int)
-                change = _sweep(form, x[i], b_I[i], order, rho_cell, xi, one_phase)
-                sweeps[i] += 1
-                if change > ENERGY_CHECK_RTOL * (1.0 + abs(e_cur[i])):
-                    raise SolverError(f"energy increased during a sweep "
-                                      f"({e_cur[i]} -> {e_cur[i] + change})")
-                e_cur[i] += change
-                if -change < EPS_STOP_FACTOR * (1.0 + abs(e_cur[i])):
-                    reached_stop = True
-                    break
-                # the sweeps chose the free set; the exact solve on it is the polish
-                was, free = free, _free_mask(first, x[i])
-                if (was == free).all():
-                    break
-            stopped.append(reached_stop)
-        now = energies(ids, x[ids])
-        tracked, last = np.array([e_cur[i] for i in live]), np.array([checked[i] for i in live])
-        drifted = np.abs(now - tracked) > ENERGY_CHECK_RTOL * (1.0 + np.abs(now))
-        rose = now > last + ENERGY_CHECK_RTOL * (1.0 + np.abs(last))
-        if (drifted | rose).any():
-            k = int(np.argmax(drifted | rose))
-            if drifted[k]:
-                raise SolverError(f"tracked energy {tracked[k].item()} drifted from the "
-                                  f"recomputed {now[k].item()}")
-            raise SolverError(f"energy rose between polish boundaries "
-                              f"({last[k].item()} -> {now[k].item()})")
-        now = now.tolist()
-        polished = _polish_all(first, form, x[ids], b_I[ids])
-        moved = [k for k, candidate in enumerate(polished) if candidate is not None]
-        improved = [False] * len(live)
-        if moved:
-            candidates = np.array([polished[k] for k in moved])
-            for k, values, energy in zip(moved, candidates,
-                                         energies(np.array(live)[moved], candidates).tolist()):
-                # accepted only if it lowers the energy
-                if energy < now[k]:
-                    x[live[k]], now[k], improved[k] = values, energy, True
-        following = []
-        for i, energy, reached_stop, better in zip(live, now, stopped, improved):
-            checked[i] = e_cur[i] = energy
-            if reached_stop and not better:
-                converged[i] = True
-            elif sweeps[i] < max_sweeps:
-                following.append(i)
-        live = following
-    u[:, form.interior_idx] = x
-    return list(zip(u, checked, sweeps, converged))
+    # x's energy, recomputed at the last polish boundary, and the energy
+    # tracked from the sweeps' changes
+    checked = e_cur = reduced_energy(form, x, rho, xi, terms)
+    sweeps, converged = 0, False
+    while not converged and sweeps < max_sweeps:
+        free, reached_stop = _free_mask(problem, x), False
+        for _ in range(POLISH_PERIOD):
+            if sweeps >= max_sweeps:
+                break
+            # the same visiting order as rng.permutation(form.interior_idx)
+            change = _sweep(form, x, b_I, rng.permutation(x.shape[0]), rho_cell, xi, one_phase)
+            sweeps += 1
+            if change > ENERGY_CHECK_RTOL * (1.0 + abs(e_cur)):
+                raise SolverError(f"energy increased during a sweep "
+                                  f"({e_cur} -> {e_cur + change})")
+            e_cur += change
+            if -change < EPS_STOP_FACTOR * (1.0 + abs(e_cur)):
+                reached_stop = True
+                break
+            # the sweeps chose the free set; the exact solve on it is the polish
+            was, free = free, _free_mask(problem, x)
+            if (was == free).all():
+                break
+        now = reduced_energy(form, x, rho, xi, terms)
+        if abs(now - e_cur) > ENERGY_CHECK_RTOL * (1.0 + abs(now)):
+            raise SolverError(f"tracked energy {e_cur} drifted from the recomputed {now}")
+        if now > checked + ENERGY_CHECK_RTOL * (1.0 + abs(checked)):
+            raise SolverError(f"energy rose between polish boundaries ({checked} -> {now})")
+        polished, improved = _polish(problem, form, x, b_I), False
+        if polished is not None:
+            energy = reduced_energy(form, polished, rho, xi, terms)
+            if energy < now:        # accepted only if it lowers the energy
+                x, now, improved = polished, energy, True
+        checked = e_cur = now
+        converged = reached_stop and not improved
+    u[form.interior_idx] = x
+    return u, checked, sweeps, converged
 
 
 def _verify_bounds(problems, form: QuadraticForm, terms, states) -> list:
@@ -542,14 +476,14 @@ def coordinate_descent(problem: ProblemSpec, init: Field, seed=0,
                        max_sweeps=DEFAULT_MAX_SWEEPS, form: QuadraticForm | None = None
                        ) -> MinimizeResult:
     """Descend from init with seed-shuffled sweeps, energy never increasing:
-    _descend_all's one-entry stack, which checks init and gives the stopping
-    rule; the reported energy is the exit state's pairwise total_energy."""
+    _descend, which checks init and gives the stopping rule; the reported
+    energy is the exit state's pairwise total_energy."""
     _check_seed(seed)
     if form is None:
         form = assemble_form(problem.kernel, problem.grid, problem.exterior_data)
-    terms = [exterior_terms(form, problem.exterior_data)]
-    exits = _descend_all([problem], [init.values], [seed], max_sweeps, form, terms)
-    return _finalize_all([problem], form, exits, [seed], [1], terms)[0]
+    terms = exterior_terms(form, problem.exterior_data)
+    exit_ = _descend(problem, init.values, seed, max_sweeps, form, terms)
+    return _finalize_all([problem], form, [exit_], [seed], [1], [terms])[0]
 
 
 def lifting_initialization(problem: ProblemSpec, form: QuadraticForm, terms=None) -> Field:
@@ -916,8 +850,8 @@ def minimize_all(problems, n_restarts, seeds, max_sweeps=DEFAULT_MAX_SWEEPS,
     interior support carrying the lifting values. For one_phase at xi = 0,
     (a) and (b) are instead the states of _bound_states (their record is the
     result's `bounds`), verified (_verify_bounds) at any n_restarts and
-    max_sweeps; otherwise they descend as one stack (_descend_all), as does
-    restart k of every instance whose random restarts go on. For one_phase
+    max_sweeps; otherwise they descend (_descend), as do the random restarts,
+    one instance after another. For one_phase
     at xi = 0 with n_restarts >= 3, _certify certifies the better of (a) and
     (b) (its record is the result's `certificate`, else None): proven
     globally minimal, it skips the random restarts; with a certified minimum
@@ -926,8 +860,10 @@ def minimize_all(problems, n_restarts, seeds, max_sweeps=DEFAULT_MAX_SWEEPS,
     comes from a scan in seed order, in which a later exit displaces the best
     only when its reduced exit energy is lower by more than 1e-12 * (1 +
     |best energy|) (_winner), and only the winners are finalized, with their
-    pairwise total_energy in one stacked pass (_finalize_all). All of it runs on the calling thread, in lockstep, and
-    each result is its instance's alone, bit for bit.
+    pairwise total_energy in one stacked pass (_finalize_all). All of it runs
+    on the calling thread. Only the bound iterations, their verification, the
+    certificates and the finalize pass are stacked, and each result is its
+    instance's alone, bit for bit.
 
     The form is assembled (with problems[0]'s data) unless given, and is
     returned on every result; terms[i] = exterior_terms(form,
@@ -956,45 +892,38 @@ def minimize_all(problems, n_restarts, seeds, max_sweeps=DEFAULT_MAX_SWEEPS,
     states = _bound_states(first, form, terms) if bounded else [None] * len(problems)
     lifted = [None if bounded else lifting_initialization(problem, form, kept).values
               for problem, kept in zip(problems, terms)]
-    # restarts (a) and (b): the verified bound states, or one stack of descents
+    # restarts (a) and (b): the verified bound states, or descents
     if bounded:
         results = [pair[:n_restarts] for pair in _verify_bounds(problems, form, terms, states)]
     else:
-        stack = [(i, k) for i in range(len(problems)) for k in range(min(n_restarts, 2))]
-        exits = iter(_descend_all([problems[i] for i, _ in stack],
-                                  [(lifted[i], problems[i].exterior_data)[k] for i, k in stack],
-                                  [seeds[i] + k for i, k in stack], max_sweeps, form,
-                                  [terms[i] for i, _ in stack]))
-        results = [[next(exits) for _ in range(min(n_restarts, 2))] for _ in problems]
+        results = [[_descend(problem, u0, seed + k, max_sweeps, form, kept)
+                    for k, u0 in enumerate((lift, problem.exterior_data)[:n_restarts])]
+                   for problem, lift, seed, kept in zip(problems, lifted, seeds, terms)]
     certificates = [None] * len(problems)
     if n_restarts >= 3 and bounded:
         certificates = _certify(first, form, terms, *zip(*[s[:2] for s in states]),
                                 [min(r[0][1], r[1][1]) for r in results])
-    # the random restarts, restart k of every instance still running as one
-    # stack; an instance stops after the first whose reduced exit energy
-    # reaches its certified minimum, if it has one
-    reached = {i: -math.inf if (minimum := (record or {}).get("minimum")) is None
-               else minimum + CERTIFICATE_RTOL * (1.0 + abs(minimum))
-               for i, record in enumerate(certificates)
-               if (record or {}).get("status") != "certified"}
-    running = list(reached)
+    # the random restarts of each instance that is not certified, which stop
+    # after the first whose reduced exit energy reaches its certified
+    # minimum, if it has one
     interior_idx = np.nonzero(first.grid.interior)[0]
-    for k in range(2, n_restarts):
-        if not running:
-            break
-        inits = []
-        for i in running:
-            if lifted[i] is None:
-                lifted[i] = lifting_initialization(problems[i], form, terms[i]).values
-            mask = np.random.default_rng([seeds[i], k]).random(interior_idx.shape[0]) < 0.5
-            inits.append(problems[i].exterior_data.copy())
-            inits[-1][interior_idx[mask]] = lifted[i][interior_idx[mask]]
-        descents = _descend_all([problems[i] for i in running], inits,
-                                [seeds[i] + k for i in running], max_sweeps, form,
-                                [terms[i] for i in running])
-        for i, descent in zip(running, descents):
-            results[i].append(descent)
-        running = [i for i, (_, energy, _, _) in zip(running, descents) if energy > reached[i]]
+    for problem, seed, kept, exits, lift, record in zip(problems, seeds, terms, results,
+                                                        lifted, certificates):
+        record = record or {}
+        if record.get("status") == "certified":
+            continue
+        minimum = record.get("minimum")
+        reached = (-math.inf if minimum is None
+                   else minimum + CERTIFICATE_RTOL * (1.0 + abs(minimum)))
+        for k in range(2, n_restarts):
+            if lift is None:
+                lift = lifting_initialization(problem, form, kept).values
+            on = interior_idx[np.random.default_rng([seed, k]).random(interior_idx.shape[0]) < 0.5]
+            init = problem.exterior_data.copy()
+            init[on] = lift[on]
+            exits.append(_descend(problem, init, seed + k, max_sweeps, form, kept))
+            if exits[-1][1] <= reached:
+                break
     winners = [_winner([energy for _, energy, _, _ in exits]) for exits in results]
     out = _finalize_all(problems, form, [exits[k] for exits, k in zip(results, winners)],
                         [seed + k for seed, k in zip(seeds, winners)],

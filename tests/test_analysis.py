@@ -22,6 +22,7 @@ from nlfb import (
     build_grid,
     build_report,
     density,
+    dirichlet_energy,
     dyadic_radii,
     fractional_kernel,
     checkerboard_kernel,
@@ -36,6 +37,7 @@ from nlfb import (
     scaling_discrepancy,
     select_analysis_points,
     subsolution_residual,
+    total_energy,
 )
 from nlfb.analysis import point_csv_text
 
@@ -381,6 +383,39 @@ def test_lifting_distance_is_mean_square(grid_1d_small):
     lifted = harmonic_lifting(form, f, region)
     want = float(np.mean((f.values[idx] - lifted.values[idx]) ** 2))
     assert lifting_distance(form, f, region) == want
+
+
+# each reader of a form and a field, called on a field at the center region
+FORM_READERS = {
+    "subsolution_residual": subsolution_residual,
+    "lifting_distance": lambda form, field: lifting_distance(form, field, Ball((0.0,), 0.25)),
+    "harmonic_lifting": lambda form, field: harmonic_lifting(form, field, Ball((0.0,), 0.25)),
+    "dirichlet_energy": dirichlet_energy,
+    "total_energy": lambda form, field: total_energy(form, field, 0.1, 0.0),
+}
+
+
+@pytest.mark.parametrize("reader", list(FORM_READERS))
+def test_form_readers_refuse_a_field_from_another_grid(reader):
+    # the form lives on h = 0.1, R_inf = 2 (40 nodes): a field on h = 0.05
+    # (80 nodes), or on h = 0.2, R_inf = 4 (40 nodes too), is refused, while
+    # one on a grid rebuilt with the same signature is read like one on the
+    # form's own grid
+    read = FORM_READERS[reader]
+    grid = build_grid(1, 0.1, 2.0)
+    form = assemble_form(fractional_kernel(0.5), grid)
+    rng = np.random.default_rng(227)
+    for other in (build_grid(1, 0.05, 2.0), build_grid(1, 0.2, 4.0)):
+        field = Field(other, random_field_values(other, rng))
+        with pytest.raises(ConfigurationError, match="not the form's grid"):
+            read(form, field)
+    assert build_grid(1, 0.2, 4.0).n_nodes == grid.n_nodes
+    values = random_field_values(grid, rng)
+    same, rebuilt = read(form, Field(grid, values)), read(form, Field(build_grid(1, 0.1, 2.0),
+                                                                      values))
+    if isinstance(same, Field):
+        same, rebuilt = same.values.tolist(), rebuilt.values.tolist()
+    assert same == rebuilt
 
 
 # ------------------------------------------------------------- zoom identity

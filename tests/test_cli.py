@@ -615,19 +615,18 @@ class TestOracleCompareCommand:
             oracle.restarts = 20
             """))
         exits = []       # (restart seed, exit state bytes, reduced exit energy)
-        real_descend = nlfb.solver._descend_all
+        real_descend = nlfb.solver._descend
 
-        def descend_all(problems, u0s, seeds, *args):
-            out = real_descend(problems, u0s, seeds, *args)
-            exits.extend((seed, u.tobytes(), energy)
-                         for seed, (u, energy, _, _) in zip(seeds, out))
+        def descend(problem, u0, seed, *args):
+            out = real_descend(problem, u0, seed, *args)
+            exits.append((seed, out[0].tobytes(), out[1]))
             return out
 
         outputs = {}
         for threads in ("1", "4"):
             monkeypatch.setenv("NLFB_THREADS", threads)
-            monkeypatch.setattr(nlfb.solver, "_descend_all",
-                                descend_all if threads == "1" else real_descend)
+            monkeypatch.setattr(nlfb.solver, "_descend",
+                                descend if threads == "1" else real_descend)
             rows = oracle_compare_instances(cfg, 0)
             outputs[threads] = [(r["result"].field.values.tobytes(), r["result"].energy,
                                  r["result"].best_restart_seed, r["agree"]) for r in rows]
@@ -693,8 +692,8 @@ class TestOracleCompareCommand:
         for n in (10, 50):
             cfg = parse_config(write_cfg(tmp_path, ORACLE_50_CFG + f"oracle.instances = {n}\n"
                                                                    "oracle.restarts = 2\n"))
-            calls = dict.fromkeys(("reduced_energies", "_verify_bounds", "_descend_all",
-                                   "_polish_all"), 0)
+            calls = dict.fromkeys(("reduced_energies", "_verify_bounds", "_descend",
+                                   "_polish"), 0)
 
             def counted(name, real):
                 def call(*args, **kwargs):
@@ -708,7 +707,7 @@ class TestOracleCompareCommand:
             monkeypatch.undo()
             counts[n] = calls
         assert counts[10] == counts[50] == {"reduced_energies": 1, "_verify_bounds": 1,
-                                            "_descend_all": 0, "_polish_all": 0}
+                                            "_descend": 0, "_polish": 0}
 
     def test_memory_grows_with_the_instances_only_by_the_rows(self, tmp_path):
         # blocks of ORACLE_STACK instances are solved in turn, and the

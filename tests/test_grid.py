@@ -275,7 +275,8 @@ def reference_csv_text(header, rows) -> str:
 
 def test_csv_text_follows_the_per_value_rule():
     # csv_text renders a column at a time, each distinct float of an all-float
-    # column once, keyed by its bits; the reference renders each value alone
+    # column once, keyed by its bits; the reference renders each value of a
+    # row alone
     rows = [
         (0, np.int64(7), 0.1 + 0.2, np.float64(-0.0), "interior", 1, 2.5),
         (1, np.int32(-3), 0.0, np.float64(5e-324), "exterior", 2.5, True),
@@ -284,7 +285,7 @@ def test_csv_text_follows_the_per_value_rule():
         (4, np.int64(7), 0.1 + 0.2, np.float64(0.0), "interior", np.float64(-0.0), "x"),
     ]
     header = ["i", "ints", "floats", "np_floats", "text", "mixed", "other"]
-    got = csv_text(header, rows)
+    got = csv_text(header, list(zip(*rows)))
     assert got.encode() == reference_csv_text(header, rows).encode()
     lines = got.splitlines()
     assert [line.split(",")[2] for line in lines[1:]] == [
@@ -293,6 +294,15 @@ def test_csv_text_follows_the_per_value_rule():
         "-0.0", "5e-324", "0.30000000000000004", "-1.7976931348623157e+308", "0.0"]
     assert lines[3].split(",")[5] == "0.1"      # numpy.float32 is not a float: str
     assert csv_text(header, []) == reference_csv_text(header, []) == ",".join(header) + "\n"
+    # numpy columns render as the lists of their scalars: a float64 array as
+    # floats, the other dtypes through str
+    arrays = [np.array([0.1 + 0.2, -0.0, 0.0, 5e-324, -0.0]), np.arange(5, dtype=np.int32),
+              np.array([0.1, 2.5, -0.0, 1e-8, 3.0], dtype=np.float32),
+              np.array(["a", "bb", "", "c", "d"]), np.zeros(5, dtype=np.float64)[::-1]]
+    names = ["f64", "i32", "f32", "str", "strided"]
+    want = reference_csv_text(names, zip(*map(list, arrays)))
+    assert csv_text(names, arrays).encode() == want.encode()
+    assert want.splitlines()[1] == "0.30000000000000004,0,0.1,a,0.0"
 
 
 _CELLS = (st.floats(allow_nan=False, width=64),
@@ -310,7 +320,7 @@ def test_csv_text_follows_the_per_value_rule_on_random_tables(rows):
     # each column draws from one to three kinds of value, so some columns hold
     # only floats and some mix floats with ints and strings
     header = [f"c{j}" for j in range(len(rows[0]))] if rows else ["c0"]
-    assert csv_text(header, rows).encode() == reference_csv_text(header, rows).encode()
+    assert csv_text(header, list(zip(*rows))).encode() == reference_csv_text(header, rows).encode()
 
 
 @pytest.mark.parametrize("dim,h", [(1, 0.2), (2, 0.2), pytest.param(1, None, id="hand-built-1d"),

@@ -41,20 +41,15 @@ from nlfb.energy import exterior_terms
 from nlfb.solver import (CERTIFICATE_RTOL, CG_TOL, DEFAULT_MAX_SWEEPS, EPS_STOP_FACTOR,
                          ORACLE_BLOCK, ORACLE_CHUNK, ORACLE_TIE_RTOL, PHASES, POLISH_PERIOD,
                          SCHUR_BLOCK, _band_greedy, _bordered, _certify, _best_response,
-                         _bound_states, _descend_all, _system_matrix,
+                         _bound_states, _descend, _system_matrix,
                          _finalize_all, _free_mask, _oracle_energies, _oracle_scan,
-                         _oracle_solve, _pcg, _pinned_inverses, _polish_all, _solve_free,
+                         _oracle_solve, _pcg, _pinned_inverses, _polish, _solve_free,
                          _subsystem, _sweep, _verify_bounds, _visit, _winner, check_oracle,
                          minimize_all, oracle_minimize_all)
 
 from conftest import (family_kernel, pair_energy_rounding, random_field_values,
                       reduced_energy_rounding, reference_exterior_rows, reference_exterior_term,
                       reference_row)
-
-
-def descend(problem, u0, seed, max_sweeps, form, terms):
-    """One descent alone: _descend_all's one-entry case."""
-    return _descend_all([problem], [u0], [seed], max_sweeps, form, [terms])[0]
 
 
 def four_interior_problem(rng, phase="one_phase", rho=None):
@@ -491,15 +486,14 @@ def test_unchanged_polish_skips_its_energy_evaluation(monkeypatch, phase):
     data = np.where(grid.interior, 0.0, rng.uniform(lo, 1.0, grid.n_nodes))
     problem = ProblemSpec(kernel, grid, data, rho=0.05, phase=phase)
     init = lifting_initialization(problem, form)
-    real_polish, real_energy = nlfb.solver._polish_all, nlfb.solver.total_energies
-    real_reduced = nlfb.solver.reduced_energies
+    real_polish, real_energy = nlfb.solver._polish, nlfb.solver.total_energies
+    real_reduced = nlfb.solver.reduced_energy
     polishes, evaluations, boundary_evaluations = [], [], []
 
     def polish(problem, form, x, *args):
         out = real_polish(problem, form, x, *args)
-        (row,), (polished,) = x, out
-        polishes.append("none" if not _free_mask(problem, row).any()
-                        else "unchanged" if polished is None else "changed")
+        polishes.append("none" if not _free_mask(problem, x).any()
+                        else "unchanged" if out is None else "changed")
         return out
 
     def energy(*args):
@@ -510,9 +504,9 @@ def test_unchanged_polish_skips_its_energy_evaluation(monkeypatch, phase):
         boundary_evaluations.append(args)
         return real_reduced(*args)
 
-    monkeypatch.setattr(nlfb.solver, "_polish_all", polish)
+    monkeypatch.setattr(nlfb.solver, "_polish", polish)
     monkeypatch.setattr(nlfb.solver, "total_energies", energy)
-    monkeypatch.setattr(nlfb.solver, "reduced_energies", reduced)
+    monkeypatch.setattr(nlfb.solver, "reduced_energy", reduced)
     res = coordinate_descent(problem, init, seed=3, form=form)
     assert res.converged and "unchanged" in polishes
     assert len(boundary_evaluations) == 1 + len(polishes) + polishes.count("changed")
@@ -543,7 +537,7 @@ def test_polish_returns_polished_states_unchanged(phase, dim, h):
 
         def polish(x):
             # None: the polish gives x back bit for bit
-            return _polish_all(problem, form, x[None], b_I[None])[0]
+            return _polish(problem, form, x, b_I)
 
         lifted = init.values[form.interior_idx]
         polished = polish(lifted)
@@ -564,7 +558,7 @@ def test_descent_polishes_as_soon_as_a_sweep_keeps_the_free_set(monkeypatch, pha
     data = np.where(grid.interior, 0.0, rng.uniform(lo, 1.0, grid.n_nodes))
     problem = ProblemSpec(kernel, grid, data, rho=0.05, phase=phase)
     form = assemble_form(kernel, grid)
-    real_sweep, real_polish = nlfb.solver._sweep, nlfb.solver._polish_all
+    real_sweep, real_polish = nlfb.solver._sweep, nlfb.solver._polish
     events = []
 
     def sweep(form, x, *args):
@@ -578,7 +572,7 @@ def test_descent_polishes_as_soon_as_a_sweep_keeps_the_free_set(monkeypatch, pha
         return real_polish(problem, form, x, *args)
 
     monkeypatch.setattr(nlfb.solver, "_sweep", sweep)
-    monkeypatch.setattr(nlfb.solver, "_polish_all", polish)
+    monkeypatch.setattr(nlfb.solver, "_polish", polish)
     res = coordinate_descent(problem, problem.exterior_field(), seed=7, form=form)
     assert res.converged and events[-1] == "polish"
     batch = 0
@@ -636,108 +630,7 @@ def test_tracked_energy_is_checked(monkeypatch, offset, message):
         coordinate_descent(problem, start.field)
 
 
-# ------------------------------------------------------ the stacked descents
-
-# (dim, h, R_inf, omega_radius): 4, 10, 20 and 40 interior nodes in 1D, 4, 16
-# and 32 in 2D
-STACKED_DESCENT_LATTICES = [(1, 0.25, 1.5, 0.5), (1, 0.1, 1.5, 0.5), (1, 0.1, 2.0, 1.0),
-                            (1, 0.05, 2.0, 1.0), (2, 0.25, 1.0, 0.35), (2, 0.2, 1.0, 0.5),
-                            (2, 0.3, 2.0, 1.0)]
-
-
-def descent_init(problem, form, terms, kind, rng):
-    """Node values to descend from: the zero extension, the lifting, random
-    interior values (a fifth each at 0 and at the clamp value xi), or the
-    exit of a descent from such random values."""
-    if kind == "lifting":
-        return lifting_initialization(problem, form, terms).values
-    values = problem.exterior_data.copy()
-    if kind in ("random", "exit"):
-        m = form.interior_idx.shape[0]
-        x = rng.uniform(0.0 if problem.phase == "one_phase" else -1.0, 1.0, m)
-        pick = rng.random(m)
-        x[pick < 0.2] = 0.0
-        x[pick > 0.8] = max(problem.xi, 0.0) if problem.phase == "one_phase" else problem.xi
-        values[form.interior_idx] = x
-        if kind == "exit":
-            values = descend(problem, values, 1, DEFAULT_MAX_SWEEPS, form, terms)[0]
-    return values
-
-
-def assert_same_descents(got, alone):
-    for (u, energy, sweeps, converged), want in zip(got, alone):
-        assert u.tobytes() == want[0].tobytes()
-        assert type(energy) is float and energy.hex() == want[1].hex()
-        assert (sweeps, converged) == want[2:]
-
-
-@settings(max_examples=150, deadline=None)
-@given(lattice=st.sampled_from(STACKED_DESCENT_LATTICES), phase=st.sampled_from(PHASES),
-       xi=st.sampled_from([0.0, 0.05, -0.05]), log_rho=st.floats(-3.0, 0.0),
-       max_sweeps=st.sampled_from([0, 1, 2, DEFAULT_MAX_SWEEPS]),
-       kinds=st.lists(st.sampled_from(("zero", "lifting", "random", "exit")), min_size=1,
-                      max_size=8),
-       distinct=st.integers(1, 8), block=st.sampled_from([1, 64, nlfb.energy.STACK_BLOCK]),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_stacked_descents_match_each_descent_alone(lattice, phase, xi, log_rho, max_sweeps,
-                                                   kinds, distinct, block, seed):
-    # stacks of 1 to 8 descents on one form, 4 to 40 interior nodes in 1D and
-    # 2D, from zero, lifted, random and converged states, some on the same
-    # data: they stop in different rounds, and each result is that of the
-    # descent alone, bit for bit, however many polishes one stack takes
-    grid = enumerate_lattice(*lattice)
-    kernel = fractional_kernel(0.5, dim=lattice[0])
-    form = assemble_form(kernel, grid)
-    rng = np.random.default_rng(seed)
-    lo = 0.0 if phase == "one_phase" else -1.0
-    datas = [np.where(grid.interior, 0.0, rng.uniform(lo, 1.0, grid.n_nodes))
-             for _ in range(distinct)]
-    problems = [ProblemSpec(kernel, grid, datas[rng.integers(distinct)], rho=10.0 ** log_rho,
-                            xi=xi, phase=phase) for _ in kinds]
-    terms = nlfb.energy.exterior_terms_all(form, [p.exterior_data for p in problems])
-    inits = [descent_init(p, form, t, kind, rng) for p, t, kind in zip(problems, terms, kinds)]
-    seeds = rng.integers(0, 1000, len(kinds)).tolist()
-    with patch.object(nlfb.solver, "STACK_BLOCK", block):
-        got = _descend_all(problems, inits, seeds, max_sweeps, form, terms)
-    assert len(got) == len(kinds)
-    assert_same_descents(got, [descend(p, u0, s, max_sweeps, form, t)
-                               for p, u0, s, t in zip(problems, inits, seeds, terms)])
-
-
-@pytest.mark.parametrize("phase", PHASES)
-def test_a_mixed_stack_of_descents_matches_each_descent_alone(monkeypatch, phase):
-    # 40 nodes: the random starts take several rounds and polishes whose CG
-    # iterates, while the converged ones stop in the first round; each
-    # result is that of the descent alone, bit for bit
-    grid = build_grid(1, 0.05, 2.0)
-    kernel = fractional_kernel(0.5)
-    form = assemble_form(kernel, grid)
-    rng = np.random.default_rng([197, PHASES.index(phase)])
-    lo = 0.0 if phase == "one_phase" else -1.0
-    problems = [ProblemSpec(kernel, grid,
-                            np.where(grid.interior, 0.0, rng.uniform(lo, 1.0, grid.n_nodes)),
-                            rho=0.05, xi=0.05, phase=phase) for _ in range(3)]
-    kinds = ["random", "exit", "zero", "lifting", "random", "exit"]
-    problems = [problems[k % 3] for k in range(len(kinds))]
-    terms = nlfb.energy.exterior_terms_all(form, [p.exterior_data for p in problems])
-    inits = [descent_init(p, form, t, kind, rng) for p, t, kind in zip(problems, terms, kinds)]
-    seeds = list(range(5, 5 + len(kinds)))
-    real_pcg, real_polish = nlfb.solver._pcg, nlfb.solver._polish_all
-    iterated, rounds = [], []
-    monkeypatch.setattr(nlfb.solver, "_pcg",
-                        lambda *args: iterated.append(1) or real_pcg(*args))
-    monkeypatch.setattr(nlfb.solver, "_polish_all",
-                        lambda problem, form, x, *args: rounds.append(x.shape[0])
-                        or real_polish(problem, form, x, *args))
-    got = _descend_all(problems, inits, seeds, DEFAULT_MAX_SWEEPS, form, terms)
-    assert iterated and rounds[0] == len(kinds) and len(set(rounds)) > 1
-    monkeypatch.undo()
-    alone = [descend(p, u0, s, DEFAULT_MAX_SWEEPS, form, t)
-             for p, u0, s, t in zip(problems, inits, seeds, terms)]
-    assert_same_descents(got, alone)
-    assert all(converged for *_, converged in got)
-    assert len({sweeps for _, _, sweeps, _ in got}) > 1
-
+# ------------------------------------------------------ the descent's checks
 
 @pytest.mark.parametrize("fault,error,message", [
     ("exterior", ConfigurationError, "does not match"),
@@ -746,20 +639,20 @@ def test_a_mixed_stack_of_descents_matches_each_descent_alone(monkeypatch, phase
     ("drifted", SolverError, "drifted"),
     ("rose", SolverError, "rose")])
 def test_stacked_descents_raise_as_each_descent_alone(monkeypatch, fault, error, message):
-    # one bad entry fails the stack as it fails its descent alone; the sweep
-    # and boundary faults start from a converged state, whose first sweep
+    # a descent refuses an initialization off the exterior data or, in
+    # one_phase, below 0, and raises on a faulted sweep. The sweep and
+    # boundary faults start from a converged state, whose first sweep
     # changes the energy by ~0: a sweep reported 1e-3 too high or too low
     # trips the sweep's check or the boundary's drift check, and a sweep
     # reported 0.9 tol too high with a boundary energy 1.8 tol too high the
-    # rise check
+    # rise check. coordinate_descent raises as _descend does
     rng = np.random.default_rng(211)
     problem = four_interior_problem(rng)
     form = assemble_form(problem.kernel, problem.grid)
     terms = exterior_terms(form, problem.exterior_data)
     start = coordinate_descent(problem, problem.exterior_field(), form=form)
     assert start.converged
-    inits = [start.field.values.copy() for _ in range(3)]
-    bad = inits[-1]
+    bad = start.field.values.copy()
     if fault == "exterior":
         bad[np.nonzero(~problem.grid.interior)[0][0]] += 1.0
     elif fault == "negative":
@@ -767,20 +660,20 @@ def test_stacked_descents_raise_as_each_descent_alone(monkeypatch, fault, error,
     else:
         tol = nlfb.solver.ENERGY_CHECK_RTOL * (1.0 + abs(start.energy.total))
         offset = {"increased": 1e-3, "drifted": -1e-3, "rose": 0.9 * tol}[fault]
-        real_sweep, real_energies = nlfb.solver._sweep, nlfb.solver.reduced_energies
+        real_sweep, real_energy = nlfb.solver._sweep, nlfb.solver.reduced_energy
         monkeypatch.setattr(nlfb.solver, "_sweep", lambda *args: real_sweep(*args) + offset)
         if fault == "rose":
             calls = []
 
-            def energies(*args):
+            def energy(*args):
                 calls.append(1)
-                return real_energies(*args) + (1.8 * tol if len(calls) > 1 else 0.0)
+                return real_energy(*args) + (1.8 * tol if len(calls) > 1 else 0.0)
 
-            monkeypatch.setattr(nlfb.solver, "reduced_energies", energies)
-    for stack in (inits, inits[-1:]):
+            monkeypatch.setattr(nlfb.solver, "reduced_energy", energy)
+    for descend in (lambda: _descend(problem, bad, 3, DEFAULT_MAX_SWEEPS, form, terms),
+                    lambda: coordinate_descent(problem, Field(problem.grid, bad), 3, form=form)):
         with pytest.raises(error, match=message):
-            _descend_all([problem] * len(stack), stack, [3] * len(stack), DEFAULT_MAX_SWEEPS,
-                         form, [terms] * len(stack))
+            descend()
         if fault == "rose":
             calls.clear()
 
@@ -797,7 +690,7 @@ def test_descent_orders_are_the_default_rng_permutations(monkeypatch):
                         or real_sweep(form, x, b_I, order, *args))
     for seed in list(range(40)) + [1000, 100000 * 51 + 9507, 2 ** 32 - 1, 2 ** 32, 2 ** 63]:
         orders.clear()
-        descend(problem, problem.exterior_data, seed, 3, form, terms)
+        _descend(problem, problem.exterior_data, seed, 3, form, terms)
         rng = np.random.default_rng(seed)
         assert orders and all(order.tobytes() == rng.permutation(4).tobytes()
                               for order in orders)
@@ -951,8 +844,7 @@ def reference_candidates(problem, form, lu=False):
     for mask in range(1 << n_int):
         rows = np.nonzero([(mask >> k) & 1 == 1 for k in range(n_int)])[0]
         values = problem.exterior_data.copy()
-        (A,), (b,) = _subsystem(form, rows[None], values[form.interior_idx][None],
-                                b_I[rows][None])
+        A, b = _subsystem(form, rows, values[form.interior_idx], b_I[rows])
         if lu:
             values[form.interior_idx[rows]] = np.linalg.solve(A, b)
         else:
@@ -1302,8 +1194,7 @@ def test_minimize_never_below_oracle_and_oracle_solves_its_support(seed, h, phas
     if free.size:
         form = oracle.form
         rows = form.row_of[free]
-        (A,), (b,) = _subsystem(form, rows[None], u[form.interior_idx][None],
-                                exterior_terms(form, u)[0][rows][None])
+        A, b = _subsystem(form, rows, u[form.interior_idx], exterior_terms(form, u)[0][rows])
         assert np.max(np.abs(A @ u[free] - b)) <= 1e-12 * (1.0 + np.max(np.abs(b)))
 
 
@@ -1788,13 +1679,13 @@ def record_restarts(monkeypatch, seed, n_restarts):
     """Record (seed, init, exit) for every restart of a one-instance minimize
     with this seed and restart count: the bound restarts as _verify_bounds
     gives them (seeds seed and seed + 1, init the state of _bound_states),
-    every other one as _descend_all runs it."""
+    every other one as _descend runs it."""
     exits = []
-    real_descend, real_verify = nlfb.solver._descend_all, nlfb.solver._verify_bounds
+    real_descend, real_verify = nlfb.solver._descend, nlfb.solver._verify_bounds
 
-    def descend_all(problems, u0s, seeds, *args):
-        out = real_descend(problems, u0s, seeds, *args)
-        exits.extend((seed, u0.copy(), result) for seed, u0, result in zip(seeds, u0s, out))
+    def descend(problem, u0, seed, *args):
+        out = real_descend(problem, u0, seed, *args)
+        exits.append((seed, u0.copy(), out))
         return out
 
     def verify_bounds(problems, form, terms, states):
@@ -1805,7 +1696,7 @@ def record_restarts(monkeypatch, seed, n_restarts):
             exits.append((seed + k, init, result))
         return out
 
-    monkeypatch.setattr(nlfb.solver, "_descend_all", descend_all)
+    monkeypatch.setattr(nlfb.solver, "_descend", descend)
     monkeypatch.setattr(nlfb.solver, "_verify_bounds", verify_bounds)
     return exits
 
@@ -1844,7 +1735,7 @@ def every_restart(problem, n_restarts, seed, form):
         on = interior[np.random.default_rng([seed, k]).random(interior.shape[0]) < 0.5]
         values = problem.exterior_data.copy()
         values[on] = lifted[on]
-        exits.append(descend(problem, values, seed + k, DEFAULT_MAX_SWEEPS, form, terms))
+        exits.append(_descend(problem, values, seed + k, DEFAULT_MAX_SWEEPS, form, terms))
     exits = exits[:n_restarts]
     best = ranked_winner([energy for _, energy, _, _ in exits])
     return _finalize_all([problem], form, [exits[best]], [seed + best], [n_restarts],
@@ -2029,7 +1920,7 @@ def test_certificate_statuses_that_decide_nothing(monkeypatch):
     problem = one_phase_oracle_instance(0)
     form = assemble_form(problem.kernel, problem.grid, problem.exterior_data)
     terms = exterior_terms(form, problem.exterior_data)
-    x_a, x_b = (descend(problem, u0, 11 + k, DEFAULT_MAX_SWEEPS, form, terms)[0][
+    x_a, x_b = (_descend(problem, u0, 11 + k, DEFAULT_MAX_SWEEPS, form, terms)[0][
         form.interior_idx] for k, u0 in enumerate(bound_inits(problem, form)))
     cert = minimize(problem, n_restarts=5, seed=11, form=form).certificate
     assert (cert["status"], cert["wolfe_iterations"]) == ("certified", 3)
@@ -2111,7 +2002,7 @@ def test_certificate_agrees_with_the_oracle(family, s, block, amplitude, lattice
     for mask in np.nonzero(energies <= minimum + tol)[0]:
         least &= int(mask)
     descend_seed = seed % 1000
-    x_a, x_b = (descend(problem, u0, descend_seed + k, DEFAULT_MAX_SWEEPS, form, terms)[0][
+    x_a, x_b = (_descend(problem, u0, descend_seed + k, DEFAULT_MAX_SWEEPS, form, terms)[0][
         form.interior_idx] for k, u0 in enumerate(bound_inits(problem, form)))
     supp_a, supp_b = mask_of(np.nonzero(x_a > 0.0)[0]), mask_of(np.nonzero(x_b > 0.0)[0])
     assert supp_b & ~least == 0 and least & ~supp_a == 0
@@ -2160,12 +2051,12 @@ def test_bound_states_are_the_descent_exits_and_bracket_the_oracle(family, s, bl
     assert (x_a >= 0.0).all() and (x_b >= 0.0).all()
     descend_seed = seed % 1000
     for k, (init, state, name) in enumerate(((lifted, x_a, "a"), (data, x_b, "b"))):
-        exit_state = descend(problem, init, descend_seed + k, DEFAULT_MAX_SWEEPS, form,
+        exit_state = _descend(problem, init, descend_seed + k, DEFAULT_MAX_SWEEPS, form,
                              terms)[0][rows]
         assert np.array_equal(exit_state > 0.0, state > 0.0)
         u0 = data.copy()
         u0[rows] = state
-        verified, _, _, converged = descend(problem, u0, descend_seed + k,
+        verified, _, _, converged = _descend(problem, u0, descend_seed + k,
                                             DEFAULT_MAX_SWEEPS, form, terms)
         assert converged and np.array_equal(verified[rows] > 0.0, state > 0.0)
         assert record[name]["support"] == int(np.count_nonzero(state > 0.0))
@@ -2191,8 +2082,9 @@ def test_bound_states_are_the_descent_exits_and_bracket_the_oracle(family, s, bl
 
 def test_descents_run_only_the_random_restarts_at_one_phase_xi_0(monkeypatch):
     # one_phase at xi = 0: one _verify_bounds call takes restarts (a) and
-    # (b) of every instance, and _descend_all runs only the random restarts
-    # of the refuted instances; two_phase descends (a) and (b) as one stack
+    # (b) of every instance, and _descend runs only the random restarts of
+    # the refuted instances; two_phase descends (a) and (b) of every
+    # instance before any random restart
     base = one_phase_oracle_instance(0)
     problems = [replace(base, exterior_data=one_phase_oracle_instance(t).exterior_data)
                 for t in (0, 10, 3)]
@@ -2200,23 +2092,23 @@ def test_descents_run_only_the_random_restarts_at_one_phase_xi_0(monkeypatch):
     for phase in PHASES:
         stack = [replace(p, phase=phase) for p in problems]
         calls = []
-        real_descend, real_verify = nlfb.solver._descend_all, nlfb.solver._verify_bounds
-        monkeypatch.setattr(nlfb.solver, "_descend_all", lambda problems, u0s, seeds, *args:
-                            calls.append(("descend", list(seeds))) or
-                            real_descend(problems, u0s, seeds, *args))
+        real_descend, real_verify = nlfb.solver._descend, nlfb.solver._verify_bounds
+        monkeypatch.setattr(nlfb.solver, "_descend", lambda problem, u0, seed, *args:
+                            calls.append(("descend", seed)) or
+                            real_descend(problem, u0, seed, *args))
         monkeypatch.setattr(nlfb.solver, "_verify_bounds", lambda problems, *args:
                             calls.append(("verify", len(problems))) or
                             real_verify(problems, *args))
         got = minimize_all(stack, 5, [11, 21, 31], form=form)
         monkeypatch.undo()
         if phase == "two_phase":
-            assert calls[0] == ("descend", [11, 12, 21, 22, 31, 32])
+            assert [seed for _, seed in calls[:6]] == [11, 12, 21, 22, 31, 32]
             assert all(name == "descend" for name, _ in calls)
             continue
         statuses = [res.certificate["status"] for res in got]
         assert statuses == ["certified", "refuted", "certified"]
         assert calls[0] == ("verify", 3) and len(calls) >= 2
-        assert [seeds for _, seeds in calls[1:]] == [[23 + k] for k in range(len(calls) - 1)]
+        assert [seed for _, seed in calls[1:]] == [23 + k for k in range(len(calls) - 1)]
         assert got[1].restarts_used == len(calls) + 1
         assert all(res.restarts_used == 2 for res in (got[0], got[2]))
 
@@ -2345,7 +2237,7 @@ def test_verified_bound_states_are_one_sweep_of_their_descents(family, lattice, 
     for problem, kept, seed_i, pair in zip(problems, terms, seeds, verified):
         for k, (u, energy, sweeps, converged) in enumerate(pair):
             assert (sweeps, converged) == (0, True)
-            swept, swept_energy, _, _ = descend(problem, u, seed_i + k, 1, form, kept)
+            swept, swept_energy, _, _ = _descend(problem, u, seed_i + k, 1, form, kept)
             assert np.array_equal(swept > 0.0, u > 0.0)
             rounding = sum(reduced_energy_rounding(form, v[form.interior_idx], *kept,
                                                    problem.rho * grid.cell_measure)
@@ -2353,15 +2245,15 @@ def test_verified_bound_states_are_one_sweep_of_their_descents(family, lattice, 
             assert abs(swept_energy - energy) <= rounding
 
     def descended(problems, form, terms, states):
-        inits = []
-        for problem, state in zip(problems, states):
-            for x in state[:2]:
-                inits.append(problem.exterior_data.copy())
-                inits[-1][form.interior_idx] = x
-        exits = iter(_descend_all([p for p in problems for _ in "ab"], inits,
-                                  [s + k for s in seeds for k in (0, 1)], DEFAULT_MAX_SWEEPS,
-                                  form, [t for t in terms for _ in "ab"]))
-        return [list(pair) for pair in zip(exits, exits)]
+        pairs = []
+        for problem, kept, seed_i, state in zip(problems, terms, seeds, states):
+            pairs.append([])
+            for k, x in enumerate(state[:2]):
+                u0 = problem.exterior_data.copy()
+                u0[form.interior_idx] = x
+                pairs[-1].append(_descend(problem, u0, seed_i + k, DEFAULT_MAX_SWEEPS, form,
+                                          kept))
+        return pairs
 
     got = minimize_all(problems, n_restarts, seeds, form=form)
     with patch.object(nlfb.solver, "_verify_bounds", descended):
@@ -2394,18 +2286,19 @@ def assert_same_as_alone(got, alone):
 @settings(max_examples=100, deadline=None)
 @given(family=st.sampled_from(("fractional_laplacian", "modulated", "checkerboard",
                                "custom_table")),
-       phase=st.sampled_from(PHASES),
+       phase=st.sampled_from(PHASES), xi=st.sampled_from([0.0, 0.05, -0.05]),
        lattice=st.sampled_from([(1, 0.25), (1, 0.16), (1, 0.125), (1, 0.1), (2, 0.25)]),
        s=st.floats(0.05, 0.95), block=st.floats(0.1, 1.0), size=st.integers(1, 8),
        distinct=st.integers(1, 8), zero=st.booleans(), log_rho=st.floats(-3.0, 0.5),
        n_restarts=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
-def test_stacked_minimize_matches_each_instance_alone(family, phase, lattice, s, block, size,
-                                                      distinct, zero, log_rho, n_restarts, seed):
+def test_stacked_minimize_matches_each_instance_alone(family, phase, xi, lattice, s, block,
+                                                      size, distinct, zero, log_rho,
+                                                      n_restarts, seed):
     # stacks of 1 to 8 instances on one form, 4 to 10 interior nodes in 1D
     # and 2D, with planted duplicates (the same data again, with another
     # seed) and, with `zero`, an instance of zero data, whose L and band are
-    # empty: each result, and in one_phase each bound state, is that of the
-    # instance alone, bit for bit
+    # empty: each result, and in one_phase at xi = 0 each bound state, is
+    # that of the instance alone, bit for bit
     dim, h = lattice
     grid = enumerate_lattice(dim, h, 1.5 if dim == 1 else 1.0, 0.5 if dim == 1 else 0.35)
     kernel = family_kernel(family, dim, s, block)
@@ -2418,7 +2311,7 @@ def test_stacked_minimize_matches_each_instance_alone(family, phase, lattice, s,
         datas[-1] = np.zeros(grid.n_nodes)
     repeats = rng.integers(len(datas), size=size - len(datas))
     stack = rng.permutation(np.concatenate([np.arange(len(datas)), repeats]))
-    problems = [ProblemSpec(kernel, grid, datas[k], rho=10.0 ** log_rho, phase=phase)
+    problems = [ProblemSpec(kernel, grid, datas[k], rho=10.0 ** log_rho, xi=xi, phase=phase)
                 for k in stack]
     seeds = [seed % 1000 + 3 * k for k in range(size)]
     got = minimize_all(problems, n_restarts, seeds, form=form)
@@ -2426,7 +2319,7 @@ def test_stacked_minimize_matches_each_instance_alone(family, phase, lattice, s,
     for problem, seed_k, res in zip(problems, seeds, got):
         assert_same_as_alone(res, minimize(problem, n_restarts, seed_k, form=form))
         assert res.form is form
-    if phase == "one_phase":
+    if phase == "one_phase" and xi == 0.0:
         terms = [exterior_terms(form, problem.exterior_data) for problem in problems]
         for state, kept in zip(_bound_states(problems[0], form, terms), terms):
             alone = _bound_states(problems[0], form, [kept])[0]
@@ -2463,7 +2356,7 @@ def test_a_mixed_stack_matches_each_instance_alone(monkeypatch, blocked):
     terms = [exterior_terms(form, problem.exterior_data) for problem in problems]
     states = []
     for k, (problem, seed, kept) in enumerate(zip(problems, seeds, terms)):
-        x_a, x_b = (descend(problem, u0, seed + j, DEFAULT_MAX_SWEEPS, form, kept)[0][
+        x_a, x_b = (_descend(problem, u0, seed + j, DEFAULT_MAX_SWEEPS, form, kept)[0][
             form.interior_idx] for j, u0 in enumerate(bound_inits(problem, form)))
         states.append((x_b, x_a) if k % 2 else (x_a, x_b))
     energies = [res.energy.total for res in got]
