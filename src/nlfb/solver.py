@@ -49,8 +49,11 @@ the greatest coordinatewise-stable state (Tarski 1955; Topkis 1979): below
 and above every minimizer, they are restarts (b) and (a), verified in one
 stacked pass (_verify_bounds) rather than descended. _certify bounds min G
 from below by Wolfe's min-norm-point algorithm (Fujishige-Wolfe) over the
-band between them: it certifies the better bound state globally minimal,
-which skips the random restarts, or finds a lower minimum, at which they stop.
+band between them, on greedy vertices read off the band system the fall
+ends with (the inverse of the band's Schur complement of A_LL), so each
+instance forms that complement once: it certifies the better bound state
+globally minimal, which skips the random restarts, or finds a lower
+minimum, at which they stop.
 """
 
 from __future__ import annotations
@@ -447,7 +450,8 @@ def _verify_bounds(problems, form: QuadraticForm, terms, states) -> list:
     a state must be nonnegative, on where t is, improvable in all by less
     than the sweep's stall threshold (sum_i a_i (x_i - t_i)^2), and solve
     A_SS x_S = b_I[S] on its support S to CG_TOL, the polish's warm-start
-    test, or SolverError names the instance and the node."""
+    test, and (a)'s support must contain (b)'s, the bracket over which
+    _certify runs, or SolverError names the instance and the node."""
     rho, grid = problems[0].rho, problems[0].grid
     x = np.array([x for state in states for x in state[:2]])
     b_I, c = (np.repeat([term[j] for term in terms], 2, axis=0) for j in (0, 1))
@@ -455,13 +459,16 @@ def _verify_bounds(problems, form: QuadraticForm, terms, states) -> list:
     a, on, b = form.row_sums, x > 0.0, np.vecdot(form.dense, x[:, None, :]) + b_I
     t = _best_response(a, b, rho * grid.cell_measure)
     flipped, gains, residual = (t > 0.0) != on, a * (x - t) ** 2, np.where(on, a * x - b, 0.0)
+    outside = np.zeros_like(on)
+    outside[::2] = on[1::2] & ~on[::2]      # on in (b), off in (a)
     for failed, nodes, what in (
             ((x < 0.0).any(axis=1), x < 0.0, "a one_phase exact solve is negative"),
             (flipped.any(axis=1), flipped, "its best response differs"),
             (np.add.reduce(gains, axis=1) >= EPS_STOP_FACTOR * (1.0 + np.abs(energies)), gains,
              "best responses improve the energy by a sweep's stall threshold"),
             (np.linalg.norm(residual, axis=1) > CG_TOL * np.linalg.norm(b_I * on, axis=1),
-             np.abs(residual), "the exact solve's residual exceeds CG_TOL")):
+             np.abs(residual), "the exact solve's residual exceeds CG_TOL"),
+            (outside.any(axis=1), outside, "it is off where (b) is on")):
         if failed.any():
             k = int(np.argmax(failed))
             raise SolverError(f"bound state ({'ab'[k % 2]}) of instance {k // 2} fails at node "
@@ -548,9 +555,12 @@ def _bordered(inv, A_SJ, A_JJ):
 def _bound_states(problem: ProblemSpec, form: QuadraticForm, terms) -> list:
     """The bound restarts' starting states for one_phase at xi = 0, for each
     (b_I, c) of terms (instances sharing problem's form and rho): a list of
-    (x_a, x_b, record), x_a and x_b the interior values (by stored row) of the
-    greatest and the least coordinatewise-stable state, and the record
-    {"a": {"steps", "support"}, "b": {...}}.
+    (x_a, x_b, record, band), x_a and x_b the interior values (by stored row)
+    of the greatest and the least coordinatewise-stable state, the record
+    {"a": {"steps", "support"}, "b": {...}}, and the band system the fall
+    ends with, (rows, M, b~): the band's ascending stored rows supp(x_a) minus
+    L, the inverse M of its Schur complement of A_LL and its right-hand side
+    b~, from which _certify reads its greedy vertices (_band_greedy).
 
     With BR(x) = {_best_response on b = W_II x + b_I > 0}, monotone in x, (b)
     rises from S = {}: S <- S | BR(x), then x <- A_SS^-1 b_I[S] with 0 off S,
@@ -643,64 +653,47 @@ def _bound_states(problem: ProblemSpec, form: QuadraticForm, terms) -> list:
         live = [i for i, *_ in down]
     return [(x_a[i], x_b[i], {name: {"steps": steps[i],
                                      "support": int(np.count_nonzero(x[i] > 0.0))}
-                              for name, steps, x in (("a", fall, x_a), ("b", rise, x_b))})
-            for i in range(count)]
+                              for name, steps, x in (("a", fall, x_a), ("b", rise, x_b))},
+             (cols[i], schur[i], rhs[i])) for i in range(count)]
 
 
-def _band_greedy(problem: ProblemSpec, form: QuadraticForm, terms, ons, bands):
-    """G(L) (an array) and the greedy vertices of F(T) = G(L + T) over the band
-    B, for instances with terms (b_I, c), stored rows L in ons and B in bands
-    (one_phase, xi = 0; see the module docstring). Returns (G(L), greedy).
+def _band_greedy(problem: ProblemSpec, bands, energies_on):
+    """The greedy vertices of F(T) = G(L + T) over the band B, for instances
+    with band systems (rows, M, b~) of _bound_states and G(L) in energies_on
+    (one_phase, xi = 0; see the module docstring): M is the inverse of the
+    Schur complement S = A_BB - A_BL A_LL^-1 A_LB, and b~ = b_B - A_BL A_LL^-1 b_L.
 
-    One solve against A_LL, with |B| + 1 right-hand sides, gives the Schur
-    complement S = A_BB - A_BL A_LL^-1 A_LB, b~ = b_B - A_BL A_LL^-1 b_L and
-    G(L). greedy(positions, orders), for instances of one band size and an
-    order of each one's band positions, factors S[order, order] = R R^T and
-    solves y = R^-1 b~[order]; it returns (q, energies), one row each:
-    q[order[k]] = rho * h^d - y_k^2, the greedy vertex by band position, and
-    energies[k] = G(L) + q[order[0]] + .. + q[order[k]], the support energy
-    of L with the first k + 1 nodes of the order. A and the stacked S go
-    through check_budget. S is an M-matrix's Schur complement, so a failed
-    Cholesky raises SolverError.
+    greedy(positions, orders), for instances of one band size and an order of
+    each one's band positions, factors S[order, order] = R R^T and takes
+    y = R^-1 b~[order]; it returns (q, energies), one row each: q[order[k]] =
+    rho * h^d - y_k^2, the greedy vertex by band position, and energies[k] =
+    G(L) + q[order[0]] + .. + q[order[k]], the support energy of L with the
+    first k + 1 nodes of the order. S[order, order]^-1 = M[order, order], so
+    with r the order reversed and M[r, r] = K K^T, R is the reversal of K^-T
+    and y the reversal of K^T b~[r]: one Cholesky and one product. M is the
+    inverse of an M-matrix's Schur complement, so a failed Cholesky raises
+    SolverError.
     """
     rho_cell = problem.rho * problem.grid.cell_measure
-    energy_on, schur, b_band = np.zeros(len(terms)), [None] * len(terms), [None] * len(terms)
-    for pos in _groups([on.shape[0] for on in ons], [band.shape[0] for band in bands]):
-        on, band = _stack(ons, pos), _stack(bands, pos)
-        n_on, n_band = on.shape[1], band.shape[1]
-        b_I = np.array([terms[i][0] for i in pos])
-        A = _system_matrix(form, np.concatenate([on, band], axis=1))
-        A_BL = A[:, n_on:, :n_on]
-        Z = np.linalg.solve(A[:, :n_on, :n_on], np.concatenate(
-            [A[:, :n_on, n_on:], np.take_along_axis(b_I, on, 1)[..., None]], axis=2))
-        # np.vecdot, not a small matmul, whose BLAS kernel no other step runs: it
-        # would fault in 128 kB more of the library per process
-        schur_g = A[:, n_on:, n_on:] - np.vecdot(A_BL[:, :, None, :], Z[:, None, :, :n_band].mT)
-        b_band_g = np.take_along_axis(b_I, band, 1) - (A_BL @ Z[:, :, n_band:])[..., 0]
-        energy_on[pos] = ([terms[i][1] for i in pos]
-                          - np.vecdot(np.take_along_axis(b_I, on, 1), Z[:, :, n_band])
-                          + rho_cell * n_on)
-        check_budget(8 * pos.shape[0] * n_band * n_band, "the band's Schur complement")
-        for i, s, b in zip(pos.tolist(), schur_g, b_band_g):
-            schur[i], b_band[i] = s, b
-    stacks, index = {}, np.zeros(len(terms), dtype=np.int64)    # instance i at index[i]
-    for pos in _groups([band.shape[0] for band in bands]):      # one stack per band size
-        stacks[bands[pos[0]].shape[0]] = _stack(schur, pos), _stack(b_band, pos)
+    sizes = [rows.shape[0] for rows, _, _ in bands]
+    stacks, index = {}, np.zeros(len(bands), dtype=np.int64)    # instance i at index[i]
+    for pos in _groups(sizes):      # one stack per band size
+        stacks[sizes[pos[0]]] = tuple(_stack([bands[i][j] for i in pos]) for j in (1, 2))
         index[pos] = np.arange(pos.shape[0])
 
     def greedy(positions, orders):
-        (schur_s, b_s), g = stacks[orders.shape[1]], np.arange(orders.shape[0])[:, None]
-        at = index[positions][:, None]
+        (inv_s, b_s), g = stacks[orders.shape[1]], np.arange(orders.shape[0])[:, None]
+        at, reverse = index[positions][:, None], orders[:, ::-1]
         try:
-            R = np.linalg.cholesky(schur_s[at[..., None], orders[..., None], orders[:, None]])
+            K = np.linalg.cholesky(inv_s[at[..., None], reverse[..., None], reverse[:, None]])
         except np.linalg.LinAlgError as exc:
             raise SolverError("the band's Schur complement is not positive definite") from exc
-        y = np.linalg.solve(R, b_s[at, orders][..., None])[..., 0]
+        y = (K.mT @ b_s[at, reverse][..., None])[:, ::-1, 0]
         q = np.empty(orders.shape)
         q[g, orders] = rho_cell - y * y
-        return q, energy_on[positions, None] + np.cumsum(q[g, orders], axis=1)
+        return q, energies_on[positions, None] + np.cumsum(q[g, orders], axis=1)
 
-    return energy_on, greedy
+    return greedy
 
 
 def _affine_minimizers(P):
@@ -721,44 +714,39 @@ def _affine_minimizers(P):
     return alpha / np.where(ok, total, 1.0)[:, None], ok
 
 
-def _certify(problem: ProblemSpec, form: QuadraticForm, terms, x_a, x_b, energies) -> list:
+def _certify(problem: ProblemSpec, states, energies_on, energies) -> list:
     """Certificates of global minimality, one per instance (one_phase, xi = 0)
-    for a state of reduced energy energies[i], with x_a[i] and x_b[i] the
-    interior values (by stored row) of its (a) and (b) exits.
+    for a state of reduced energy energies[i], with states[i] its (x_a, x_b,
+    record, band) of _bound_states and energies_on[i] = G(L), the reduced
+    energy of its verified (b) exit.
 
-    With L = supp(x_b) and B = supp(x_a) minus L, Wolfe's min-norm-point
-    algorithm runs over the band on _band_greedy's vertices, ordering it by
-    decreasing x_a, then by increasing Wolfe point x (stable argsorts). The
-    status is "unbracketed" when supp(x_b) is not inside supp(x_a) (no greedy
-    call runs). After each greedy call, with the bound G(L) + sum_i min(x_i, 0)
-    and tol = 1e-12 * (1 + |energy|), an unset status becomes "certified" when
-    energy - bound <= tol, which stops, or "refuted" when the lowest support
-    energy seen (G(L) or any prefix) lies below energy by more than tol, which
-    stops once that lowest energy is within 1e-12 * (1 + |lowest|) of the
-    bound. A singular affine system in a Wolfe step, or WOLFE_MAX_ITERATIONS
-    Wolfe iterations, stop it too, an unset status as "stalled" or "capped".
-    The record's `minimum` is the lowest support energy seen when the bound
-    closed to it at the last greedy call (the certified global minimum), else
-    None. The record holds no timings, so it is reproducible byte for byte.
-    The instances run in lockstep, grouped by band size.
+    With L = supp(x_b) and the band B = supp(x_a) minus L (_verify_bounds
+    checks that supp(x_a) contains L), Wolfe's min-norm-point algorithm runs
+    over the band on _band_greedy's vertices, read off the band system that
+    the fall ends with, ordering it by decreasing x_a, then by increasing
+    Wolfe point x (stable argsorts). After each greedy call, with the bound
+    G(L) + sum_i min(x_i, 0) and tol = 1e-12 * (1 + |energy|), an unset status
+    becomes "certified" when energy - bound <= tol, which stops, or "refuted"
+    when the lowest support energy seen (G(L) or any prefix) lies below energy
+    by more than tol, which stops once that lowest energy is within 1e-12 *
+    (1 + |lowest|) of the bound. A singular affine system in a Wolfe step, or
+    WOLFE_MAX_ITERATIONS Wolfe iterations, stop it too, an unset status as
+    "stalled" or "capped". The record's `minimum` is the lowest support energy
+    seen when the bound closed to it at the last greedy call (the certified
+    global minimum), else None. The record holds no timings, so it is
+    reproducible byte for byte. The instances run in lockstep, grouped by band
+    size.
     """
-    records, runs = [], []
-    for i, (a, b) in enumerate(zip(x_a, x_b)):
-        on, band = np.nonzero(b > 0.0)[0], np.nonzero((a > 0.0) & (b <= 0.0))[0]
-        records.append(dict(status="unbracketed", band=int(band.shape[0]),
-                            fixed_on=int(on.shape[0]), wolfe_iterations=0, greedy_calls=0,
-                            lower_bound=None, gap=None, best_support_energy=None, minimum=None))
-        if not ((b > 0.0) & (a <= 0.0)).any():
-            runs.append({"i": i, "position": len(runs), "on": on, "band": band, "key": -a[band],
-                         "iterations": 0, "status": None, "stalled": False})
-    energy_on, greedy = _band_greedy(problem, form, [terms[r["i"]] for r in runs],
-                                     [r["on"] for r in runs], [r["band"] for r in runs])
-    for r, energy in zip(runs, energy_on.tolist()):
-        r["lowest"] = energy
+    energy_on = np.array(energies_on, dtype=np.float64)
+    greedy = _band_greedy(problem, [state[3] for state in states], energy_on)
+    records = [None] * len(states)
+    runs = [{"i": i, "key": -x_a[rows], "fixed_on": record["b"]["support"], "lowest": lowest,
+             "iterations": 0, "status": None, "stalled": False}
+            for i, ((x_a, _, record, (rows, _, _)), lowest) in enumerate(zip(states, energies_on))]
     # per group of one band size: its live runs, their positions, and their sort
     # keys and Wolfe points x as rows; per run: Wolfe's vertices P, their weights lam
     groups = [[[runs[p] for p in pos], pos, _stack([runs[p]["key"] for p in pos]), None]
-              for pos in _groups([r["band"].shape[0] for r in runs])]
+              for pos in _groups([r["key"].shape[0] for r in runs])]
     while groups:
         grown = []
         for group in groups:
@@ -811,8 +799,9 @@ def _certify(problem: ProblemSpec, form: QuadraticForm, terms, x_a, x_b, energie
                 kept.append(r["status"] != "certified" and (r["status"] != "refuted" or not closed)
                             and not r["stalled"] and r["iterations"] < WOLFE_MAX_ITERATIONS)
                 if not kept[-1]:
-                    records[r["i"]].update(
+                    records[r["i"]] = dict(
                         status=r["status"] or ("stalled" if r["stalled"] else "capped"),
+                        band=r["key"].shape[0], fixed_on=r["fixed_on"],
                         wolfe_iterations=r["iterations"], greedy_calls=r["iterations"] + 1,
                         lower_bound=bound, gap=energy - bound, best_support_energy=lowest,
                         minimum=lowest if closed else None)
@@ -901,7 +890,7 @@ def minimize_all(problems, n_restarts, seeds, max_sweeps=DEFAULT_MAX_SWEEPS,
                    for problem, lift, seed, kept in zip(problems, lifted, seeds, terms)]
     certificates = [None] * len(problems)
     if n_restarts >= 3 and bounded:
-        certificates = _certify(first, form, terms, *zip(*[s[:2] for s in states]),
+        certificates = _certify(first, states, [r[1][1] for r in results],
                                 [min(r[0][1], r[1][1]) for r in results])
     # the random restarts of each instance that is not certified, which stop
     # after the first whose reduced exit energy reaches its certified

@@ -91,6 +91,24 @@ def pair_energy_rounding(form, x, b_I, c, rho_cell):
     return _gamma(x.shape[0]) * (magnitudes + abs(c) + rho_cell * np.count_nonzero(x > 0.0))
 
 
+def reference_band_system(form, terms, rho_cell, x_a, x_b):
+    """The band system of the bound states x_a and x_b formed on its own,
+    against A_LL: with L = supp(x_b), the band B = supp(x_a) minus L and A =
+    diag(a_I) - W_II over L and B, one np.linalg.solve against A_LL with
+    |B| + 1 right-hand sides gives the Schur complement S = A_BB - A_BL
+    A_LL^-1 A_LB, b~ = b_B - A_BL A_LL^-1 b_L and the support energy G(L) =
+    c - b_L . A_LL^-1 b_L + rho_cell |L|. Returns (B, S, S^-1, b~, G(L))."""
+    b_I, c = terms
+    on, band = np.flatnonzero(x_b > 0.0), np.flatnonzero((x_a > 0.0) & ~(x_b > 0.0))
+    nodes, n_on = np.concatenate([on, band]), on.shape[0]
+    A = -form.dense[np.ix_(nodes, nodes)]
+    A[np.diag_indices_from(A)] = form.row_sums[nodes]
+    Z = np.linalg.solve(A[:n_on, :n_on], np.column_stack([A[:n_on, n_on:], b_I[on]]))
+    schur = A[n_on:, n_on:] - A[n_on:, :n_on] @ Z[:, :-1]
+    b_band = b_I[band] - A[n_on:, :n_on] @ Z[:, -1]
+    return band, schur, np.linalg.inv(schur), b_band, c - b_I[on] @ Z[:, -1] + rho_cell * n_on
+
+
 def reference_multiplier(spec, X, Y):
     """(1 - s) m(x, y) on (n, d) batches: (n, d) transformed positions, one
     multiplier per pair."""

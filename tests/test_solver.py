@@ -48,8 +48,8 @@ from nlfb.solver import (CERTIFICATE_RTOL, CG_TOL, DEFAULT_MAX_SWEEPS, EPS_STOP_
                          minimize_all, oracle_minimize_all)
 
 from conftest import (family_kernel, pair_energy_rounding, random_field_values,
-                      reduced_energy_rounding, reference_exterior_rows, reference_exterior_term,
-                      reference_row)
+                      reduced_energy_rounding, reference_band_system, reference_exterior_rows,
+                      reference_exterior_term, reference_row)
 
 
 def four_interior_problem(rng, phase="one_phase", rho=None):
@@ -1453,15 +1453,17 @@ def test_bound_states_trace_the_growth_fronts():
     data = np.where(~grid.interior & (x >= 1.0) & (x <= 2.0), 0.35, 0.0)
     problem = ProblemSpec(fractional_kernel(0.5), grid, data, rho=0.1)
     form = assemble_form(problem.kernel, grid, data)
-    *_, record = _bound_states(problem, form, [exterior_terms(form, data)])[0]
+    _, _, record, _ = _bound_states(problem, form, [exterior_terms(form, data)])[0]
     assert record == {"a": {"steps": 363, "support": 438}, "b": {"steps": 233, "support": 301}}
 
 
 def reference_bound_states(problem, form, terms, first_fall=None):
     """_bound_states for one instance alone, as a one-entry stack, with the
     fall deciding by row dots: every fall step fills L's values and decides
-    the band by the row dots W_II x + b_I of the whole state. With
-    first_fall, a list, the first fall step appends its band rows and state."""
+    the band by the row dots W_II x + b_I of the whole state, and its band
+    system is the band rows, the Schur complement's inverse and right-hand
+    side of its last step. With first_fall, a list, the first fall step
+    appends its band rows and state."""
     W, n, (b_I, _) = form.dense, form.dense.shape[0], terms
     rho_cell = problem.rho * problem.grid.cell_measure
 
@@ -1498,15 +1500,24 @@ def reference_bound_states(problem, form, terms, first_fall=None):
         schur = schur[:, k[:, None], k] - schur[:, k[:, None], d] @ np.linalg.solve(
             schur[:, d[:, None], d], schur[:, d[:, None], k])
         cols, rhs = cols[k], rhs[:, k]
-    return x[0], x_b, {name: {"steps": steps, "support": int(np.count_nonzero(state > 0.0))}
-                       for name, steps, state in (("a", fall, x[0]), ("b", rise, x_b))}
+    record = {name: {"steps": steps, "support": int(np.count_nonzero(state > 0.0))}
+              for name, steps, state in (("a", fall, x[0]), ("b", rise, x_b))}
+    return x[0], x_b, record, (cols, schur[0], rhs[0])
+
+
+def assert_same_bound_states(state, want):
+    """Two (x_a, x_b, record, band) of _bound_states are the same, bit for
+    bit, and the band rows are supp(x_a) minus supp(x_b)."""
+    assert state[0].tobytes() == want[0].tobytes()
+    assert state[1].tobytes() == want[1].tobytes() and state[2] == want[2]
+    for got, expected in zip(state[3], want[3]):
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    assert np.array_equal(state[3][0], np.flatnonzero((state[0] > 0.0) & ~(state[1] > 0.0)))
 
 
 def assert_bound_states_are_the_reference(problems, form, terms):
     for state, problem, kept in zip(_bound_states(problems[0], form, terms), problems, terms):
-        want = reference_bound_states(problem, form, kept)
-        assert state[0].tobytes() == want[0].tobytes()
-        assert state[1].tobytes() == want[1].tobytes() and state[2] == want[2]
+        assert_same_bound_states(state, reference_bound_states(problem, form, kept))
 
 
 @settings(max_examples=60, deadline=None)
@@ -1615,7 +1626,7 @@ def test_the_fall_dots_w_ii_rows_once_per_instance_at_its_exit(monkeypatch):
                                                     else None) or real_vecdot(a, b))
     monkeypatch.setattr(nlfb.solver, "rowwise_dots", lambda matrix, rows, v: passes.append(
         ("rows", np.shape(rows))) or real_rows(matrix, rows, v))
-    (_, _, record), = _bound_states(problem, form, [terms])
+    (_, _, record, _), = _bound_states(problem, form, [terms])
     monkeypatch.undo()
     assert record == {"a": {"steps": 14, "support": 402}, "b": {"steps": 23, "support": 346}}
     assert passes == ["W_II"] * 24 + [("rows", (1, 346))]
@@ -1915,35 +1926,81 @@ def test_stopping_at_the_certified_minimum_keeps_the_ranking(family, s, block, a
 
 def test_certificate_statuses_that_decide_nothing(monkeypatch):
     # instance 0 is certified after 3 Wolfe iterations; without them it is
-    # capped, with a singular affine step it stalls, and with the exits
-    # swapped it is unbracketed; each of these runs every restart
+    # capped, and with a singular affine step it stalls; each of these runs
+    # every restart
     problem = one_phase_oracle_instance(0)
     form = assemble_form(problem.kernel, problem.grid, problem.exterior_data)
     terms = exterior_terms(form, problem.exterior_data)
-    x_a, x_b = (_descend(problem, u0, 11 + k, DEFAULT_MAX_SWEEPS, form, terms)[0][
-        form.interior_idx] for k, u0 in enumerate(bound_inits(problem, form)))
+    states = _bound_states(problem, form, [terms])
+    (exit_a, exit_b), = _verify_bounds([problem], form, [terms], states)
     cert = minimize(problem, n_restarts=5, seed=11, form=form).certificate
     assert (cert["status"], cert["wolfe_iterations"]) == ("certified", 3)
-    energy = min(nlfb.energy.reduced_energy(form, x, problem.rho, 0.0, terms) for x in (x_a, x_b))
-
-    swapped = _certify(problem, form, [terms], [x_b], [x_a], [energy])[0]
-    assert swapped["status"] == "unbracketed"
-    assert (swapped["greedy_calls"], swapped["lower_bound"], swapped["gap"],
-            swapped["best_support_energy"], swapped["minimum"]) == (0, None, None, None, None)
+    energy = min(exit_a[1], exit_b[1])
 
     monkeypatch.setattr(nlfb.solver, "WOLFE_MAX_ITERATIONS", 0)
-    capped = _certify(problem, form, [terms], [x_a], [x_b], [energy])[0]
+    capped = _certify(problem, states, [exit_b[1]], [energy])[0]
     assert (capped["status"], capped["wolfe_iterations"], capped["greedy_calls"],
             capped["minimum"]) == ("capped", 0, 1, None)
     assert minimize(problem, n_restarts=5, seed=11, form=form).restarts_used == 5
     monkeypatch.undo()
 
     monkeypatch.setattr(nlfb.solver, "_affine_minimizers", singular_affine_steps)
-    stalled = _certify(problem, form, [terms], [x_a], [x_b], [energy])[0]
+    stalled = _certify(problem, states, [exit_b[1]], [energy])[0]
     assert (stalled["status"], stalled["wolfe_iterations"], stalled["greedy_calls"],
             stalled["minimum"]) == ("stalled", 1, 2, None)
     assert stalled["lower_bound"] == capped["lower_bound"] < energy
     assert minimize(problem, n_restarts=5, seed=11, form=form).restarts_used == 5
+
+
+def test_unbracketed_bound_states_fail_their_verification():
+    # the middle instance of three with its bound states swapped: (a)'s
+    # support no longer contains (b)'s, and the first node of (b)'s that (a)
+    # leaves off, the band's first row, is named; unswapped, all three pass
+    problems = [one_phase_oracle_instance(t) for t in (0, 10, 3)]
+    problems = [replace(problems[0], exterior_data=p.exterior_data) for p in problems]
+    form = assemble_form(problems[0].kernel, problems[0].grid)
+    terms = [exterior_terms(form, p.exterior_data) for p in problems]
+    states = _bound_states(problems[0], form, terms)
+    _verify_bounds(problems, form, terms, states)
+    x_a, x_b, record, band = states[1]
+    assert band[0].shape[0]
+    states[1] = (x_b, x_a, record, band)
+    node = form.interior_idx[band[0][0]]
+    with pytest.raises(SolverError, match=rf"bound state \(a\) of instance 1 fails at node {node}: "
+                                          r"it is off where \(b\) is on"):
+        _verify_bounds(problems, form, terms, states)
+
+
+def test_the_fall_ends_with_the_band_system_of_its_states():
+    # criterion 3's fractional s = 0.7, h = 0.0025 instance, whose band has
+    # 307 nodes: the greedy prefix energies on the fall's band system and on
+    # reference_band_system's, and those from the Cholesky factor of the
+    # reference's S[order, order] itself, agree within 1e-12 relative, for
+    # the certificate's first order (decreasing x_a) and two random ones;
+    # so do G(L) and the verified (b) exit's reduced energy
+    grid = build_grid(1, 0.0025, 2.0)
+    x = grid.positions[:, 0]
+    data = np.where(~grid.interior & (x >= 1.0) & (x <= 2.0), 0.35, 0.0)
+    problem = ProblemSpec(fractional_kernel(0.7), grid, data, rho=0.05)
+    form = assemble_form(problem.kernel, grid, data)
+    terms = exterior_terms(form, data)
+    rho_cell = problem.rho * grid.cell_measure
+    states = _bound_states(problem, form, [terms])
+    (_, (_, energy_on, _, _)), = _verify_bounds([problem], form, [terms], states)
+    x_a, x_b, _, (rows, _, _) = states[0]
+    band, schur, inverse, b_band, reference_on = reference_band_system(form, terms, rho_cell,
+                                                                       x_a, x_b)
+    assert rows.shape[0] == 307 and np.array_equal(rows, band)
+    assert abs(energy_on - reference_on) <= 1e-12 * abs(reference_on)
+    greedy = _band_greedy(problem, [states[0][3]], np.array([energy_on]))
+    reference = _band_greedy(problem, [(band, inverse, b_band)], np.array([reference_on]))
+    rng, first = np.random.default_rng(173), np.zeros(1, dtype=np.int64)
+    for order in [np.argsort(-x_a[rows], kind="stable")] + [rng.permutation(307) for _ in range(2)]:
+        y = np.linalg.solve(np.linalg.cholesky(schur[np.ix_(order, order)]), b_band[order])
+        direct = reference_on + np.cumsum(rho_cell - y * y)
+        (_, (got,)), (_, (want,)) = greedy(first, order[None]), reference(first, order[None])
+        for other in (want, direct):
+            assert (np.abs(got - other) <= 1e-12 * np.abs(other)).all()
 
 
 def test_failed_schur_cholesky_raises(monkeypatch):
@@ -1985,16 +2042,21 @@ def test_certificate_agrees_with_the_oracle(family, s, block, amplitude, lattice
     def mask_of(rows):
         return sum(1 << int(k) for k in rows)
 
-    on = rng.random(m) < 0.3
-    band = np.nonzero(~on & (rng.random(m) < 0.8))[0]
-    (energy_on,), greedy = _band_greedy(problem, form, [terms], [np.nonzero(on)[0]], [band])
-    order = rng.permutation(band.shape[0])
-    _, (prefix,) = greedy([0], order[None])
-    mask = mask_of(np.nonzero(on)[0])
-    assert abs(energy_on - energies[mask]) <= 1e-12 * abs(energies[mask])
-    for k, position in enumerate(order):
-        mask |= 1 << int(band[position])
-        assert abs(prefix[k] - energies[mask]) <= 1e-12 * abs(energies[mask])
+    # the greedy on the band system that the fall ends with, G(L) the (b)
+    # exit's reduced energy, for random orders of the band
+    states = _bound_states(problem, form, [terms])
+    (_, (_, energy_on, _, _)), = _verify_bounds([problem], form, [terms], states)
+    _, x_b, _, (band, _, _) = states[0]
+    greedy = _band_greedy(problem, [states[0][3]], np.array([energy_on]))
+    on = mask_of(np.nonzero(x_b > 0.0)[0])
+    assert abs(energy_on - energies[on]) <= 1e-12 * abs(energies[on])
+    for _ in range(3):
+        order = rng.permutation(band.shape[0])
+        _, (prefix,) = greedy(np.zeros(1, dtype=np.int64), order[None])
+        mask = on
+        for k, position in enumerate(order):
+            mask |= 1 << int(band[position])
+            assert abs(prefix[k] - energies[mask]) <= 1e-12 * abs(energies[mask])
 
     minimum = float(energies.min())
     tol = CERTIFICATE_RTOL * (1.0 + abs(minimum))
@@ -2047,7 +2109,7 @@ def test_bound_states_are_the_descent_exits_and_bracket_the_oracle(family, s, bl
     m = rows.shape[0]
     assert m <= 10
     lifted = lifting_initialization(problem, form).values
-    x_a, x_b, record = _bound_states(problem, form, [terms])[0]
+    x_a, x_b, record, _ = _bound_states(problem, form, [terms])[0]
     assert (x_a >= 0.0).all() and (x_b >= 0.0).all()
     descend_seed = seed % 1000
     for k, (init, state, name) in enumerate(((lifted, x_a, "a"), (data, x_b, "b"))):
@@ -2322,9 +2384,7 @@ def test_stacked_minimize_matches_each_instance_alone(family, phase, xi, lattice
     if phase == "one_phase" and xi == 0.0:
         terms = [exterior_terms(form, problem.exterior_data) for problem in problems]
         for state, kept in zip(_bound_states(problems[0], form, terms), terms):
-            alone = _bound_states(problems[0], form, [kept])[0]
-            assert state[0].tobytes() == alone[0].tobytes()
-            assert state[1].tobytes() == alone[1].tobytes() and state[2] == alone[2]
+            assert_same_bound_states(state, _bound_states(problems[0], form, [kept])[0])
 
 
 @pytest.mark.parametrize("blocked", [None, "capped", "stalled"])
@@ -2334,7 +2394,7 @@ def test_a_mixed_stack_matches_each_instance_alone(monkeypatch, blocked):
     # band or an L, or are refuted; without Wolfe iterations most stay
     # capped, and with every affine step singular they stall. Each result
     # is that of the instance alone, bit for bit, and so is each stacked
-    # certificate of exits swapped to be unbracketed.
+    # certificate of the bound states at the results' pairwise energies.
     base = one_phase_oracle_instance(0)
     problems = [replace(base, exterior_data=one_phase_oracle_instance(t).exterior_data)
                 for t in range(24)]
@@ -2354,17 +2414,12 @@ def test_a_mixed_stack_matches_each_instance_alone(monkeypatch, blocked):
     assert {r["status"] for r in records} == statuses[blocked]
     assert any(r["band"] == 0 for r in records) and any(r["fixed_on"] == 0 for r in records)
     terms = [exterior_terms(form, problem.exterior_data) for problem in problems]
-    states = []
-    for k, (problem, seed, kept) in enumerate(zip(problems, seeds, terms)):
-        x_a, x_b = (_descend(problem, u0, seed + j, DEFAULT_MAX_SWEEPS, form, kept)[0][
-            form.interior_idx] for j, u0 in enumerate(bound_inits(problem, form)))
-        states.append((x_b, x_a) if k % 2 else (x_a, x_b))
+    states = _bound_states(base, form, terms)
+    energies_on = [pair[1][1] for pair in _verify_bounds(problems, form, terms, states)]
     energies = [res.energy.total for res in got]
-    stacked = _certify(base, form, terms, [a for a, _ in states], [b for _, b in states],
-                       energies)
-    assert "unbracketed" in {r["status"] for r in stacked}
-    for record, kept, (x_a, x_b), energy in zip(stacked, terms, states, energies):
-        assert record == _certify(base, form, [kept], [x_a], [x_b], [energy])[0]
+    stacked = _certify(base, states, energies_on, energies)
+    for record, state, energy_on, energy in zip(stacked, states, energies_on, energies):
+        assert record == _certify(base, [state], [energy_on], [energy])[0]
 
 
 def test_one_singular_affine_system_leaves_the_others_to_their_solve():
