@@ -20,10 +20,10 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .energy import QuadraticForm, check_budget, check_grid, tail, tree_sum
+from .energy import QuadraticForm, check_grid, tail, tree_sum
 from .errors import ConfigurationError, DataError, DomainError
-from .grid import (Ball, Field, ball_distances, csv_text, l2_mean_over_ball, nodes_in_ball,
-                   region_interior_indices, sup_over_ball)
+from .grid import (Ball, Field, ball_distances, check_budget, csv_text, l2_mean_over_ball,
+                   nodes_in_ball, region_interior_indices, sup_over_ball)
 from .kernel import eval_kernel, rescale_kernel
 from .solver import ProblemSpec, harmonic_lifting
 

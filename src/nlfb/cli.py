@@ -67,7 +67,7 @@ def _stage(out_dir: str, name: str, payload) -> str:
     """Render one artifact and write it under a .partial suffix; returns its
     name. A .json payload goes through the one JSON renderer; a .csv payload
     is a callable whose text comes from grid.csv_text."""
-    text = (json.dumps(payload, sort_keys=True, indent=2) + "\n" if name.endswith(".json")
+    text = (json.dumps(payload, sort_keys=True) + "\n" if name.endswith(".json")
             else payload())
     with open(os.path.join(out_dir, name + ".partial"), "w", newline="") as fh:
         fh.write(text)

@@ -55,8 +55,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import CapacityError, ConfigurationError, DomainError
-from .grid import Field, Grid
+from .errors import ConfigurationError, DomainError
+from .grid import Field, Grid, check_budget
 from .kernel import KernelSpec, offset_radial, pair_multiplier
 
 _TREE_BLOCK = 64
@@ -65,9 +65,6 @@ _EVAL_ROWS = 16
 # values per block of a stacked pass: as many entries at a time as fit, and at
 # least one (dirichlet_energies)
 STACK_BLOCK = 1 << 16
-# Largest allocation, in bytes, of W_II, a subsystem matrix, the oracle's pinned
-# inverses or all-pairs arrays.
-MEMORY_BUDGET_BYTES = 256 * 2 ** 20
 
 # Volume of the unit ball.
 UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi}
@@ -103,13 +100,6 @@ def tree_sum(values):
         pairs = sums[:, 0:-1:2] + sums[:, 1::2]
         sums = np.concatenate([pairs, sums[:, -1:]], axis=1) if sums.shape[1] % 2 else pairs
     return sums[:, 0] if arr.ndim == 2 else float(sums[0, 0])
-
-
-def check_budget(nbytes: int, what: str) -> None:
-    """Raise CapacityError before an allocation larger than MEMORY_BUDGET_BYTES."""
-    if nbytes > MEMORY_BUDGET_BYTES:
-        raise CapacityError(
-            f"{what} needs {nbytes} bytes, above the {MEMORY_BUDGET_BYTES}-byte budget")
 
 
 def check_grid(form: QuadraticForm, field: Field) -> None:

@@ -18,7 +18,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, DomainError
+from .errors import CapacityError, ConfigurationError, DataError, DomainError
+
+# Largest allocation, in bytes, of the lattice's bounding box, W_II, a subsystem
+# matrix, the oracle's pinned inverses or all-pairs arrays.
+MEMORY_BUDGET_BYTES = 256 * 2 ** 20
+
+
+def check_budget(nbytes: int, what: str) -> None:
+    """Raise CapacityError before an allocation larger than MEMORY_BUDGET_BYTES."""
+    if nbytes > MEMORY_BUDGET_BYTES:
+        raise CapacityError(
+            f"{what} needs {nbytes} bytes, above the {MEMORY_BUDGET_BYTES}-byte budget")
 
 
 @dataclass
@@ -98,9 +109,13 @@ def enumerate_lattice(dim, h, R_inf, omega_radius) -> Grid:
 
     build_grid is the validated entry point; this exists so deliberately
     coarse lattices (hand-checked combinatorics) can still be constructed.
+    CapacityError is raised, before allocating, when one array over the
+    bounding box of the lattice, (2 k_max + 1)^dim points, would exceed
+    MEMORY_BUDGET_BYTES.
     """
     # Integer range k with |(k + 1/2) h| possibly <= R_inf, trimmed by the norm test.
     k_max = int(math.floor(R_inf / h + 0.5)) + 1
+    check_budget(8 * dim * (2 * k_max + 1) ** dim, "the lattice's bounding box")
     axis = np.arange(-k_max, k_max + 1, dtype=np.int64)
     if dim == 1:
         lattice = axis.reshape(-1, 1)

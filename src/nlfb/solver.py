@@ -31,11 +31,13 @@ Restarts (minimize_all) run from deterministic initializations, share one
 exterior_terms and keep the best reduced exit energy; exits within rounding
 of it keep the lower seed (_winner). For a stack of instances that share
 the form, the descents run one at a time, while the bound iterations, their
-verification, the certificates and the finalize pass run in lockstep, one
-batched call per group whose operands share shapes (_groups), each instance
-with the bits of its solve alone. A brute-force oracle (oracle_minimize_all)
-enumerates all interior supports (capacity-capped, xi = 0 only) for ground
-truth, on the inverses of its pinned systems, computed once per form.
+verification and the finalize pass run in lockstep, one batched call per
+group whose operands share shapes (_groups), and the certificates run the
+instances of each band size in lockstep, one band size after another; each
+instance has the bits of its solve alone. A brute-force oracle
+(oracle_minimize_all) enumerates all interior supports (capacity-capped,
+xi = 0 only) for ground truth, on the inverses of its pinned systems,
+computed once per form.
 
 For one_phase at xi = 0 the support energy
 
@@ -63,11 +65,11 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .energy import (EnergyBreakdown, QuadraticForm, assemble_form, check_budget, check_grid,
+from .energy import (EnergyBreakdown, QuadraticForm, assemble_form, check_grid,
                      exterior_terms, exterior_terms_all, reduced_energies, reduced_energy,
                      rowwise_dots, total_energies, truncation_error_bound)
 from .errors import CapacityError, ConfigurationError, DataError, SolverError
-from .grid import Ball, Field, Grid, region_interior_indices
+from .grid import Ball, Field, Grid, check_budget, region_interior_indices
 from .kernel import KernelSpec
 
 PHASES = ("one_phase", "two_phase")
@@ -657,43 +659,33 @@ def _bound_states(problem: ProblemSpec, form: QuadraticForm, terms) -> list:
              (cols[i], schur[i], rhs[i])) for i in range(count)]
 
 
-def _band_greedy(problem: ProblemSpec, bands, energies_on):
-    """The greedy vertices of F(T) = G(L + T) over the band B, for instances
-    with band systems (rows, M, b~) of _bound_states and G(L) in energies_on
+def _band_greedy(rho_cell, M, b, energies_on, orders):
+    """The greedy vertices of F(T) = G(L + T) over the band B, for the stack of
+    live instances of one band size (one of _certify's groups, in lockstep),
+    with band systems M and b~ of _bound_states and G(L) in energies_on
     (one_phase, xi = 0; see the module docstring): M is the inverse of the
-    Schur complement S = A_BB - A_BL A_LL^-1 A_LB, and b~ = b_B - A_BL A_LL^-1 b_L.
+    Schur complement S = A_BB - A_BL A_LL^-1 A_LB, and b~ = b_B - A_BL
+    A_LL^-1 b_L.
 
-    greedy(positions, orders), for instances of one band size and an order of
-    each one's band positions, factors S[order, order] = R R^T and takes
-    y = R^-1 b~[order]; it returns (q, energies), one row each: q[order[k]] =
-    rho * h^d - y_k^2, the greedy vertex by band position, and energies[k] =
-    G(L) + q[order[0]] + .. + q[order[k]], the support energy of L with the
-    first k + 1 nodes of the order. S[order, order]^-1 = M[order, order], so
-    with r the order reversed and M[r, r] = K K^T, R is the reversal of K^-T
-    and y the reversal of K^T b~[r]: one Cholesky and one product. M is the
-    inverse of an M-matrix's Schur complement, so a failed Cholesky raises
-    SolverError.
+    For an order of each instance's band positions (one row of orders each),
+    it factors S[order, order] = R R^T and takes y = R^-1 b~[order]; it
+    returns (q, energies), one row each: q[order[k]] = rho * h^d - y_k^2, the
+    greedy vertex by band position, and energies[k] = G(L) + q[order[0]] + ..
+    + q[order[k]], the support energy of L with the first k + 1 nodes of the
+    order. S[order, order]^-1 = M[order, order], so with r the order reversed
+    and M[r, r] = K K^T, R is the reversal of K^-T and y the reversal of K^T
+    b~[r]: one Cholesky and one product. M is the inverse of an M-matrix's
+    Schur complement, so a failed Cholesky raises SolverError.
     """
-    rho_cell = problem.rho * problem.grid.cell_measure
-    sizes = [rows.shape[0] for rows, _, _ in bands]
-    stacks, index = {}, np.zeros(len(bands), dtype=np.int64)    # instance i at index[i]
-    for pos in _groups(sizes):      # one stack per band size
-        stacks[sizes[pos[0]]] = tuple(_stack([bands[i][j] for i in pos]) for j in (1, 2))
-        index[pos] = np.arange(pos.shape[0])
-
-    def greedy(positions, orders):
-        (inv_s, b_s), g = stacks[orders.shape[1]], np.arange(orders.shape[0])[:, None]
-        at, reverse = index[positions][:, None], orders[:, ::-1]
-        try:
-            K = np.linalg.cholesky(inv_s[at[..., None], reverse[..., None], reverse[:, None]])
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("the band's Schur complement is not positive definite") from exc
-        y = (K.mT @ b_s[at, reverse][..., None])[:, ::-1, 0]
-        q = np.empty(orders.shape)
-        q[g, orders] = rho_cell - y * y
-        return q, energies_on[positions, None] + np.cumsum(q[g, orders], axis=1)
-
-    return greedy
+    g, reverse = np.arange(orders.shape[0])[:, None], orders[:, ::-1]
+    try:
+        K = np.linalg.cholesky(M[g[..., None], reverse[..., None], reverse[:, None]])
+    except np.linalg.LinAlgError as exc:
+        raise SolverError("the band's Schur complement is not positive definite") from exc
+    y = (K.mT @ b[g, reverse][..., None])[:, ::-1, 0]
+    q = np.empty(orders.shape)
+    q[g, orders] = rho_cell - y * y
+    return q, energies_on[:, None] + np.cumsum(q[g, orders], axis=1)
 
 
 def _affine_minimizers(P):
@@ -734,79 +726,76 @@ def _certify(problem: ProblemSpec, states, energies_on, energies) -> list:
     "stalled" or "capped". The record's `minimum` is the lowest support energy
     seen when the bound closed to it at the last greedy call (the certified
     global minimum), else None. The record holds no timings, so it is
-    reproducible byte for byte. The instances run in lockstep, grouped by band
-    size.
+    reproducible byte for byte. The instances of one band size run in
+    lockstep, one band size after another.
     """
-    energy_on = np.array(energies_on, dtype=np.float64)
-    greedy = _band_greedy(problem, [state[3] for state in states], energy_on)
-    records = [None] * len(states)
-    runs = [{"i": i, "key": -x_a[rows], "fixed_on": record["b"]["support"], "lowest": lowest,
-             "iterations": 0, "status": None, "stalled": False}
-            for i, ((x_a, _, record, (rows, _, _)), lowest) in enumerate(zip(states, energies_on))]
-    # per group of one band size: its live runs, their positions, and their sort
-    # keys and Wolfe points x as rows; per run: Wolfe's vertices P, their weights lam
-    groups = [[[runs[p] for p in pos], pos, _stack([runs[p]["key"] for p in pos]), None]
-              for pos in _groups([r["key"].shape[0] for r in runs])]
-    while groups:
-        grown = []
-        for group in groups:
-            live, positions, key, x = group
-            q, prefix = greedy(positions, np.argsort(key, axis=1, kind="stable"))
-            lows = prefix.min(axis=1, initial=math.inf).tolist()
-            for k, (r, q_r, low) in enumerate(zip(live, q, lows)):
-                r["lowest"] = min(r["lowest"], low)
-                if x is None:
-                    r["P"], r["lam"] = q_r[None, :], np.ones(1)
-                else:
-                    # Wolfe's major cycle: add the vertex, then minor cycles until the
-                    # affine minimizer of the kept vertices lies inside their hull
-                    r["iterations"] += 1
-                    r["P"], r["lam"] = np.vstack([r["P"], q_r]), np.append(r["lam"], 0.0)
-                    grown.append((r, x, k))
-            group[3] = q if x is None else x
-        while grown:
-            cycling = []
-            for pos in _groups([r["P"].shape for r, *_ in grown]):
-                cycle = [grown[p] for p in pos]
-                P = _stack([r["P"] for r, *_ in cycle])
-                alphas, ok = _affine_minimizers(P)
-                inside = ok & (alphas > 0.0).all(axis=1)
-                points = iter((alphas[inside][:, None] @ P[inside])[:, 0])
-                for (r, x, k), alpha, ok_r, inside_r in zip(cycle, alphas, ok, inside):
-                    r["stalled"] = not ok_r
-                    if inside_r:
-                        r["lam"], x[k] = alpha, next(points)
-                    elif ok_r:
-                        lam, neg, ratio = r["lam"], alpha <= 0.0, np.zeros_like(r["lam"])
-                        np.divide(lam, lam - alpha, out=ratio, where=neg & (lam > alpha))
-                        j = min(np.flatnonzero(neg).tolist(), key=ratio.item)
-                        lam = ratio[j] * alpha + (1.0 - ratio[j]) * lam
-                        lam[j] = 0.0
-                        r["P"], r["lam"] = r["P"][lam > 0.0], lam[lam > 0.0]
-                        cycling.append((r, x, k))
-            grown = cycling
-        for group in groups:
-            live, positions, _, x = group
-            bounds, kept = (energy_on[positions] + np.minimum(x, 0.0).sum(axis=1)).tolist(), []
-            for r, bound in zip(live, bounds):
-                energy, lowest = energies[r["i"]], r["lowest"]
+    rho_cell = problem.rho * problem.grid.cell_measure
+    energy_on, records = np.array(energies_on, dtype=np.float64), [None] * len(states)
+    for ids in (pos.tolist() for pos in _groups([s[3][0].shape[0] for s in states])):
+        # one band size's live runs, by position: instances, band systems, lowest
+        # support energies, whether refuted, Wolfe points x (the sort key -x_a
+        # before the first greedy call), all after `iterations` major cycles, and
+        # runs, each only Wolfe's vertices P and their weights lam
+        M, b = (_stack([states[i][3][j] for i in ids]) for j in (1, 2))
+        x, runs, iterations = _stack([-states[i][0][states[i][3][0]] for i in ids]), None, 0
+        lowest, refuted = [energies_on[i] for i in ids], [False] * len(ids)
+        while ids:
+            on = energy_on[ids]
+            q, prefix = _band_greedy(rho_cell, M, b, on, np.argsort(x, axis=1, kind="stable"))
+            lows, stalled = prefix.min(axis=1, initial=math.inf).tolist(), [False] * len(ids)
+            lowest = [min(low, seen) for low, seen in zip(lowest, lows)]
+            if runs is None:
+                x, runs = q, [(q_r[None, :], np.ones(1)) for q_r in q]
+            else:
+                # Wolfe's major cycle: add the vertex, then minor cycles until the
+                # affine minimizer of the kept vertices lies inside their hull
+                iterations += 1
+                runs = [(np.vstack([P, q_r]), np.append(lam, 0.0))
+                        for (P, lam), q_r in zip(runs, q)]
+                cycling = list(range(len(ids)))
+                while cycling:
+                    again = []
+                    for pos in _groups([runs[k][0].shape[0] for k in cycling]):
+                        rows = [cycling[p] for p in pos]
+                        P = _stack([runs[k][0] for k in rows])
+                        alphas, ok = _affine_minimizers(P)
+                        inside = ok & (alphas > 0.0).all(axis=1)
+                        points = iter((alphas[inside][:, None] @ P[inside])[:, 0])
+                        for k, alpha, ok_k, inside_k in zip(rows, alphas, ok.tolist(),
+                                                            inside.tolist()):
+                            stalled[k] = not ok_k
+                            if inside_k:
+                                runs[k], x[k] = (runs[k][0], alpha), next(points)
+                            elif ok_k:
+                                (P_k, lam), neg = runs[k], alpha <= 0.0
+                                ratio = np.zeros_like(lam)
+                                np.divide(lam, lam - alpha, out=ratio, where=neg & (lam > alpha))
+                                j = min(np.flatnonzero(neg).tolist(), key=ratio.item)
+                                lam = ratio[j] * alpha + (1.0 - ratio[j]) * lam
+                                lam[j] = 0.0
+                                runs[k] = (P_k[lam > 0.0], lam[lam > 0.0])
+                                again.append(k)
+                    cycling = again
+            bounds, kept = (on + np.minimum(x, 0.0).sum(axis=1)).tolist(), []
+            for k, (i, bound, low) in enumerate(zip(ids, bounds, lowest)):
+                energy, closed = energies[i], low - bound <= CERTIFICATE_RTOL * (1.0 + abs(low))
                 tol = CERTIFICATE_RTOL * (1.0 + abs(energy))
-                closed = lowest - bound <= CERTIFICATE_RTOL * (1.0 + abs(lowest))
-                if r["status"] is None and energy - bound <= tol:
-                    r["status"] = "certified"
-                elif r["status"] is None and lowest < energy - tol:
-                    r["status"] = "refuted"
-                kept.append(r["status"] != "certified" and (r["status"] != "refuted" or not closed)
-                            and not r["stalled"] and r["iterations"] < WOLFE_MAX_ITERATIONS)
+                certified = not refuted[k] and energy - bound <= tol
+                refuted[k] = refuted[k] or (not certified and low < energy - tol)
+                kept.append(not (certified or refuted[k] and closed or stalled[k])
+                            and iterations < WOLFE_MAX_ITERATIONS)
                 if not kept[-1]:
-                    records[r["i"]] = dict(
-                        status=r["status"] or ("stalled" if r["stalled"] else "capped"),
-                        band=r["key"].shape[0], fixed_on=r["fixed_on"],
-                        wolfe_iterations=r["iterations"], greedy_calls=r["iterations"] + 1,
-                        lower_bound=bound, gap=energy - bound, best_support_energy=lowest,
-                        minimum=lowest if closed else None)
-            group[:] = ([r for r, k in zip(live, kept) if k], positions[kept], x[kept], x[kept])
-        groups = [group for group in groups if group[0]]
+                    records[i] = dict(
+                        status=("certified" if certified else "refuted" if refuted[k]
+                                else "stalled" if stalled[k] else "capped"),
+                        band=x.shape[1], fixed_on=states[i][2]["b"]["support"],
+                        wolfe_iterations=iterations, greedy_calls=iterations + 1,
+                        lower_bound=bound, gap=energy - bound, best_support_energy=low,
+                        minimum=low if closed else None)
+            if not all(kept):
+                M, b, x = M[kept], b[kept], x[kept]
+                ids, lowest, refuted, runs = ([v for v, k in zip(seq, kept) if k]
+                                              for seq in (ids, lowest, refuted, runs))
     return records
 
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import nlfb.analysis
-import nlfb.energy
 import nlfb.grid
 from nlfb import (
     Ball,
@@ -460,10 +459,10 @@ def test_scaling_discrepancy_handles_threshold_shift_and_checkerboard():
 def test_scaling_discrepancy_refuses_pair_arrays_above_the_memory_budget(monkeypatch):
     problem, field = scaling_problem()
     n = problem.grid.n_nodes
-    monkeypatch.setattr(nlfb.energy, "MEMORY_BUDGET_BYTES", 8 * n * (n - 1) - 1)
+    monkeypatch.setattr(nlfb.grid, "MEMORY_BUDGET_BYTES", 8 * n * (n - 1) - 1)
     with pytest.raises(CapacityError):
         scaling_discrepancy(problem, field, [0.0], 0.5, 1.0, 0.0)
-    monkeypatch.setattr(nlfb.energy, "MEMORY_BUDGET_BYTES", 8 * n * (n - 1))
+    monkeypatch.setattr(nlfb.grid, "MEMORY_BUDGET_BYTES", 8 * n * (n - 1))
     assert scaling_discrepancy(problem, field, [0.0], 0.5, 1.0, 0.0) <= 1e-12
 
 

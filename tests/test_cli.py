@@ -921,11 +921,41 @@ class TestErrorContract:
                          "--out", str(tmp_path / threads)]) == 0
 
     def test_capacity_error_exit_code(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(nlfb.energy, "MEMORY_BUDGET_BYTES", 1024)
+        monkeypatch.setattr(nlfb.grid, "MEMORY_BUDGET_BYTES", 1024)
         cfg_path = write_cfg(tmp_path, SOLVE_CFG)
         assert main(["solve", "--config", cfg_path,
                      "--out", str(tmp_path / "out")]) == 5
         assert "budget" in capsys.readouterr().err
+
+    def test_oversized_lattice_is_refused_before_it_is_allocated(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # 2D, h = 0.01, R_inf = 2: the lattice's bounding box has 403^2 points,
+        # so one (N, 2) array over it takes 2.6 MB. With a 1 MB budget,
+        # build_grid raises and the CLI exits 5, each before any array that
+        # size is allocated: the traced peak stays below the budget
+        budget = 2 ** 20
+        monkeypatch.setattr(nlfb.grid, "MEMORY_BUDGET_BYTES", budget)
+        cfg_path = write_cfg(tmp_path, """\
+            kernel.s = 0.5
+            grid.d = 2
+            grid.h = 0.01
+            grid.R_inf = 2.0
+            problem.g = right_constant
+            problem.g_amplitude = 0.35
+            problem.rho = 0.08
+            """)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="the lattice's bounding box needs"):
+                build_grid(2, 0.01, 2.0)
+            peaks = [tracemalloc.get_traced_memory()[1]]
+            tracemalloc.reset_peak()
+            assert main(["solve", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 5
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert "the lattice's bounding box needs" in capsys.readouterr().err
+        assert max(peaks) < budget
 
     def test_subsystem_capacity_error_exit_code(self, tmp_path, capsys, monkeypatch):
         # W_II fits the budget; the whole-domain lifting's matrix, of the same
@@ -936,7 +966,7 @@ class TestErrorContract:
         def assemble_then_lower_the_budget(*args):
             form = real(*args)
             n_int = form.dense.shape[0]
-            monkeypatch.setattr(nlfb.energy, "MEMORY_BUDGET_BYTES", 8 * n_int * n_int - 1)
+            monkeypatch.setattr(nlfb.grid, "MEMORY_BUDGET_BYTES", 8 * n_int * n_int - 1)
             return form
 
         monkeypatch.setattr(nlfb.solver, "assemble_form", assemble_then_lower_the_budget)
@@ -949,7 +979,7 @@ class TestErrorContract:
         # 14 interior nodes, whose oracle operator holds
         # 8 * sum_k C(14, k) (k^2 + k + 1) bytes; one byte less is refused
         size = 8 * sum(math.comb(14, k) * (k * k + k + 1) for k in range(1, 15))
-        monkeypatch.setattr(nlfb.energy, "MEMORY_BUDGET_BYTES", size - 1)
+        monkeypatch.setattr(nlfb.grid, "MEMORY_BUDGET_BYTES", size - 1)
         calls = record_minimize(monkeypatch)
         cfg_path = write_cfg(tmp_path, """\
             kernel.s = 0.5

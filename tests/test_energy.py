@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import nlfb.energy
+import nlfb.grid
 from nlfb import (
     CapacityError,
     ConfigurationError,
@@ -174,10 +175,10 @@ def test_exterior_pairs_carry_zero_weight(grid_1d_small):
 def test_assembly_refuses_blocks_above_the_memory_budget(monkeypatch, grid_1d_small):
     n_int = int(grid_1d_small.interior.sum())
     block_bytes = 8 * n_int * n_int
-    monkeypatch.setattr(nlfb.energy, "MEMORY_BUDGET_BYTES", block_bytes - 1)
+    monkeypatch.setattr(nlfb.grid, "MEMORY_BUDGET_BYTES", block_bytes - 1)
     with pytest.raises(CapacityError):
         assemble_form(fractional_kernel(0.5), grid_1d_small)
-    monkeypatch.setattr(nlfb.energy, "MEMORY_BUDGET_BYTES", block_bytes)
+    monkeypatch.setattr(nlfb.grid, "MEMORY_BUDGET_BYTES", block_bytes)
     assert assemble_form(fractional_kernel(0.5), grid_1d_small).dense.nbytes == block_bytes
 
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import nlfb.energy
+import nlfb.grid
 import nlfb.solver
 from nlfb import (
     Ball,
@@ -1209,7 +1210,7 @@ def test_pinned_inverses_are_refused_above_the_budget(monkeypatch):
     form = assemble_form(problem.kernel, grid, data)
     # per support of size k: its k x k inverse, its k stored rows and its mask
     size = 8 * sum(math.comb(14, k) * (k * k + k + 1) for k in range(1, 15))
-    monkeypatch.setattr(nlfb.energy, "MEMORY_BUDGET_BYTES", size - 1)
+    monkeypatch.setattr(nlfb.grid, "MEMORY_BUDGET_BYTES", size - 1)
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError, match="pinned inverses needs"):
@@ -1219,7 +1220,7 @@ def test_pinned_inverses_are_refused_above_the_budget(monkeypatch):
         tracemalloc.stop()
     assert peak < size / 100
     assert form.pinned_inverses is None
-    monkeypatch.setattr(nlfb.energy, "MEMORY_BUDGET_BYTES", size)
+    monkeypatch.setattr(nlfb.grid, "MEMORY_BUDGET_BYTES", size)
     oracle_minimize(problem, form=form)
     assert sum(array.nbytes for part in form.pinned_inverses for array in part) == size
 
@@ -1282,7 +1283,7 @@ def test_lifting_matrix_is_refused_above_the_budget(monkeypatch):
                           phase="two_phase")
     form = assemble_form(problem.kernel, grid, data)
     n_int = form.dense.shape[0]
-    monkeypatch.setattr(nlfb.energy, "MEMORY_BUDGET_BYTES", 8 * n_int * n_int - 1)
+    monkeypatch.setattr(nlfb.grid, "MEMORY_BUDGET_BYTES", 8 * n_int * n_int - 1)
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError, match="subsystem matrix needs"):
@@ -1291,7 +1292,7 @@ def test_lifting_matrix_is_refused_above_the_budget(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 8 * n_int * n_int / 4
-    monkeypatch.setattr(nlfb.energy, "MEMORY_BUDGET_BYTES", 8 * n_int * n_int)
+    monkeypatch.setattr(nlfb.grid, "MEMORY_BUDGET_BYTES", 8 * n_int * n_int)
     assert minimize(problem, n_restarts=2, form=form).converged
 
 
@@ -1992,13 +1993,13 @@ def test_the_fall_ends_with_the_band_system_of_its_states():
                                                                        x_a, x_b)
     assert rows.shape[0] == 307 and np.array_equal(rows, band)
     assert abs(energy_on - reference_on) <= 1e-12 * abs(reference_on)
-    greedy = _band_greedy(problem, [states[0][3]], np.array([energy_on]))
-    reference = _band_greedy(problem, [(band, inverse, b_band)], np.array([reference_on]))
-    rng, first = np.random.default_rng(173), np.zeros(1, dtype=np.int64)
+    systems = [(states[0][3][1], states[0][3][2], energy_on), (inverse, b_band, reference_on)]
+    rng = np.random.default_rng(173)
     for order in [np.argsort(-x_a[rows], kind="stable")] + [rng.permutation(307) for _ in range(2)]:
         y = np.linalg.solve(np.linalg.cholesky(schur[np.ix_(order, order)]), b_band[order])
         direct = reference_on + np.cumsum(rho_cell - y * y)
-        (_, (got,)), (_, (want,)) = greedy(first, order[None]), reference(first, order[None])
+        (_, (got,)), (_, (want,)) = (_band_greedy(rho_cell, M[None], b[None], np.array([on]),
+                                                  order[None]) for M, b, on in systems)
         for other in (want, direct):
             assert (np.abs(got - other) <= 1e-12 * np.abs(other)).all()
 
@@ -2046,13 +2047,14 @@ def test_certificate_agrees_with_the_oracle(family, s, block, amplitude, lattice
     # exit's reduced energy, for random orders of the band
     states = _bound_states(problem, form, [terms])
     (_, (_, energy_on, _, _)), = _verify_bounds([problem], form, [terms], states)
-    _, x_b, _, (band, _, _) = states[0]
-    greedy = _band_greedy(problem, [states[0][3]], np.array([energy_on]))
+    _, x_b, _, (band, M, b_band) = states[0]
+    rho_cell = problem.rho * grid.cell_measure
     on = mask_of(np.nonzero(x_b > 0.0)[0])
     assert abs(energy_on - energies[on]) <= 1e-12 * abs(energies[on])
     for _ in range(3):
         order = rng.permutation(band.shape[0])
-        _, (prefix,) = greedy(np.zeros(1, dtype=np.int64), order[None])
+        _, (prefix,) = _band_greedy(rho_cell, M[None], b_band[None], np.array([energy_on]),
+                                    order[None])
         mask = on
         for k, position in enumerate(order):
             mask |= 1 << int(band[position])
@@ -2415,6 +2417,11 @@ def test_a_mixed_stack_matches_each_instance_alone(monkeypatch, blocked):
     assert any(r["band"] == 0 for r in records) and any(r["fixed_on"] == 0 for r in records)
     terms = [exterior_terms(form, problem.exterior_data) for problem in problems]
     states = _bound_states(base, form, terms)
+    # at least three band sizes, interleaved in stack order: some size comes
+    # back after another, so the certificate's groups are not runs of the stack
+    sizes = [state[3][0].shape[0] for state in states]
+    assert len(set(sizes)) >= 3
+    assert sum(a != b for a, b in zip(sizes, sizes[1:])) >= len(set(sizes))
     energies_on = [pair[1][1] for pair in _verify_bounds(problems, form, terms, states)]
     energies = [res.energy.total for res in got]
     stacked = _certify(base, states, energies_on, energies)
